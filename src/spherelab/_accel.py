@@ -4,7 +4,7 @@ Set SPHERELAB_NO_NUMBA=1 to force the numpy path (same results, slower
 on large node sets).  Both paths use ascending-degree compensated
 summation for the band sums because the terms span many orders of
 magnitude; the compensation keeps the per-term rounding at <= 2 ulp.
-benchmarks/bench_accel.py times the two paths against each other.
+`python3 perfbench/run.py` measures the workloads that call these kernels.
 """
 
 from __future__ import annotations

@@ -126,24 +126,43 @@ def holo_gradient_values(fpoly: PolyForm, points):
     return g
 
 
-class CRPairingContext:
+class _FrameTop:
+    """(df ^ psi) on a sphere rule's coordinate frame, from the psi values
+    psi_12, psi_02, psi_01 on frame pairs and the frame's (1,0) parts."""
+
+    def top_values(self, df_frame):
+        """(df ^ psi) on the coordinate frame from df values on the frame."""
+        d0, d1, d2 = df_frame
+        return d0 * self.psi_12 - d1 * self.psi_02 + d2 * self.psi_01
+
+    def slot_weights(self):
+        """Per-node weights (g1, g2) with df ^ psi = x1 g1 + x2 g2.
+
+        For a polynomial f = sum a_alpha z^alpha with slot sums x_j = sum
+        alpha_j a_alpha z^alpha, df(u) = x1 u_1 / z_1 + x2 u_2 / z_2 at
+        nodes where z_1, z_2 do not vanish, so the three frame derivatives
+        of top_values fold into two weights that do not depend on f.
+        """
+        pieces = (self.psi_12, -self.psi_02, self.psi_01)
+        g1 = sum(p * h[..., 0] for p, h in zip(pieces, self.frame_holo))
+        g2 = sum(p * h[..., 1] for p, h in zip(pieces, self.frame_holo))
+        return g1 / self.points[:, 0], g2 / self.points[:, 1]
+
+
+class CRPairingContext(_FrameTop):
     """psi-dependent node data for cf pairings on a fixed sphere rule."""
 
     def __init__(self, rule, psi: PolyForm):
         if psi.terms and psi.degree != 2:
             raise ValueError("cf pairing needs a 2-form")
         self.rule = rule
+        self.points = rule.points
         dirs = rule.frame_directions()
         self.psi_12 = psi.evaluate(rule.points, [dirs[1], dirs[2]])
         self.psi_02 = psi.evaluate(rule.points, [dirs[0], dirs[2]])
         self.psi_01 = psi.evaluate(rule.points, [dirs[0], dirs[1]])
         self.frame_holo = [d[0] for d in dirs]
         self.pair_weights = rule.pairing_weights
-
-    def top_values(self, df_frame):
-        """(df ^ psi) on the coordinate frame from df values on the frame."""
-        d0, d1, d2 = df_frame
-        return d0 * self.psi_12 - d1 * self.psi_02 + d2 * self.psi_01
 
     def per_delta_values(self, fvals, top, deltas):
         """Regularized pairing (1/2 pi i) sum W conj(f) top / (|f|^2 + d)."""
@@ -231,7 +250,7 @@ def divisor_pairing_closed(fpoly: PolyForm, psi: PolyForm, **kw):
     return res
 
 
-class BoundaryPairingContext:
+class BoundaryPairingContext(_FrameTop):
     """psi-dependent node data for boundary divisor pairings.
 
     Binds a fixed sphere rule (boundary terms), a ball rule (the interior
@@ -244,6 +263,7 @@ class BoundaryPairingContext:
             raise ValueError("boundary pairing needs a (1,1)-form")
         self.sphere_rule = sphere_rule
         self.ball_rule = ball_rule
+        self.points = sphere_rule.points
         self.psi = psi
         dirs = sphere_rule.frame_directions()
         self.frame_holo = [d[0] for d in dirs]
@@ -262,8 +282,7 @@ class BoundaryPairingContext:
         deltas = np.asarray(deltas, dtype=float)
         usq = np.abs(u_sphere) ** 2
         # term 1: - int_bD i*( conj(u)/(2(|u|^2+d)) du ^ psi )
-        top = du_frame[0] * self.psi_12 - du_frame[1] * self.psi_02 + du_frame[2] * self.psi_01
-        numer = np.conj(u_sphere) * top * 0.5
+        numer = np.conj(u_sphere) * self.top_values(du_frame) * 0.5
         t1 = _accel.regularized_sums(self.pair_weights, numer, usq, deltas)
         # term 2: - int_bD i*( (1/2) log(|u|^2+d) dbar psi )
         wq = self.pair_weights * np.real(self.dbar_top)

@@ -16,6 +16,7 @@ accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,7 +130,7 @@ class RandomEnsemble:
 
     def batch_margins(self, coefficient_rows, rule=None):
         """Coarse (non-adaptive) margins for many draws at once."""
-        rule = rule or SphereRule(8)
+        rule = rule or _margin_rule()
         ev = self.evaluator(rule.points)
         vals = ev.values(coefficient_rows)
         rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=1))
@@ -140,6 +141,13 @@ class RandomEnsemble:
         margins = masked.min(axis=1) / (self.k * np.maximum(rms, 1e-300))
         margins[rms == 0.0] = 0.0
         return margins
+
+
+@functools.cache
+def _margin_rule():
+    """Default rule of batch_margins, built once per process: rules are
+    never mutated, and the build evaluates the contact volume symbolically."""
+    return SphereRule(8)
 
 
 class NodeEvaluator:

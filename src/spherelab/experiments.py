@@ -22,8 +22,9 @@ import numpy as np
 from spherelab import forms
 from spherelab.basis import DegreeTable
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
-                                catalog_function, divisor_pairing_boundary,
-                                divisor_pairing_closed, zero_set_direct)
+                                _lagrange_at_zero, catalog_function,
+                                divisor_pairing_boundary, divisor_pairing_closed,
+                                zero_set_direct)
 from spherelab.cutoffs import Cutoff, mean_value, variance
 from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import RandomEnsemble
@@ -32,8 +33,8 @@ from spherelab.kernels import KernelField
 from spherelab.quadrature import BallRule, SphereRule, contact_one_form
 from spherelab.reporting import ExperimentReport
 
-__all__ = ["ExperimentConfig", "ExperimentError", "EXPERIMENTS", "run_experiment",
-           "one_form", "surface_form", "ONE_FORMS", "SURFACE_FORMS"]
+__all__ = ["ExperimentConfig", "ExperimentError", "EXPERIMENTS", "one_form",
+           "surface_form", "ONE_FORMS", "SURFACE_FORMS"]
 
 
 class ExperimentError(RuntimeError):
@@ -193,18 +194,6 @@ def fit_order(ks, errs):
     return -float(slope)
 
 
-def _lagrange_zero_weights(deltas):
-    x = np.sqrt(np.asarray(sorted(deltas), dtype=float))
-    w = np.empty(len(x))
-    for i in range(len(x)):
-        li = 1.0
-        for j in range(len(x)):
-            if j != i:
-                li *= x[j] / (x[j] - x[i])
-        w[i] = li
-    return x, w
-
-
 def _complex_se(values):
     """Standard error of the complex mean: sqrt(E|X - mean|^2 / N)."""
     values = np.asarray(values)
@@ -214,90 +203,108 @@ def _complex_se(values):
     return math.sqrt(float(np.mean(np.abs(centered) ** 2)) / values.size)
 
 
-class CfSampler:
-    """Batched regularized cf values for one ensemble on a fixed rule."""
+class _DeltaLimit:
+    """Richardson limit in sqrt(delta) of per-delta values (last axis), with
+    the error estimate of currents.richardson_sqrt: the change from dropping
+    the coarsest delta (none for a single delta)."""
 
-    def __init__(self, ensemble, rule, psi_two_form, deltas):
-        self.ctx = CRPairingContext(rule, psi_two_form)
-        self.rule = rule
-        self.ev = ensemble.evaluator(rule.points)
+    def __init__(self, deltas):
         self.deltas = tuple(sorted(deltas))
-        self._x, self._wfull = _lagrange_zero_weights(self.deltas)
-        if len(self.deltas) > 1:
-            _, self._wred = _lagrange_zero_weights(self.deltas[:-1])
-        else:
-            self._wred = self._wfull
-        mass = rule.weights.sum()
-        self._rms_weights = rule.weights / mass
+        x = np.sqrt(np.asarray(self.deltas))
+        self._wfull = _lagrange_at_zero(x, np.eye(len(x))).real
+        self._wred = (_lagrange_at_zero(x[:-1], np.eye(len(x) - 1)).real
+                      if len(x) > 1 else self._wfull)
 
-    def batch(self, coeff_rows):
-        """(values, err_estimates) for the rows of draw coefficients."""
-        vals = self.ev.values(coeff_rows)
-        x1, x2 = self.ev.slot1_sums(coeff_rows)
-        scale = np.sqrt((np.abs(vals) ** 2) @ self._rms_weights)
-        vals = vals / scale[:, None]
-        top = None
-        for i, hol in enumerate(self.ctx.frame_holo):
-            df = self.ev.directional_derivative(x1, x2, hol) / scale[:, None]
-            psi_piece = (self.ctx.psi_12, -self.ctx.psi_02, self.ctx.psi_01)[i]
-            contrib = df * psi_piece[None, :]
-            top = contrib if top is None else top + contrib
-        numer = np.conj(vals) * top
-        fsq = np.abs(vals) ** 2
-        per = np.empty((coeff_rows.shape[0], len(self.deltas)), dtype=complex)
-        for i, d in enumerate(self.deltas):
-            per[:, i] = (numer / (fsq + d)) @ self.ctx.pair_weights
-        per /= 2j * math.pi
+    def limit(self, per):
         full = per @ self._wfull
-        red = per[:, :-1] @ self._wred if len(self.deltas) > 1 else per[:, 0]
+        red = per[..., :len(self._wred)] @ self._wred
         return full, np.abs(full - red)
 
 
-class BoundarySampler:
-    """Batched boundary divisor pairings for the kappa = 1 ensemble."""
+def _stacked_slot_weights(contexts, scale):
+    """(nodes, npsi) matrices of the contexts' slot weights times scale."""
+    g1, g2 = zip(*(ctx.slot_weights() for ctx in contexts))
+    return (np.stack(g1, axis=1) * scale[:, None], np.stack(g2, axis=1) * scale[:, None])
 
-    def __init__(self, ensemble, sphere_rule, ball_rule, psi, deltas):
-        self.ctx = BoundaryPairingContext(sphere_rule, ball_rule, psi)
+
+class CfSampler(_DeltaLimit):
+    """Batched regularized cf values for one ensemble on a fixed rule.
+
+    Takes a tuple of test 2-forms and returns one column per form: each
+    batch of draws is evaluated once (values and slot sums), and df ^ psi
+    is x1 g1 + x2 g2 with per-form node weights fixed at construction.
+    """
+
+    def __init__(self, ensemble, rule, psis, deltas):
+        super().__init__(deltas)
+        self.ev = ensemble.evaluator(rule.points)
+        self._rms_weights = rule.weights / rule.weights.sum()
+        contexts = [CRPairingContext(rule, psi) for psi in psis]
+        self._g1, self._g2 = _stacked_slot_weights(
+            contexts, rule.pairing_weights / (2j * math.pi))
+
+    def batch(self, coeff_rows):
+        """(values, err_estimates), each (rows, forms), for the rows of draw
+        coefficients."""
+        vals = self.ev.values(coeff_rows)
+        x1, x2 = self.ev.slot1_sums(coeff_rows)
+        fsq = np.abs(vals) ** 2
+        scale_sq = (fsq @ self._rms_weights)[:, None]
+        fsq /= scale_sq
+        # conj(f / s) * df / s with f normalized by its rms s
+        conj_f = np.conj(vals) / scale_sq
+        c1 = conj_f * x1
+        c2 = conj_f * x2
+        per = np.empty((vals.shape[0], self._g1.shape[1], len(self.deltas)), dtype=complex)
+        for i, d in enumerate(self.deltas):
+            inv = 1.0 / (fsq + d)
+            per[:, :, i] = (c1 * inv) @ self._g1 + (c2 * inv) @ self._g2
+        return self.limit(per)
+
+
+def _real_dot(rows, weights):
+    """Real rows times complex weights without promoting the rows."""
+    return rows @ weights.real + 1j * (rows @ weights.imag)
+
+
+class BoundarySampler(_DeltaLimit):
+    """Batched boundary divisor pairings for the kappa = 1 ensemble, one
+    column per (1,1)-form of the tuple psis."""
+
+    def __init__(self, ensemble, sphere_rule, ball_rule, psis, deltas):
+        super().__init__(deltas)
         self.ev_sphere = ensemble.evaluator(sphere_rule.points)
         self.ev_ball = ensemble.evaluator(ball_rule.points)
-        self.deltas = tuple(sorted(deltas))
-        self._x, self._wfull = _lagrange_zero_weights(self.deltas)
-        if len(self.deltas) > 1:
-            _, self._wred = _lagrange_zero_weights(self.deltas[:-1])
-        else:
-            self._wred = self._wfull
-        mass = sphere_rule.weights.sum()
-        self._rms_weights = sphere_rule.weights / mass
-        self._w_dbar = self.ctx.pair_weights * self.ctx.dbar_top
-        self._w_ddbar = ball_rule.weights * self.ctx.ddbar_top
-        self._shift_scale = (1j / math.pi) * (-np.sum(self._w_dbar) + np.sum(self._w_ddbar))
+        self._rms_weights = sphere_rule.weights / sphere_rule.weights.sum()
+        contexts = [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis]
+        pair_weights = sphere_rule.pairing_weights
+        self._g1, self._g2 = _stacked_slot_weights(contexts, 0.5 * pair_weights)
+        self._w_dbar = np.stack([pair_weights * ctx.dbar_top for ctx in contexts], axis=1)
+        self._w_ddbar = np.stack([ball_rule.weights * ctx.ddbar_top for ctx in contexts],
+                                 axis=1)
+        self._shift_scale = (1j / math.pi) * (-self._w_dbar.sum(axis=0)
+                                              + self._w_ddbar.sum(axis=0))
 
     def batch(self, coeff_rows):
         u_s = self.ev_sphere.values(coeff_rows)
         x1, x2 = self.ev_sphere.slot1_sums(coeff_rows)
-        scale = np.sqrt((np.abs(u_s) ** 2) @ self._rms_weights)
-        u_s = u_s / scale[:, None]
-        top = None
-        for i, hol in enumerate(self.ctx.frame_holo):
-            du = self.ev_sphere.directional_derivative(x1, x2, hol) / scale[:, None]
-            psi_piece = (self.ctx.psi_12, -self.ctx.psi_02, self.ctx.psi_01)[i]
-            contrib = du * psi_piece[None, :]
-            top = contrib if top is None else top + contrib
-        u_b = self.ev_ball.values(coeff_rows) / scale[:, None]
         usq = np.abs(u_s) ** 2
-        bsq = np.abs(u_b) ** 2
-        numer1 = np.conj(u_s) * top * 0.5
-        per = np.empty((coeff_rows.shape[0], len(self.deltas)), dtype=complex)
+        scale_sq = (usq @ self._rms_weights)[:, None]
+        usq /= scale_sq
+        conj_u = np.conj(u_s) / scale_sq
+        c1 = conj_u * x1
+        c2 = conj_u * x2
+        bsq = np.abs(self.ev_ball.values(coeff_rows)) ** 2 / scale_sq
+        per = np.empty((u_s.shape[0], self._g1.shape[1], len(self.deltas)), dtype=complex)
         for i, d in enumerate(self.deltas):
-            t1 = (numer1 / (usq + d)) @ self.ctx.pair_weights
-            t2 = (0.5 * np.log(usq + d)) @ self._w_dbar
-            t3 = (0.5 * np.log(bsq + d)) @ self._w_ddbar
-            per[:, i] = (1j / math.pi) * (-t1 - t2 + t3)
-        shift = np.log(scale) * self._shift_scale
-        per = per + shift[:, None]
-        full = per @ self._wfull
-        red = per[:, :-1] @ self._wred if len(self.deltas) > 1 else per[:, 0]
-        return full, np.abs(full - red)
+            inv = 1.0 / (usq + d)
+            t1 = (c1 * inv) @ self._g1 + (c2 * inv) @ self._g2
+            t2 = _real_dot(0.5 * np.log(usq + d), self._w_dbar)
+            t3 = _real_dot(0.5 * np.log(bsq + d), self._w_ddbar)
+            per[:, :, i] = (1j / math.pi) * (-t1 - t2 + t3)
+        # log|u| = log|u / s| + log s restores the normalization shift
+        per += (0.5 * np.log(scale_sq) * self._shift_scale)[:, :, None]
+        return self.limit(per)
 
 
 # Fixed micro-batch: GEMM reduction order depends on operand shapes, so a
@@ -603,26 +610,27 @@ def run_expectation_cr(config: ExperimentConfig):
     rule = SphereRule(config.level)
     rows, rate = _accepted_rows(ens, config, config.trials)
     report.add_check("filter-rate", rate <= 0.05, f"reject rate {rate:.2%}")
-    control_rule = SphereRule(config.level + 8)
-    for psi_name in ("vol-z2", "vol-z1", "mixed-11"):
-        psi = surface_form(psi_name)
-        sampler = CfSampler(ens, rule, psi, config.mc_deltas)
-        vals, errs = _batched_values(sampler, rows, config.chunk)
-        mean = complex(np.mean(vals))
-        se = _complex_se(vals)
-        ref = _beta_reference(ens.field, rule, psi)
-        nctl = min(64, rows.shape[0])
-        ctl_sampler = CfSampler(ens, control_rule, psi, config.mc_deltas)
-        ctl_vals, _ = _batched_values(ctl_sampler, rows[:nctl], config.chunk)
-        budget = abs(np.mean(ctl_vals) - np.mean(vals[:nctl])) + float(np.mean(errs))
+    psi_names = ("vol-z2", "vol-z1", "mixed-11")
+    psis = tuple(surface_form(name) for name in psi_names)
+    sampler = CfSampler(ens, rule, psis, config.mc_deltas)
+    vals, errs = _batched_values(sampler, rows, config.chunk)
+    # scale invariance: doubling all coefficients leaves cf unchanged
+    v1 = sampler.batch(rows[:4])[0][:, 0]
+    v2 = sampler.batch(2.0 * rows[:4])[0][:, 0]
+    del sampler  # frees its design matrix before the control rule's is built
+    nctl = min(64, rows.shape[0])
+    ctl_sampler = CfSampler(ens, SphereRule(config.level + 8), psis, config.mc_deltas)
+    ctl_vals, _ = _batched_values(ctl_sampler, rows[:nctl], config.chunk)
+    for j, psi_name in enumerate(psi_names):
+        mean = complex(np.mean(vals[:, j]))
+        se = _complex_se(vals[:, j])
+        ref = _beta_reference(ens.field, rule, psis[j])
+        budget = (abs(np.mean(ctl_vals[:, j]) - np.mean(vals[:nctl, j]))
+                  + float(np.mean(errs[:, j])))
         gap = abs(mean - ref)
         report.add_row(k, f"cf-mean-{psi_name}", mean, ref, std_err=se)
         report.add_check(f"expectation-{psi_name}", gap <= 3.0 * se + budget,
                          f"|mean - ref| = {gap:.3e} <= 3 SE ({3 * se:.3e}) + budget ({budget:.3e})")
-    # scale invariance: doubling all coefficients leaves cf unchanged
-    sampler = CfSampler(ens, rule, surface_form("vol-z2"), config.mc_deltas)
-    v1, _ = sampler.batch(rows[:4])
-    v2, _ = sampler.batch(2.0 * rows[:4])
     report.add_check("scale-invariance", bool(np.allclose(v1, v2, rtol=0, atol=1e-12)),
                      f"max |cf(2f) - cf(f)| = {float(np.max(np.abs(v1 - v2))):.2e}")
     return report
@@ -648,9 +656,9 @@ def run_equidistribution_cr(config: ExperimentConfig):
         for k in config.k_grid:
             ens = RandomEnsemble(table, cut, k, kappa=0, master_seed=config.seed + k)
             rows, _ = _accepted_rows(ens, config, config.trials)
-            sampler = CfSampler(ens, rule, dpsi, config.mc_deltas)
+            sampler = CfSampler(ens, rule, (dpsi,), config.mc_deltas)
             vals, errs = _batched_values(sampler, rows, config.chunk)
-            scaled = vals / k
+            scaled = vals[:, 0] / k
             mean = complex(np.mean(scaled))
             se = _complex_se(scaled)
             # the rate statement concerns the expectations: compare the
@@ -658,7 +666,7 @@ def run_equidistribution_cr(config: ExperimentConfig):
             # require the Monte Carlo mean to agree with that expectation
             exact = _beta_reference(ens.field, rule, dpsi) / k
             exact_gaps.append(abs(exact - limit))
-            budget = float(np.mean(errs)) / k
+            budget = float(np.mean(errs[:, 0])) / k
             agree.append(abs(mean - exact) <= 3.0 * se + budget)
             threshold = c1 / math.sqrt(k)
             freq = float(np.mean(np.abs(scaled - limit) >= threshold))
@@ -699,8 +707,8 @@ def run_variance_cr(config: ExperimentConfig):
         for k in config.k_grid:
             ens = RandomEnsemble(table, cut, k, kappa=kappa, master_seed=config.seed + k)
             rows, _ = _accepted_rows(ens, config, config.trials)
-            sampler = CfSampler(ens, rule, psi, config.mc_deltas)
-            vals, _ = _batched_values(sampler, rows, config.chunk)
+            sampler = CfSampler(ens, rule, (psi,), config.mc_deltas)
+            vals = _batched_values(sampler, rows, config.chunk)[0][:, 0]
             v = float(np.mean(np.abs(vals - vals.mean()) ** 2))
             var_list.append(v)
             report.add_row(k, f"variance-kappa{kappa}", v)
@@ -789,18 +797,22 @@ def run_expectation_domain(config: ExperimentConfig):
     ball_rule = BallRule(config.ball_level, radial=config.ball_radial)
     rows, rate = _accepted_rows(ens, config, config.trials)
     report.add_check("filter-rate", rate <= 0.05, f"boundary reject rate {rate:.2%}")
-    for psi_name in ("vol-z2", "bump-z2"):
-        psi = surface_form(psi_name)
-        sampler = BoundarySampler(ens, sphere_rule, ball_rule, psi, config.mc_deltas)
-        vals, errs = _batched_values(sampler, rows, config.chunk)
-        mean = complex(np.mean(vals))
-        se = _complex_se(vals)
-        tables = _ddbar_pair_tables(psi, ball_rule)
+    psi_names = ("vol-z2", "bump-z2")
+    psis = tuple(surface_form(name) for name in psi_names)
+    sampler = BoundarySampler(ens, sphere_rule, ball_rule, psis, config.mc_deltas)
+    vals, errs = _batched_values(sampler, rows, config.chunk)
+    del sampler  # frees its ball matrix before the control builds its own
+    nctl = min(48, rows.shape[0])
+    ctl = BoundarySampler(ens, SphereRule(config.level + 6), ball_rule, psis, config.mc_deltas)
+    ctl_vals, _ = _batched_values(ctl, rows[:nctl], config.chunk)
+    del ctl
+    for j, psi_name in enumerate(psi_names):
+        mean = complex(np.mean(vals[:, j]))
+        se = _complex_se(vals[:, j])
+        tables = _ddbar_pair_tables(psis[j], ball_rule)
         ref = _domain_pairing(ens.field, ball_rule, tables, c=1.0) / (2.0 * math.pi)
-        nctl = min(48, rows.shape[0])
-        ctl = BoundarySampler(ens, SphereRule(config.level + 6), ball_rule, psi, config.mc_deltas)
-        ctl_vals, _ = _batched_values(ctl, rows[:nctl], config.chunk)
-        budget = abs(np.mean(ctl_vals) - np.mean(vals[:nctl])) + float(np.mean(errs))
+        budget = (abs(np.mean(ctl_vals[:, j]) - np.mean(vals[:nctl, j]))
+                  + float(np.mean(errs[:, j])))
         gap = abs(mean - ref)
         report.add_row(k, f"divisor-mean-{psi_name}", mean, ref, std_err=se)
         report.add_check(f"expectation-{psi_name}", gap <= 3.0 * se + budget,
@@ -833,9 +845,3 @@ EXPERIMENTS = {
     "equi-domain": run_equidistribution_domain,
     "expectation-domain": run_expectation_domain,
 }
-
-
-def run_experiment(name, config: ExperimentConfig):
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}")
-    return EXPERIMENTS[name](config)

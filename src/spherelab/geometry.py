@@ -31,7 +31,6 @@ __all__ = [
     "complex_to_real",
     "hermitian_pair",
     "tangent_frame",
-    "horizontal_complex_direction",
 ]
 
 _UNIT_TOL = 1e-12
@@ -206,9 +205,3 @@ def tangent_frame(x):
     if len(frame) != 2 * dim - 1:
         raise AssertionError("frame construction lost rank")
     return frame
-
-
-def horizontal_complex_direction(x, index=0):
-    """A (1,0)-type horizontal direction at x: unit w with <w, x> = 0."""
-    frame = tangent_frame(x)
-    return frame[1 + 2 * index]

@@ -139,10 +139,6 @@ class KernelField:
         q = np.sum(points * np.conj(points), axis=-1).real.astype(complex)
         return _accel.band_power_sum(q, self.degrees, self.coeffs.astype(complex)).real
 
-    def ball_kernel(self, z, w):
-        """Two-point extension S(z, w) on ball points."""
-        return self.kernel(z, w)
-
     def ddbar_log(self, points, c=1.0):
         """Matrix of the complex Hessian of log(c + amplitude).
 

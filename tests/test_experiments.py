@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from spherelab.currents import CRPairingContext
+from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
+                                _normalized, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
-from spherelab.ensemble import RandomEnsemble
-from spherelab.experiments import (ExperimentConfig, ExperimentError,
-                                   _beta_reference, config_from_resolved,
-                                   one_form, run_expectation_cr,
+from spherelab.ensemble import NodeEvaluator, RandomEnsemble
+from spherelab.experiments import (BoundarySampler, CfSampler, ExperimentConfig,
+                                   ExperimentError, _beta_reference,
+                                   config_from_resolved, one_form,
+                                   run_expectation_cr, run_expectation_domain,
                                    run_kernel_diag, surface_form)
 from spherelab.geometry import ContactData, random_sphere_points
 from spherelab.kernels import KernelField
-from spherelab.quadrature import SphereRule, contact_one_form
+from spherelab.quadrature import BallRule, SphereRule, contact_one_form
 from spherelab.reporting import resolve_config
 
 
@@ -87,7 +91,6 @@ def test_cf_sampler_matches_catalog_machinery(table, bump):
     # a deterministic single-component draw routed through the Monte Carlo
     # sampler agrees with the direct zero-set oracle
     from spherelab.currents import zero_set_direct
-    from spherelab.experiments import CfSampler
     ens = RandomEnsemble(table, bump, 2, kappa=0, master_seed=3)
     degs = [sum(a) for a in ens.alphas]
     j = degs.index(1)
@@ -96,8 +99,81 @@ def test_cf_sampler_matches_catalog_machinery(table, bump):
     rows[0, j] = 1.0
     psi = one_form("angular-z2") if alpha == (1, 0) else one_form("angular-z1")
     rule = SphereRule(16)
-    sampler = CfSampler(ens, rule, psi.d(), (1e-3, 1e-4, 1e-5, 1e-6, 1e-7))
+    sampler = CfSampler(ens, rule, (psi.d(),), (1e-3, 1e-4, 1e-5, 1e-6, 1e-7))
     vals, errs = sampler.batch(rows)
     name = "z1" if alpha == (1, 0) else "z2"
     direct = zero_set_direct(name, psi)
-    assert abs(vals[0] - direct) <= 0.02 * abs(direct)
+    assert abs(vals[0, 0] - direct) <= 0.02 * abs(direct)
+
+
+def _frame_derivatives(ev, ctx, row, scale):
+    """df / scale along each frame direction, one directional derivative each."""
+    x1, x2 = ev.slot1_sums(row)
+    return [ev.directional_derivative(x1, x2, h)[0] / scale for h in ctx.frame_holo]
+
+
+def test_cf_sampler_columns_match_context_route(table, bump):
+    # each column of the multi-form sampler equals the one-form, one-draw
+    # route through CRPairingContext and richardson_sqrt
+    ens = RandomEnsemble(table, bump, 16, kappa=0, master_seed=7)
+    rule = SphereRule(8)
+    deltas = (1e-2, 1e-3, 1e-4)
+    psis = tuple(surface_form(name) for name in ("vol-z2", "vol-z1", "mixed-11"))
+    rows = ens.draw_matrix(range(4))
+    vals, errs = CfSampler(ens, rule, psis, deltas).batch(rows)
+    assert vals.shape == errs.shape == (4, 3)
+    ev = ens.evaluator(rule.points)
+    for j, psi in enumerate(psis):
+        ctx = CRPairingContext(rule, psi)
+        for r in range(rows.shape[0]):
+            f = ev.values(rows[r])[0]
+            scale = _normalized(f, rule.weights)
+            top = ctx.top_values(_frame_derivatives(ev, ctx, rows[r:r + 1], scale))
+            value, err = richardson_sqrt(deltas, ctx.per_delta_values(f / scale, top, deltas))
+            assert abs(vals[r, j] - value) <= 1e-12 * abs(value)
+            assert abs(errs[r, j] - err) <= 1e-12 * abs(value)
+
+
+def test_boundary_sampler_columns_match_context_route(table, bump):
+    # same for the boundary pairing, including the log-normalization shift
+    ens = RandomEnsemble(table, bump, 12, kappa=1, master_seed=7)
+    sphere_rule = SphereRule(8)
+    ball_rule = BallRule(6, radial=8)
+    deltas = (1e-2, 1e-3, 1e-4)
+    psis = (surface_form("vol-z2"), surface_form("bump-z2"))
+    rows = ens.draw_matrix(range(4))
+    vals, errs = BoundarySampler(ens, sphere_rule, ball_rule, psis, deltas).batch(rows)
+    assert vals.shape == errs.shape == (4, 2)
+    ev_s = ens.evaluator(sphere_rule.points)
+    ev_b = ens.evaluator(ball_rule.points)
+    for j, psi in enumerate(psis):
+        ctx = BoundaryPairingContext(sphere_rule, ball_rule, psi)
+        shift_scale = (1j / math.pi) * (-np.dot(ctx.pair_weights, ctx.dbar_top)
+                                        + np.dot(ball_rule.weights, ctx.ddbar_top))
+        for r in range(rows.shape[0]):
+            u = ev_s.values(rows[r])[0]
+            scale = _normalized(u, sphere_rule.weights)
+            du = _frame_derivatives(ev_s, ctx, rows[r:r + 1], scale)
+            per = ctx.per_delta_values(u / scale, du, ev_b.values(rows[r])[0] / scale, deltas)
+            value, err = richardson_sqrt(deltas, per + math.log(scale) * shift_scale)
+            assert abs(vals[r, j] - value) <= 1e-12 * abs(value)
+            assert abs(errs[r, j] - err) <= 1e-12 * abs(value)
+
+
+def test_expectation_runs_build_one_evaluator_per_rule(monkeypatch):
+    # one design matrix per rule: every test form shares it
+    built = []
+    original = NodeEvaluator.__init__
+
+    def counting(self, ensemble, points):
+        built.append(len(points))
+        original(self, ensemble, points)
+
+    monkeypatch.setattr(NodeEvaluator, "__init__", counting)
+    run_expectation_cr(ExperimentConfig("expectation-cr", k_grid=(24,), trials=100, level=10))
+    assert len(built) == 3  # margin rule, main rule, control rule
+    built.clear()
+    run_expectation_domain(ExperimentConfig(
+        "expectation-domain", k_grid=(24,), trials=100, level=10, ball_level=6,
+        ball_radial=16, kappa=1, deltas=(1e-2, 1e-3, 1e-4)))
+    assert len(built) <= 5  # margin rule, then sphere and ball for main and control
