@@ -40,7 +40,8 @@ import numpy as np
 
 from spherelab import _accel
 from spherelab.forms import PolyForm
-from spherelab.quadrature import BallRule, CircleRule, DiscRule, SphereCellRule
+from spherelab.quadrature import (BallRule, CircleRule, DiscRule, SphereCellRule,
+                                  _standard_frame_directions)
 
 __all__ = [
     "PairingResult",
@@ -199,12 +200,15 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
     contribution weight * spread / (min^2 + floor) are subdivided, so the
     node budget stays bounded; leftover candidates at the end are
     reported, never silently dropped.
+
+    Returns the rule, the values of f on its nodes and the number of
+    cells still flagged; each pass evaluates f only on the new nodes.
     """
     rule = SphereCellRule(base_cells=base_cells, nodes_per_axis=nodes_per_axis)
+    fvals = fpoly.evaluate(rule.points, [])
     floor = 10.0 * min(deltas)
     residual_cells = 0
     for _ in range(refine_depth):
-        fvals = fpoly.evaluate(rule.points, [])
         rms = _normalized(fvals, rule.weights)
         lo, spread = rule.cell_spread(np.abs(fvals / rms))
         flags = lo ** 2 <= np.maximum(floor, 0.25 * spread ** 2)
@@ -218,17 +222,19 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
             keep = np.argsort(score, kind="stable")[::-1][:per_level]
             flags = np.zeros_like(flags)
             flags[keep] = True
+        kept = fvals[np.repeat(~flags, rule.nodes_per_axis ** 3)]
         rule.refine(flags)
-    return rule, residual_cells
+        fvals = np.concatenate([kept, fpoly.evaluate(rule.points[kept.size:], [])])
+    return rule, fvals, residual_cells
 
 
 def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
                base_cells=6, nodes_per_axis=4, refine_depth=10):
     """cf(psi) for a holomorphic-polynomial catalog function on the sphere."""
     deltas = tuple(sorted(deltas, reverse=True))
-    rule, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth)
+    rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
+                                                 refine_depth)
     ctx = CRPairingContext(rule, psi)
-    fvals = fpoly.evaluate(rule.points, [])
     rms = _normalized(fvals, rule.weights)
     fvals = fvals / rms
     grad = holo_gradient_values(fpoly, rule.points) / rms
@@ -274,7 +280,7 @@ class BoundaryPairingContext(_FrameTop):
         self.dbar_top = psi.partial_zbar().evaluate(sphere_rule.points, dirs)
         # d dbar(psi) applied as: first dbar, then the (1,0) derivative
         self.ddbar_top = psi.partial_zbar().partial_z().evaluate(
-            ball_rule.points, _ball_frame_directions())
+            ball_rule.points, _standard_frame_directions())
         self.pair_weights = sphere_rule.pairing_weights
 
     def per_delta_values(self, u_sphere, du_frame, u_ball, deltas):
@@ -294,13 +300,6 @@ class BoundaryPairingContext(_FrameTop):
         bw_i = self.ball_rule.weights * np.imag(self.ddbar_top)
         t3 = _accel.log_regularized_sums(bw_r, bsq, deltas) + 1j * _accel.log_regularized_sums(bw_i, bsq, deltas)
         return (1j / math.pi) * (-t1 - t2 + t3)
-
-
-def _ball_frame_directions():
-    from spherelab.forms import real_direction
-    vecs = [np.array([1.0, 0.0]), np.array([1j, 0.0]),
-            np.array([0.0, 1.0]), np.array([0.0, 1j])]
-    return [real_direction(v) for v in vecs]
 
 
 def _boundary_regularity_check(u_sphere, grad_sphere, margin_floor=1e-3,
@@ -339,10 +338,10 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
                              ball_level=12):
     """(Z_u, psi) for a catalog holomorphic function on the unit ball."""
     deltas = tuple(sorted(deltas, reverse=True))
-    sphere_rule, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis, refine_depth)
+    sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
+                                                     refine_depth)
     ball_rule = BallRule(ball_level)
     ctx = BoundaryPairingContext(sphere_rule, ball_rule, psi)
-    u_sphere = upoly.evaluate(sphere_rule.points, [])
     grad = holo_gradient_values(upoly, sphere_rule.points)
     _boundary_regularity_check(u_sphere, grad)
     rms = _normalized(u_sphere, sphere_rule.weights)

@@ -30,7 +30,8 @@ from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import RandomEnsemble
 from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
-from spherelab.quadrature import BallRule, SphereRule, contact_one_form
+from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
+                                  contact_one_form)
 from spherelab.reporting import ExperimentReport
 
 __all__ = ["ExperimentConfig", "ExperimentError", "EXPERIMENTS", "one_form",
@@ -497,6 +498,11 @@ def _fd_hessian(em, p, fr, h):
     return out
 
 
+def _cell_counts(res):
+    """Final and still-flagged cell counts of a refined pairing, for check details."""
+    return f"cells {res.extras['cells']}, unresolved {res.extras['unresolved_cells']}"
+
+
 def run_lp_closed(config: ExperimentConfig):
     """Closed-manifold zero-divisor pairings against direct oracles."""
     report = ExperimentReport("lp-closed")
@@ -513,7 +519,7 @@ def run_lp_closed(config: ExperimentConfig):
         tol = max(0.01 * abs(direct), 3.0 * res.err_est)
         report.add_check(f"oracle-{fname}", abs(res.value - direct) <= tol,
                          f"pairing {res.value.real:.8f} vs direct {direct.real:.8f}, "
-                         f"err_est {res.err_est:.2e}")
+                         f"err_est {res.err_est:.2e}, {_cell_counts(res)}")
         report.add_check(f"log-monotone-{fname}", res.log_monotone,
                          "regularized log integrals monotone in delta")
     # exact-form test: pairing with d(polynomial) vanishes, on both routes
@@ -546,7 +552,7 @@ def run_lp_boundary(config: ExperimentConfig):
     tol = max(0.01 * abs(direct), 3.0 * res.err_est)
     report.add_check("disc-oracle", abs(res.value - direct) <= tol,
                      f"pairing {res.value.real:.8f} vs direct {direct.real:.8f} "
-                     f"(3 pi / 4 = {3 * math.pi / 4:.8f})")
+                     f"(3 pi / 4 = {3 * math.pi / 4:.8f}), {_cell_counts(res)}")
 
     psi_poly = surface_form("bump-z2")
     res2 = divisor_pairing_boundary(catalog_function("nowhere-zero"), psi_poly,
@@ -731,8 +737,7 @@ def run_variance_cr(config: ExperimentConfig):
 
 def _ddbar_pair_tables(psi, ball_rule):
     """Wedge tables (dz_j ^ dzbar_k ^ psi) on the ball's standard frame."""
-    from spherelab.currents import _ball_frame_directions
-    dirs = _ball_frame_directions()
+    dirs = _standard_frame_directions()
     tables = np.empty((2, 2, ball_rule.npoints), dtype=complex)
     for j in range(2):
         for l in range(2):
@@ -819,11 +824,15 @@ def run_expectation_domain(config: ExperimentConfig):
                          f"|mean - ref| = {gap:.3e} <= 3 SE ({3 * se:.3e}) + budget ({budget:.3e})")
     # deterministic cross-check through the same machinery
     res = divisor_pairing_boundary(catalog_function("z1-half"), surface_form("vol-z2"),
-                                   deltas=config.deltas, ball_level=config.ball_level)
+                                   deltas=config.deltas,
+                                   base_cells=config.cell_base,
+                                   nodes_per_axis=config.cell_nodes,
+                                   refine_depth=config.refine_depth,
+                                   ball_level=config.ball_level)
     direct = zero_set_direct("z1-half", surface_form("vol-z2"))
     report.add_check("catalog-crosscheck",
                      abs(res.value - direct) <= max(0.01 * abs(direct), 3 * res.err_est),
-                     f"{res.value.real:.6f} vs {direct.real:.6f}")
+                     f"{res.value.real:.6f} vs {direct.real:.6f}, {_cell_counts(res)}")
     # scaled means approach the boundary limit (reported)
     mvref = mean_value(cut, 1) / (2.0 * math.pi) * sphere_rule.pair_form(
         contact_one_form(2).wedge(surface_form("vol-z2")))

@@ -15,6 +15,9 @@ dz_j -> w_j, dconj(z_j) -> 0.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 __all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord", "real_direction", "holo_direction", "antiholo_direction"]
@@ -34,6 +37,16 @@ def _merge_sign(word_a, word_b):
                 inv += 1
     order = tuple(sorted(merged))
     return order, (-1) ** inv
+
+
+@functools.cache
+def _signed_permutations(p):
+    """Permutations of range(p) with their signs, for Leibniz determinants."""
+    out = []
+    for perm in itertools.permutations(range(p)):
+        inv = sum(1 for i in range(p) for j in range(i + 1, p) if perm[i] > perm[j])
+        out.append((perm, (-1) ** inv))
+    return tuple(out)
 
 
 class PolyForm:
@@ -208,7 +221,9 @@ class PolyForm:
         """Value of the p-form on p direction fields at each point.
 
         directions is a sequence of (holo, antiholo) pairs of arrays with
-        shape (ncplx,) or (npoints, ncplx).
+        shape (ncplx,) or (npoints, ncplx).  Each word's determinant is
+        the Leibniz sum over permutations of products of covector values;
+        a constant direction stays a scalar per covector.
         """
         points = np.atleast_2d(np.asarray(points, dtype=complex))
         npts = points.shape[0]
@@ -217,25 +232,27 @@ class PolyForm:
         p = self.degree
         if len(directions) != p:
             raise ValueError(f"form of degree {p} requires {p} directions")
-        cov_vals = []  # per direction: (npts, 2*ncplx) covector values
-        for holo, anti in directions:
-            holo = np.broadcast_to(np.asarray(holo, dtype=complex), (npts, self.ncplx))
-            anti = np.broadcast_to(np.asarray(anti, dtype=complex), (npts, self.ncplx))
-            vals = np.empty((npts, 2 * self.ncplx), dtype=complex)
-            vals[:, 0::2] = holo
-            vals[:, 1::2] = anti
-            cov_vals.append(vals)
         out = np.zeros(npts, dtype=complex)
         if p == 0:
             for word, coeff in self.coefficient_values(points).items():
                 out += coeff
             return out
+        # columns[s][c]: covector c (2j = dz_j, 2j+1 = dconj(z_j)) on direction s
+        columns = []
+        for holo, anti in directions:
+            holo = np.asarray(holo, dtype=complex)
+            anti = np.asarray(anti, dtype=complex)
+            columns.append([(anti if c % 2 else holo)[..., c // 2]
+                            for c in range(2 * self.ncplx)])
+        perms = _signed_permutations(p)
         for word, coeff in self.coefficient_values(points).items():
-            mat = np.empty((npts, p, p), dtype=complex)
-            for r, cov in enumerate(word):
-                for s in range(p):
-                    mat[:, r, s] = cov_vals[s][:, cov]
-            out += coeff * np.linalg.det(mat)
+            det = 0.0
+            for perm, sign in perms:
+                term = columns[perm[0]][word[0]]
+                for r in range(1, p):
+                    term = term * columns[perm[r]][word[r]]
+                det = det + term if sign > 0 else det - term
+            out += coeff * det
         return out
 
     def sampled_cnorm(self, points, order=0):

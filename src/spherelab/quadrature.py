@@ -340,9 +340,12 @@ class SphereCellRule:
 
     The parameter box (t, theta1, theta2) is split into cells carrying a
     small tensor Gauss-Legendre rule.  refine(mask) subdivides flagged
-    cells 2 x 2 x 2; node sets are rebuilt lazily.  Pairing uses the same
-    contact-volume normalization as SphereRule, so orientation and
-    measure conventions agree between the two rules.
+    cells 2 x 2 x 2 and builds nodes for the new cells only: kept cells
+    keep their node values, new cells follow them, and the node arrays
+    equal those of a rule built from scratch on the final boxes.  The
+    Hopf frame is built on demand by frame_directions().  Pairing uses
+    the same contact-volume normalization as SphereRule, so orientation
+    and measure conventions agree between the two rules.
     """
 
     def __init__(self, base_cells=8, nodes_per_axis=4):
@@ -356,43 +359,42 @@ class SphereCellRule:
                     boxes.append((edges[i], edges[i + 1], ang[j], ang[j + 1], ang[l], ang[l + 1]))
         self.boxes = np.asarray(boxes)
         self._gl = gauss_legendre_01(self.nodes_per_axis)
-        self._build()
+        for name, values in self._cell_nodes(self.boxes).items():
+            setattr(self, name, values)
 
-    def _build(self):
+    def _cell_nodes(self, boxes):
+        """Node arrays of the given cells, keyed by attribute name, in cell order."""
         x, w = self._gl
         m = self.nodes_per_axis
-        C = self.boxes.shape[0]
-        t0, t1 = self.boxes[:, 0], self.boxes[:, 1]
-        a0, a1 = self.boxes[:, 2], self.boxes[:, 3]
-        b0, b1 = self.boxes[:, 4], self.boxes[:, 5]
+        C = boxes.shape[0]
+        t0, t1 = boxes[:, 0], boxes[:, 1]
+        a0, a1 = boxes[:, 2], boxes[:, 3]
+        b0, b1 = boxes[:, 4], boxes[:, 5]
         T = t0[:, None] + (t1 - t0)[:, None] * x[None, :]
         A = a0[:, None] + (a1 - a0)[:, None] * x[None, :]
         B = b0[:, None] + (b1 - b0)[:, None] * x[None, :]
         WT = (t1 - t0)[:, None] * w[None, :]
         WA = (a1 - a0)[:, None] * w[None, :]
         WB = (b1 - b0)[:, None] * w[None, :]
-        t = np.broadcast_to(T[:, :, None, None], (C, m, m, m)).reshape(C, -1)
-        th1 = np.broadcast_to(A[:, None, :, None], (C, m, m, m)).reshape(C, -1)
-        th2 = np.broadcast_to(B[:, None, None, :], (C, m, m, m)).reshape(C, -1)
-        wts = (WT[:, :, None, None] * WA[:, None, :, None] * WB[:, None, None, :]).reshape(C, -1)
-        self.cell_index = np.repeat(np.arange(C), m ** 3)
-        tt = t.ravel()
-        tt = np.clip(tt, 1e-15, 1.0 - 1e-15)
-        self.t = tt
-        self.phi = np.arccos(np.sqrt(tt))
-        self.theta1 = th1.ravel()
-        self.theta2 = th2.ravel()
-        # round measure: dsigma = (1/2) dt dtheta1 dtheta2
-        self._round_weights = 0.5 * wts.ravel()
-        self.points = hopf_embed(self.phi, self.theta1, self.theta2)
-        self._frame = _hopf_frame(self.phi, self.theta1, self.theta2)
-        # the contact volume coefficient on the Hopf frame is analytic on
-        # the round sphere: -sin(phi) cos(phi), density ratio exactly one
-        # (cross-checked against the symbolic form in the test suite);
-        # evaluating the form here would dominate every refinement pass.
-        sc = np.sin(self.phi) * np.cos(self.phi)
-        self._volume_coeff = -sc
-        self.weights = self._round_weights.copy()
+        t = np.broadcast_to(T[:, :, None, None], (C, m, m, m)).ravel()
+        theta1 = np.broadcast_to(A[:, None, :, None], (C, m, m, m)).ravel()
+        theta2 = np.broadcast_to(B[:, None, None, :], (C, m, m, m)).ravel()
+        wts = (WT[:, :, None, None] * WA[:, None, :, None] * WB[:, None, None, :]).ravel()
+        phi = np.arccos(np.sqrt(np.clip(t, 1e-15, 1.0 - 1e-15)))
+        return {
+            "phi": phi,
+            "theta1": theta1,
+            "theta2": theta2,
+            # round measure: dsigma = (1/2) dt dtheta1 dtheta2
+            "weights": 0.5 * wts,
+            "points": hopf_embed(phi, theta1, theta2),
+            # the contact volume coefficient on the Hopf frame is analytic
+            # on the round sphere: -sin(phi) cos(phi), density ratio exactly
+            # one (cross-checked against the symbolic form in the test
+            # suite); evaluating the form here would dominate every
+            # refinement pass.
+            "_volume_coeff": -(np.sin(phi) * np.cos(phi)),
+        }
 
     @property
     def npoints(self):
@@ -403,7 +405,7 @@ class SphereCellRule:
         return self.boxes.shape[0]
 
     def frame_directions(self):
-        return [real_direction(f) for f in self._frame]
+        return [real_direction(f) for f in _hopf_frame(self.phi, self.theta1, self.theta2)]
 
     def integrate(self, values):
         return np.dot(self.weights, values)
@@ -428,19 +430,23 @@ class SphereCellRule:
         return lo, grid.max(axis=1) - lo
 
     def refine(self, mask):
-        """Subdivide flagged cells 2x2x2; returns the number of new cells."""
+        """Subdivide flagged cells 2x2x2; returns the number of new cells.
+
+        The kept cells come first, in their old order, then the eight
+        children of each flagged cell; only the children's nodes are built.
+        """
         mask = np.asarray(mask, dtype=bool)
-        keep = self.boxes[~mask]
         split = self.boxes[mask]
         if split.size == 0:
             return 0
-        new = []
-        for t0, t1, a0, a1, b0, b1 in split:
-            tm, am, bm = 0.5 * (t0 + t1), 0.5 * (a0 + a1), 0.5 * (b0 + b1)
-            for ti in ((t0, tm), (tm, t1)):
-                for ai in ((a0, am), (am, a1)):
-                    for bi in ((b0, bm), (bm, b1)):
-                        new.append((ti[0], ti[1], ai[0], ai[1], bi[0], bi[1]))
-        self.boxes = np.vstack([keep, np.asarray(new)])
-        self._build()
-        return len(new)
+        t0, t1, a0, a1, b0, b1 = split.T
+        tm, am, bm = 0.5 * (t0 + t1), 0.5 * (a0 + a1), 0.5 * (b0 + b1)
+        new = np.stack([np.stack([*ti, *ai, *bi], axis=-1)
+                        for ti in ((t0, tm), (tm, t1))
+                        for ai in ((a0, am), (am, a1))
+                        for bi in ((b0, bm), (bm, b1))], axis=1).reshape(-1, 6)
+        kept = np.repeat(~mask, self.nodes_per_axis ** 3)
+        for name, values in self._cell_nodes(new).items():
+            setattr(self, name, np.concatenate([getattr(self, name)[kept], values]))
+        self.boxes = np.vstack([self.boxes[~mask], new])
+        return new.shape[0]

@@ -5,7 +5,7 @@ import pytest
 
 from spherelab import forms
 from spherelab.currents import (CATALOG, DEFAULT_DELTAS, RegularityError,
-                                catalog_function, cf_pairing,
+                                _adaptive_rule, catalog_function, cf_pairing,
                                 divisor_pairing_boundary,
                                 divisor_pairing_closed, richardson_sqrt,
                                 zero_set_direct)
@@ -132,3 +132,10 @@ def test_delta_monotonicity_reported():
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
     assert res.log_monotone
     assert len(res.per_delta) == len(DEFAULT_DELTAS)
+
+
+def test_adaptive_rule_values_match_final_nodes():
+    f = catalog_function("z1-half")
+    rule, fvals, unresolved = _adaptive_rule(f, DEFAULT_DELTAS, 4, 3, 4)
+    assert rule.ncells > 4 ** 3 and unresolved > 0
+    assert np.array_equal(fvals, f.evaluate(rule.points, []))

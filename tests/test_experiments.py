@@ -11,7 +11,8 @@ from spherelab.experiments import (BoundarySampler, CfSampler, ExperimentConfig,
                                    ExperimentError, _beta_reference,
                                    config_from_resolved, one_form,
                                    run_expectation_cr, run_expectation_domain,
-                                   run_kernel_diag, surface_form)
+                                   run_kernel_diag, run_lp_boundary, run_lp_closed,
+                                   surface_form)
 from spherelab.geometry import ContactData, random_sphere_points
 from spherelab.kernels import KernelField
 from spherelab.quadrature import BallRule, SphereRule, contact_one_form
@@ -177,3 +178,27 @@ def test_expectation_runs_build_one_evaluator_per_rule(monkeypatch):
         "expectation-domain", k_grid=(24,), trials=100, level=10, ball_level=6,
         ball_radial=16, kappa=1, deltas=(1e-2, 1e-3, 1e-4)))
     assert len(built) <= 5  # margin rule, then sphere and ball for main and control
+
+
+# Row estimates of lp-closed and lp-boundary at refine_depth 2 and ball
+# level 6 (default deltas and cells), computed at commit 14b797c, where
+# form evaluation took np.linalg.det of per-point matrices.
+PINNED_ROWS = {
+    "pairing-z1-angular-z2": 6.283184267733478 + 1.483493643842335e-17j,
+    "pairing-z2-angular-z1": 6.28318426773348 + 1.8738803572541854e-17j,
+    "pairing-z1-exact-form": 0.0,
+    "pairing-z1-half-vol-z2": 2.356249830800078 - 2.8382622793348405e-16j,
+    "pairing-nowhere-zero": -1.504203546266551e-07 + 6.210423835892751e-17j,
+    "pairing-z1-half-vol-z1": 0.0,
+}
+
+
+def test_lp_rows_match_pinned_values():
+    rows = {}
+    for name, run in (("lp-closed", run_lp_closed), ("lp-boundary", run_lp_boundary)):
+        report = run(ExperimentConfig(name, refine_depth=2, ball_level=6))
+        assert report.verdict
+        rows.update((r["quantity"], complex(r["estimate"])) for r in report.rows)
+    assert set(rows) == set(PINNED_ROWS)
+    for quantity, pinned in PINNED_ROWS.items():
+        assert abs(rows[quantity] - pinned) <= 1e-12 * max(1.0, abs(pinned)), quantity

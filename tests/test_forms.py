@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,3 +119,46 @@ def test_sampled_cnorm_orders(rng):
     c0 = psi.sampled_cnorm(pts, order=0)
     c1 = psi.sampled_cnorm(pts, order=1)
     assert c1 >= c0 > 0.0
+
+
+def _det_reference(psi, pts, directions):
+    """Evaluation through explicit (npoints, p, p) determinants."""
+    npts = pts.shape[0]
+    cov = []
+    for holo, anti in directions:
+        vals = np.empty((npts, 4), dtype=complex)
+        vals[:, 0::2] = np.broadcast_to(holo, (npts, 2))
+        vals[:, 1::2] = np.broadcast_to(anti, (npts, 2))
+        cov.append(vals)
+    out = np.zeros(npts, dtype=complex)
+    p = psi.degree
+    for word, coeff in psi.coefficient_values(pts).items():
+        mat = np.stack([np.stack([cov[s][:, c] for s in range(p)], axis=-1) for c in word],
+                       axis=1)
+        out += coeff * np.linalg.det(mat)
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_evaluate_matches_determinant_reference(rng, degree):
+    words = list(itertools.combinations(range(4), degree))
+    npts = 50
+    pts = rng.standard_normal((npts, 2)) + 1j * rng.standard_normal((npts, 2))
+    for per_point in (True, False):
+        psi = PolyForm.zero(2)
+        for _ in range(6):
+            word = words[rng.integers(len(words))]
+            exps = tuple(rng.integers(0, 3, size=4))
+            coeff = complex(rng.standard_normal(), rng.standard_normal())
+            psi = psi + PolyForm.monomial(2, coeff, exps, word)
+        # per-point fields mixed with constant ones, or constants only;
+        # real and holomorphic direction types
+        directions = []
+        for s in range(degree):
+            shape = (npts, 2) if per_point and s % 2 == 0 else (2,)
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            directions.append(real_direction(w) if s < 2 else holo_direction(w))
+        got = psi.evaluate(pts, directions)
+        ref = _det_reference(psi, pts, directions)
+        assert got.shape == (npts,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

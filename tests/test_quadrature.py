@@ -7,7 +7,7 @@ from spherelab import forms
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule,
                                   MonteCarloSphereRule, SphereCellRule,
                                   SphereRule, UnsupportedDimensionError,
-                                  ball_quadrature, contact_one_form,
+                                  _hopf_frame, ball_quadrature, contact_one_form,
                                   contact_volume_form, sphere_area,
                                   sphere_quadrature)
 
@@ -142,6 +142,23 @@ def test_cell_rule_refinement_preserves_mass():
     assert added == 80
     after = cells.integrate(np.ones(cells.npoints))
     assert after == pytest.approx(before, abs=1e-10)
+
+
+def test_cell_rule_incremental_refine_matches_fresh_build(rng):
+    cells = SphereCellRule(base_cells=3, nodes_per_axis=3)
+    for frac in (0.3, 0.05, 0.5, 0.1):
+        mask = rng.random(cells.ncells) < frac
+        mask[rng.integers(cells.ncells)] = True
+        assert cells.refine(mask) == 8 * mask.sum()
+    assert cells.refine(np.zeros(cells.ncells, dtype=bool)) == 0
+    fresh = cells._cell_nodes(cells.boxes)
+    assert set(fresh) == {"phi", "theta1", "theta2", "weights", "points", "_volume_coeff"}
+    for name, values in fresh.items():
+        assert np.array_equal(getattr(cells, name), values), name
+    assert np.array_equal(cells.pairing_weights, fresh["weights"] / fresh["_volume_coeff"])
+    frame = _hopf_frame(fresh["phi"], fresh["theta1"], fresh["theta2"])
+    for (holo, anti), f in zip(cells.frame_directions(), frame):
+        assert np.array_equal(holo, f) and np.array_equal(anti, np.conj(f))
 
 
 def test_degree_bound_recorded(rule16):
