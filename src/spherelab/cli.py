@@ -33,8 +33,6 @@ def build_parser():
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     parser.add_argument("--level", type=int, default=None, help="sphere quadrature level")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for jitted kernels (0 = default)")
     parser.add_argument("--strict", action="store_true",
                         help="treat warnings (reported-only checks) as failures")
     parser.add_argument("--emit-plotdata", action="store_true",
@@ -72,19 +70,11 @@ def main(argv=None):
         "mc.trials": args.trials,
         "quadrature.level": args.level,
         "run.out": args.out,
-        "run.jobs": args.jobs,
         "run.strict": "true" if args.strict else None,
     }
     resolved = reporting.resolve_config(file_cfg, overrides)
     out_dir = resolved.get("run.out") or _default_out()
     os.makedirs(out_dir, exist_ok=True)
-
-    if args.jobs:
-        try:
-            import numba
-            numba.set_num_threads(max(1, args.jobs))
-        except Exception:
-            pass
 
     manifest = reporting.RunManifest(
         config_path=args.config or "<defaults>",

@@ -157,6 +157,7 @@ class CRPairingContext(_FrameTop):
         if psi.terms and psi.degree != 2:
             raise ValueError("cf pairing needs a 2-form")
         self.rule = rule
+        self.psi = psi
         self.points = rule.points
         dirs = rule.frame_directions()
         self.psi_12 = psi.evaluate(rule.points, [dirs[1], dirs[2]])

@@ -12,6 +12,14 @@ With this convention E f(x) conj(f(y)) = kappa^2 + S(x, y) where S is
 the squared-weight band kernel; that identity is the load-bearing link
 between the ensemble and the kernel engine and is tested to Monte Carlo
 accuracy.
+
+Draws are evaluated at a rule's nodes by one of two evaluators.  On the
+product rules (SphereRule, BallRule) a monomial factors into a modulus
+part and a character of the angle grid, so GridEvaluator sums the
+coefficients per modulus into folded 2-D spectra and applies one inverse
+FFT per modulus pair (sum factorization); it never builds a
+nodes x components matrix.  Scattered point sets (the cell rule, random
+points) use NodeEvaluator's dense design matrix.
 """
 
 from __future__ import annotations
@@ -21,13 +29,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
+import scipy.sparse
 
 from spherelab.basis import DegreeTable, graded_indices
 from spherelab.cutoffs import Cutoff
 from spherelab.kernels import KernelField
 from spherelab.quadrature import SphereCellRule, SphereRule
 
-__all__ = ["GaussianDraw", "RandomEnsemble", "NodeEvaluator"]
+__all__ = ["GaussianDraw", "RandomEnsemble", "NodeEvaluator", "GridEvaluator"]
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,12 @@ class RandomEnsemble:
                 for j, c in enumerate(a):
                     writer.writerow([t, j, repr(c.real), repr(c.imag)])
 
-    def evaluator(self, points):
-        return NodeEvaluator(self, points)
+    def evaluator(self, where):
+        """Evaluator at a rule's nodes or at an array of points: the FFT
+        evaluator on rules with a torus_grid, the dense one elsewhere."""
+        if hasattr(where, "torus_grid"):
+            return GridEvaluator(self, where)
+        return NodeEvaluator(self, getattr(where, "points", where))
 
     # ------------------------------------------------------- regularity
     def regularity_filter(self, draw, threshold=1e-6, base_cells=6, depth=2):
@@ -106,7 +120,7 @@ class RandomEnsemble:
         measure zero in theory but numerically ill-conditioned.
         """
         rule = SphereCellRule(base_cells=base_cells, nodes_per_axis=3)
-        ev = self.evaluator(rule.points)
+        ev = self.evaluator(rule)
         a = draw.coefficients[None, :]
         margin = None
         for round_idx in range(depth + 1):
@@ -125,13 +139,13 @@ class RandomEnsemble:
             flag_vals = rule.cell_min(np.abs(vals) / rms)
             cut = np.quantile(flag_vals, 0.15)
             rule.refine(flag_vals <= max(cut, 0.3))
-            ev = self.evaluator(rule.points)
+            ev = self.evaluator(rule)
         return {"accept": margin >= threshold, "margin": margin, "rms": rms}
 
     def batch_margins(self, coefficient_rows, rule=None):
         """Coarse (non-adaptive) margins for many draws at once."""
         rule = rule or _margin_rule()
-        ev = self.evaluator(rule.points)
+        ev = self.evaluator(rule)
         vals = ev.values(coefficient_rows)
         rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=1))
         x1, x2 = ev.slot1_sums(coefficient_rows)
@@ -151,26 +165,30 @@ def _margin_rule():
 
 
 class NodeEvaluator:
-    """Design matrices of one ensemble bound to a fixed point set.
+    """Design matrix of one ensemble bound to a fixed, scattered point set.
 
     values(A) is a plain matrix product, so batches of draws evaluate at
     BLAS speed; first derivatives reuse two auxiliary products (degree-
     weighted matrices) and are assembled pointwise for any direction
     field, exploiting that the monomial coordinates never vanish at
-    interior quadrature nodes.
+    interior quadrature nodes.  Product rules use GridEvaluator, which
+    shares the derivative assembly.
     """
 
     def __init__(self, ensemble: RandomEnsemble, points):
+        self._bind(ensemble, points)
+        self.matrix = ensemble.table.design_matrix(ensemble.alphas, self.points,
+                                                   extra_scale=ensemble.component_weights)
+
+    def _bind(self, ensemble, points):
+        """Nodes and degrees, which the derivative assembly reads."""
         self.ensemble = ensemble
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        self.points = pts
-        table = ensemble.table
-        self.matrix = table.design_matrix(ensemble.alphas, pts, extra_scale=ensemble.component_weights)
+        self.points = np.atleast_2d(np.asarray(points, dtype=complex))
         alphas = np.asarray(ensemble.alphas, dtype=float)
         self._deg1 = alphas[:, 0]
         self._deg2 = alphas[:, 1]
-        self._z1 = pts[:, 0]
-        self._z2 = pts[:, 1]
+        self._z1 = self.points[:, 0]
+        self._z2 = self.points[:, 1]
 
     def _split(self, a):
         a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -211,3 +229,52 @@ class NodeEvaluator:
         g1 = x1 / self._z1[None, :]
         g2 = x2 / self._z2[None, :]
         return np.sqrt(np.abs(g1) ** 2 + np.abs(g2) ** 2)
+
+
+class GridEvaluator(NodeEvaluator):
+    """Evaluator on a product rule by folded 2-D inverse FFTs.
+
+    The rule's nodes are (rho1 e^{2 pi i i1/N}, rho2 e^{2 pi i i2/N}) over
+    M modulus pairs (rule.torus_grid()), so the normalized monomial with
+    exponents (a, b) is its value at (rho1, rho2) times the character
+    e^{2 pi i (a i1 + b i2)/N}.  One sparse (M N^2, dim) matrix holds
+    those modulus factors at bin (a mod N, b mod N) of modulus m: degrees
+    of N and above fold onto the same bins and stay exact on the grid.  A
+    batch of draws is one sparse product and one batched ifft2, each row
+    independent of the others, with no nodes x dim matrix.
+    """
+
+    def __init__(self, ensemble: RandomEnsemble, rule):
+        self._bind(ensemble, rule.points)
+        moduli, nang = rule.torus_grid()
+        factors = ensemble.table.design_matrix(ensemble.alphas, moduli,
+                                               extra_scale=ensemble.component_weights)
+        nmod, dim = factors.shape
+        alphas = np.asarray(ensemble.alphas, dtype=np.int64)
+        bins = (alphas[:, 0] % nang) * nang + alphas[:, 1] % nang
+        rows = np.arange(nmod)[:, None] * nang ** 2 + bins[None, :]
+        cols = np.broadcast_to(np.arange(dim)[None, :], (nmod, dim))
+        self._fold = scipy.sparse.csr_matrix(
+            (factors.ravel(), (rows.ravel(), cols.ravel())), shape=(nmod * nang ** 2, dim))
+        self._grid = (nmod, nang, nang)
+
+    def _synthesize(self, rest):
+        """Monomial sums at the nodes for coefficient rows: (rows, npoints).
+
+        The spectra keep the rows on the last axis, so the result is the
+        transpose of a (npoints, rows) array, returned without a copy.
+        """
+        spectra = (self._fold @ rest.T).reshape(self._grid + (rest.shape[0],))
+        return scipy.fft.ifft2(spectra, axes=(1, 2), norm="forward").reshape(-1, rest.shape[0]).T
+
+    def values(self, a):
+        a0, rest = self._split(a)
+        vals = self._synthesize(rest)
+        if a0 is not None:
+            vals = vals + (self.ensemble.kappa * a0)[:, None]
+        return vals
+
+    def slot1_sums(self, a):
+        _, rest = self._split(a)
+        both = self._synthesize(np.concatenate([rest * self._deg1, rest * self._deg2]))
+        return both[:rest.shape[0]], both[rest.shape[0]:]

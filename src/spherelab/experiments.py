@@ -100,7 +100,6 @@ class ExperimentConfig:
     level: int = 16
     ball_level: int = 12
     ball_radial: int = 28
-    chunk: int = 64
     deltas: tuple = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     mc_deltas: tuple = (1e-2, 1e-3, 1e-4)
     filter_threshold: float = 1e-6
@@ -146,7 +145,6 @@ def config_from_resolved(experiment, resolved):
                       get("cutoff.shape"), float(get("cutoff.sharpness"))),
         k_grid=as_tuple(get("grid.k_grid"), int),
         trials=int(get("mc.trials")),
-        chunk=int(get("mc.chunk")),
         level=int(get("quadrature.level")),
         ball_level=int(get("quadrature.ball_level")),
         ball_radial=int(get("quadrature.ball_radial")),
@@ -231,16 +229,17 @@ def _stacked_slot_weights(contexts, scale):
 class CfSampler(_DeltaLimit):
     """Batched regularized cf values for one ensemble on a fixed rule.
 
-    Takes a tuple of test 2-forms and returns one column per form: each
-    batch of draws is evaluated once (values and slot sums), and df ^ psi
-    is x1 g1 + x2 g2 with per-form node weights fixed at construction.
+    Takes a tuple of CRPairingContext on one rule (one per test 2-form)
+    and returns one column per form: each batch of draws is evaluated once
+    (values and slot sums), and df ^ psi is x1 g1 + x2 g2 with per-form
+    node weights fixed at construction.
     """
 
-    def __init__(self, ensemble, rule, psis, deltas):
+    def __init__(self, ensemble, contexts, deltas):
         super().__init__(deltas)
-        self.ev = ensemble.evaluator(rule.points)
+        rule = contexts[0].rule
+        self.ev = ensemble.evaluator(rule)
         self._rms_weights = rule.weights / rule.weights.sum()
-        contexts = [CRPairingContext(rule, psi) for psi in psis]
         self._g1, self._g2 = _stacked_slot_weights(
             contexts, rule.pairing_weights / (2j * math.pi))
 
@@ -274,8 +273,8 @@ class BoundarySampler(_DeltaLimit):
 
     def __init__(self, ensemble, sphere_rule, ball_rule, psis, deltas):
         super().__init__(deltas)
-        self.ev_sphere = ensemble.evaluator(sphere_rule.points)
-        self.ev_ball = ensemble.evaluator(ball_rule.points)
+        self.ev_sphere = ensemble.evaluator(sphere_rule)
+        self.ev_ball = ensemble.evaluator(ball_rule)
         self._rms_weights = sphere_rule.weights / sphere_rule.weights.sum()
         contexts = [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis]
         pair_weights = sphere_rule.pairing_weights
@@ -310,11 +309,11 @@ class BoundarySampler(_DeltaLimit):
 
 # Fixed micro-batch: GEMM reduction order depends on operand shapes, so a
 # constant row count keeps per-draw values bit-identical no matter how the
-# caller groups trials (the config chunk is only a memory hint).
+# caller groups trials.
 _MICRO_BATCH = 32
 
 
-def _batched_values(sampler, coeff_rows, chunk=None):
+def _batched_values(sampler, coeff_rows):
     vals = []
     errs = []
     for start in range(0, coeff_rows.shape[0], _MICRO_BATCH):
@@ -324,19 +323,20 @@ def _batched_values(sampler, coeff_rows, chunk=None):
     return np.concatenate(vals), np.concatenate(errs)
 
 
-def _beta_reference(field_eta, rule, psi_two_form):
-    """Integral of the expected-zero one-form wedged with psi, two routes.
+def _beta_reference(field_eta, ctx):
+    """Integral of the expected-zero one-form wedged with the context's psi,
+    two routes.
 
     Route one uses the closed identity beta = scale * contact form; route
-    two assembles beta pointwise from the raw kernel ratio.  They must
-    agree to 1e-10; the shared value is returned.
+    two assembles beta pointwise from the raw kernel ratio and the psi
+    values of the CRPairingContext.  They must agree to 1e-10; the shared
+    value is returned.
     """
-    xi_psi = contact_one_form(2).wedge(psi_two_form)
+    rule = ctx.rule
+    xi_psi = contact_one_form(2).wedge(ctx.psi)
     route1 = field_eta.beta_scale() * rule.pair_form(xi_psi)
-    dirs = rule.frame_directions()
-    ctx = CRPairingContext(rule, psi_two_form)
     betas = []
-    for hol, anti in dirs:
+    for hol in ctx.frame_holo:
         betas.append(field_eta.grad_diag_pair(rule.points, hol)
                      / (2j * math.pi * field_eta.squared_length()))
     top = betas[0] * ctx.psi_12 - betas[1] * ctx.psi_02 + betas[2] * ctx.psi_01
@@ -586,7 +586,7 @@ def _accepted_rows(ens, config, count):
     trial = 0
     rejected = 0
     while len(rows) < count:
-        batch = 256  # fixed batch so margins are independent of the chunk hint
+        batch = 256
         coeffs = ens.draw_matrix(range(trial, trial + batch))
         margins = ens.batch_margins(coeffs)
         for i in range(batch):
@@ -617,20 +617,21 @@ def run_expectation_cr(config: ExperimentConfig):
     rows, rate = _accepted_rows(ens, config, config.trials)
     report.add_check("filter-rate", rate <= 0.05, f"reject rate {rate:.2%}")
     psi_names = ("vol-z2", "vol-z1", "mixed-11")
-    psis = tuple(surface_form(name) for name in psi_names)
-    sampler = CfSampler(ens, rule, psis, config.mc_deltas)
-    vals, errs = _batched_values(sampler, rows, config.chunk)
+    contexts = tuple(CRPairingContext(rule, surface_form(name)) for name in psi_names)
+    sampler = CfSampler(ens, contexts, config.mc_deltas)
+    vals, errs = _batched_values(sampler, rows)
     # scale invariance: doubling all coefficients leaves cf unchanged
     v1 = sampler.batch(rows[:4])[0][:, 0]
     v2 = sampler.batch(2.0 * rows[:4])[0][:, 0]
-    del sampler  # frees its design matrix before the control rule's is built
     nctl = min(64, rows.shape[0])
-    ctl_sampler = CfSampler(ens, SphereRule(config.level + 8), psis, config.mc_deltas)
-    ctl_vals, _ = _batched_values(ctl_sampler, rows[:nctl], config.chunk)
+    ctl_rule = SphereRule(config.level + 8)
+    ctl_sampler = CfSampler(ens, tuple(CRPairingContext(ctl_rule, ctx.psi) for ctx in contexts),
+                            config.mc_deltas)
+    ctl_vals, _ = _batched_values(ctl_sampler, rows[:nctl])
     for j, psi_name in enumerate(psi_names):
         mean = complex(np.mean(vals[:, j]))
         se = _complex_se(vals[:, j])
-        ref = _beta_reference(ens.field, rule, psis[j])
+        ref = _beta_reference(ens.field, contexts[j])
         budget = (abs(np.mean(ctl_vals[:, j]) - np.mean(vals[:nctl, j]))
                   + float(np.mean(errs[:, j])))
         gap = abs(mean - ref)
@@ -654,7 +655,7 @@ def run_equidistribution_cr(config: ExperimentConfig):
     for psi_name in ("angular-z2", "horizontal-mix"):
         psi = one_form(psi_name)
         limit = mv / (2.0 * math.pi) * rule.pair_form(d_xi.wedge(psi))
-        dpsi = psi.d()
+        ctx = CRPairingContext(rule, psi.d())
         c1 = psi.sampled_cnorm(rule.points, order=1)
         exact_gaps = []
         tail = []
@@ -662,15 +663,15 @@ def run_equidistribution_cr(config: ExperimentConfig):
         for k in config.k_grid:
             ens = RandomEnsemble(table, cut, k, kappa=0, master_seed=config.seed + k)
             rows, _ = _accepted_rows(ens, config, config.trials)
-            sampler = CfSampler(ens, rule, (dpsi,), config.mc_deltas)
-            vals, errs = _batched_values(sampler, rows, config.chunk)
+            sampler = CfSampler(ens, (ctx,), config.mc_deltas)
+            vals, errs = _batched_values(sampler, rows)
             scaled = vals[:, 0] / k
             mean = complex(np.mean(scaled))
             se = _complex_se(scaled)
             # the rate statement concerns the expectations: compare the
             # exact normalized expectation with the limit, and separately
             # require the Monte Carlo mean to agree with that expectation
-            exact = _beta_reference(ens.field, rule, dpsi) / k
+            exact = _beta_reference(ens.field, ctx) / k
             exact_gaps.append(abs(exact - limit))
             budget = float(np.mean(errs[:, 0])) / k
             agree.append(abs(mean - exact) <= 3.0 * se + budget)
@@ -706,15 +707,15 @@ def run_variance_cr(config: ExperimentConfig):
     cut = config.cutoff
     table = degree_table_for(max(config.k_grid), cut)
     rule = SphereRule(config.level)
-    psi = surface_form("vol-z2")
+    ctx = CRPairingContext(rule, surface_form("vol-z2"))
     variances = {}
     for kappa in (0, 1):
         var_list = []
         for k in config.k_grid:
             ens = RandomEnsemble(table, cut, k, kappa=kappa, master_seed=config.seed + k)
             rows, _ = _accepted_rows(ens, config, config.trials)
-            sampler = CfSampler(ens, rule, (psi,), config.mc_deltas)
-            vals = _batched_values(sampler, rows, config.chunk)[0][:, 0]
+            sampler = CfSampler(ens, (ctx,), config.mc_deltas)
+            vals = _batched_values(sampler, rows)[0][:, 0]
             v = float(np.mean(np.abs(vals - vals.mean()) ** 2))
             var_list.append(v)
             report.add_row(k, f"variance-kappa{kappa}", v)
@@ -805,12 +806,10 @@ def run_expectation_domain(config: ExperimentConfig):
     psi_names = ("vol-z2", "bump-z2")
     psis = tuple(surface_form(name) for name in psi_names)
     sampler = BoundarySampler(ens, sphere_rule, ball_rule, psis, config.mc_deltas)
-    vals, errs = _batched_values(sampler, rows, config.chunk)
-    del sampler  # frees its ball matrix before the control builds its own
+    vals, errs = _batched_values(sampler, rows)
     nctl = min(48, rows.shape[0])
     ctl = BoundarySampler(ens, SphereRule(config.level + 6), ball_rule, psis, config.mc_deltas)
-    ctl_vals, _ = _batched_values(ctl, rows[:nctl], config.chunk)
-    del ctl
+    ctl_vals, _ = _batched_values(ctl, rows[:nctl])
     for j, psi_name in enumerate(psi_names):
         mean = complex(np.mean(vals[:, j]))
         se = _complex_se(vals[:, j])

@@ -101,7 +101,7 @@ class SphereRule:
         self.n = 1
         self.is_stochastic = False
         t, wt = gauss_legendre_01(self.level)
-        nang = 2 * self.level
+        nang = self.nang = 2 * self.level
         ang = 2.0 * math.pi * np.arange(nang) / nang
         wang = 2.0 * math.pi / nang
         phi = np.arccos(np.sqrt(t))
@@ -128,6 +128,12 @@ class SphereRule:
     @property
     def npoints(self):
         return self.points.shape[0]
+
+    def torus_grid(self):
+        """(moduli, nang): the nodes are (rho1 e^{2 pi i i1/nang}, rho2 e^{2 pi i
+        i2/nang}) in (m, i1, i2) order, with (rho1, rho2) = moduli[m] real."""
+        phi = self.phi[::self.nang ** 2]
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), self.nang
 
     def integrate(self, values):
         """Sum of weights times values, in fixed node order."""
@@ -220,6 +226,12 @@ class BallRule:
     @property
     def npoints(self):
         return self.points.shape[0]
+
+    def torus_grid(self):
+        """As SphereRule.torus_grid, with one modulus pair per (radius,
+        latitude) in that order."""
+        moduli, nang = self.sphere.torus_grid()
+        return (self.radial_nodes[:, None, None] * moduli[None, :, :]).reshape(-1, 2), nang
 
     def integrate(self, values):
         return np.dot(self.weights, values)

@@ -34,11 +34,11 @@ CSV_HEADER = ["k", "quantity", "estimate", "reference", "abs_err", "rel_err",
               "std_err", "observed_order"]
 
 DEFAULTS = {
-    "run": {"seed": "20240817", "out": "", "jobs": "0", "strict": "false"},
+    "run": {"seed": "20240817", "out": "", "strict": "false"},
     "cutoff": {"delta1": "0.25", "delta2": "0.75", "shape": "smooth-bump",
                "sharpness": "1.0"},
     "grid": {"k_grid": "16,32,64,128"},
-    "mc": {"trials": "400", "chunk": "64"},
+    "mc": {"trials": "400"},
     "quadrature": {"level": "16", "ball_level": "12", "ball_radial": "28",
                    "cell_base": "6", "cell_nodes": "4", "refine_depth": "10"},
     "currents": {"deltas": "1e-2,1e-3,1e-4,1e-5,1e-6",
@@ -98,12 +98,12 @@ def resolve_config(parser=None, overrides=None):
     return resolved
 
 
-_RESULT_NEUTRAL_KEYS = {"run.out", "run.jobs", "run.strict"}
+_RESULT_NEUTRAL_KEYS = {"run.out", "run.strict"}
 
 
 def config_hash(resolved):
-    """Hash of every parameter that can affect results (output location,
-    worker count and warning policy are excluded on purpose)."""
+    """Hash of every parameter that can affect results (output location
+    and warning policy are excluded on purpose)."""
     body = "\n".join(f"{k}={resolved[k]}" for k in sorted(resolved)
                      if k not in _RESULT_NEUTRAL_KEYS)
     return hashlib.sha256(body.encode()).hexdigest()[:16]

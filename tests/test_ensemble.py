@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from scipy import stats
 
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
-from spherelab.ensemble import RandomEnsemble
+from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
 from spherelab.geometry import random_sphere_points, tangent_frame
-from spherelab.quadrature import SphereRule
+from spherelab.quadrature import BallRule, SphereRule
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +139,80 @@ def test_draw_dump(ens32, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "trial,component,re,im"
     assert len(lines) - 1 == 3 * ens32.dim
+
+
+# The product rules the experiments build: the margin rule, the sphere
+# levels of the Monte Carlo runs and their controls, and the ball rules.
+GRID_RULES = {
+    "sphere-8": lambda: SphereRule(8),
+    "sphere-12": lambda: SphereRule(12),
+    "sphere-20": lambda: SphereRule(20),
+    "sphere-28": lambda: SphereRule(28),
+    "ball-6x16": lambda: BallRule(6, radial=16),
+    "ball-12x28": lambda: BallRule(12, radial=28),
+}
+
+
+@functools.cache
+def _grid_rule(name):
+    return GRID_RULES[name]()
+
+
+def _max_rel(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", sorted(GRID_RULES))
+def test_torus_grid_reproduces_rule_points(name):
+    rule = _grid_rule(name)
+    moduli, nang = rule.torus_grid()
+    chars = np.exp(1j * (2.0 * math.pi * np.arange(nang) / nang))
+    z1 = moduli[:, 0, None, None] * chars[None, :, None] * np.ones(nang)
+    z2 = moduli[:, 1, None, None] * np.ones(nang)[:, None] * chars[None, None, :]
+    grid = np.stack([z1.ravel(), z2.ravel()], axis=1)
+    assert grid.shape == rule.points.shape
+    assert np.max(np.abs(grid - rule.points)) <= 1e-15
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+@pytest.mark.parametrize("k", [16, 24, 64])
+@pytest.mark.parametrize("name", sorted(GRID_RULES))
+def test_grid_evaluator_matches_dense(table, bump, name, k, kappa):
+    # k = 16 keeps every degree below the angle count of the small rules;
+    # k = 24 and 64 fold degrees >= nang onto the same FFT bins
+    rule = _grid_rule(name)
+    ens = RandomEnsemble(table, bump, k, kappa=kappa, master_seed=11)
+    ev = ens.evaluator(rule)
+    assert isinstance(ev, GridEvaluator)
+    rng = np.random.default_rng(k + kappa)
+    nodes = np.sort(rng.choice(rule.npoints, min(rule.npoints, 4096), replace=False))
+    dense = NodeEvaluator(ens, rule.points[nodes])
+    a = ens.draw_matrix(range(4))
+    assert _max_rel(ev.values(a)[:, nodes], dense.values(a)) <= 1e-12
+    for grid_sum, dense_sum in zip(ev.slot1_sums(a), dense.slot1_sums(a)):
+        assert _max_rel(grid_sum[:, nodes], dense_sum) <= 1e-12
+
+
+def test_grid_rows_independent_of_batch(table, bump):
+    ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
+    ev = ens.evaluator(_grid_rule("sphere-12"))
+    a = ens.draw_matrix(range(256))
+    full = [ev.values(a), *ev.slot1_sums(a)]
+    batched = [np.concatenate(parts) for parts in zip(
+        *([ev.values(a[i:i + 32]), *ev.slot1_sums(a[i:i + 32])] for i in range(0, 256, 32)))]
+    for r in (0, 37, 255):
+        alone = [ev.values(a[r]), *ev.slot1_sums(a[r])]
+        for x, y, z in zip(alone, batched, full):
+            assert np.array_equal(x[0], y[r]) and np.array_equal(x[0], z[r])
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_batch_margins_grid_matches_dense(table, bump, kappa):
+    ens = RandomEnsemble(table, bump, 24, kappa=kappa, master_seed=5)
+    rows = ens.draw_matrix(range(256))
+    grid = ens.batch_margins(rows)
+    # a rule without torus_grid gets the dense evaluator at the same nodes
+    dense = ens.batch_margins(rows, rule=types.SimpleNamespace(points=SphereRule(8).points))
+    assert np.allclose(grid, dense, rtol=1e-10, atol=0.0)
+    for threshold in (1e-6, float(np.median(dense))):
+        assert np.array_equal(grid >= threshold, dense >= threshold)

@@ -6,9 +6,9 @@ import pytest
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 _normalized, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
-from spherelab.ensemble import NodeEvaluator, RandomEnsemble
+from spherelab.ensemble import RandomEnsemble
 from spherelab.experiments import (BoundarySampler, CfSampler, ExperimentConfig,
-                                   ExperimentError, _beta_reference,
+                                   ExperimentError, _batched_values, _beta_reference,
                                    config_from_resolved, one_form,
                                    run_expectation_cr, run_expectation_domain,
                                    run_kernel_diag, run_lp_boundary, run_lp_closed,
@@ -46,7 +46,7 @@ def test_statistical_preconditions():
 def test_beta_reference_two_routes(table, bump):
     kf = KernelField(table, bump, 32.0)
     rule = SphereRule(10)
-    val = _beta_reference(kf, rule, surface_form("vol-z2"))
+    val = _beta_reference(kf, CRPairingContext(rule, surface_form("vol-z2")))
     # and the closed route alone for comparison
     xi_psi = contact_one_form(2).wedge(surface_form("vol-z2"))
     direct = kf.beta_scale() * rule.pair_form(xi_psi)
@@ -77,15 +77,20 @@ def test_kernel_diag_needs_two_scales():
 
 
 def test_expectation_cr_small_deterministic(table):
-    cfg = ExperimentConfig("expectation-cr", k_grid=(24,), trials=100,
-                           level=10, chunk=32)
+    cfg = ExperimentConfig("expectation-cr", k_grid=(24,), trials=100, level=10)
     a = run_expectation_cr(cfg)
     b = run_expectation_cr(cfg)
     assert a.csv_body() == b.csv_body()
-    # chunking must not change the result
-    c = run_expectation_cr(ExperimentConfig("expectation-cr", k_grid=(24,),
-                                            trials=100, level=10, chunk=7))
-    assert a.csv_body() == c.csv_body()
+    # a draw's values do not depend on how many rows one call gets, for splits
+    # at a micro-batch boundary (BLAS results depend on the row count)
+    ens = RandomEnsemble(table, cfg.cutoff, 24, master_seed=cfg.seed)
+    rows = ens.draw_matrix(range(100))
+    ctx = CRPairingContext(SphereRule(10), surface_form("vol-z2"))
+    sampler = CfSampler(ens, (ctx,), cfg.mc_deltas)
+    whole = _batched_values(sampler, rows)
+    parts = [_batched_values(sampler, rows[:64]), _batched_values(sampler, rows[64:])]
+    for j in range(2):
+        assert np.array_equal(whole[j], np.concatenate([part[j] for part in parts]))
 
 
 def test_cf_sampler_matches_catalog_machinery(table, bump):
@@ -100,7 +105,8 @@ def test_cf_sampler_matches_catalog_machinery(table, bump):
     rows[0, j] = 1.0
     psi = one_form("angular-z2") if alpha == (1, 0) else one_form("angular-z1")
     rule = SphereRule(16)
-    sampler = CfSampler(ens, rule, (psi.d(),), (1e-3, 1e-4, 1e-5, 1e-6, 1e-7))
+    sampler = CfSampler(ens, (CRPairingContext(rule, psi.d()),),
+                        (1e-3, 1e-4, 1e-5, 1e-6, 1e-7))
     vals, errs = sampler.batch(rows)
     name = "z1" if alpha == (1, 0) else "z2"
     direct = zero_set_direct(name, psi)
@@ -119,13 +125,13 @@ def test_cf_sampler_columns_match_context_route(table, bump):
     ens = RandomEnsemble(table, bump, 16, kappa=0, master_seed=7)
     rule = SphereRule(8)
     deltas = (1e-2, 1e-3, 1e-4)
-    psis = tuple(surface_form(name) for name in ("vol-z2", "vol-z1", "mixed-11"))
+    contexts = tuple(CRPairingContext(rule, surface_form(name))
+                     for name in ("vol-z2", "vol-z1", "mixed-11"))
     rows = ens.draw_matrix(range(4))
-    vals, errs = CfSampler(ens, rule, psis, deltas).batch(rows)
+    vals, errs = CfSampler(ens, contexts, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 3)
-    ev = ens.evaluator(rule.points)
-    for j, psi in enumerate(psis):
-        ctx = CRPairingContext(rule, psi)
+    ev = ens.evaluator(rule.points)  # dense reference at the same nodes
+    for j, ctx in enumerate(contexts):
         for r in range(rows.shape[0]):
             f = ev.values(rows[r])[0]
             scale = _normalized(f, rule.weights)
@@ -145,7 +151,7 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
     rows = ens.draw_matrix(range(4))
     vals, errs = BoundarySampler(ens, sphere_rule, ball_rule, psis, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 2)
-    ev_s = ens.evaluator(sphere_rule.points)
+    ev_s = ens.evaluator(sphere_rule.points)  # dense references
     ev_b = ens.evaluator(ball_rule.points)
     for j, psi in enumerate(psis):
         ctx = BoundaryPairingContext(sphere_rule, ball_rule, psi)
@@ -162,15 +168,15 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
 
 
 def test_expectation_runs_build_one_evaluator_per_rule(monkeypatch):
-    # one design matrix per rule: every test form shares it
+    # one evaluator per rule, of either kind: every test form shares it
     built = []
-    original = NodeEvaluator.__init__
+    original = RandomEnsemble.evaluator
 
-    def counting(self, ensemble, points):
-        built.append(len(points))
-        original(self, ensemble, points)
+    def counting(self, where):
+        built.append(where)
+        return original(self, where)
 
-    monkeypatch.setattr(NodeEvaluator, "__init__", counting)
+    monkeypatch.setattr(RandomEnsemble, "evaluator", counting)
     run_expectation_cr(ExperimentConfig("expectation-cr", k_grid=(24,), trials=100, level=10))
     assert len(built) == 3  # margin rule, main rule, control rule
     built.clear()
