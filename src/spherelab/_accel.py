@@ -1,5 +1,10 @@
 """Hot numeric kernels in numpy.
 
+regularized_sums and log_regularized_sums hold the one delta loop of the
+regularized zero-divisor pairings: a batch of rows against several
+weight columns at once, for the Monte Carlo samplers and (with one row)
+the deterministic catalog pairings alike.
+
 The band sums use ascending-degree compensated summation because the
 terms span many orders of magnitude; the compensation keeps the per-term
 rounding at <= 2 ulp.  `python3 perfbench/run.py` measures the workloads
@@ -53,23 +58,32 @@ def band_power_sum(q, ms, coeffs):
 
 
 def regularized_sums(weights, numer, fsq, deltas):
-    """Quadrature sums of numer / (fsq + delta) for a delta schedule."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    numer = np.ascontiguousarray(numer, dtype=np.complex128)
-    fsq = np.ascontiguousarray(fsq, dtype=np.float64)
-    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
-    out = np.empty(len(deltas), dtype=np.complex128)
+    """Quadrature sums of numer / (fsq + delta) for a delta schedule.
+
+    numer is a sequence of (rows, nodes) numerator terms sharing the
+    denominator fsq (rows, nodes), and weights the matching sequence of
+    (nodes, columns) node-weight matrices; one reciprocal per delta serves
+    every term.  Returns (rows, columns, len(deltas)).
+    """
+    out = np.empty((fsq.shape[0], weights[0].shape[1], len(deltas)), dtype=complex)
     for i, d in enumerate(deltas):
-        out[i] = np.dot(weights, numer / (fsq + d))
+        inv = 1.0 / (fsq + d)
+        acc = (numer[0] * inv) @ weights[0]
+        for term, w in zip(numer[1:], weights[1:]):
+            acc += (term * inv) @ w
+        out[:, :, i] = acc
     return out
 
 
 def log_regularized_sums(weights, fsq, deltas):
-    """Quadrature sums of (1/2) log(fsq + delta) for a delta schedule."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    fsq = np.ascontiguousarray(fsq, dtype=np.float64)
-    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
-    out = np.empty(len(deltas), dtype=np.float64)
+    """Quadrature sums of (1/2) log(fsq + delta) for a delta schedule.
+
+    fsq is (rows, nodes) and weights a (nodes, columns) complex matrix,
+    applied as real and imaginary parts so the real logs are never
+    promoted.  Returns (rows, columns, len(deltas)).
+    """
+    out = np.empty((fsq.shape[0], weights.shape[1], len(deltas)), dtype=complex)
     for i, d in enumerate(deltas):
-        out[i] = np.dot(weights, 0.5 * np.log(fsq + d))
+        logs = 0.5 * np.log(fsq + d)
+        out[:, :, i] = logs @ weights.real + 1j * (logs @ weights.imag)
     return out

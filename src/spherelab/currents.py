@@ -23,6 +23,14 @@ with every boundary integral taken in the contact orientation (positive
 xi ^ d xi), which on the round sphere agrees with the Stokes orientation
 of the unit ball.  The same delta schedule regularizes 1/u and log|u|.
 
+Both cases, and both routes, share one regularized pairing:
+RegularizedPairing takes f on the sphere nodes, its slot sums
+x_j = z_j df/dz_j and, for the ball, u on the interior nodes, for a batch
+of rows, and returns per-delta values for every test form of its pairing
+contexts; richardson_sqrt takes the limit along the delta axis.  The
+catalog pairings below pass one row, the Monte Carlo samplers in
+experiments.py a micro-batch of draws.
+
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
 below half the in-cell spread) or fall under the regularization floor
@@ -46,9 +54,11 @@ from spherelab.quadrature import (BallRule, CircleRule, DiscRule, SphereCellRule
 __all__ = [
     "PairingResult",
     "RegularityError",
+    "ExperimentError",
     "richardson_sqrt",
     "CRPairingContext",
     "BoundaryPairingContext",
+    "RegularizedPairing",
     "cf_pairing",
     "divisor_pairing_closed",
     "divisor_pairing_boundary",
@@ -63,6 +73,12 @@ DEFAULT_DELTAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 class RegularityError(RuntimeError):
     """The function fails the nondegenerate-zero precondition."""
+
+
+class ExperimentError(RuntimeError):
+    """Precondition failure of an experiment (bad trial counts, excessive
+    rejections, a delta schedule too short to extrapolate); the CLI reports
+    it as a precondition FAIL."""
 
 
 @dataclass
@@ -87,33 +103,34 @@ class PairingResult:
         }
 
 
-def _lagrange_at_zero(x, vals):
-    total = 0.0 + 0.0j
+def _lagrange_at_zero(x):
+    """Weights of the Lagrange interpolant through the nodes x, at 0."""
+    weights = np.ones(len(x))
     for i in range(len(x)):
-        li = 1.0
         for j in range(len(x)):
             if j != i:
-                li *= x[j] / (x[j] - x[i])
-        total += vals[i] * li
-    return total
+                weights[i] *= x[j] / (x[j] - x[i])
+    return weights
 
 
 def richardson_sqrt(deltas, values):
-    """Polynomial extrapolation to delta = 0 in the variable sqrt(delta).
+    """Polynomial extrapolation to delta = 0 in the variable sqrt(delta),
+    along the last axis of values (one entry per delta).
 
     Returns (limit, error_estimate); the estimate is the change from the
-    extrapolation that drops the coarsest delta.
+    extrapolation that drops the coarsest delta.  A schedule of fewer than
+    two deltas has no such estimate and raises ExperimentError.
     """
     x = np.sqrt(np.asarray(deltas, dtype=float))
-    vals = np.asarray(values, dtype=complex)
+    if len(x) < 2:
+        raise ExperimentError(f"delta schedule {tuple(deltas)} has fewer than 2 values; "
+                              "the Richardson limit needs 2 for an error estimate")
     order = np.argsort(x)
     x = x[order]
-    vals = vals[order]
-    if len(x) == 1:
-        return complex(vals[0]), float(abs(vals[0]))
-    full = _lagrange_at_zero(x, vals)
-    reduced = _lagrange_at_zero(x[:-1], vals[:-1])
-    return full, float(abs(full - reduced))
+    vals = np.asarray(values)[..., order]
+    full = vals @ _lagrange_at_zero(x)
+    reduced = vals[..., :-1] @ _lagrange_at_zero(x[:-1])
+    return full, np.abs(full - reduced)
 
 
 def holo_gradient_values(fpoly: PolyForm, points):
@@ -127,30 +144,7 @@ def holo_gradient_values(fpoly: PolyForm, points):
     return g
 
 
-class _FrameTop:
-    """(df ^ psi) on a sphere rule's coordinate frame, from the psi values
-    psi_12, psi_02, psi_01 on frame pairs and the frame's (1,0) parts."""
-
-    def top_values(self, df_frame):
-        """(df ^ psi) on the coordinate frame from df values on the frame."""
-        d0, d1, d2 = df_frame
-        return d0 * self.psi_12 - d1 * self.psi_02 + d2 * self.psi_01
-
-    def slot_weights(self):
-        """Per-node weights (g1, g2) with df ^ psi = x1 g1 + x2 g2.
-
-        For a polynomial f = sum a_alpha z^alpha with slot sums x_j = sum
-        alpha_j a_alpha z^alpha, df(u) = x1 u_1 / z_1 + x2 u_2 / z_2 at
-        nodes where z_1, z_2 do not vanish, so the three frame derivatives
-        of top_values fold into two weights that do not depend on f.
-        """
-        pieces = (self.psi_12, -self.psi_02, self.psi_01)
-        g1 = sum(p * h[..., 0] for p, h in zip(pieces, self.frame_holo))
-        g2 = sum(p * h[..., 1] for p, h in zip(pieces, self.frame_holo))
-        return g1 / self.points[:, 0], g2 / self.points[:, 1]
-
-
-class CRPairingContext(_FrameTop):
+class CRPairingContext:
     """psi-dependent node data for cf pairings on a fixed sphere rule."""
 
     def __init__(self, rule, psi: PolyForm):
@@ -166,20 +160,14 @@ class CRPairingContext(_FrameTop):
         self.frame_holo = [d[0] for d in dirs]
         self.pair_weights = rule.pairing_weights
 
-    def per_delta_values(self, fvals, top, deltas):
-        """Regularized pairing (1/2 pi i) sum W conj(f) top / (|f|^2 + d)."""
-        numer = np.conj(fvals) * top
-        fsq = np.abs(fvals) ** 2
-        sums = _accel.regularized_sums(self.pair_weights, numer, fsq, np.asarray(deltas))
-        return sums / (2j * math.pi)
 
-    def log_monotone_ok(self, fvals, deltas):
-        """Sanity trap: integral of log(|f|^2 + delta) against the positive
-        measure must decrease as delta decreases."""
-        fsq = np.abs(fvals) ** 2
-        w = np.abs(self.rule.weights)
-        logs = _accel.log_regularized_sums(w, fsq, np.asarray(sorted(deltas, reverse=True)))
-        return bool(np.all(np.diff(logs) <= 1e-9 * np.maximum(1.0, np.abs(logs[:-1]))))
+def _log_monotone_ok(rule, fvals, deltas):
+    """Sanity trap: integral of log(|f|^2 + delta) against the positive
+    measure must decrease as delta decreases."""
+    fsq = np.abs(fvals[None]) ** 2
+    w = np.abs(rule.weights)[:, None]
+    logs = _accel.log_regularized_sums(w, fsq, sorted(deltas, reverse=True))[0, 0].real
+    return bool(np.all(np.diff(logs) <= 1e-9 * np.maximum(1.0, np.abs(logs[:-1]))))
 
 
 def _normalized(fvals, weights):
@@ -235,16 +223,14 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     deltas = tuple(sorted(deltas, reverse=True))
     rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
                                                  refine_depth)
-    ctx = CRPairingContext(rule, psi)
+    # the context's node tables are dropped once the pairing has its weights
+    pairing = RegularizedPairing((CRPairingContext(rule, psi),))
     rms = _normalized(fvals, rule.weights)
-    fvals = fvals / rms
-    grad = holo_gradient_values(fpoly, rule.points) / rms
-    df_frame = [grad[:, 0] * h[..., 0] + grad[:, 1] * h[..., 1] for h in ctx.frame_holo]
-    top = ctx.top_values(df_frame)
-    per = ctx.per_delta_values(fvals, top, deltas)
+    slots = (rule.points * holo_gradient_values(fpoly, rule.points)).T[:, None]
+    per = pairing.per_delta(fvals[None], slots, deltas)[0, 0]
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(value, err, deltas, per, "regularized-sphere",
-                         log_monotone=ctx.log_monotone_ok(fvals, deltas),
+    return PairingResult(complex(value), float(err), deltas, per, "regularized-sphere",
+                         log_monotone=_log_monotone_ok(rule, fvals / rms, deltas),
                          extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
 
 
@@ -257,7 +243,7 @@ def divisor_pairing_closed(fpoly: PolyForm, psi: PolyForm, **kw):
     return res
 
 
-class BoundaryPairingContext(_FrameTop):
+class BoundaryPairingContext:
     """psi-dependent node data for boundary divisor pairings.
 
     Binds a fixed sphere rule (boundary terms), a ball rule (the interior
@@ -284,23 +270,74 @@ class BoundaryPairingContext(_FrameTop):
             ball_rule.points, _standard_frame_directions())
         self.pair_weights = sphere_rule.pairing_weights
 
-    def per_delta_values(self, u_sphere, du_frame, u_ball, deltas):
-        """The three regularized terms combined, one value per delta."""
-        deltas = np.asarray(deltas, dtype=float)
-        usq = np.abs(u_sphere) ** 2
-        # term 1: - int_bD i*( conj(u)/(2(|u|^2+d)) du ^ psi )
-        numer = np.conj(u_sphere) * self.top_values(du_frame) * 0.5
-        t1 = _accel.regularized_sums(self.pair_weights, numer, usq, deltas)
-        # term 2: - int_bD i*( (1/2) log(|u|^2+d) dbar psi )
-        wq = self.pair_weights * np.real(self.dbar_top)
-        wqi = self.pair_weights * np.imag(self.dbar_top)
-        t2 = _accel.log_regularized_sums(wq, usq, deltas) + 1j * _accel.log_regularized_sums(wqi, usq, deltas)
-        # term 3: + int_D (1/2) log(|u|^2+d) d dbar psi
-        bsq = np.abs(u_ball) ** 2
-        bw_r = self.ball_rule.weights * np.real(self.ddbar_top)
-        bw_i = self.ball_rule.weights * np.imag(self.ddbar_top)
-        t3 = _accel.log_regularized_sums(bw_r, bsq, deltas) + 1j * _accel.log_regularized_sums(bw_i, bsq, deltas)
-        return (1j / math.pi) * (-t1 - t2 + t3)
+
+def _slot_weights(ctx):
+    """Per-node weights (g1, g2) with df ^ psi = x1 g1 + x2 g2 on a context's
+    sphere nodes.
+
+    For a polynomial f = sum a_alpha z^alpha with slot sums x_j = sum
+    alpha_j a_alpha z^alpha, df(u) = x1 u_1 / z_1 + x2 u_2 / z_2 at nodes
+    where z_1, z_2 do not vanish, so df ^ psi = df(e0) psi_12 - df(e1) psi_02
+    + df(e2) psi_01 on the frame e0, e1, e2 folds into two weights that do
+    not depend on f.
+    """
+    pieces = (ctx.psi_12, -ctx.psi_02, ctx.psi_01)
+    g1 = sum(p * h[..., 0] for p, h in zip(pieces, ctx.frame_holo))
+    g2 = sum(p * h[..., 1] for p, h in zip(pieces, ctx.frame_holo))
+    return g1 / ctx.points[:, 0], g2 / ctx.points[:, 1]
+
+
+class RegularizedPairing:
+    """The regularized pairing of a batch of functions with several test
+    forms, one value per delta.
+
+    Built once from pairing contexts on one rule: all CRPairingContext
+    (closed case), or all BoundaryPairingContext on one sphere and ball
+    rule (boundary case).  per_delta normalizes each row by its rms on the
+    sphere rule, sums conj(f) df ^ psi / (|f|^2 + delta) with
+    df ^ psi = x1 g1 + x2 g2 (_slot_weights of each context) and, in the
+    boundary case, (1/2) log(|u|^2 + delta) against the dbar psi and
+    d dbar psi node weights, then restores log|u| = log|u / rms| + log rms.
+    """
+
+    def __init__(self, contexts):
+        ctx = contexts[0]
+        self._boundary = isinstance(ctx, BoundaryPairingContext)
+        rule = ctx.sphere_rule if self._boundary else ctx.rule
+        self._rms_weights = rule.weights / rule.weights.sum()
+        scale = 0.5 * ctx.pair_weights if self._boundary else ctx.pair_weights / (2j * math.pi)
+        g1, g2 = zip(*(_slot_weights(c) for c in contexts))
+        self._slot_weights = (np.stack(g1, axis=1) * scale[:, None],
+                              np.stack(g2, axis=1) * scale[:, None])
+        if self._boundary:
+            self._w_dbar = np.stack([ctx.pair_weights * c.dbar_top for c in contexts], axis=1)
+            self._w_ddbar = np.stack([ctx.ball_rule.weights * c.ddbar_top for c in contexts],
+                                     axis=1)
+            self._shift_scale = (1j / math.pi) * (-self._w_dbar.sum(axis=0)
+                                                  + self._w_ddbar.sum(axis=0))
+
+    def per_delta(self, fvals, slots, deltas, ball_vals=None):
+        """(rows, forms, deltas) regularized values from f (rows, nodes), its
+        slot sums x_j = z_j df/dz_j (a pair of arrays of the same shape) and,
+        for the boundary pairing, u on the ball nodes (rows, ball nodes)."""
+        fsq = np.abs(fvals) ** 2
+        scale_sq = (fsq @ self._rms_weights)[:, None]
+        fsq /= scale_sq
+        # conj(f / s) * df / s with f normalized by its rms s
+        conj_f = np.conj(fvals) / scale_sq
+        per = _accel.regularized_sums(self._slot_weights, [conj_f * x for x in slots], fsq,
+                                      deltas)
+        if not self._boundary:
+            return per
+        # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi)
+        # + int_D (1/2) log(|u|^2+d) d dbar psi
+        t2 = _accel.log_regularized_sums(self._w_dbar, fsq, deltas)
+        t3 = _accel.log_regularized_sums(self._w_ddbar, np.abs(ball_vals) ** 2 / scale_sq,
+                                         deltas)
+        # the normalization shifts log|u| by log s, which integrates to zero
+        # against the exact-form terms only as delta -> 0: restore it
+        return ((1j / math.pi) * (-per - t2 + t3)
+                + (0.5 * np.log(scale_sq) * self._shift_scale)[:, :, None])
 
 
 def _boundary_regularity_check(u_sphere, grad_sphere, margin_floor=1e-3,
@@ -342,24 +379,15 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
     sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
                                                      refine_depth)
     ball_rule = BallRule(ball_level)
-    ctx = BoundaryPairingContext(sphere_rule, ball_rule, psi)
+    # the context's node tables are dropped once the pairing has its weights
+    pairing = RegularizedPairing((BoundaryPairingContext(sphere_rule, ball_rule, psi),))
     grad = holo_gradient_values(upoly, sphere_rule.points)
     _boundary_regularity_check(u_sphere, grad)
-    rms = _normalized(u_sphere, sphere_rule.weights)
-    u_sphere = u_sphere / rms
-    grad = grad / rms
-    du_frame = [grad[:, 0] * h[..., 0] + grad[:, 1] * h[..., 1] for h in ctx.frame_holo]
-    u_ball = upoly.evaluate(ball_rule.points, []) / rms
-    per = ctx.per_delta_values(u_sphere, du_frame, u_ball, deltas)
-    # normalization shifts log|u| by a constant; the shift integrates to
-    # zero against the exact-form terms only in the delta -> 0 limit, so
-    # restore it explicitly: log|u| = log|u/rms| + log(rms).
-    shift = math.log(rms) * (
-        -np.dot(ctx.pair_weights, ctx.dbar_top)
-        + np.dot(ball_rule.weights, ctx.ddbar_top)) * (1j / math.pi)
-    per = per + shift
+    slots = (sphere_rule.points * grad).T[:, None]
+    u_ball = upoly.evaluate(ball_rule.points, [])
+    per = pairing.per_delta(u_sphere[None], slots, deltas, u_ball[None])[0, 0]
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(value, err, deltas, per, "lelong-poincare-boundary",
+    return PairingResult(complex(value), float(err), deltas, per, "lelong-poincare-boundary",
                          extras={"cells": sphere_rule.ncells, "unresolved_cells": residual})
 
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from spherelab.basis import DegreeTable, graded_indices
+from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
 from spherelab.geometry import hermitian_pair, random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
@@ -42,22 +42,16 @@ class EmbeddingMap:
         self.k = float(k)
         self.kappa = float(kappa)
         self.field = KernelField(table, cutoff, k, weight="squared", kappa=kappa)
-        self._alphas = []
-        self._component_weights = []
-        for m in self.field.degrees:
-            w = float(cutoff.chi(m / self.k))
-            for alpha in graded_indices(int(m), table.n):
-                self._alphas.append(alpha)
-                self._component_weights.append(w)
 
     @property
     def ncomponents(self):
-        return len(self._alphas) + (1 if self.kappa else 0)
+        return len(self.field.components[0]) + (1 if self.kappa else 0)
 
     def components(self, points):
         """Component vectors (npoints, ncomponents), graded-lex order."""
         points = np.atleast_2d(np.asarray(points, dtype=complex))
-        m = self.table.design_matrix(self._alphas, points, extra_scale=self._component_weights)
+        alphas, weights = self.field.components
+        m = self.table.design_matrix(alphas, points, extra_scale=weights)
         if self.kappa:
             const = np.full((points.shape[0], 1), self.kappa, dtype=complex)
             return np.hstack([const, m])
@@ -65,7 +59,7 @@ class EmbeddingMap:
 
     def component_eigenvalues(self):
         """Degree of each component (0 for the kappa slot)."""
-        degs = [sum(a) for a in self._alphas]
+        degs = [sum(a) for a in self.field.components[0]]
         if self.kappa:
             return np.array([0] + degs)
         return np.array(degs)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from spherelab.basis import DegreeTable, graded_indices
+from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
 from spherelab.kernels import KernelField
 from spherelab.quadrature import SphereCellRule, SphereRule
@@ -65,13 +65,7 @@ class RandomEnsemble:
         self.kappa = int(kappa)
         self.master_seed = int(master_seed)
         self.field = KernelField(table, cutoff, k, weight="squared", kappa=kappa)
-        self.alphas = []
-        self.component_weights = []
-        for m in self.field.degrees:
-            w = float(cutoff.chi(m / self.k))
-            for alpha in graded_indices(int(m), table.n):
-                self.alphas.append(alpha)
-                self.component_weights.append(w)
+        self.alphas, self.component_weights = self.field.components
         self.dim = len(self.alphas) + (1 if self.kappa else 0)
 
     # ------------------------------------------------------------ sampling

@@ -25,12 +25,13 @@ mixed (first slot, conjugated second slot) evaluations sesquilinear.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from spherelab import _accel
-from spherelab.basis import DegreeTable
+from spherelab.basis import DegreeTable, graded_indices
 from spherelab.cutoffs import Cutoff, band_moment, mean_value
 from spherelab.geometry import hermitian_pair
 
@@ -66,6 +67,20 @@ class KernelField:
         self.moment2 = math.fsum(self.coeffs * self.degrees.astype(float) ** 2)
         if self.moment0 <= 0.0:
             raise ArithmeticError("empty or degenerate spectral band")
+
+    @functools.cached_property
+    def components(self):
+        """(alphas, weights) of the band's component list in graded-lex
+        order: the exponents of each normalized monomial of a band degree m
+        and its weight chi(m / k), shared by ensembles and embedding maps."""
+        alphas = []
+        weights = []
+        for m in self.degrees:
+            w = float(self.cutoff.chi(m / self.k))
+            for alpha in graded_indices(int(m), self.n):
+                alphas.append(alpha)
+                weights.append(w)
+        return alphas, weights
 
     # ------------------------------------------------------------ kernels
     def pair_product(self, x, y):

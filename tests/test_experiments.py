@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
-                                _normalized, richardson_sqrt)
+                                RegularizedPairing, _adaptive_rule, _normalized,
+                                catalog_function, cf_pairing, divisor_pairing_boundary,
+                                holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
 from spherelab.ensemble import RandomEnsemble
 from spherelab.experiments import (BoundarySampler, CfSampler, ExperimentConfig,
@@ -113,15 +116,81 @@ def test_cf_sampler_matches_catalog_machinery(table, bump):
     assert abs(vals[0, 0] - direct) <= 0.02 * abs(direct)
 
 
-def _frame_derivatives(ev, ctx, row, scale):
-    """df / scale along each frame direction, one directional derivative each."""
+# Reference arithmetic for the regularized pairings, kept apart from the
+# shared batched implementation: df along the three Hopf frame directions,
+# the psi_12 / psi_02 / psi_01 combination, one np.dot per delta and term,
+# and scalar Lagrange weights.
+def _lagrange_at_zero(x, vals):
+    total = 0.0 + 0.0j
+    for i in range(len(x)):
+        li = 1.0
+        for j in range(len(x)):
+            if j != i:
+                li *= x[j] / (x[j] - x[i])
+        total += vals[i] * li
+    return total
+
+
+def _reference_limit(deltas, per):
+    """Limit in sqrt(delta) and the change from dropping the coarsest delta."""
+    x = np.sqrt(np.asarray(deltas, dtype=float))
+    order = np.argsort(x)
+    x, per = x[order], np.asarray(per)[order]
+    full = _lagrange_at_zero(x, per)
+    return full, abs(full - _lagrange_at_zero(x[:-1], per[:-1]))
+
+
+def _frame_top(ctx, df_frame):
+    d0, d1, d2 = df_frame
+    return d0 * ctx.psi_12 - d1 * ctx.psi_02 + d2 * ctx.psi_01
+
+
+def _cf_reference(ctx, f, df_frame, deltas):
+    scale = _normalized(f, ctx.rule.weights)
+    f = f / scale
+    numer = np.conj(f) * _frame_top(ctx, [d / scale for d in df_frame])
+    fsq = np.abs(f) ** 2
+    per = [np.dot(ctx.pair_weights, numer / (fsq + d)) / (2j * math.pi) for d in deltas]
+    return _reference_limit(deltas, per)
+
+
+def _boundary_reference(ctx, u, du_frame, u_ball, deltas):
+    scale = _normalized(u, ctx.sphere_rule.weights)
+    u, u_ball = u / scale, u_ball / scale
+    numer = np.conj(u) * _frame_top(ctx, [d / scale for d in du_frame]) * 0.5
+    usq, bsq = np.abs(u) ** 2, np.abs(u_ball) ** 2
+    w_dbar = ctx.pair_weights * ctx.dbar_top
+    w_ddbar = ctx.ball_rule.weights * ctx.ddbar_top
+    per = []
+    for d in deltas:
+        t1 = np.dot(ctx.pair_weights, numer / (usq + d))
+        t2 = np.dot(w_dbar, 0.5 * np.log(usq + d))
+        t3 = np.dot(w_ddbar, 0.5 * np.log(bsq + d))
+        per.append((1j / math.pi) * (-t1 - t2 + t3))
+    shift = math.log(scale) * (1j / math.pi) * (-w_dbar.sum() + w_ddbar.sum())
+    return _reference_limit(deltas, np.asarray(per) + shift)
+
+
+def _sampler_frame_derivatives(ev, ctx, row):
+    """df along each frame direction, one directional derivative each."""
     x1, x2 = ev.slot1_sums(row)
-    return [ev.directional_derivative(x1, x2, h)[0] / scale for h in ctx.frame_holo]
+    return [ev.directional_derivative(x1, x2, h)[0] for h in ctx.frame_holo]
+
+
+def _polynomial_frame_derivatives(fpoly, ctx):
+    grad = holo_gradient_values(fpoly, ctx.points)
+    return [grad[:, 0] * h[..., 0] + grad[:, 1] * h[..., 1] for h in ctx.frame_holo]
+
+
+def _assert_close(value, err, ref):
+    ref_value, ref_err = ref
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert abs(err - ref_err) <= 1e-12 * abs(ref_value)
 
 
 def test_cf_sampler_columns_match_context_route(table, bump):
-    # each column of the multi-form sampler equals the one-form, one-draw
-    # route through CRPairingContext and richardson_sqrt
+    # each column of the multi-form sampler, and the shared pairing called
+    # with one row, equals the reference arithmetic for that form and draw
     ens = RandomEnsemble(table, bump, 16, kappa=0, master_seed=7)
     rule = SphereRule(8)
     deltas = (1e-2, 1e-3, 1e-4)
@@ -131,14 +200,15 @@ def test_cf_sampler_columns_match_context_route(table, bump):
     vals, errs = CfSampler(ens, contexts, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 3)
     ev = ens.evaluator(rule.points)  # dense reference at the same nodes
-    for j, ctx in enumerate(contexts):
-        for r in range(rows.shape[0]):
-            f = ev.values(rows[r])[0]
-            scale = _normalized(f, rule.weights)
-            top = ctx.top_values(_frame_derivatives(ev, ctx, rows[r:r + 1], scale))
-            value, err = richardson_sqrt(deltas, ctx.per_delta_values(f / scale, top, deltas))
-            assert abs(vals[r, j] - value) <= 1e-12 * abs(value)
-            assert abs(errs[r, j] - err) <= 1e-12 * abs(value)
+    pairing = RegularizedPairing(contexts)
+    for r in range(rows.shape[0]):
+        row = rows[r:r + 1]
+        f = ev.values(row)
+        one = richardson_sqrt(deltas, pairing.per_delta(f, ev.slot1_sums(row), deltas))
+        for j, ctx in enumerate(contexts):
+            ref = _cf_reference(ctx, f[0], _sampler_frame_derivatives(ev, ctx, row), deltas)
+            _assert_close(vals[r, j], errs[r, j], ref)
+            _assert_close(one[0][0, j], one[1][0, j], ref)
 
 
 def test_boundary_sampler_columns_match_context_route(table, bump):
@@ -153,18 +223,54 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
     assert vals.shape == errs.shape == (4, 2)
     ev_s = ens.evaluator(sphere_rule.points)  # dense references
     ev_b = ens.evaluator(ball_rule.points)
-    for j, psi in enumerate(psis):
-        ctx = BoundaryPairingContext(sphere_rule, ball_rule, psi)
-        shift_scale = (1j / math.pi) * (-np.dot(ctx.pair_weights, ctx.dbar_top)
-                                        + np.dot(ball_rule.weights, ctx.ddbar_top))
-        for r in range(rows.shape[0]):
-            u = ev_s.values(rows[r])[0]
-            scale = _normalized(u, sphere_rule.weights)
-            du = _frame_derivatives(ev_s, ctx, rows[r:r + 1], scale)
-            per = ctx.per_delta_values(u / scale, du, ev_b.values(rows[r])[0] / scale, deltas)
-            value, err = richardson_sqrt(deltas, per + math.log(scale) * shift_scale)
-            assert abs(vals[r, j] - value) <= 1e-12 * abs(value)
-            assert abs(errs[r, j] - err) <= 1e-12 * abs(value)
+    contexts = [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis]
+    pairing = RegularizedPairing(contexts)
+    for r in range(rows.shape[0]):
+        row = rows[r:r + 1]
+        u, u_ball = ev_s.values(row), ev_b.values(row)
+        one = richardson_sqrt(deltas, pairing.per_delta(u, ev_s.slot1_sums(row), deltas, u_ball))
+        for j, ctx in enumerate(contexts):
+            ref = _boundary_reference(ctx, u[0], _sampler_frame_derivatives(ev_s, ctx, row),
+                                      u_ball[0], deltas)
+            _assert_close(vals[r, j], errs[r, j], ref)
+            _assert_close(one[0][0, j], one[1][0, j], ref)
+
+
+def test_catalog_pairings_match_reference_route():
+    # the deterministic routes on a refined cell rule against the same
+    # reference arithmetic, with df from the polynomial's gradient
+    deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    cells = dict(base_cells=6, nodes_per_axis=4, refine_depth=2)
+    f = catalog_function("z1")
+    psi = one_form("angular-z2").d()
+    res = cf_pairing(f, psi, deltas=deltas, **cells)
+    rule, fvals, _ = _adaptive_rule(f, deltas, 6, 4, 2)
+    ctx = CRPairingContext(rule, psi)
+    _assert_close(res.value, res.err_est,
+                  _cf_reference(ctx, fvals, _polynomial_frame_derivatives(f, ctx), deltas))
+
+    u = catalog_function("z1-half")
+    psi = surface_form("vol-z2")
+    res = divisor_pairing_boundary(u, psi, deltas=deltas, ball_level=6, **cells)
+    rule, uvals, _ = _adaptive_rule(u, deltas, 6, 4, 2)
+    ball_rule = BallRule(6)
+    ctx = BoundaryPairingContext(rule, ball_rule, psi)
+    _assert_close(res.value, res.err_est,
+                  _boundary_reference(ctx, uvals, _polynomial_frame_derivatives(u, ctx),
+                                      u.evaluate(ball_rule.points, []), deltas))
+
+
+@pytest.mark.parametrize("key, experiment", [("deltas", "lp-closed"),
+                                             ("mc_deltas", "expectation-cr")])
+def test_single_delta_schedule_is_a_precondition_failure(tmp_path, capsys, key, experiment):
+    # one delta gives no Richardson error estimate, so the run refuses it
+    cfg = tmp_path / "one-delta.ini"
+    cfg.write_text(f"[currents]\n{key} = 1e-3\n[quadrature]\nrefine_depth = 1\n"
+                   f"[{experiment}]\nk_grid = 8\ntrials = 100\nlevel = 6\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"[FAIL] {experiment}: precondition: delta schedule (0.001,)" in capsys.readouterr().out
+    with pytest.raises(ExperimentError):
+        richardson_sqrt((1e-3,), np.ones(1))
 
 
 def test_expectation_runs_build_one_evaluator_per_rule(monkeypatch):
