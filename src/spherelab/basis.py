@@ -129,6 +129,7 @@ class DegreeTable:
         if np.any(constants <= 0.0):
             raise ArithmeticError("projector constants must be positive")
         self.constants = constants
+        self._inv_norms = {}
         increasing = np.diff(constants) > 0
         self.monotone_from = int(np.max(np.nonzero(~increasing)[0]) + 1) if (~increasing).any() else 0
 
@@ -185,10 +186,16 @@ class DegreeTable:
         target = el.evaluate(np.asarray(x, dtype=complex))[0] if sum(alpha) == m else 0.0
         return abs(proj - target)
 
+    def _inv_norm(self, alpha):
+        """1 / norm(z^alpha); the norm and its Beta cross-check run once per alpha."""
+        if alpha not in self._inv_norms:
+            self._inv_norms[alpha] = 1.0 / math.sqrt(self._norm_sq(alpha))
+        return self._inv_norms[alpha]
+
     def design_matrix(self, alphas, points, extra_scale=None):
         """Matrix of normalized monomials at points, graded-lex columns."""
         alphas = np.asarray(list(alphas), dtype=np.int64)
-        scale = np.array([1.0 / math.sqrt(self._norm_sq(tuple(a))) for a in alphas])
+        scale = np.array([self._inv_norm(tuple(a)) for a in alphas.tolist()])
         if extra_scale is not None:
             scale = scale * np.asarray(extra_scale, dtype=float)
         return _accel.monomial_matrix(np.asarray(points, dtype=complex), alphas, scale)

@@ -212,8 +212,8 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
             flags = np.zeros_like(flags)
             flags[keep] = True
         kept = fvals[np.repeat(~flags, rule.nodes_per_axis ** 3)]
-        rule.refine(flags)
-        fvals = np.concatenate([kept, fpoly.evaluate(rule.points[kept.size:], [])])
+        added = rule.refine(flags)
+        fvals = np.concatenate([kept, fpoly.evaluate(rule.cell_points(rule.ncells - added), [])])
     return rule, fvals, residual_cells
 
 
@@ -279,11 +279,12 @@ def _slot_weights(ctx):
     alpha_j a_alpha z^alpha, df(u) = x1 u_1 / z_1 + x2 u_2 / z_2 at nodes
     where z_1, z_2 do not vanish, so df ^ psi = df(e0) psi_12 - df(e1) psi_02
     + df(e2) psi_01 on the frame e0, e1, e2 folds into two weights that do
-    not depend on f.
+    not depend on f.  Frame components that vanish identically (None)
+    drop out of the sums.
     """
     pieces = (ctx.psi_12, -ctx.psi_02, ctx.psi_01)
-    g1 = sum(p * h[..., 0] for p, h in zip(pieces, ctx.frame_holo))
-    g2 = sum(p * h[..., 1] for p, h in zip(pieces, ctx.frame_holo))
+    g1, g2 = (sum(p * h[j] for p, h in zip(pieces, ctx.frame_holo) if h[j] is not None)
+              for j in (0, 1))
     return g1 / ctx.points[:, 0], g2 / ctx.points[:, 1]
 
 

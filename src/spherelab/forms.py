@@ -10,7 +10,9 @@ x_0, ..., x_{2n+1} (x_{2j} + i x_{2j+1} = z_j) and convert exactly.
 Directions for evaluation are (holomorphic, antiholomorphic) component
 pairs: a real tangent vector u (complex packing) evaluates covectors as
 dz_j -> u_j, dconj(z_j) -> conj(u_j); a (1,0) direction w evaluates as
-dz_j -> w_j, dconj(z_j) -> 0.
+dz_j -> w_j, dconj(z_j) -> 0.  Either half of a pair may also be a tuple
+of per-coordinate columns in which None marks a component that vanishes
+identically; evaluation then skips every product that contains it.
 """
 
 from __future__ import annotations
@@ -200,30 +202,44 @@ class PolyForm:
         return self.partial_z() + self.partial_zbar()
 
     # ---------------------------------------------------------- evaluation
+    def _coefficient(self, points, word):
+        """Coefficient polynomial of one covector word at points."""
+        total = None
+        for (w, exps), c in self.terms.items():
+            if w != word:
+                continue
+            mono = None
+            for slot, e in enumerate(exps):
+                if e:
+                    z = points[:, slot // 2]
+                    z = np.conj(z) if slot % 2 else z
+                    # keep the power an unnamed temporary: numpy may then
+                    # reuse its buffer with the operands swapped, and the
+                    # rounding of a complex product depends on their order
+                    mono = z ** e if mono is None else mono * z ** e
+            value = np.full(points.shape[0], c) if mono is None else c * mono
+            total = value if total is None else total + value
+        return total
+
+    def _words(self):
+        """Covector words in order of first appearance."""
+        return dict.fromkeys(word for word, _ in self.terms)
+
     def coefficient_values(self, points):
         """Coefficient polynomials evaluated at points, keyed by word."""
         points = np.atleast_2d(np.asarray(points, dtype=complex))
-        by_word = {}
-        for (word, exps), c in self.terms.items():
-            mono = np.ones(points.shape[0], dtype=complex)
-            for j in range(self.ncplx):
-                if exps[2 * j]:
-                    mono = mono * points[:, j] ** exps[2 * j]
-                if exps[2 * j + 1]:
-                    mono = mono * np.conj(points[:, j]) ** exps[2 * j + 1]
-            if word in by_word:
-                by_word[word] = by_word[word] + c * mono
-            else:
-                by_word[word] = c * mono
-        return by_word
+        return {word: self._coefficient(points, word) for word in self._words()}
 
     def evaluate(self, points, directions):
         """Value of the p-form on p direction fields at each point.
 
         directions is a sequence of (holo, antiholo) pairs of arrays with
-        shape (ncplx,) or (npoints, ncplx).  Each word's determinant is
-        the Leibniz sum over permutations of products of covector values;
-        a constant direction stays a scalar per covector.
+        shape (ncplx,) or (npoints, ncplx), or of tuples of ncplx columns
+        with None for structural zeros.  Each word's determinant is the
+        Leibniz sum over permutations of products of covector values,
+        without the products that contain a structural zero; a constant
+        direction stays a scalar per covector.  Coefficients are only
+        evaluated for words whose determinant is not structurally zero.
         """
         points = np.atleast_2d(np.asarray(points, dtype=complex))
         npts = points.shape[0]
@@ -234,25 +250,30 @@ class PolyForm:
             raise ValueError(f"form of degree {p} requires {p} directions")
         out = np.zeros(npts, dtype=complex)
         if p == 0:
-            for word, coeff in self.coefficient_values(points).items():
-                out += coeff
+            out += self._coefficient(points, ())
             return out
         # columns[s][c]: covector c (2j = dz_j, 2j+1 = dconj(z_j)) on direction s
         columns = []
         for holo, anti in directions:
-            holo = np.asarray(holo, dtype=complex)
-            anti = np.asarray(anti, dtype=complex)
-            columns.append([(anti if c % 2 else holo)[..., c // 2]
-                            for c in range(2 * self.ncplx)])
+            holo, anti = _components(holo, self.ncplx), _components(anti, self.ncplx)
+            columns.append([(anti if c % 2 else holo)[c // 2] for c in range(2 * self.ncplx)])
         perms = _signed_permutations(p)
-        for word, coeff in self.coefficient_values(points).items():
-            det = 0.0
+        for word in self._words():
+            det = None
             for perm, sign in perms:
-                term = columns[perm[0]][word[0]]
-                for r in range(1, p):
-                    term = term * columns[perm[r]][word[r]]
-                det = det + term if sign > 0 else det - term
-            out += coeff * det
+                factors = [columns[perm[r]][word[r]] for r in range(p)]
+                if any(f is None for f in factors):
+                    continue
+                term = factors[0]
+                for f in factors[1:]:
+                    term = term * f
+                if det is None:
+                    det = term if sign > 0 else -term
+                else:
+                    det = det + term if sign > 0 else det - term
+            if det is not None:
+                coeff = self._coefficient(points, word)
+                out += coeff * det
         return out
 
     def sampled_cnorm(self, points, order=0):
@@ -313,6 +334,14 @@ def dx(i, ncplx=2):
 
 
 # ------------------------------------------------------------- directions
+def _components(half, ncplx):
+    """Per-coordinate columns of one half of a direction pair."""
+    if isinstance(half, tuple):
+        return half
+    half = np.asarray(half, dtype=complex)
+    return [half[..., j] for j in range(ncplx)]
+
+
 def real_direction(u):
     """Direction pair of a real tangent vector given in complex packing."""
     u = np.asarray(u, dtype=complex)

@@ -23,8 +23,6 @@ __all__ = [
     "BallPoint",
     "TangentVector",
     "ContactData",
-    "sphere_point",
-    "ball_point",
     "random_sphere_points",
     "hopf_embed",
     "real_to_complex",
@@ -115,14 +113,6 @@ class TangentVector:
         return complex_to_real(self.u)
 
 
-def sphere_point(z):
-    return SpherePoint(np.asarray(z, dtype=complex))
-
-
-def ball_point(z):
-    return BallPoint(np.asarray(z, dtype=complex))
-
-
 def random_sphere_points(count, n=1, rng=None):
     """Uniform points on S^{2n+1} as a (count, n+1) complex array."""
     rng = np.random.default_rng(rng)
@@ -149,10 +139,6 @@ class ContactData:
         """Contact form on the direction u at the unit point x."""
         return hermitian_pair(u, x).imag
 
-    def xi_complex(self, x, u):
-        """Complex-linear extension of the contact form, (1/2i)(<u,x> - <x,u>)."""
-        return (hermitian_pair(u, x) - hermitian_pair(x, u)) / 2j
-
     def reeb(self, x):
         """Reeb direction i*x (complex storage of the real field)."""
         return 1j * np.asarray(x, dtype=complex)
@@ -169,10 +155,6 @@ class ContactData:
     def complex_structure(self, u):
         """J acting on a tangent direction (multiplication by i)."""
         return 1j * np.asarray(u, dtype=complex)
-
-    def levi_form(self, x, u, v):
-        """(1/2) dxi(u, Jv) on real horizontal directions."""
-        return 0.5 * self.dxi(x, u, self.complex_structure(v))
 
 
 def tangent_frame(x):

@@ -32,7 +32,7 @@ import numpy as np
 
 from spherelab import _accel
 from spherelab.basis import DegreeTable, graded_indices
-from spherelab.cutoffs import Cutoff, band_moment, mean_value
+from spherelab.cutoffs import Cutoff, band_moment
 from spherelab.geometry import hermitian_pair
 
 __all__ = ["KernelField"]
@@ -132,17 +132,9 @@ class KernelField:
         """Leading-order diagonal value k^{n+1} (2 pi^{n+1})^{-1} moment0."""
         return self.k ** (self.n + 1) / (2.0 * math.pi ** (self.n + 1)) * self._weight_moment(0)
 
-    def grad_reference(self):
-        """Leading magnitude of the diagonal gradient along the Reeb form."""
-        return self.k ** (self.n + 2) / (2.0 * math.pi ** (self.n + 1)) * self._weight_moment(1)
-
     def second_reference(self):
         """Leading magnitude of the mixed second derivative on Reeb pairs."""
         return self.k ** (self.n + 3) / (2.0 * math.pi ** (self.n + 1)) * self._weight_moment(2)
-
-    def beta_reeb_limit(self):
-        """Limit of (2 pi / k) * beta(Reeb): the band mean value."""
-        return mean_value(self.cutoff, self.n, squared=(self.weight == "squared"))
 
     # ------------------------------------------------------- ball quantities
     def ball_amplitude(self, points):

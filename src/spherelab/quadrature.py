@@ -9,19 +9,27 @@ top coefficient by the coefficient of the oriented contact volume
 contact volume is positive) and preserves exactness: after averaging
 over the angle grids the quotient is again polynomial in t.
 
+Both sphere rules are tensor products in (t, theta1, theta2), the
+product rule globally and the refinable cell rule per cell, so they keep
+per-axis factors (cos(phi), sin(phi), e^{i theta1}, e^{i theta2} and the
+axis weights) and build node arrays and the Hopf frame by broadcasting
+them: no trigonometry runs per node, and the frame directions d/dtheta1
+and d/dtheta2, which have one vanishing component each, carry it as a
+structural zero (None) instead of an array of zeros.
+
 Dimensions n >= 2 are only served by a Monte Carlo rule and must be
 requested explicitly via the mc_fallback flag.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from spherelab import forms
 from spherelab.forms import PolyForm, real_direction
-from spherelab.geometry import hopf_embed
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -35,7 +43,6 @@ __all__ = [
     "contact_one_form",
     "contact_volume_form",
     "sphere_area",
-    "ball_volume",
 ]
 
 
@@ -46,11 +53,6 @@ class UnsupportedDimensionError(ValueError):
 def sphere_area(n):
     """Total round measure of S^{2n+1}: 2 pi^{n+1} / n!."""
     return 2.0 * math.pi ** (n + 1) / math.factorial(n)
-
-
-def ball_volume(n):
-    """Lebesgue volume of the unit ball in C^{n+1}: pi^{n+1} / (n+1)!."""
-    return math.pi ** (n + 1) / math.factorial(n + 1)
 
 
 def gauss_legendre_01(npts):
@@ -105,18 +107,18 @@ class SphereRule:
         ang = 2.0 * math.pi * np.arange(nang) / nang
         wang = 2.0 * math.pi / nang
         phi = np.arccos(np.sqrt(t))
-        P, T1, T2 = np.meshgrid(phi, ang, ang, indexing="ij")
-        self.phi = P.ravel()
-        self.theta1 = T1.ravel()
-        self.theta2 = T2.ravel()
-        W = np.broadcast_to((0.5 * wt)[:, None, None] * wang * wang, P.shape)
-        self._round_weights = W.ravel().copy()
-        self.points = hopf_embed(self.phi, self.theta1, self.theta2)
-        self._frame = _hopf_frame(self.phi, self.theta1, self.theta2)
+        self._moduli = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        # axis factors on the (t, theta1, theta2) node grid
+        cphi, sphi = (c[:, None, None] for c in self._moduli.T)
+        e = np.exp(1j * ang)
+        axes = (cphi, sphi, e[None, :, None], e[None, None, :])
+        shape = (self.level, nang, nang)
+        self._round_weights = _node_column((0.5 * wt)[:, None, None] * wang * wang, shape)
+        self.points = _hopf_points(*axes)
+        self._frame = _hopf_frame_directions(*axes)
         vol = contact_volume_form(2)
-        self._volume_coeff = vol.evaluate(
-            self.points, [real_direction(f) for f in self._frame]).real
-        sphi_cphi = np.sin(self.phi) * np.cos(self.phi)
+        self._volume_coeff = vol.evaluate(self.points, self._frame).real
+        sphi_cphi = _node_column(sphi * cphi, shape)
         self.density = np.abs(self._volume_coeff) / sphi_cphi
         if measure == "contact":
             self.weights = self._round_weights * self.density
@@ -132,8 +134,7 @@ class SphereRule:
     def torus_grid(self):
         """(moduli, nang): the nodes are (rho1 e^{2 pi i i1/nang}, rho2 e^{2 pi i
         i2/nang}) in (m, i1, i2) order, with (rho1, rho2) = moduli[m] real."""
-        phi = self.phi[::self.nang ** 2]
-        return np.stack([np.cos(phi), np.sin(phi)], axis=1), self.nang
+        return self._moduli, self.nang
 
     def integrate(self, values):
         """Sum of weights times values, in fixed node order."""
@@ -141,7 +142,7 @@ class SphereRule:
 
     def frame_directions(self):
         """Hopf coordinate frame as direction pairs for form evaluation."""
-        return [real_direction(f) for f in self._frame]
+        return list(self._frame)
 
     def pair_form(self, psi):
         """Oriented integral of a top-degree polynomial form over S^3."""
@@ -258,15 +259,38 @@ def _standard_frame_directions():
     return [real_direction(v) for v in vecs]
 
 
-def _hopf_frame(phi, theta1, theta2):
-    """Coordinate frame (d/dphi, d/dtheta1, d/dtheta2) in complex packing."""
-    e1 = np.exp(1j * theta1)
-    e2 = np.exp(1j * theta2)
-    zero = np.zeros_like(e1)
-    dphi = np.stack([-np.sin(phi) * e1, np.cos(phi) * e2], axis=-1)
-    dth1 = np.stack([1j * np.cos(phi) * e1, zero], axis=-1)
-    dth2 = np.stack([zero, 1j * np.sin(phi) * e2], axis=-1)
-    return [dphi, dth1, dth2]
+def _node_column(factor, shape):
+    """A product of axis factors broadcast to the node grid, raveled."""
+    return np.broadcast_to(factor, shape).reshape(-1)
+
+
+def _hopf_points(cphi, sphi, e1, e2):
+    """Nodes (cos(phi) e^{i theta1}, sin(phi) e^{i theta2}) from axis factors
+    that broadcast over the node grid, in raveled grid order."""
+    shape = np.broadcast_shapes(cphi.shape, e1.shape, e2.shape)
+    points = np.empty(shape + (2,), dtype=complex)
+    points[..., 0] = cphi * e1
+    points[..., 1] = sphi * e2
+    return points.reshape(-1, 2)
+
+
+def _hopf_frame_directions(cphi, sphi, e1, e2):
+    """Coordinate frame (d/dphi, d/dtheta1, d/dtheta2) as real direction
+    pairs from the same axis factors as _hopf_points.
+
+    Each half of a pair is a tuple of per-coordinate node columns; the
+    z2 component of d/dtheta1 and the z1 component of d/dtheta2 vanish
+    identically and are None (a structural zero for PolyForm.evaluate).
+    """
+    shape = np.broadcast_shapes(cphi.shape, e1.shape, e2.shape)
+    fields = (((-sphi) * e1, cphi * e2),
+              (1j * cphi * e1, None),
+              (None, 1j * sphi * e2))
+
+    def half(field, part):
+        return tuple(None if f is None else _node_column(part(f), shape) for f in field)
+
+    return [(half(field, np.asarray), half(field, np.conj)) for field in fields]
 
 
 class CircleRule:
@@ -351,11 +375,16 @@ class SphereCellRule:
     """Composite, refinable rule on S^3 for singular integrands.
 
     The parameter box (t, theta1, theta2) is split into cells carrying a
-    small tensor Gauss-Legendre rule.  refine(mask) subdivides flagged
-    cells 2 x 2 x 2 and builds nodes for the new cells only: kept cells
-    keep their node values, new cells follow them, and the node arrays
-    equal those of a rule built from scratch on the final boxes.  The
-    Hopf frame is built on demand by frame_directions().  Pairing uses
+    small tensor Gauss-Legendre rule with m = nodes_per_axis nodes per
+    axis.  The rule holds only per-cell axis factors, each a (cells, m)
+    array: the t-, theta1- and theta2-weights, cos(phi), sin(phi),
+    e^{i theta1} and e^{i theta2}, next to the boxes.  Node arrays
+    (points, weights, pairing_weights) and the Hopf frame are built from
+    them by broadcasting, in (cell, t, theta1, theta2) order; points and
+    weights are kept until the next refine.  refine(mask) subdivides
+    flagged cells 2 x 2 x 2: kept cells keep their order, the children
+    follow, and only the children's factors are computed, so a refined
+    rule equals one built from scratch on its final boxes.  Pairing uses
     the same contact-volume normalization as SphereRule, so orientation
     and measure conventions agree between the two rules.
     """
@@ -369,65 +398,76 @@ class SphereCellRule:
             for j in range(base_cells):
                 for l in range(base_cells):
                     boxes.append((edges[i], edges[i + 1], ang[j], ang[j + 1], ang[l], ang[l + 1]))
-        self.boxes = np.asarray(boxes)
         self._gl = gauss_legendre_01(self.nodes_per_axis)
-        for name, values in self._cell_nodes(self.boxes).items():
+        for name, values in self._cell_factors(np.asarray(boxes)).items():
             setattr(self, name, values)
 
-    def _cell_nodes(self, boxes):
-        """Node arrays of the given cells, keyed by attribute name, in cell order."""
+    def _cell_factors(self, boxes):
+        """Per-cell arrays of the given cells, keyed by attribute name."""
         x, w = self._gl
-        m = self.nodes_per_axis
-        C = boxes.shape[0]
-        t0, t1 = boxes[:, 0], boxes[:, 1]
-        a0, a1 = boxes[:, 2], boxes[:, 3]
-        b0, b1 = boxes[:, 4], boxes[:, 5]
+        t0, t1, a0, a1, b0, b1 = boxes.T
         T = t0[:, None] + (t1 - t0)[:, None] * x[None, :]
         A = a0[:, None] + (a1 - a0)[:, None] * x[None, :]
         B = b0[:, None] + (b1 - b0)[:, None] * x[None, :]
-        WT = (t1 - t0)[:, None] * w[None, :]
-        WA = (a1 - a0)[:, None] * w[None, :]
-        WB = (b1 - b0)[:, None] * w[None, :]
-        t = np.broadcast_to(T[:, :, None, None], (C, m, m, m)).ravel()
-        theta1 = np.broadcast_to(A[:, None, :, None], (C, m, m, m)).ravel()
-        theta2 = np.broadcast_to(B[:, None, None, :], (C, m, m, m)).ravel()
-        wts = (WT[:, :, None, None] * WA[:, None, :, None] * WB[:, None, None, :]).ravel()
-        phi = np.arccos(np.sqrt(np.clip(t, 1e-15, 1.0 - 1e-15)))
+        phi = np.arccos(np.sqrt(np.clip(T, 1e-15, 1.0 - 1e-15)))
         return {
-            "phi": phi,
-            "theta1": theta1,
-            "theta2": theta2,
-            # round measure: dsigma = (1/2) dt dtheta1 dtheta2
-            "weights": 0.5 * wts,
-            "points": hopf_embed(phi, theta1, theta2),
-            # the contact volume coefficient on the Hopf frame is analytic
-            # on the round sphere: -sin(phi) cos(phi), density ratio exactly
-            # one (cross-checked against the symbolic form in the test
-            # suite); evaluating the form here would dominate every
-            # refinement pass.
-            "_volume_coeff": -(np.sin(phi) * np.cos(phi)),
+            "boxes": boxes,
+            "t_weights": (t1 - t0)[:, None] * w[None, :],
+            "theta1_weights": (a1 - a0)[:, None] * w[None, :],
+            "theta2_weights": (b1 - b0)[:, None] * w[None, :],
+            "cos_phi": np.cos(phi),
+            "sin_phi": np.sin(phi),
+            "exp_theta1": np.exp(1j * A),
+            "exp_theta2": np.exp(1j * B),
         }
+
+    def _axes(self, first=0):
+        """cos(phi), sin(phi), e^{i theta1}, e^{i theta2} of the cells from
+        first on, shaped to broadcast over the (cell, t, theta1, theta2) grid."""
+        s = slice(first, None)
+        return (self.cos_phi[s, :, None, None], self.sin_phi[s, :, None, None],
+                self.exp_theta1[s, None, :, None], self.exp_theta2[s, None, None, :])
 
     @property
     def npoints(self):
-        return self.points.shape[0]
+        return self.ncells * self.nodes_per_axis ** 3
 
     @property
     def ncells(self):
         return self.boxes.shape[0]
 
+    def cell_points(self, first=0):
+        """Nodes of the cells first, first + 1, ... in node order."""
+        return _hopf_points(*self._axes(first))
+
+    @functools.cached_property
+    def points(self):
+        return self.cell_points()
+
+    @functools.cached_property
+    def weights(self):
+        # round measure: dsigma = (1/2) dt dtheta1 dtheta2
+        wt, wa, wb = self.t_weights, self.theta1_weights, self.theta2_weights
+        return (0.5 * (wt[:, :, None, None] * wa[:, None, :, None]
+                       * wb[:, None, None, :])).reshape(-1)
+
+    @property
+    def pairing_weights(self):
+        # the contact volume coefficient on the Hopf frame is analytic on
+        # the round sphere: -sin(phi) cos(phi), density ratio exactly one
+        # (cross-checked against the symbolic form in the test suite)
+        m = self.nodes_per_axis
+        coeff = -(self.sin_phi * self.cos_phi)
+        return (self.weights.reshape(-1, m, m * m) / coeff[:, :, None]).reshape(-1)
+
     def frame_directions(self):
-        return [real_direction(f) for f in _hopf_frame(self.phi, self.theta1, self.theta2)]
+        return _hopf_frame_directions(*self._axes())
 
     def integrate(self, values):
         return np.dot(self.weights, values)
 
     def pair_values(self, top_values):
         return np.dot(self.pairing_weights, top_values)
-
-    @property
-    def pairing_weights(self):
-        return self.weights / self._volume_coeff
 
     def cell_min(self, values):
         """Per-cell minimum of pointwise values (for refinement flags)."""
@@ -445,7 +485,8 @@ class SphereCellRule:
         """Subdivide flagged cells 2x2x2; returns the number of new cells.
 
         The kept cells come first, in their old order, then the eight
-        children of each flagged cell; only the children's nodes are built.
+        children of each flagged cell; only the children's factors are
+        computed, and the node arrays are rebuilt on next use.
         """
         mask = np.asarray(mask, dtype=bool)
         split = self.boxes[mask]
@@ -457,8 +498,8 @@ class SphereCellRule:
                         for ti in ((t0, tm), (tm, t1))
                         for ai in ((a0, am), (am, a1))
                         for bi in ((b0, bm), (bm, b1))], axis=1).reshape(-1, 6)
-        kept = np.repeat(~mask, self.nodes_per_axis ** 3)
-        for name, values in self._cell_nodes(new).items():
-            setattr(self, name, np.concatenate([getattr(self, name)[kept], values]))
-        self.boxes = np.vstack([self.boxes[~mask], new])
+        for name, values in self._cell_factors(new).items():
+            setattr(self, name, np.concatenate([getattr(self, name)[~mask], values]))
+        self.__dict__.pop("points", None)
+        self.__dict__.pop("weights", None)
         return new.shape[0]

@@ -139,3 +139,14 @@ def test_adaptive_rule_values_match_final_nodes():
     rule, fvals, unresolved = _adaptive_rule(f, DEFAULT_DELTAS, 4, 3, 4)
     assert rule.ncells > 4 ** 3 and unresolved > 0
     assert np.array_equal(fvals, f.evaluate(rule.points, []))
+
+
+def test_boundary_pairing_depth10_pinned():
+    # the mc-ball cross-check configuration: z1-half against vol-z2, three
+    # deltas, depth-10 refinement with its cell budget, ball level 6
+    res = divisor_pairing_boundary(catalog_function("z1-half"), VOL_Z2,
+                                   deltas=(1e-2, 1e-3, 1e-4), refine_depth=10, ball_level=6)
+    pinned = 2.3581251862885386 + 9.775358539485691e-17j
+    assert abs(res.value - pinned) <= 1e-12 * abs(pinned)
+    assert abs(res.err_est - 0.0022183311428074504) <= 1e-12 * abs(pinned)
+    assert res.extras == {"cells": 12816, "unresolved_cells": 7680}

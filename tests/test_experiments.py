@@ -171,15 +171,21 @@ def _boundary_reference(ctx, u, du_frame, u_ball, deltas):
     return _reference_limit(deltas, np.asarray(per) + shift)
 
 
+def _dense_frame(ctx):
+    """The context's frame as (nodes, 2) arrays, structural zeros filled in."""
+    return [np.stack([np.zeros(len(ctx.points), dtype=complex) if c is None else c
+                      for c in h], axis=-1) for h in ctx.frame_holo]
+
+
 def _sampler_frame_derivatives(ev, ctx, row):
     """df along each frame direction, one directional derivative each."""
     x1, x2 = ev.slot1_sums(row)
-    return [ev.directional_derivative(x1, x2, h)[0] for h in ctx.frame_holo]
+    return [ev.directional_derivative(x1, x2, h)[0] for h in _dense_frame(ctx)]
 
 
 def _polynomial_frame_derivatives(fpoly, ctx):
     grad = holo_gradient_values(fpoly, ctx.points)
-    return [grad[:, 0] * h[..., 0] + grad[:, 1] * h[..., 1] for h in ctx.frame_holo]
+    return [grad[:, 0] * h[..., 0] + grad[:, 1] * h[..., 1] for h in _dense_frame(ctx)]
 
 
 def _assert_close(value, err, ref):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from spherelab import forms
+from spherelab.forms import real_direction
+from spherelab.geometry import hopf_embed
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule,
                                   MonteCarloSphereRule, SphereCellRule,
                                   SphereRule, UnsupportedDimensionError,
-                                  _hopf_frame, ball_quadrature, contact_one_form,
-                                  contact_volume_form, sphere_area,
-                                  sphere_quadrature)
+                                  ball_quadrature, contact_one_form,
+                                  contact_volume_form, gauss_legendre_01,
+                                  sphere_area, sphere_quadrature)
 
 AREA_S3 = 2.0 * math.pi ** 2
 
@@ -144,21 +146,97 @@ def test_cell_rule_refinement_preserves_mass():
     assert after == pytest.approx(before, abs=1e-10)
 
 
+# Per-node reference builds of the two sphere rules: every node gets its
+# own phi, theta1, theta2 and trigonometry, and the Hopf frame is a dense
+# (nodes, 2) array per direction, zero components included.
+def _hopf_frame(phi, theta1, theta2):
+    """Coordinate frame (d/dphi, d/dtheta1, d/dtheta2) in complex packing."""
+    e1 = np.exp(1j * theta1)
+    e2 = np.exp(1j * theta2)
+    zero = np.zeros_like(e1)
+    dphi = np.stack([-np.sin(phi) * e1, np.cos(phi) * e2], axis=-1)
+    dth1 = np.stack([1j * np.cos(phi) * e1, zero], axis=-1)
+    dth2 = np.stack([zero, 1j * np.sin(phi) * e2], axis=-1)
+    return [dphi, dth1, dth2]
+
+
+def _cell_nodes(boxes, m):
+    """Node arrays of cells with m nodes per axis, in cell order."""
+    x, w = gauss_legendre_01(m)
+    C = boxes.shape[0]
+    t0, t1, a0, a1, b0, b1 = boxes.T
+    T = t0[:, None] + (t1 - t0)[:, None] * x[None, :]
+    A = a0[:, None] + (a1 - a0)[:, None] * x[None, :]
+    B = b0[:, None] + (b1 - b0)[:, None] * x[None, :]
+    WT = (t1 - t0)[:, None] * w[None, :]
+    WA = (a1 - a0)[:, None] * w[None, :]
+    WB = (b1 - b0)[:, None] * w[None, :]
+    t = np.broadcast_to(T[:, :, None, None], (C, m, m, m)).ravel()
+    theta1 = np.broadcast_to(A[:, None, :, None], (C, m, m, m)).ravel()
+    theta2 = np.broadcast_to(B[:, None, None, :], (C, m, m, m)).ravel()
+    wts = (WT[:, :, None, None] * WA[:, None, :, None] * WB[:, None, None, :]).ravel()
+    phi = np.arccos(np.sqrt(np.clip(t, 1e-15, 1.0 - 1e-15)))
+    weights = 0.5 * wts
+    return {
+        "points": hopf_embed(phi, theta1, theta2),
+        "weights": weights,
+        "pairing_weights": weights / -(np.sin(phi) * np.cos(phi)),
+        "frame": _hopf_frame(phi, theta1, theta2),
+    }
+
+
+def _sphere_nodes(level):
+    """Node arrays of SphereRule(level) from per-node meshgrids."""
+    t, wt = gauss_legendre_01(level)
+    nang = 2 * level
+    ang = 2.0 * math.pi * np.arange(nang) / nang
+    wang = 2.0 * math.pi / nang
+    P, T1, T2 = np.meshgrid(np.arccos(np.sqrt(t)), ang, ang, indexing="ij")
+    phi, theta1, theta2 = P.ravel(), T1.ravel(), T2.ravel()
+    weights = np.broadcast_to((0.5 * wt)[:, None, None] * wang * wang, P.shape).ravel()
+    points = hopf_embed(phi, theta1, theta2)
+    frame = _hopf_frame(phi, theta1, theta2)
+    coeff = contact_volume_form(2).evaluate(points, [real_direction(f) for f in frame]).real
+    density = np.abs(coeff) / (np.sin(phi) * np.cos(phi))
+    return {
+        "points": points,
+        "weights": weights,
+        "pairing_weights": weights * density / coeff,
+        "frame": frame,
+    }
+
+
+def _assert_nodes_equal(rule, ref):
+    for name in ("points", "weights", "pairing_weights"):
+        assert np.array_equal(getattr(rule, name), ref[name]), name
+    for (holo, anti), f in zip(rule.frame_directions(), ref["frame"], strict=True):
+        for j in range(2):
+            if holo[j] is None:
+                assert anti[j] is None and not f[:, j].any()
+            else:
+                assert np.array_equal(holo[j], f[:, j]) and np.array_equal(anti[j], np.conj(f[:, j]))
+
+
 def test_cell_rule_incremental_refine_matches_fresh_build(rng):
-    cells = SphereCellRule(base_cells=3, nodes_per_axis=3)
-    for frac in (0.3, 0.05, 0.5, 0.1):
-        mask = rng.random(cells.ncells) < frac
-        mask[rng.integers(cells.ncells)] = True
-        assert cells.refine(mask) == 8 * mask.sum()
-    assert cells.refine(np.zeros(cells.ncells, dtype=bool)) == 0
-    fresh = cells._cell_nodes(cells.boxes)
-    assert set(fresh) == {"phi", "theta1", "theta2", "weights", "points", "_volume_coeff"}
-    for name, values in fresh.items():
-        assert np.array_equal(getattr(cells, name), values), name
-    assert np.array_equal(cells.pairing_weights, fresh["weights"] / fresh["_volume_coeff"])
-    frame = _hopf_frame(fresh["phi"], fresh["theta1"], fresh["theta2"])
-    for (holo, anti), f in zip(cells.frame_directions(), frame):
-        assert np.array_equal(holo, f) and np.array_equal(anti, np.conj(f))
+    # (8, 4) gives node arrays above numpy's 256 KiB threshold for reusing
+    # temporaries, where the rounding of complex products can change
+    for base_cells, m in ((3, 3), (8, 4)):
+        cells = SphereCellRule(base_cells=base_cells, nodes_per_axis=m)
+        _assert_nodes_equal(cells, _cell_nodes(cells.boxes, m))
+        for frac in (0.3, 0.05, 0.5, 0.1):
+            mask = rng.random(cells.ncells) < frac
+            mask[rng.integers(cells.ncells)] = True
+            assert cells.refine(mask) == 8 * mask.sum()
+            assert cells.npoints == cells.points.shape[0] == m ** 3 * cells.ncells
+        assert cells.refine(np.zeros(cells.ncells, dtype=bool)) == 0
+        _assert_nodes_equal(cells, _cell_nodes(cells.boxes, m))
+        first_new = cells.ncells - 8 * mask.sum()
+        assert np.array_equal(cells.cell_points(first_new), cells.points[m ** 3 * first_new:])
+
+
+@pytest.mark.parametrize("level", [8, 12, 20])
+def test_sphere_rule_nodes_match_per_node_build(level):
+    _assert_nodes_equal(SphereRule(level), _sphere_nodes(level))
 
 
 def test_degree_bound_recorded(rule16):
