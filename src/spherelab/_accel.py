@@ -5,6 +5,17 @@ regularized zero-divisor pairings: a batch of rows against several
 weight columns at once, for the Monte Carlo samplers and (with one row)
 the deterministic catalog pairings alike.
 
+Both work in place: each call allocates one rows x nodes buffer for the
+reciprocal (or the log) and, for regularized_sums, one for the products,
+and reuses them across every delta and every numerator term, so no
+node-sized temporary is made per delta.  (At Monte Carlo sizes each such
+temporary exceeds glibc's mmap threshold and would come back as fresh,
+zero-filled pages every time.)  The buffers take the layout of the
+inputs (empty_like), as the allocating expressions did, and every
+complex product keeps its operand order, numerator first: with fused
+multiply-add, numpy's complex multiply rounds differently when the
+operands are swapped, and the CSV bodies print full-precision reprs.
+
 The band sums use ascending-degree compensated summation because the
 terms span many orders of magnitude; the compensation keeps the per-term
 rounding at <= 2 ulp.  `python3 perfbench/run.py` measures the workloads
@@ -66,11 +77,16 @@ def regularized_sums(weights, numer, fsq, deltas):
     every term.  Returns (rows, columns, len(deltas)).
     """
     out = np.empty((fsq.shape[0], weights[0].shape[1], len(deltas)), dtype=complex)
+    inv = np.empty_like(fsq)
+    prod = np.empty_like(numer[0])
     for i, d in enumerate(deltas):
-        inv = 1.0 / (fsq + d)
-        acc = (numer[0] * inv) @ weights[0]
+        np.add(fsq, d, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(numer[0], inv, out=prod)
+        acc = prod @ weights[0]
         for term, w in zip(numer[1:], weights[1:]):
-            acc += (term * inv) @ w
+            np.multiply(term, inv, out=prod)
+            acc += prod @ w
         out[:, :, i] = acc
     return out
 
@@ -83,7 +99,10 @@ def log_regularized_sums(weights, fsq, deltas):
     promoted.  Returns (rows, columns, len(deltas)).
     """
     out = np.empty((fsq.shape[0], weights.shape[1], len(deltas)), dtype=complex)
+    logs = np.empty_like(fsq)
     for i, d in enumerate(deltas):
-        logs = 0.5 * np.log(fsq + d)
+        np.add(fsq, d, out=logs)
+        np.log(logs, out=logs)
+        logs *= 0.5
         out[:, :, i] = logs @ weights.real + 1j * (logs @ weights.imag)
     return out

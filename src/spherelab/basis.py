@@ -16,7 +16,6 @@ cross-checked against the closed Beta value 2 pi^{n+1} alpha! / (n +
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -199,17 +198,6 @@ class DegreeTable:
         if extra_scale is not None:
             scale = scale * np.asarray(extra_scale, dtype=float)
         return _accel.monomial_matrix(np.asarray(points, dtype=complex), alphas, scale)
-
-    def save_csv(self, path):
-        """Audit dump: one row per multi-index up to max_degree."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "norm_sq", "degree", "c_m"])
-            for m in range(self.max_degree + 1):
-                for alpha in graded_indices(m, self.n):
-                    writer.writerow(["|".join(str(a) for a in alpha),
-                                     repr(self.norm_sq(alpha)), m,
-                                     repr(self.constants[m])])
 
     def total_mass(self):
         """c_0 is one over the contact-volume mass of the sphere."""

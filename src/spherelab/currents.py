@@ -321,20 +321,31 @@ class RegularizedPairing:
         """(rows, forms, deltas) regularized values from f (rows, nodes), its
         slot sums x_j = z_j df/dz_j (a pair of arrays of the same shape) and,
         for the boundary pairing, u on the ball nodes (rows, ball nodes)."""
-        fsq = np.abs(fvals) ** 2
+        # every node-sized intermediate is computed in place, with the
+        # operand order of the complex products fixed (see _accel)
+        fsq = np.abs(fvals)
+        np.square(fsq, out=fsq)
         scale_sq = (fsq @ self._rms_weights)[:, None]
         fsq /= scale_sq
-        # conj(f / s) * df / s with f normalized by its rms s
-        conj_f = np.conj(fvals) / scale_sq
-        per = _accel.regularized_sums(self._slot_weights, [conj_f * x for x in slots], fsq,
-                                      deltas)
+        # conj(f / s) * df / s with f normalized by its rms s; the x2 term
+        # overwrites conj(f / s)
+        conj_f = np.conj(fvals)
+        conj_f /= scale_sq
+        x1, x2 = slots
+        numer = [conj_f * x1, np.multiply(conj_f, x2, out=conj_f)]
+        per = _accel.regularized_sums(self._slot_weights, numer, fsq, deltas)
         if not self._boundary:
             return per
+        # free the sphere arrays before the ball's are made
+        del conj_f, numer
         # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi)
         # + int_D (1/2) log(|u|^2+d) d dbar psi
         t2 = _accel.log_regularized_sums(self._w_dbar, fsq, deltas)
-        t3 = _accel.log_regularized_sums(self._w_ddbar, np.abs(ball_vals) ** 2 / scale_sq,
-                                         deltas)
+        del fsq
+        ball_sq = np.abs(ball_vals)
+        np.square(ball_sq, out=ball_sq)
+        ball_sq /= scale_sq
+        t3 = _accel.log_regularized_sums(self._w_ddbar, ball_sq, deltas)
         # the normalization shifts log|u| by log s, which integrates to zero
         # against the exact-form terms only as delta -> 0: restore it
         return ((1j / math.pi) * (-per - t2 + t3)

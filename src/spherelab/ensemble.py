@@ -84,18 +84,6 @@ class RandomEnsemble:
         """Coefficients of several trials stacked row-wise."""
         return np.vstack([self.draw(t).coefficients for t in trials])
 
-    def dump_draws_csv(self, path, trials):
-        """Audit dump: one row per (trial, component) coefficient."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["trial", "component", "re", "im"])
-            for t in trials:
-                a = self.draw(t).coefficients
-                for j, c in enumerate(a):
-                    writer.writerow([t, j, repr(c.real), repr(c.imag)])
-
     def evaluator(self, where):
         """Evaluator at a rule's nodes or at an array of points: the FFT
         evaluator on rules with a torus_grid, the dense one elsewhere."""
@@ -140,13 +128,13 @@ class RandomEnsemble:
         """Coarse (non-adaptive) margins for many draws at once."""
         rule = rule or _margin_rule()
         ev = self.evaluator(rule)
-        vals = ev.values(coefficient_rows)
-        rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=1))
-        x1, x2 = ev.slot1_sums(coefficient_rows)
-        dfabs = ev.gradient_magnitude(x1, x2)
-        near = np.abs(vals) <= 0.3 * rms[:, None]
-        masked = np.where(near, dfabs, np.inf)
-        margins = masked.min(axis=1) / (self.k * np.maximum(rms, 1e-300))
+        fabs = np.abs(ev.values(coefficient_rows))
+        rms = np.sqrt(np.mean(np.square(fabs), axis=1))
+        dfabs = ev.gradient_magnitude(*ev.slot1_sums(coefficient_rows))
+        # the minimum of |df| over the near-zero nodes: mask the others in place
+        near = fabs <= 0.3 * rms[:, None]
+        np.copyto(dfabs, np.inf, where=~near)
+        margins = dfabs.min(axis=1) / (self.k * np.maximum(rms, 1e-300))
         margins[rms == 0.0] = 0.0
         return margins
 
@@ -220,9 +208,14 @@ class NodeEvaluator:
         """|holomorphic gradient| = sqrt(|df/dz1|^2 + |df/dz2|^2) at nodes;
         it vanishes exactly where the full differential of the restriction
         to the sphere vanishes."""
-        g1 = x1 / self._z1[None, :]
-        g2 = x2 / self._z2[None, :]
-        return np.sqrt(np.abs(g1) ** 2 + np.abs(g2) ** 2)
+        g = x1 / self._z1[None, :]
+        mag = np.abs(g)
+        np.square(mag, out=mag)
+        np.divide(x2, self._z2[None, :], out=g)
+        term = np.abs(g)
+        np.square(term, out=term)
+        mag += term
+        return np.sqrt(mag, out=mag)
 
 
 class GridEvaluator(NodeEvaluator):
@@ -235,7 +228,9 @@ class GridEvaluator(NodeEvaluator):
     those modulus factors at bin (a mod N, b mod N) of modulus m: degrees
     of N and above fold onto the same bins and stay exact on the grid.  A
     batch of draws is one sparse product and one batched ifft2, each row
-    independent of the others, with no nodes x dim matrix.
+    independent of the others, with no nodes x dim matrix.  The inverse
+    FFT overwrites the sparse product's output (overwrite_x), so one
+    synthesis allocates one grid-sized array, which the caller owns.
     """
 
     def __init__(self, ensemble: RandomEnsemble, rule):
@@ -256,16 +251,18 @@ class GridEvaluator(NodeEvaluator):
         """Monomial sums at the nodes for coefficient rows: (rows, npoints).
 
         The spectra keep the rows on the last axis, so the result is the
-        transpose of a (npoints, rows) array, returned without a copy.
+        transpose of a (npoints, rows) array, returned without a copy; the
+        transform runs in the spectra's buffer.
         """
         spectra = (self._fold @ rest.T).reshape(self._grid + (rest.shape[0],))
-        return scipy.fft.ifft2(spectra, axes=(1, 2), norm="forward").reshape(-1, rest.shape[0]).T
+        nodes = scipy.fft.ifft2(spectra, axes=(1, 2), norm="forward", overwrite_x=True)
+        return nodes.reshape(-1, rest.shape[0]).T
 
     def values(self, a):
         a0, rest = self._split(a)
         vals = self._synthesize(rest)
         if a0 is not None:
-            vals = vals + (self.ensemble.kappa * a0)[:, None]
+            vals += (self.ensemble.kappa * a0)[:, None]
         return vals
 
     def slot1_sums(self, a):

@@ -522,12 +522,18 @@ def run_lp_boundary(config: ExperimentConfig):
 
 
 def _accepted_rows(ens, config, count):
-    """Draw coefficients for `count` accepted trials, plus the reject rate."""
+    """Draw coefficients for `count` accepted trials, plus the reject rate.
+
+    Each pass screens only the draws still needed, but at least a
+    micro-batch: margins are bitwise independent of the number of rows
+    screened together from two rows on, so the accepted rows do not
+    depend on the pass sizes.
+    """
     rows = []
     trial = 0
     rejected = 0
     while len(rows) < count:
-        batch = 256
+        batch = max(count - len(rows), _MICRO_BATCH)
         coeffs = ens.draw_matrix(range(trial, trial + batch))
         margins = ens.batch_margins(coeffs)
         for i in range(batch):

@@ -99,13 +99,3 @@ def test_reeb_action_is_degree(table, rng):
     fd = (el.evaluate((np.exp(1j * h) * x)[None, :])[0]
           - el.evaluate((np.exp(-1j * h) * x)[None, :])[0]) / (2 * h)
     assert fd == pytest.approx(5j * el.evaluate(x)[0], rel=1e-8)
-
-
-def test_csv_cache(tmp_path):
-    table = DegreeTable(4)
-    path = tmp_path / "table.csv"
-    table.save_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "alpha,norm_sq,degree,c_m"
-    # one row per multi-index up to degree 4
-    assert len(lines) - 1 == sum(m + 1 for m in range(5))

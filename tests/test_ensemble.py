@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import stats
 
 from spherelab.basis import DegreeTable
@@ -133,14 +134,6 @@ def test_kappa_validation(table, bump):
         RandomEnsemble(table, bump, 32, kappa=3)
 
 
-def test_draw_dump(ens32, tmp_path):
-    path = tmp_path / "draws.csv"
-    ens32.dump_draws_csv(path, range(3))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "trial,component,re,im"
-    assert len(lines) - 1 == 3 * ens32.dim
-
-
 # The product rules the experiments build: the margin rule, the sphere
 # levels of the Monte Carlo runs and their controls, and the ball rules.
 GRID_RULES = {
@@ -204,6 +197,56 @@ def test_grid_rows_independent_of_batch(table, bump):
         alone = [ev.values(a[r]), *ev.slot1_sums(a[r])]
         for x, y, z in zip(alone, batched, full):
             assert np.array_equal(x[0], y[r]) and np.array_equal(x[0], z[r])
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_in_place_synthesis_matches_out_of_place_fft(table, bump, kappa):
+    ens = RandomEnsemble(table, bump, 64, kappa=kappa, master_seed=11)
+    ev = ens.evaluator(_grid_rule("sphere-12"))
+    a = ens.draw_matrix(range(32))
+    rest = a[:, kappa:]
+
+    def out_of_place(coeffs):
+        spectra = (ev._fold @ coeffs.T).reshape(ev._grid + (coeffs.shape[0],))
+        return scipy.fft.ifft2(spectra, axes=(1, 2), norm="forward").reshape(-1, coeffs.shape[0]).T
+
+    ref_vals = out_of_place(rest)
+    if kappa:
+        ref_vals = ref_vals + a[:, 0][:, None]
+    ref_slots = out_of_place(np.concatenate([rest * ev._deg1, rest * ev._deg2]))
+    # each call returns a fresh array: a second call leaves the first intact
+    for compute, refs in ((lambda: [ev.values(a)], [ref_vals]),
+                          (lambda: ev.slot1_sums(a), [ref_slots[:32], ref_slots[32:]])):
+        first = compute()
+        again = compute()
+        for x, y, ref in zip(first, again, refs):
+            assert not np.shares_memory(x, y)
+            assert np.array_equal(x, ref) and np.array_equal(y, ref)
+
+
+def _batch_margins_allocating(ens, rows):
+    """batch_margins and gradient_magnitude as they computed before they
+    worked in place, expression for expression."""
+    ev = ens.evaluator(SphereRule(8))
+    vals = ev.values(rows)
+    rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=1))
+    x1, x2 = ev.slot1_sums(rows)
+    g1 = x1 / ev._z1[None, :]
+    g2 = x2 / ev._z2[None, :]
+    dfabs = np.sqrt(np.abs(g1) ** 2 + np.abs(g2) ** 2)
+    assert np.array_equal(ev.gradient_magnitude(x1, x2), dfabs)
+    near = np.abs(vals) <= 0.3 * rms[:, None]
+    masked = np.where(near, dfabs, np.inf)
+    margins = masked.min(axis=1) / (ens.k * np.maximum(rms, 1e-300))
+    margins[rms == 0.0] = 0.0
+    return margins
+
+
+@pytest.mark.parametrize("nrows", [1, 32, 256])
+def test_batch_margins_match_allocating_formulas(table, bump, nrows):
+    ens = RandomEnsemble(table, bump, 24, kappa=1, master_seed=5)
+    rows = ens.draw_matrix(range(nrows))
+    assert np.array_equal(ens.batch_margins(rows), _batch_margins_allocating(ens, rows))
 
 
 @pytest.mark.parametrize("kappa", [0, 1])

@@ -1,8 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+from spherelab import _accel
 from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 RegularizedPairing, _adaptive_rule, _normalized,
@@ -10,9 +12,9 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
 from spherelab.ensemble import RandomEnsemble
-from spherelab.experiments import (BoundarySampler, CfSampler, ExperimentConfig,
-                                   ExperimentError, _batched_values, _beta_reference,
-                                   config_from_resolved, one_form,
+from spherelab.experiments import (_MICRO_BATCH, BoundarySampler, CfSampler, ExperimentConfig,
+                                   ExperimentError, _accepted_rows, _batched_values,
+                                   _beta_reference, config_from_resolved, one_form,
                                    run_expectation_cr, run_expectation_domain,
                                    run_kernel_diag, run_lp_boundary, run_lp_closed,
                                    surface_form)
@@ -240,6 +242,122 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
                                       u_ball[0], deltas)
             _assert_close(vals[r, j], errs[r, j], ref)
             _assert_close(one[0][0, j], one[1][0, j], ref)
+
+
+# The allocating formulas that per_delta and the _accel delta sums computed
+# before they worked in place, kept expression for expression: their bits
+# are the reference the in-place code must reproduce.
+def _regularized_sums_allocating(weights, numer, fsq, deltas):
+    out = np.empty((fsq.shape[0], weights[0].shape[1], len(deltas)), dtype=complex)
+    for i, d in enumerate(deltas):
+        inv = 1.0 / (fsq + d)
+        acc = (numer[0] * inv) @ weights[0]
+        for term, w in zip(numer[1:], weights[1:]):
+            acc += (term * inv) @ w
+        out[:, :, i] = acc
+    return out
+
+
+def _log_regularized_sums_allocating(weights, fsq, deltas):
+    out = np.empty((fsq.shape[0], weights.shape[1], len(deltas)), dtype=complex)
+    for i, d in enumerate(deltas):
+        logs = 0.5 * np.log(fsq + d)
+        out[:, :, i] = logs @ weights.real + 1j * (logs @ weights.imag)
+    return out
+
+
+def _per_delta_allocating(pairing, fvals, slots, deltas, ball_vals=None):
+    fsq = np.abs(fvals) ** 2
+    scale_sq = (fsq @ pairing._rms_weights)[:, None]
+    fsq /= scale_sq
+    conj_f = np.conj(fvals) / scale_sq
+    per = _regularized_sums_allocating(pairing._slot_weights, [conj_f * x for x in slots],
+                                       fsq, deltas)
+    if ball_vals is None:
+        return per
+    t2 = _log_regularized_sums_allocating(pairing._w_dbar, fsq, deltas)
+    t3 = _log_regularized_sums_allocating(pairing._w_ddbar,
+                                          np.abs(ball_vals) ** 2 / scale_sq, deltas)
+    return ((1j / math.pi) * (-per - t2 + t3)
+            + (0.5 * np.log(scale_sq) * pairing._shift_scale)[:, :, None])
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+@pytest.mark.parametrize("boundary", [False, True], ids=["closed", "boundary"])
+def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, rows):
+    # grid-evaluated micro-batches, as the samplers pass them: 32 rows make
+    # every node array larger than numpy's 256 KiB temporary-reuse threshold
+    ens = RandomEnsemble(table, bump, 24, kappa=int(boundary), master_seed=17)
+    sphere_rule = SphereRule(12)
+    deltas = (1e-2, 1e-3, 1e-4)
+    if boundary:
+        sampler = BoundarySampler(ens, sphere_rule, BallRule(6, radial=16),
+                                  (surface_form("vol-z2"), surface_form("bump-z2")), deltas)
+        ev = sampler.ev_sphere
+    else:
+        contexts = tuple(CRPairingContext(sphere_rule, surface_form(name))
+                         for name in ("vol-z2", "vol-z1", "mixed-11"))
+        sampler = CfSampler(ens, contexts, deltas)
+        ev = sampler.ev
+    pairing = sampler.pairing
+    a = ens.draw_matrix(range(rows))
+    fvals, slots = ev.values(a), ev.slot1_sums(a)
+    ball_vals = sampler.ev_ball.values(a) if boundary else None
+    inputs = [fvals, *slots] + ([ball_vals] if boundary else [])
+    before = [x.copy() for x in inputs]
+    per = pairing.per_delta(fvals, slots, deltas, ball_vals)
+    assert np.array_equal(per, _per_delta_allocating(pairing, fvals, slots, deltas, ball_vals))
+    # the caller's arrays are read, never overwritten
+    assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
+
+    # both delta sums on the normalized arrays per_delta hands them
+    fsq = np.abs(fvals) ** 2
+    fsq /= (fsq @ pairing._rms_weights)[:, None]
+    numer = [np.conj(fvals) * x for x in slots]
+    args = (pairing._slot_weights, numer, fsq, deltas)
+    fsq_before = fsq.copy()
+    assert np.array_equal(_accel.regularized_sums(*args), _regularized_sums_allocating(*args))
+    weights = pairing._w_dbar if boundary else pairing._slot_weights[0]
+    assert np.array_equal(_accel.log_regularized_sums(weights, fsq, deltas),
+                          _log_regularized_sums_allocating(weights, fsq, deltas))
+    assert np.array_equal(fsq, fsq_before)
+
+
+def _accepted_rows_fixed_scan(ens, threshold, count):
+    """The screening loop before it sized its passes: 256 draws a pass."""
+    rows = []
+    trial = 0
+    rejected = 0
+    while len(rows) < count:
+        coeffs = ens.draw_matrix(range(trial, trial + 256))
+        margins = ens.batch_margins(coeffs)
+        for i in range(256):
+            if margins[i] >= threshold:
+                rows.append(coeffs[i])
+            else:
+                rejected += 1
+            if len(rows) == count:
+                break
+        trial += 256
+    return np.asarray(rows), rejected / (rejected + count)
+
+
+@pytest.mark.parametrize("count", [64, 100])
+def test_accepted_rows_screen_only_needed_draws(table, bump, monkeypatch, count):
+    ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=5)
+    # the third smallest margin of the first `count` draws rejects two of
+    # them, so a second pass is needed
+    threshold = float(np.sort(ens.batch_margins(ens.draw_matrix(range(count))))[2])
+    ref_rows, ref_rate = _accepted_rows_fixed_scan(ens, threshold, count)
+    screened = []
+    draw_matrix = ens.draw_matrix
+    monkeypatch.setattr(ens, "draw_matrix",
+                        lambda trials: screened.append(len(trials)) or draw_matrix(trials))
+    rows, rate = _accepted_rows(ens, types.SimpleNamespace(filter_threshold=threshold), count)
+    assert np.array_equal(rows, ref_rows)
+    assert rate == ref_rate > 0.0
+    assert screened[0] == count and len(screened) >= 2
+    assert all(n == _MICRO_BATCH for n in screened[1:])
 
 
 def test_catalog_pairings_match_reference_route():
