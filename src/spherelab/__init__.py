@@ -1,11 +1,11 @@
-"""Numerical laboratory on the unit sphere S^{2n+1} in C^{n+1}.
+"""Numerical laboratory on the unit sphere S^3 in C^2.
 
 The lab instantiates band-filtered reproducing kernels built from the
 degree decomposition of boundary values of holomorphic functions on the
 unit ball, the projective maps they induce, and Monte Carlo experiments
 on the zero sets of random band-limited functions.  Everything is
-desk-scale: n = 1 (the three-sphere) deterministically, n = 2 behind a
-Monte Carlo quadrature flag.
+desk-scale: exact product quadrature on the three-sphere and the ball,
+and Monte Carlo over random draws.
 """
 
 from spherelab.cutoffs import Cutoff, band_moment, mean_value, variance

@@ -1,16 +1,17 @@
 """Degree decomposition of boundary values of holomorphic monomials.
 
-On the unit sphere the operator -i T (T the Reeb field, projected to
-boundary values of holomorphic functions) has eigenvalues 0, 1, 2, ...
-with the degree-m eigenspace spanned by the monomials z^alpha, |alpha| =
-m, restricted to the sphere.  The reproducing kernel of the degree-m
-component is a constant multiple of <x, y>^m:
+On the unit sphere S^3 in C^2 the operator -i T (T the Reeb field,
+projected to boundary values of holomorphic functions) has eigenvalues
+0, 1, 2, ... with the degree-m eigenspace spanned by the monomials
+z^alpha = z_1^a z_2^b, a + b = m, restricted to the sphere.  The
+reproducing kernel of the degree-m component is a constant multiple of
+<x, y>^m:
 
     K_m(x, y) = c_m <x, y>^m,   c_m = sum over |alpha| = m of
                                       |x^alpha|^2 / ||z^alpha||^2.
 
 Norms are computed by quadrature against the contact volume and
-cross-checked against the closed Beta value 2 pi^{n+1} alpha! / (n +
+cross-checked against the closed Beta value 2 pi^2 alpha! / (1 +
 |alpha|)!; a discrepancy above 1e-8 aborts the table build.
 """
 
@@ -35,47 +36,32 @@ __all__ = [
 _NORM_ABORT_TOL = 1e-8
 
 
-def graded_indices(degree, n=1):
-    """Multi-indices of the given total degree in graded lexicographic order."""
-    if n != 1:
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(prefix + (remaining,))
-                return
-            for v in range(remaining + 1):
-                rec(prefix + (v,), remaining - v, slots - 1)
-
-        rec((), degree, n + 1)
-        return sorted(out)
+def graded_indices(degree):
+    """Exponent pairs of the given total degree in graded lexicographic order."""
     return [(i, degree - i) for i in range(degree + 1)]
 
 
-def monomial_norm_closed_form(alpha, n=1):
-    """Beta-integral value of the squared norm: 2 pi^{n+1} alpha!/(n+|alpha|)!."""
+def monomial_norm_closed_form(alpha):
+    """Beta-integral value of the squared norm: 2 pi^2 alpha!/(1+|alpha|)!."""
     alpha = tuple(int(a) for a in alpha)
     total = sum(alpha)
     log_num = sum(math.lgamma(a + 1) for a in alpha)
-    log_den = math.lgamma(n + total + 1)
-    return 2.0 * math.pi ** (n + 1) * math.exp(log_num - log_den)
+    log_den = math.lgamma(total + 2)
+    return 2.0 * math.pi ** 2 * math.exp(log_num - log_den)
 
 
-def monomial_norm_quadrature(alpha, rule=None, npts=None):
+def monomial_norm_quadrature(alpha, npts=None):
     """Squared norm of z^alpha on S^3 against the contact volume.
 
     The integrand depends on |z_1|, |z_2| only, so the angular factors of
     the product rule collapse to the total angle mass; the latitude part
-    is the rule's Gauss-Legendre sub-rule, exact for t-polynomials of
-    degree <= 2*npts - 1.
+    is a Gauss-Legendre rule, exact for t-polynomials of degree
+    <= 2*npts - 1.
     """
     a1, a2 = (int(a) for a in alpha)
-    if rule is not None:
-        t, w = rule.zonal()
-    else:
-        npts = npts or (a1 + a2 + 2)
-        t, w = gauss_legendre_01(max(npts, 4))
-        w = w * 0.5 * (2.0 * math.pi) ** 2
+    npts = npts or (a1 + a2 + 2)
+    t, w = gauss_legendre_01(max(npts, 4))
+    w = w * 0.5 * (2.0 * math.pi) ** 2
     return float(np.dot(w, t ** a1 * (1.0 - t) ** a2))
 
 
@@ -103,28 +89,26 @@ class BasisElement:
 
 
 class DegreeTable:
-    """Projector constants c_m for m = 0 .. max_degree on S^{2n+1}.
+    """Projector constants c_m for m = 0 .. max_degree on S^3.
 
     Only the constants (and norms on demand) are retained; memory is
     O(max_degree).  Positivity is asserted; monotonicity in m is recorded
     in .monotone_from, not assumed.
     """
 
-    def __init__(self, max_degree, n=1, quad_points=None):
+    def __init__(self, max_degree, quad_points=None):
         self.max_degree = int(max_degree)
-        self.n = int(n)
         npts = quad_points or (self.max_degree + 4)
         t, w = gauss_legendre_01(npts)
         self._t = t
         self._w = w * 0.5 * (2.0 * math.pi) ** 2
-        # c_m equals K_m(x, x) at any unit x; at x = (1, 0, ..., 0) only
-        # alpha = (m, 0, ...) contributes, so c_m = 1 / norm^2(z_1^m).
+        # c_m equals K_m(x, x) at any unit x; at x = (1, 0) only
+        # alpha = (m, 0) contributes, so c_m = 1 / norm^2(z_1^m).
         # Agreement of the full orthonormal sum with c_m <x, y>^m at
         # random pairs is checked in the test suite, not assumed here.
         constants = np.empty(self.max_degree + 1)
         for m in range(self.max_degree + 1):
-            alpha0 = (m,) + (0,) * self.n
-            constants[m] = 1.0 / self._norm_sq(alpha0)
+            constants[m] = 1.0 / self._norm_sq((m, 0))
         if np.any(constants <= 0.0):
             raise ArithmeticError("projector constants must be positive")
         self.constants = constants
@@ -133,19 +117,14 @@ class DegreeTable:
         self.monotone_from = int(np.max(np.nonzero(~increasing)[0]) + 1) if (~increasing).any() else 0
 
     def _norm_sq(self, alpha):
-        if self.n == 1:
-            a1, a2 = alpha
-            byquad = float(np.dot(self._w, self._t ** a1 * (1.0 - self._t) ** a2))
-        else:
-            byquad = None
-        closed = monomial_norm_closed_form(alpha, self.n)
-        if byquad is not None:
-            if abs(byquad - closed) > _NORM_ABORT_TOL * closed:
-                raise ArithmeticError(
-                    f"norm quadrature disagrees with Beta value for {alpha}: "
-                    f"{byquad} vs {closed}")
-            return byquad
-        return closed
+        a1, a2 = alpha
+        byquad = float(np.dot(self._w, self._t ** a1 * (1.0 - self._t) ** a2))
+        closed = monomial_norm_closed_form(alpha)
+        if abs(byquad - closed) > _NORM_ABORT_TOL * closed:
+            raise ArithmeticError(
+                f"norm quadrature disagrees with Beta value for {alpha}: "
+                f"{byquad} vs {closed}")
+        return byquad
 
     def norm_sq(self, alpha):
         """Quadrature norm of z^alpha, cross-checked against the Beta value."""
@@ -158,7 +137,7 @@ class DegreeTable:
         return BasisElement(tuple(int(a) for a in alpha), self.norm_sq(alpha))
 
     def elements_of_degree(self, m):
-        return [self.element(a) for a in graded_indices(m, self.n)]
+        return [self.element(a) for a in graded_indices(m)]
 
     def degree_kernel(self, m, x, y):
         """K_m(x, y) = c_m <x, y>^m."""
@@ -198,7 +177,3 @@ class DegreeTable:
         if extra_scale is not None:
             scale = scale * np.asarray(extra_scale, dtype=float)
         return _accel.monomial_matrix(np.asarray(points, dtype=complex), alphas, scale)
-
-    def total_mass(self):
-        """c_0 is one over the contact-volume mass of the sphere."""
-        return 1.0 / self.constants[0]

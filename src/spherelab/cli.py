@@ -1,9 +1,11 @@
 """Command-line front end: subcommand selection, config, report emission.
 
 Exit codes: 0 when every check passes, 1 on a FAIL verdict, 2 on usage
-or configuration errors.  The run manifest is written before any
-computation starts.  The default output directory comes from the
-SPHERELAB_OUT environment variable, falling back to ./spherelab-out.
+or configuration errors.  Every selected experiment's configuration is
+built first, so a bad value exits 2 before any file is written; the run
+manifest is written before any computation starts.  The default output
+directory comes from the SPHERELAB_OUT environment variable, falling
+back to ./spherelab-out.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ def build_parser():
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     parser.add_argument("--level", type=int, default=None, help="sphere quadrature level")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings (reported-only checks) as failures")
     parser.add_argument("--emit-plotdata", action="store_true",
                         help="also write per-figure CSV files")
     return parser
@@ -70,9 +70,14 @@ def main(argv=None):
         "mc.trials": args.trials,
         "quadrature.level": args.level,
         "run.out": args.out,
-        "run.strict": "true" if args.strict else None,
     }
     resolved = reporting.resolve_config(file_cfg, overrides)
+    names = list(EXPERIMENTS) if args.subcommand == "all" else [args.subcommand]
+    try:
+        configs = {name: config_from_resolved(name, resolved) for name in names}
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out_dir = resolved.get("run.out") or _default_out()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -84,10 +89,8 @@ def main(argv=None):
     )
     manifest.write(os.path.join(out_dir, "manifest.json"))
 
-    names = list(EXPERIMENTS) if args.subcommand == "all" else [args.subcommand]
     all_pass = True
-    for name in names:
-        config = config_from_resolved(name, resolved)
+    for name, config in configs.items():
         try:
             report = EXPERIMENTS[name](config)
         except ExperimentError as exc:

@@ -91,17 +91,6 @@ class PairingResult:
     log_monotone: bool = True
     extras: dict = field(default_factory=dict)
 
-    def record(self, function_name, psi_id):
-        """JSON-ready audit record."""
-        return {
-            "function": function_name,
-            "psi_id": psi_id,
-            "value_re": float(np.real(self.value)),
-            "value_im": float(np.imag(self.value)),
-            "err_est": float(self.err_est),
-            "method": self.method,
-        }
-
 
 def _lagrange_at_zero(x):
     """Weights of the Lagrange interpolant through the nodes x, at 0."""

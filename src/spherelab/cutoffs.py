@@ -74,13 +74,6 @@ class Cutoff:
         c = self.chi(t)
         return c * c
 
-    @property
-    def peak_value(self):
-        """Value at the support midpoint (exp(-sharpness) for the bump)."""
-        if self.shape == "indicator":
-            return 1.0
-        return math.exp(-self.sharpness)
-
     def band_degrees(self, k):
         """Integer degrees m with chi(m / k) possibly nonzero."""
         lo = int(math.floor(self.delta1 * k)) + 1

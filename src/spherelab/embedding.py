@@ -57,13 +57,6 @@ class EmbeddingMap:
             return np.hstack([const, m])
         return m
 
-    def component_eigenvalues(self):
-        """Degree of each component (0 for the kappa slot)."""
-        degs = [sum(a) for a in self.field.components[0]]
-        if self.kappa:
-            return np.array([0] + degs)
-        return np.array(degs)
-
     # ------------------------------------------------------------- overlap
     def squared_length(self):
         return self.field.squared_length()
@@ -131,8 +124,8 @@ class EmbeddingMap:
         """Max normalized overlap over sampled pairs at chordal distance
         at least min_distance; flags any h above 1 or above 1 - margin."""
         rng = np.random.default_rng(rng)
-        xs = random_sphere_points(sample_size, self.table.n, rng)
-        ys = random_sphere_points(sample_size, self.table.n, rng)
+        xs = random_sphere_points(sample_size, rng)
+        ys = random_sphere_points(sample_size, rng)
         chordal = np.linalg.norm(xs - ys, axis=1)
         keep = chordal >= min_distance
         q = hermitian_pair(xs[keep], ys[keep])

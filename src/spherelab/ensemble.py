@@ -18,8 +18,10 @@ product rules (SphereRule, BallRule) a monomial factors into a modulus
 part and a character of the angle grid, so GridEvaluator sums the
 coefficients per modulus into folded 2-D spectra and applies one inverse
 FFT per modulus pair (sum factorization); it never builds a
-nodes x components matrix.  Scattered point sets (the cell rule, random
-points) use NodeEvaluator's dense design matrix.
+nodes x components matrix.  Plain arrays of points get NodeEvaluator's
+dense design matrix, the reference the FFT evaluator is checked against.
+Draws are screened for a nondegenerate zero set by batch_margins on a
+coarse product rule.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import scipy.sparse
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
 from spherelab.kernels import KernelField
-from spherelab.quadrature import SphereCellRule, SphereRule
+from spherelab.quadrature import SphereRule
 
 __all__ = ["GaussianDraw", "RandomEnsemble", "NodeEvaluator", "GridEvaluator"]
 
@@ -47,9 +49,6 @@ class GaussianDraw:
     coefficients: np.ndarray
     trial: int
     master_seed: int
-
-    def __len__(self):
-        return len(self.coefficients)
 
 
 class RandomEnsemble:
@@ -92,40 +91,15 @@ class RandomEnsemble:
         return NodeEvaluator(self, getattr(where, "points", where))
 
     # ------------------------------------------------------- regularity
-    def regularity_filter(self, draw, threshold=1e-6, base_cells=6, depth=2):
-        """Accept/reject on the zero-gradient margin near the zero set.
-
-        Scans |f| on an adaptively subdivided sphere rule; near-zero
-        cells are refined, then the margin is the minimum of |df| over
-        near-zero nodes, normalized by k times the root mean square of
-        |f|.  Draws with margin below threshold are rejected: they are
-        measure zero in theory but numerically ill-conditioned.
-        """
-        rule = SphereCellRule(base_cells=base_cells, nodes_per_axis=3)
-        ev = self.evaluator(rule)
-        a = draw.coefficients[None, :]
-        margin = None
-        for round_idx in range(depth + 1):
-            vals = ev.values(a)[0]
-            rms = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-            if rms == 0.0:
-                return {"accept": False, "margin": 0.0, "rms": 0.0}
-            x1, x2 = ev.slot1_sums(a)
-            dfabs = ev.gradient_magnitude(x1, x2)[0]
-            near = np.abs(vals) <= 0.3 * rms
-            if not near.any():
-                near = np.abs(vals) <= np.quantile(np.abs(vals), 0.05)
-            margin = float(dfabs[near].min()) / (self.k * rms)
-            if round_idx == depth:
-                break
-            flag_vals = rule.cell_min(np.abs(vals) / rms)
-            cut = np.quantile(flag_vals, 0.15)
-            rule.refine(flag_vals <= max(cut, 0.3))
-            ev = self.evaluator(rule)
-        return {"accept": margin >= threshold, "margin": margin, "rms": rms}
-
     def batch_margins(self, coefficient_rows, rule=None):
-        """Coarse (non-adaptive) margins for many draws at once."""
+        """Zero-gradient margins of many draws at once, on a coarse rule.
+
+        A margin is the minimum of |df| over the near-zero nodes (|f| at
+        most 0.3 times the root mean square of |f|), normalized by k times
+        that root mean square; an all-zero draw gets 0.  Draws whose
+        margin falls below a threshold are rejected: they are measure
+        zero in theory but numerically ill-conditioned.
+        """
         rule = rule or _margin_rule()
         ev = self.evaluator(rule)
         fabs = np.abs(ev.values(coefficient_rows))

@@ -37,7 +37,7 @@ from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
                                   contact_one_form)
-from spherelab.reporting import ExperimentReport
+from spherelab.reporting import EXPERIMENT_KEYS, ExperimentReport
 
 __all__ = ["ExperimentConfig", "ExperimentError", "EXPERIMENTS", "one_form",
            "surface_form", "ONE_FORMS", "SURFACE_FORMS"]
@@ -131,7 +131,8 @@ _EXPERIMENT_DEFAULTS = {
 
 
 def config_from_resolved(experiment, resolved):
-    """Build the experiment configuration from a resolved flat config."""
+    """Build the experiment configuration from a resolved flat config;
+    raises ValueError on a value that does not parse or is out of range."""
 
     def get(key, default=None):
         return resolved.get(key, default)
@@ -163,10 +164,12 @@ def config_from_resolved(experiment, resolved):
         if global_of.get(key) not in explicit:
             base[key] = val
     # an experiment-specific section always wins
-    for key in ("k_grid", "trials", "level", "kappa", "seed"):
+    for key in EXPERIMENT_KEYS:
         override = resolved.get(f"{experiment}.{key}")
         if override is not None:
             base[key] = as_tuple(override, int) if key == "k_grid" else int(override)
+    if not base["k_grid"]:
+        raise ValueError(f"empty k_grid for {experiment}")
     return ExperimentConfig(**base)
 
 

@@ -1,6 +1,6 @@
-"""The unit sphere in C^{n+1} with its contact data.
+"""The unit sphere S^3 in C^2 with its contact data.
 
-Points are stored as complex (n+1)-vectors; real tangent vectors use the
+Points are stored as complex 2-vectors; real tangent vectors use the
 same complex storage (a real tangent vector v corresponds to the complex
 vector u with u_j = v_{2j} + i v_{2j+1}).  The contact form is the
 restriction of
@@ -36,13 +36,13 @@ _TANGENT_TOL = 1e-10
 
 
 def real_to_complex(v):
-    """Pack a real 2(n+1)-vector into the complex (n+1)-vector it represents."""
+    """Pack interleaved real coordinates into the complex vector they represent."""
     v = np.asarray(v, dtype=float)
     return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 def complex_to_real(u):
-    """Unpack a complex (n+1)-vector into interleaved real coordinates."""
+    """Unpack a complex vector into interleaved real coordinates."""
     u = np.asarray(u, dtype=complex)
     out = np.empty(u.shape[:-1] + (2 * u.shape[-1],), dtype=float)
     out[..., 0::2] = u.real
@@ -57,7 +57,7 @@ def hermitian_pair(a, b):
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """Unit vector in C^{n+1}; normalized on construction."""
+    """Unit vector in C^2; normalized on construction."""
 
     z: np.ndarray
 
@@ -73,10 +73,6 @@ class SpherePoint:
     @property
     def real(self):
         return complex_to_real(self.z)
-
-    @property
-    def n(self):
-        return self.z.shape[-1] - 1
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,10 @@ class TangentVector:
         return complex_to_real(self.u)
 
 
-def random_sphere_points(count, n=1, rng=None):
-    """Uniform points on S^{2n+1} as a (count, n+1) complex array."""
+def random_sphere_points(count, rng=None):
+    """Uniform points on S^3 as a (count, 2) complex array."""
     rng = np.random.default_rng(rng)
-    g = rng.standard_normal((count, n + 1)) + 1j * rng.standard_normal((count, n + 1))
+    g = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -158,7 +154,7 @@ class ContactData:
 
 
 def tangent_frame(x):
-    """Deterministic real orthonormal frame (T, e1, J e1, ..., en, J en) at x.
+    """Deterministic real orthonormal frame (T, e, J e) at x.
 
     The horizontal part is obtained by Gram-Schmidt over the candidates
     i*x, basis vectors and their J-images, with the ambient real inner

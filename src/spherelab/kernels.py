@@ -51,7 +51,6 @@ class KernelField:
         self.k = float(k)
         self.weight = weight
         self.kappa = float(kappa)
-        self.n = table.n
         ms = cutoff.band_degrees(k)
         if ms.size and ms.max() > table.max_degree:
             raise ValueError("degree table too small for this k and cutoff")
@@ -77,7 +76,7 @@ class KernelField:
         weights = []
         for m in self.degrees:
             w = float(self.cutoff.chi(m / self.k))
-            for alpha in graded_indices(int(m), self.n):
+            for alpha in graded_indices(int(m)):
                 alphas.append(alpha)
                 weights.append(w)
         return alphas, weights
@@ -126,15 +125,16 @@ class KernelField:
 
     # ---------------------------------------------------- reference values
     def _weight_moment(self, j):
-        return band_moment(self.cutoff, j, self.n, squared=(self.weight == "squared"))
+        # the density t^n eta(t) of S^{2n+1} at n = 1
+        return band_moment(self.cutoff, j, 1, squared=(self.weight == "squared"))
 
     def diag_reference(self):
-        """Leading-order diagonal value k^{n+1} (2 pi^{n+1})^{-1} moment0."""
-        return self.k ** (self.n + 1) / (2.0 * math.pi ** (self.n + 1)) * self._weight_moment(0)
+        """Leading-order diagonal value k^2 (2 pi^2)^{-1} moment0."""
+        return self.k ** 2 / (2.0 * math.pi ** 2) * self._weight_moment(0)
 
     def second_reference(self):
         """Leading magnitude of the mixed second derivative on Reeb pairs."""
-        return self.k ** (self.n + 3) / (2.0 * math.pi ** (self.n + 1)) * self._weight_moment(2)
+        return self.k ** 4 / (2.0 * math.pi ** 2) * self._weight_moment(2)
 
     # ------------------------------------------------------- ball quantities
     def ball_amplitude(self, points):
@@ -149,7 +149,7 @@ class KernelField:
     def ddbar_log(self, points, c=1.0):
         """Matrix of the complex Hessian of log(c + amplitude).
 
-        Returns (npoints, n+1, n+1) with entries d^2/dz_j dconj(z_k); the
+        Returns (npoints, 2, 2) with entries d^2/dz_j dconj(z_k); the
         matrix is Hermitian and positive semidefinite for c > 0.
         """
         if c <= 0.0:

@@ -1,4 +1,5 @@
-"""Quadrature rules on the three-sphere, the unit ball and model curves.
+"""Quadrature rules on the three-sphere S^3, the unit ball of C^2 and
+model curves; every rule is deterministic and none takes a dimension.
 
 The deterministic sphere rule is a product of Gauss-Legendre nodes in
 t = cos(phi)^2 (the Hopf latitude) with uniform angle grids; it
@@ -16,9 +17,6 @@ axis weights) and build node arrays and the Hopf frame by broadcasting
 them: no trigonometry runs per node, and the frame directions d/dtheta1
 and d/dtheta2, which have one vanishing component each, carry it as a
 structural zero (None) instead of an array of zeros.
-
-Dimensions n >= 2 are only served by a Monte Carlo rule and must be
-requested explicitly via the mc_fallback flag.
 """
 
 from __future__ import annotations
@@ -32,27 +30,14 @@ from spherelab import forms
 from spherelab.forms import PolyForm, real_direction
 
 __all__ = [
-    "UnsupportedDimensionError",
     "SphereRule",
     "BallRule",
     "CircleRule",
     "DiscRule",
     "SphereCellRule",
-    "sphere_quadrature",
-    "ball_quadrature",
     "contact_one_form",
     "contact_volume_form",
-    "sphere_area",
 ]
-
-
-class UnsupportedDimensionError(ValueError):
-    pass
-
-
-def sphere_area(n):
-    """Total round measure of S^{2n+1}: 2 pi^{n+1} / n!."""
-    return 2.0 * math.pi ** (n + 1) / math.factorial(n)
 
 
 def gauss_legendre_01(npts):
@@ -82,26 +67,15 @@ def contact_volume_form(ncplx=2):
 
 
 class SphereRule:
-    """Product rule on S^3 in Hopf coordinates.
+    """Product rule on S^3 in Hopf coordinates, weighted by the round
+    measure (total 2 pi^2).  density is the ratio of the contact volume
+    (1/2) xi ^ dxi to the round measure at each node, evaluated from the
+    symbolic form; it is one on the round sphere up to rounding."""
 
-    measure is one of "round" (the induced round measure, total 2 pi^2)
-    or "contact" (the volume (1/2) xi ^ dxi, numerically identical on
-    the round sphere; its weights are the round weights times the
-    evaluated density ratio, kept as a separate code path on purpose).
-    """
-
-    def __init__(self, level, measure="round", n=1):
-        if n != 1:
-            raise UnsupportedDimensionError(
-                "deterministic product rule requires n = 1; use mc_fallback")
+    def __init__(self, level):
         if level < 4:
             raise ValueError("sphere rule needs level >= 4")
-        if measure not in ("round", "contact"):
-            raise ValueError(f"unknown measure {measure!r}")
         self.level = int(level)
-        self.measure = measure
-        self.n = 1
-        self.is_stochastic = False
         t, wt = gauss_legendre_01(self.level)
         nang = self.nang = 2 * self.level
         ang = 2.0 * math.pi * np.arange(nang) / nang
@@ -113,17 +87,13 @@ class SphereRule:
         e = np.exp(1j * ang)
         axes = (cphi, sphi, e[None, :, None], e[None, None, :])
         shape = (self.level, nang, nang)
-        self._round_weights = _node_column((0.5 * wt)[:, None, None] * wang * wang, shape)
+        self.weights = _node_column((0.5 * wt)[:, None, None] * wang * wang, shape)
         self.points = _hopf_points(*axes)
         self._frame = _hopf_frame_directions(*axes)
         vol = contact_volume_form(2)
         self._volume_coeff = vol.evaluate(self.points, self._frame).real
         sphi_cphi = _node_column(sphi * cphi, shape)
         self.density = np.abs(self._volume_coeff) / sphi_cphi
-        if measure == "contact":
-            self.weights = self._round_weights * self.density
-        else:
-            self.weights = self._round_weights
         # exact for z^a conj(z)^b with |a| + |b| up to this bound
         self.degree_bound = 2 * self.level - 1
 
@@ -160,69 +130,23 @@ class SphereRule:
     @property
     def pairing_weights(self):
         """Weights W with oriented pairing = sum W * (top coefficient)."""
-        return self._round_weights * self.density / self._volume_coeff
-
-    def zonal(self):
-        """Collapsed (t, weight) sub-rule for integrands of |z_j| only."""
-        t, wt = gauss_legendre_01(self.level)
-        area_factor = (2.0 * math.pi) ** 2
-        return t, 0.5 * wt * area_factor
-
-
-class MonteCarloSphereRule:
-    """Uniform Monte Carlo rule on S^{2n+1} with standard-error reporting."""
-
-    def __init__(self, npoints, n, seed=0):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
-        g = rng.standard_normal((npoints, n + 1)) + 1j * rng.standard_normal((npoints, n + 1))
-        self.points = g / np.linalg.norm(g, axis=1, keepdims=True)
-        self.n = n
-        area = sphere_area(n)
-        self.weights = np.full(npoints, area / npoints)
-        self.is_stochastic = True
-        self.measure = "round"
-
-    @property
-    def npoints(self):
-        return self.points.shape[0]
-
-    def integrate(self, values):
-        return np.dot(self.weights, values)
-
-    def standard_error(self, values):
-        area = sphere_area(self.n)
-        return area * float(np.std(values)) / math.sqrt(len(values))
-
-
-def sphere_quadrature(level, measure="round", n=1, mc_fallback=False, mc_points=200_000, seed=0):
-    """Factory honoring the dimension restriction of the product rule."""
-    if n == 1:
-        return SphereRule(level, measure=measure, n=1)
-    if not mc_fallback:
-        raise UnsupportedDimensionError(
-            f"n = {n} has no deterministic rule; pass mc_fallback=True")
-    return MonteCarloSphereRule(mc_points, n, seed=seed)
+        return self.weights * self.density / self._volume_coeff
 
 
 class BallRule:
     """Product rule (radial Gauss-Legendre) x (sphere rule) on the unit ball."""
 
-    def __init__(self, level, n=1, radial=None):
+    def __init__(self, level, radial=None):
         if level < 2:
             raise ValueError("ball rule needs level >= 2")
-        if n != 1:
-            raise UnsupportedDimensionError("ball rule implemented for n = 1")
         self.level = int(level)
-        self.n = 1
         self.sphere = SphereRule(max(level, 4))
         nr = radial if radial is not None else max(level // 2, 8)
         r, wr = gauss_legendre_01(nr)
         self.radial_nodes = r
-        qs = self.sphere.npoints
         self.points = (r[:, None, None] * self.sphere.points[None, :, :]).reshape(-1, 2)
         w = (wr * r ** 3)[:, None] * self.sphere.weights[None, :]
         self.weights = w.ravel()
-        self.is_stochastic = False
 
     @property
     def npoints(self):
@@ -246,10 +170,6 @@ class BallRule:
 
     def pair_values(self, top_values):
         return np.dot(self.weights, top_values)
-
-
-def ball_quadrature(level, n=1):
-    return BallRule(level, n=n)
 
 
 def _standard_frame_directions():
@@ -307,8 +227,6 @@ class CircleRule:
         tangent[:, axis] = 1j * np.exp(1j * theta)
         self.tangents = tangent
         self.weights = np.full(npts, 2.0 * math.pi / npts)
-        self.measure = "curve"
-        self.is_stochastic = False
 
     @property
     def npoints(self):
@@ -349,7 +267,6 @@ class DiscRule:
         pts[:, 1] = self.rho * np.exp(1j * self.theta)
         self.points = pts
         self.weights = (np.broadcast_to((wr)[:, None] * wth, R.shape)).ravel().copy()
-        self.is_stochastic = False
 
     @property
     def npoints(self):
@@ -468,11 +385,6 @@ class SphereCellRule:
 
     def pair_values(self, top_values):
         return np.dot(self.pairing_weights, top_values)
-
-    def cell_min(self, values):
-        """Per-cell minimum of pointwise values (for refinement flags)."""
-        m3 = self.nodes_per_axis ** 3
-        return values.reshape(self.ncells, m3).min(axis=1)
 
     def cell_spread(self, values):
         """Per-cell (min, max - min) of pointwise values."""

@@ -34,7 +34,7 @@ CSV_HEADER = ["k", "quantity", "estimate", "reference", "abs_err", "rel_err",
               "std_err", "observed_order"]
 
 DEFAULTS = {
-    "run": {"seed": "20240817", "out": "", "strict": "false"},
+    "run": {"seed": "20240817", "out": ""},
     "cutoff": {"delta1": "0.25", "delta2": "0.75", "shape": "smooth-bump",
                "sharpness": "1.0"},
     "grid": {"k_grid": "16,32,64,128"},
@@ -48,7 +48,8 @@ DEFAULTS = {
 
 
 def load_config(path=None):
-    """Read an INI config; unknown keys are an error, sections optional."""
+    """Read an INI config; unknown sections and keys are an error, sections
+    optional.  An experiment section takes only EXPERIMENT_KEYS."""
     parser = configparser.ConfigParser()
     if path is not None:
         read = parser.read(path)
@@ -58,9 +59,9 @@ def load_config(path=None):
         base = section.split(":")[0]
         if base not in DEFAULTS and base not in _EXPERIMENT_SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
-        known = DEFAULTS.get(base, {})
+        known = DEFAULTS.get(base, EXPERIMENT_KEYS)
         for key in parser[section]:
-            if base in DEFAULTS and key not in known:
+            if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
     return parser
 
@@ -70,6 +71,9 @@ _EXPERIMENT_SECTIONS = {
     "expectation-cr", "equi-cr", "variance-cr", "equi-domain",
     "expectation-domain",
 }
+
+# keys of an experiment section, each overriding the global value
+EXPERIMENT_KEYS = ("k_grid", "trials", "level", "kappa", "seed")
 
 
 class ResolvedConfig(dict):
@@ -98,12 +102,12 @@ def resolve_config(parser=None, overrides=None):
     return resolved
 
 
-_RESULT_NEUTRAL_KEYS = {"run.out", "run.strict"}
+_RESULT_NEUTRAL_KEYS = {"run.out"}
 
 
 def config_hash(resolved):
-    """Hash of every parameter that can affect results (output location
-    and warning policy are excluded on purpose)."""
+    """Hash of every parameter that can affect results (the output
+    location is excluded on purpose)."""
     body = "\n".join(f"{k}={resolved[k]}" for k in sorted(resolved)
                      if k not in _RESULT_NEUTRAL_KEYS)
     return hashlib.sha256(body.encode()).hexdigest()[:16]

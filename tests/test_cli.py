@@ -27,12 +27,25 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert code == 2
     assert not out.exists() or not any(out.iterdir())
     capsys.readouterr()
+    # values that do not parse or are out of range: every selected
+    # experiment's config is built before any file is written
+    cases = [("kernel-diag", "[cutoff]\ndelta1 = 0.9\n"),
+             ("equi-cr", "[mc]\ntrials = abc\n"),
+             ("all", "[grid]\nk_grid =\n")]
+    for i, (subcommand, text) in enumerate(cases):
+        bad.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert run_cli([subcommand, "--config", str(bad), "--out", str(out)]) == 2, text
+        assert not out.exists(), text
+        assert capsys.readouterr().err.startswith("config error: "), text
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[run]\nbananas = 7\n")
-    assert run_cli(["kernel-diag", "--config", str(bad)]) == 2
+    # a typo in an experiment section is as unknown as one in [run]
+    for text in ("[run]\nbananas = 7\n", "[expectation-cr]\ntrails = 100\n"):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert run_cli(["kernel-diag", "--config", str(bad)]) == 2
     capsys.readouterr()
 
 

@@ -121,13 +121,6 @@ def test_catalog_registry():
         zero_set_direct("does-not-exist", VOL_Z2)
 
 
-def test_pairing_record_schema():
-    res = divisor_pairing_closed(catalog_function("z1"), ANGULAR_Z2, **FAST)
-    rec = res.record("z1", "angular-z2")
-    assert set(rec) == {"function", "psi_id", "value_re", "value_im", "err_est", "method"}
-    assert rec["method"] == "lelong-poincare-closed"
-
-
 def test_delta_monotonicity_reported():
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
     assert res.log_monotone

@@ -41,7 +41,6 @@ def test_bump_peak_value():
     c = Cutoff(0.25, 0.75, sharpness=1.0)
     mid = 0.5 * (c.delta1 + c.delta2)
     assert c.chi(mid) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert c.peak_value == pytest.approx(math.exp(-1.0))
 
 
 def test_indicator_moments_unit_interval():

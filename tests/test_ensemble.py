@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import types
@@ -13,6 +12,7 @@ from spherelab.cutoffs import Cutoff
 from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
 from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.quadrature import BallRule, SphereRule
+from spherelab.reporting import DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +114,14 @@ def test_regularity_filter_examples(table, bump):
     degs = [sum(a) for a in ens.alphas]
     assert 1 in degs
     j = degs.index(1)
-    a = np.zeros(ens.dim, dtype=complex)
-    a[j] = 1.0
-    draw = dataclasses.replace(ens.draw(0), coefficients=a)
-    res = ens.regularity_filter(draw)
-    assert res["accept"] and res["margin"] > 0.0
-    zero = dataclasses.replace(ens.draw(0), coefficients=np.zeros(ens.dim, dtype=complex))
-    assert not ens.regularity_filter(zero)["accept"]
+    rows = np.zeros((2, ens.dim), dtype=complex)
+    rows[0, j] = 1.0
+    # the experiments' screen accepts a margin at or above filter_threshold
+    linear, zero = ens.batch_margins(rows)
+    assert linear == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert zero == 0.0
+    threshold = float(DEFAULTS["currents"]["filter_threshold"])
+    assert linear >= threshold > zero
 
 
 def test_rejection_rate_low(ens32):

@@ -7,11 +7,9 @@ from spherelab import forms
 from spherelab.forms import real_direction
 from spherelab.geometry import hopf_embed
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule,
-                                  MonteCarloSphereRule, SphereCellRule,
-                                  SphereRule, UnsupportedDimensionError,
-                                  ball_quadrature, contact_one_form,
-                                  contact_volume_form, gauss_legendre_01,
-                                  sphere_area, sphere_quadrature)
+                                  SphereCellRule, SphereRule,
+                                  contact_one_form, contact_volume_form,
+                                  gauss_legendre_01)
 
 AREA_S3 = 2.0 * math.pi ** 2
 
@@ -26,10 +24,9 @@ def monomial_integral(alpha, beta):
 
 def test_total_masses(rule16):
     assert rule16.integrate(np.ones(rule16.npoints)) == pytest.approx(AREA_S3, abs=1e-12)
-    contact = SphereRule(16, measure="contact")
-    assert contact.integrate(np.ones(contact.npoints)) == pytest.approx(AREA_S3, abs=1e-12)
-    # the contact rule is the round rule reweighted by an evaluated density
-    assert np.max(np.abs(contact.density - 1.0)) <= 1e-12
+    # the contact volume is the round measure times the evaluated density
+    assert rule16.integrate(rule16.density) == pytest.approx(AREA_S3, abs=1e-12)
+    assert np.max(np.abs(rule16.density - 1.0)) <= 1e-12
 
 
 def test_weights_positive_and_level_guard(rule16):
@@ -75,8 +72,7 @@ def test_oriented_volume_pairing(rule16):
     vol = contact_volume_form(2)
     assert rule16.pair_form(vol).real == pytest.approx(AREA_S3, abs=1e-10)
     # cross-quadrature: contact mass equals the oriented pairing
-    contact = SphereRule(16, measure="contact")
-    assert contact.integrate(np.ones(contact.npoints)) == pytest.approx(
+    assert rule16.integrate(rule16.density) == pytest.approx(
         rule16.pair_form(vol).real, abs=1e-10)
 
 
@@ -89,20 +85,8 @@ def test_boundary_stokes_orientation(rule16):
         ball.integrate(np.ones(ball.npoints)), abs=1e-10)
 
 
-def test_dimension_guard_and_mc_fallback():
-    with pytest.raises(UnsupportedDimensionError):
-        sphere_quadrature(16, n=2)
-    mc = sphere_quadrature(16, n=2, mc_fallback=True, mc_points=40_000, seed=5)
-    vals = np.abs(mc.points[:, 0]) ** 2
-    est = mc.integrate(vals)
-    exact = sphere_area(2) / 3.0
-    se = mc.standard_error(vals)
-    assert abs(est - exact) <= 4.0 * se
-    assert mc.is_stochastic
-
-
 def test_ball_rule():
-    ball = ball_quadrature(8)
+    ball = BallRule(8)
     assert ball.integrate(np.ones(ball.npoints)) == pytest.approx(math.pi ** 2 / 2.0, abs=1e-10)
     # int_D |z1|^2 = pi^2 / 6 (radial moment of the sphere value)
     val = ball.integrate(np.abs(ball.points[:, 0]) ** 2)
