@@ -37,7 +37,7 @@ from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
                                   contact_one_form)
-from spherelab.reporting import EXPERIMENT_KEYS, ExperimentReport
+from spherelab.reporting import ExperimentReport, experiment_keys
 
 __all__ = ["ExperimentConfig", "ExperimentError", "EXPERIMENTS", "one_form",
            "surface_form", "ONE_FORMS", "SURFACE_FORMS"]
@@ -126,8 +126,13 @@ _EXPERIMENT_DEFAULTS = {
     "equi-cr": {"k_grid": (16, 32, 64, 128), "trials": 400},
     "variance-cr": {"k_grid": (16, 32, 64, 128), "trials": 600},
     "equi-domain": {"k_grid": (16, 32, 64, 128)},
-    "expectation-domain": {"k_grid": (32,), "trials": 2000, "kappa": 1},
+    "expectation-domain": {"k_grid": (32,), "trials": 2000},
 }
+
+
+# smallest rule sizes the rules accept (SphereRule, BallRule, SphereCellRule)
+_RULE_MINIMA = {"level": 4, "ball_level": 2, "ball_radial": 1, "cell_base": 1,
+                "cell_nodes": 1, "refine_depth": 0}
 
 
 def config_from_resolved(experiment, resolved):
@@ -159,17 +164,20 @@ def config_from_resolved(experiment, resolved):
     )
     explicit = getattr(resolved, "explicit", set())
     global_of = {"k_grid": "grid.k_grid", "trials": "mc.trials",
-                 "level": "quadrature.level", "kappa": None}
+                 "level": "quadrature.level"}
     for key, val in _EXPERIMENT_DEFAULTS.get(experiment, {}).items():
         if global_of.get(key) not in explicit:
             base[key] = val
     # an experiment-specific section always wins
-    for key in EXPERIMENT_KEYS:
+    for key in experiment_keys(experiment):
         override = resolved.get(f"{experiment}.{key}")
         if override is not None:
             base[key] = as_tuple(override, int) if key == "k_grid" else int(override)
     if not base["k_grid"]:
         raise ValueError(f"empty k_grid for {experiment}")
+    for key, lowest in _RULE_MINIMA.items():
+        if base[key] < lowest:
+            raise ValueError(f"{key} = {base[key]} for {experiment}; need >= {lowest}")
     return ExperimentConfig(**base)
 
 

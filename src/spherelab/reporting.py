@@ -49,17 +49,19 @@ DEFAULTS = {
 
 def load_config(path=None):
     """Read an INI config; unknown sections and keys are an error, sections
-    optional.  An experiment section takes only EXPERIMENT_KEYS."""
+    optional.  An experiment section takes only experiment_keys(section)."""
     parser = configparser.ConfigParser()
     if path is not None:
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(path)
     for section in parser.sections():
-        base = section.split(":")[0]
-        if base not in DEFAULTS and base not in _EXPERIMENT_SECTIONS:
+        if section in DEFAULTS:
+            known = DEFAULTS[section]
+        elif section in _EXPERIMENT_SECTIONS:
+            known = experiment_keys(section)
+        else:
             raise ValueError(f"unknown config section [{section}]")
-        known = DEFAULTS.get(base, EXPERIMENT_KEYS)
         for key in parser[section]:
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
@@ -72,8 +74,13 @@ _EXPERIMENT_SECTIONS = {
     "expectation-domain",
 }
 
-# keys of an experiment section, each overriding the global value
-EXPERIMENT_KEYS = ("k_grid", "trials", "level", "kappa", "seed")
+
+def experiment_keys(experiment):
+    """Keys of an experiment section, each overriding the global value.
+    Only expectation-cr reads kappa: expectation-domain fixes kappa = 1
+    and variance-cr runs both."""
+    keys = ("k_grid", "trials", "level", "seed")
+    return keys + ("kappa",) if experiment == "expectation-cr" else keys
 
 
 class ResolvedConfig(dict):

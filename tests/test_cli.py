@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from spherelab.cli import main
+from spherelab.experiments import config_from_resolved
 from spherelab.reporting import (CSV_HEADER, ExperimentReport, config_hash,
                                  emit_plotdata, load_config, resolve_config)
 
@@ -31,7 +32,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     # experiment's config is built before any file is written
     cases = [("kernel-diag", "[cutoff]\ndelta1 = 0.9\n"),
              ("equi-cr", "[mc]\ntrials = abc\n"),
-             ("all", "[grid]\nk_grid =\n")]
+             ("all", "[grid]\nk_grid =\n"),
+             # rule sizes below what the rules accept
+             ("variance-cr", "[quadrature]\nlevel = 3\n"),
+             ("expectation-cr", "[expectation-cr]\nlevel = 3\n"),
+             ("expectation-domain", "[quadrature]\nball_level = 1\n"),
+             ("expectation-domain", "[quadrature]\nball_radial = 0\n"),
+             ("lp-closed", "[quadrature]\ncell_base = 0\n"),
+             ("lp-closed", "[quadrature]\ncell_nodes = 0\n"),
+             ("lp-boundary", "[quadrature]\nrefine_depth = -1\n")]
     for i, (subcommand, text) in enumerate(cases):
         bad.write_text(text)
         out = tmp_path / f"out{i}"
@@ -41,12 +50,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    # a typo in an experiment section is as unknown as one in [run]
-    for text in ("[run]\nbananas = 7\n", "[expectation-cr]\ntrails = 100\n"):
+    # a typo in an experiment section is as unknown as one in [run]; kappa
+    # is read by expectation-cr alone; a section name is matched in full
+    for text in ("[run]\nbananas = 7\n", "[expectation-cr]\ntrails = 100\n",
+                 "[expectation-domain]\nkappa = 5\n", "[variance-cr]\nkappa = 0\n",
+                 "[run:x]\nseed = 5\n"):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
-        assert run_cli(["kernel-diag", "--config", str(bad)]) == 2
+        assert run_cli(["kernel-diag", "--config", str(bad)]) == 2, text
     capsys.readouterr()
+    bad.write_text("[expectation-cr]\nkappa = 1\n")
+    assert config_from_resolved("expectation-cr", resolve_config(load_config(bad))).kappa == 1
 
 
 def test_kernel_diag_run_and_outputs(tmp_path, capsys):

@@ -26,6 +26,14 @@ def test_chi_vanishes_outside_support(rng):
     assert c.chi(0.25) == 0.0 and c.chi(0.75) == 0.0
 
 
+def test_chi_next_to_endpoints_is_zero():
+    # one ulp inside the support, u rounds to +-1 or beyond
+    for c in (Cutoff(0.1, 2.0, sharpness=4.0), Cutoff(0.001, 0.5)):
+        t = np.nextafter([c.delta1, c.delta2], [np.inf, 0.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            assert np.array_equal(c.chi(t), [0.0, 0.0])
+
+
 def test_chi_k_is_exact_rescaling(rng):
     c = Cutoff()
     t = rng.uniform(0.0, 40.0, 200)
@@ -51,6 +59,32 @@ def test_indicator_moments_unit_interval():
     # tau2/tau0 - mv^2 with tau2 = 1/4
     assert variance(ind, 1) == pytest.approx(0.25 / 0.5 - 4.0 / 9.0, abs=1e-12)
     assert mean_value(ind, 2) == pytest.approx(3.0 / 4.0, abs=1e-12)
+
+
+def test_indicator_moments_match_closed_form():
+    for a, b in ((0.0, 1.0), (0.25, 0.75), (0.1, 2.0)):
+        ind = Cutoff(a, b, "indicator")
+        for j in (0, 1, 2):
+            for n in (1, 2):
+                p = n + j + 1
+                exact = (b ** p - a ** p) / p
+                for squared in (True, False):
+                    assert band_moment(ind, j, n, squared) == pytest.approx(exact, rel=2e-15)
+
+
+@pytest.mark.parametrize("d1, d2", [(0.25, 0.75), (0.05, 0.3), (0.4, 1.6)])
+@pytest.mark.parametrize("sharp", [0.3, 1.0, 4.0])
+def test_bump_moments_match_adaptive_quadrature(d1, d2, sharp):
+    from scipy.integrate import quad
+
+    c = Cutoff(d1, d2, sharpness=sharp)
+    for squared in (True, False):
+        weight = c.eta if squared else c.chi
+        for j in (0, 1, 2):
+            for n in (1, 2):
+                ref, _ = quad(lambda t: t ** (n + j) * weight(t), d1, d2,
+                              epsabs=1e-13, epsrel=1e-13)
+                assert band_moment(c, j, n, squared) == pytest.approx(ref, rel=1e-13)
 
 
 def test_bump_moments_match_refinement_oracle():
