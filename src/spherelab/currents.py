@@ -456,7 +456,8 @@ def _swap_coordinates(psi: PolyForm):
         e = list(exps)
         e[0], e[1], e[2], e[3] = exps[2], exps[3], exps[0], exps[1]
         key = (new_word, tuple(e))
-        swapped[key] = swapped.get(key, 0.0 + 0.0j) + (-1) ** inv * c
+        c = c if inv % 2 == 0 else -c
+        swapped[key] = swapped[key] + c if key in swapped else c
     return PolyForm(psi.ncplx, swapped)
 
 

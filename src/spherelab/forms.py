@@ -7,6 +7,12 @@ its (1,0)/(0,1) split exact term manipulations, with no numerical
 differentiation anywhere.  Constructors accept the real coordinates
 x_0, ..., x_{2n+1} (x_{2j} + i x_{2j+1} = z_j) and convert exactly.
 
+Coefficients are exact Gaussian rationals: a binary float converts to a
+fraction without rounding, and d, the type split, the wedge product and
+conjugation only add and multiply them, so identities such as d(d(form))
+= 0 hold term by term rather than up to rounding.  Evaluation converts
+each coefficient to a complex float once per call.
+
 Directions for evaluation are (holomorphic, antiholomorphic) component
 pairs: a real tangent vector u (complex packing) evaluates covectors as
 dz_j -> u_j, dconj(z_j) -> conj(u_j); a (1,0) direction w evaluates as
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +48,66 @@ def _merge_sign(word_a, word_b):
     return order, (-1) ** inv
 
 
+class _Coeff:
+    """Exact Gaussian rational re + i*im with Fraction parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def of(cls, value):
+        """Exact coefficient of a number; floats convert without rounding."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return cls(Fraction(int(value)), Fraction(0))
+        z = complex(value)
+        try:
+            return cls(Fraction(z.real), Fraction(z.imag))
+        except (ValueError, OverflowError):
+            raise ValueError(f"form coefficient must be finite, got {value!r}") from None
+
+    def __add__(self, other):
+        other = _Coeff.of(other)
+        return _Coeff(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Coeff(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = _Coeff.of(other)
+        return _Coeff(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return _Coeff(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        try:
+            other = _Coeff.of(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    __hash__ = None
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"_Coeff({complex(self)!r})"
+
+
 @functools.cache
 def _signed_permutations(p):
     """Permutations of range(p) with their signs, for Leibniz determinants."""
@@ -54,7 +121,7 @@ def _signed_permutations(p):
 class PolyForm:
     """Differential form with polynomial coefficients, complex basis.
 
-    terms maps (word, exps) -> complex coefficient, where word is a
+    terms maps (word, exps) -> exact coefficient, where word is a
     strictly increasing tuple of covector ids (2j = dz_j, 2j+1 =
     dconj(z_j)) and exps is a tuple of 2(n+1) nonnegative exponents
     (z_0, conj(z_0), z_1, conj(z_1), ...).
@@ -67,9 +134,10 @@ class PolyForm:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                if c != 0:
-                    self.terms[key] = self.terms.get(key, 0.0 + 0.0j) + complex(c)
-            self.terms = {k: v for k, v in self.terms.items() if v != 0}
+                c = _Coeff.of(c)
+                if c:
+                    self.terms[key] = self.terms[key] + c if key in self.terms else c
+            self.terms = {k: v for k, v in self.terms.items() if v}
 
     # ------------------------------------------------------------- basics
     @classmethod
@@ -79,14 +147,14 @@ class PolyForm:
     @classmethod
     def constant(cls, value, ncplx):
         exps = (0,) * (2 * ncplx)
-        return cls(ncplx, {((), exps): complex(value)})
+        return cls(ncplx, {((), exps): value})
 
     @classmethod
     def monomial(cls, ncplx, coeff, exps, word=()):
         word = tuple(word)
         if any(word[i] >= word[i + 1] for i in range(len(word) - 1)):
             raise ValueError("covector word must be strictly increasing")
-        return cls(ncplx, {(word, tuple(exps)): complex(coeff)})
+        return cls(ncplx, {(word, tuple(exps)): coeff})
 
     @property
     def degree(self):
@@ -115,7 +183,7 @@ class PolyForm:
             other = PolyForm.constant(other, self.ncplx)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0 + 0.0j) + c
+            out[k] = out[k] + c if k in out else c
         return PolyForm(self.ncplx, out)
 
     def __radd__(self, other):
@@ -135,6 +203,7 @@ class PolyForm:
     def __mul__(self, scalar):
         if isinstance(scalar, PolyForm):
             return self.wedge(scalar)
+        scalar = _Coeff.of(scalar)
         return PolyForm(self.ncplx, {k: c * scalar for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
@@ -152,7 +221,8 @@ class PolyForm:
             for j in range(self.ncplx):
                 new_exps[2 * j], new_exps[2 * j + 1] = exps[2 * j + 1], exps[2 * j]
             key = (new_word, tuple(new_exps))
-            out[key] = out.get(key, 0.0 + 0.0j) + (-1) ** inv * np.conj(c)
+            c = c.conjugate() if inv % 2 == 0 else -c.conjugate()
+            out[key] = out[key] + c if key in out else c
         return PolyForm(self.ncplx, out)
 
     # ---------------------------------------------------------- operations
@@ -167,7 +237,8 @@ class PolyForm:
                     continue
                 exps = tuple(a + b for a, b in zip(ea, eb))
                 key = (word, exps)
-                out[key] = out.get(key, 0.0 + 0.0j) + sign * ca * cb
+                c = ca * cb if sign > 0 else -(ca * cb)
+                out[key] = out[key] + c if key in out else c
         return PolyForm(self.ncplx, out)
 
     def _derive(self, holomorphic):
@@ -186,7 +257,8 @@ class PolyForm:
                 if sign == 0:
                     continue
                 key = (merged, tuple(new_exps))
-                out[key] = out.get(key, 0.0 + 0.0j) + sign * c * e
+                term = c * (sign * int(e))
+                out[key] = out[key] + term if key in out else term
         return PolyForm(self.ncplx, out)
 
     def partial_z(self):
@@ -208,6 +280,7 @@ class PolyForm:
         for (w, exps), c in self.terms.items():
             if w != word:
                 continue
+            c = complex(c)
             mono = None
             for slot, e in enumerate(exps):
                 if e:

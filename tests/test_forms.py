@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherelab import forms
@@ -28,6 +28,8 @@ def random_form(rng, degree, nterms=4):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), degree=st.integers(0, 2))
+@example(seed=309, degree=2)  # float coefficients left rounding residues here
+@example(seed=341, degree=1)
 def test_d_squared_vanishes(seed, degree):
     rng = np.random.default_rng(seed)
     psi = random_form(rng, degree)
