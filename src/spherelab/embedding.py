@@ -100,14 +100,27 @@ class EmbeddingMap:
         return val.real / L ** 2
 
     def overlap_hessian_matrix(self, x, frame=None):
-        """Symmetric matrix of H in a real tangent frame (default frame)."""
-        frame = frame if frame is not None else tangent_frame(x)
-        dim = len(frame)
-        out = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = self.overlap_hessian_pair(x, frame[i], frame[j])
-        return 0.5 * (out + out.T)
+        """Symmetric matrix of H in a real tangent frame (default frame).
+
+        Closed form of overlap_hessian_pair on all frame pairs at once:
+        with ux = frame @ conj(x) (the pairings <u_i, x>) and the frame's
+        Gram matrix G_ij = <u_i, u_j>, the mixed second derivative is
+        (K2 - K1) ux_i conj(ux_j) + K1 G_ij, as in
+        KernelField.second_diag_pair, and the gradient is K1 ux_i.  An
+        explicit frame (..., dim, 2) may carry leading point axes shared
+        with x (..., 2); the result is (..., dim, dim)."""
+        frame = np.asarray(tangent_frame(x) if frame is None else frame, dtype=complex)
+        x = np.asarray(x, dtype=complex)
+        field = self.field
+        L = self.squared_length()
+        ux = np.einsum("...ij,...j->...i", frame, np.conj(x))
+        gram = np.einsum("...ik,...jk->...ij", frame, np.conj(frame))
+        grad = field.moment1 * ux
+        outer = ux[..., :, None] * np.conj(ux[..., None, :])
+        second = (field.moment2 - field.moment1) * outer + field.moment1 * gram
+        val = grad[..., :, None] * np.conj(grad[..., None, :]) - second * L
+        out = val.real / L ** 2
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def scaled_hessian_matrix(self, x):
         """H in the frame (Reeb scaled by 1/k, horizontals by 1/sqrt(k)).

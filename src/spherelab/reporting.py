@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -125,7 +126,10 @@ def tool_version():
     return __version__
 
 
+@functools.cache
 def git_describe():
+    """`git describe --always --dirty` of the working directory, or
+    "untracked"; run once per process (the CLI and the manifest both ask)."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=5)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from spherelab import reporting
 from spherelab.cli import main
 from spherelab.experiments import config_from_resolved
 from spherelab.reporting import (CSV_HEADER, ExperimentReport, config_hash,
@@ -162,3 +163,17 @@ def test_config_file_round_trip(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["kernel-diag", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_git_describe_runs_once_per_process(monkeypatch):
+    spawned = []
+    original = subprocess.run
+    monkeypatch.setattr(subprocess, "run",
+                        lambda *args, **kwargs: spawned.append(args) or original(*args, **kwargs))
+    reporting.git_describe.cache_clear()
+    try:
+        first = reporting.git_describe()
+        assert reporting.git_describe() == first
+        assert len(spawned) == 1
+    finally:
+        reporting.git_describe.cache_clear()

@@ -113,6 +113,21 @@ def test_hessian_negative_definite_and_invariant_spectrum(em64, rng):
     assert np.allclose(np.linalg.eigvalsh(rotated), eigs, rtol=1e-8)
 
 
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_hessian_matrix_matches_pair_loop(table, bump, rng, kappa):
+    # the closed form against the symmetrized loop over the pair formula,
+    # in the default frame and in a rotated (explicit) tangent frame
+    em = EmbeddingMap(table, bump, 64, kappa=kappa)
+    for x in random_sphere_points(5, rng=rng):
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        for frame in (None, rotation @ np.array(tangent_frame(x))):
+            fr = tangent_frame(x) if frame is None else frame
+            loop = np.array([[em.overlap_hessian_pair(x, u, v) for v in fr] for u in fr])
+            loop = 0.5 * (loop + loop.T)
+            closed = em.overlap_hessian_matrix(x, frame)
+            assert np.linalg.norm(closed - loop) <= 1e-13 * np.linalg.norm(loop)
+
+
 def test_fs_asymptotics(big_table, bump, rng):
     x = random_sphere_points(1, rng=rng)[0]
     reeb = CD.reeb(x)

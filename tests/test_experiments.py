@@ -11,14 +11,15 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 catalog_function, cf_pairing, divisor_pairing_boundary,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
+from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import RandomEnsemble
 from spherelab.experiments import (_MICRO_BATCH, BoundarySampler, CfSampler, ExperimentConfig,
                                    ExperimentError, _accepted_rows, _batched_values,
-                                   _beta_reference, config_from_resolved, one_form,
-                                   run_expectation_cr, run_expectation_domain,
-                                   run_kernel_diag, run_lp_boundary, run_lp_closed,
-                                   surface_form)
-from spherelab.geometry import ContactData, random_sphere_points
+                                   _beta_reference, _fd_hessians, _tangent_frames,
+                                   config_from_resolved, one_form, run_embed_check,
+                                   run_expectation_cr, run_expectation_domain, run_kernel_diag,
+                                   run_lp_boundary, run_lp_closed, surface_form)
+from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import BallRule, SphereRule, contact_one_form
 from spherelab.reporting import resolve_config
@@ -414,6 +415,48 @@ def test_expectation_runs_build_one_evaluator_per_rule(monkeypatch):
         "expectation-domain", k_grid=(24,), trials=100, level=10, ball_level=6,
         ball_radial=16, kappa=1, deltas=(1e-2, 1e-3, 1e-4)))
     assert len(built) <= 5  # margin rule, then sphere and ball for main and control
+
+
+def test_fd_hessians_match_scalar_oracle(table, bump, rng):
+    # per-point central differences of h(normalize(p + t u), p), one
+    # band sum per evaluation, against the batched second differences
+    em = EmbeddingMap(table, bump, 64)
+    h = 3.2e-3 / 64
+    pts = random_sphere_points(8, rng=rng)
+    batched = _fd_hessians(em, pts, _tangent_frames(pts), h)
+
+    def second(p, u):
+        def g(t):
+            moved = p + t * u
+            moved = moved / np.linalg.norm(moved)
+            return float(em.normalized_overlap(moved, p).real)
+
+        return (g(h) + g(-h) - 2.0) / h ** 2
+
+    for p, fd in zip(pts, batched):
+        fr = tangent_frame(p)
+        oracle = np.array([[(second(p, u + v) - second(p, u - v)) / 4.0 for v in fr]
+                           for u in fr])
+        oracle[np.diag_indices(3)] = [second(p, u) for u in fr]
+        assert np.linalg.norm(fd - oracle) <= 1e-5 * np.linalg.norm(oracle)
+
+
+def test_embed_check_hessian_pass_is_batched(monkeypatch):
+    # the 100-point Hessian identity makes one band sum, not one per point
+    calls = []
+    original = _accel.band_power_sum
+    monkeypatch.setattr(_accel, "band_power_sum",
+                        lambda *args: calls.append(1) or original(*args))
+    run_embed_check(ExperimentConfig("embed-check", k_grid=(16, 32)))
+    assert len(calls) <= 2
+
+
+def test_embed_check_labels_checks_it_cannot_evaluate():
+    report = run_embed_check(ExperimentConfig("embed-check", k_grid=(16, 32)))
+    checks = {c["name"]: c for c in report.checks}
+    for name in ("hessian-negative-definite", "separation-max-h"):
+        assert checks[name]["passed"]
+        assert checks[name]["detail"] == "not evaluated: k_grid (16, 32) has no k >= 64"
 
 
 # Row estimates of lp-closed and lp-boundary at refine_depth 2 and ball
