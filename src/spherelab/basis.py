@@ -92,8 +92,7 @@ class DegreeTable:
     """Projector constants c_m for m = 0 .. max_degree on S^3.
 
     Only the constants (and norms on demand) are retained; memory is
-    O(max_degree).  Positivity is asserted; monotonicity in m is recorded
-    in .monotone_from, not assumed.
+    O(max_degree).  Positivity is asserted.
     """
 
     def __init__(self, max_degree, quad_points=None):
@@ -113,8 +112,6 @@ class DegreeTable:
             raise ArithmeticError("projector constants must be positive")
         self.constants = constants
         self._inv_norms = {}
-        increasing = np.diff(constants) > 0
-        self.monotone_from = int(np.max(np.nonzero(~increasing)[0]) + 1) if (~increasing).any() else 0
 
     def _norm_sq(self, alpha):
         a1, a2 = alpha

@@ -57,7 +57,7 @@ def main(argv=None):
 
     try:
         file_cfg = reporting.load_config(args.config) if args.config else None
-    except (OSError, ValueError, FileNotFoundError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # malformed INI

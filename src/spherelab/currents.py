@@ -23,7 +23,12 @@ with every boundary integral taken in the contact orientation (positive
 xi ^ d xi), which on the round sphere agrees with the Stokes orientation
 of the unit ball.  The same delta schedule regularizes 1/u and log|u|.
 
-Both cases, and both routes, share one regularized pairing:
+A pairing context binds a test form to the rules it is paired on:
+CRPairingContext holds psi on pairs of the sphere rule's Hopf frame, the
+frame's holomorphic halves and the pairing weights; BoundaryPairingContext
+sets up the same sphere-side data and adds the ball rule and the dbar psi
+and d dbar psi node values.  Both cases, and both routes, share one
+regularized pairing, built from a tuple of contexts:
 RegularizedPairing takes f on the sphere nodes, its slot sums
 x_j = z_j df/dz_j and, for the ball, u on the interior nodes, for a batch
 of rows, and returns per-delta values for every test form of its pairing
@@ -134,15 +139,22 @@ def holo_gradient_values(fpoly: PolyForm, points):
 
 
 class CRPairingContext:
-    """psi-dependent node data for cf pairings on a fixed sphere rule."""
+    """psi-dependent node data for cf pairings on a fixed sphere rule: the
+    psi values on pairs of the rule's Hopf frame, the frame's holomorphic
+    halves and the oriented pairing weights."""
 
     def __init__(self, rule, psi: PolyForm):
         if psi.terms and psi.degree != 2:
             raise ValueError("cf pairing needs a 2-form")
+        self._bind(rule, psi, rule.frame_directions())
+
+    def _bind(self, rule, psi, dirs):
+        """Sphere-side node data on the frame dirs of the rule.  The frame
+        is passed in because building it on a refined cell rule costs as
+        much as a form evaluation, and a subclass reuses it."""
         self.rule = rule
         self.psi = psi
         self.points = rule.points
-        dirs = rule.frame_directions()
         self.psi_12 = psi.evaluate(rule.points, [dirs[1], dirs[2]])
         self.psi_02 = psi.evaluate(rule.points, [dirs[0], dirs[2]])
         self.psi_01 = psi.evaluate(rule.points, [dirs[0], dirs[1]])
@@ -232,32 +244,25 @@ def divisor_pairing_closed(fpoly: PolyForm, psi: PolyForm, **kw):
     return res
 
 
-class BoundaryPairingContext:
+class BoundaryPairingContext(CRPairingContext):
     """psi-dependent node data for boundary divisor pairings.
 
-    Binds a fixed sphere rule (boundary terms), a ball rule (the interior
-    log term) and the (1,1)-form psi; per-function values then need only
-    u and du on the sphere nodes and u on the ball nodes.
+    Binds a fixed sphere rule (boundary terms, with the node data of
+    CRPairingContext), a ball rule (the interior log term) and the
+    (1,1)-form psi; per-function values then need only u and du on the
+    sphere nodes and u on the ball nodes.
     """
 
-    def __init__(self, sphere_rule, ball_rule: BallRule, psi: PolyForm):
+    def __init__(self, rule, ball_rule: BallRule, psi: PolyForm):
         if psi.bidegree != (1, 1):
             raise ValueError("boundary pairing needs a (1,1)-form")
-        self.sphere_rule = sphere_rule
+        dirs = rule.frame_directions()
+        self._bind(rule, psi, dirs)
         self.ball_rule = ball_rule
-        self.points = sphere_rule.points
-        self.psi = psi
-        dirs = sphere_rule.frame_directions()
-        self.frame_holo = [d[0] for d in dirs]
-        # du ^ psi assembly pieces on the sphere frame
-        self.psi_12 = psi.evaluate(sphere_rule.points, [dirs[1], dirs[2]])
-        self.psi_02 = psi.evaluate(sphere_rule.points, [dirs[0], dirs[2]])
-        self.psi_01 = psi.evaluate(sphere_rule.points, [dirs[0], dirs[1]])
-        self.dbar_top = psi.partial_zbar().evaluate(sphere_rule.points, dirs)
+        self.dbar_top = psi.partial_zbar().evaluate(rule.points, dirs)
         # d dbar(psi) applied as: first dbar, then the (1,0) derivative
         self.ddbar_top = psi.partial_zbar().partial_z().evaluate(
             ball_rule.points, _standard_frame_directions())
-        self.pair_weights = sphere_rule.pairing_weights
 
 
 def _slot_weights(ctx):
@@ -293,8 +298,7 @@ class RegularizedPairing:
     def __init__(self, contexts):
         ctx = contexts[0]
         self._boundary = isinstance(ctx, BoundaryPairingContext)
-        rule = ctx.sphere_rule if self._boundary else ctx.rule
-        self._rms_weights = rule.weights / rule.weights.sum()
+        self._rms_weights = ctx.rule.weights / ctx.rule.weights.sum()
         scale = 0.5 * ctx.pair_weights if self._boundary else ctx.pair_weights / (2j * math.pi)
         g1, g2 = zip(*(_slot_weights(c) for c in contexts))
         self._slot_weights = (np.stack(g1, axis=1) * scale[:, None],

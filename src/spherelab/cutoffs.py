@@ -77,12 +77,6 @@ class Cutoff:
         out[inside] = np.exp(ratio)
         return out if out.ndim else float(out)
 
-    def chi_k(self, t, k):
-        """Rescaled cutoff chi(t / k); support is exactly k * supp(chi)."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        return self.chi(np.asarray(t, dtype=float) / k)
-
     def eta(self, t):
         """Squared modulus |chi|^2 (chi is real here, so chi^2)."""
         c = self.chi(t)

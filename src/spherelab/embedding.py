@@ -43,12 +43,8 @@ class EmbeddingMap:
         self.kappa = float(kappa)
         self.field = KernelField(table, cutoff, k, weight="squared", kappa=kappa)
 
-    @property
-    def ncomponents(self):
-        return len(self.field.components[0]) + (1 if self.kappa else 0)
-
     def components(self, points):
-        """Component vectors (npoints, ncomponents), graded-lex order."""
+        """Component vectors (npoints, components), graded-lex order."""
         points = np.atleast_2d(np.asarray(points, dtype=complex))
         alphas, weights = self.field.components
         m = self.table.design_matrix(alphas, points, extra_scale=weights)
@@ -82,21 +78,17 @@ class EmbeddingMap:
         return np.sqrt(1.0 - np.sqrt(h))
 
     # ----------------------------------------------------------- derivatives
-    def _grad(self, x, u):
-        return self.field.grad_diag_pair(x, u)
-
-    def _second(self, x, u, v):
-        return self.field.second_diag_pair(x, u, v)
-
     def fs_pullback(self, x, u, v):
         """Sesquilinear Fubini-Study pullback on directions (u, v)."""
         L = self.squared_length()
-        return (L * self._second(x, u, v) - self._grad(x, u) * np.conj(self._grad(x, v))) / L ** 2
+        grad, second = self.field.grad_diag_pair, self.field.second_diag_pair
+        return (L * second(x, u, v) - grad(x, u) * np.conj(grad(x, v))) / L ** 2
 
     def overlap_hessian_pair(self, x, u, v):
         """H(u, v) for real tangent directions in complex packing."""
         L = self.squared_length()
-        val = self._grad(x, u) * np.conj(self._grad(x, v)) - self._second(x, u, v) * L
+        grad, second = self.field.grad_diag_pair, self.field.second_diag_pair
+        val = grad(x, u) * np.conj(grad(x, v)) - second(x, u, v) * L
         return val.real / L ** 2
 
     def overlap_hessian_matrix(self, x, frame=None):

@@ -1,11 +1,12 @@
 """Gaussian ensembles of band-limited CR / holomorphic functions.
 
-A draw is a vector of i.i.d. standard complex Gaussians (unit variance
-per complex coordinate), one per cutoff-weighted component, plus a
-leading coefficient for the constant component when kappa = 1.  Streams
-are counter-based: the coefficients of trial i are produced by a Philox
-generator keyed by hashing (master_seed, i), so any subset of trials can
-be generated independently, in any order, on any worker, with identical
+A draw is a plain coefficient vector of i.i.d. standard complex
+Gaussians (unit variance per complex coordinate), one per cutoff-weighted
+component, plus a leading coefficient for the constant component when
+kappa = 1.  Streams are counter-based: the coefficients of trial i are
+produced by a Philox generator keyed by hashing (master_seed, i), so the
+trial index alone reproduces a draw: any subset of trials can be
+generated independently, in any order, on any worker, with identical
 bits.
 
 With this convention E f(x) conj(f(y)) = kappa^2 + S(x, y) where S is
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -39,16 +39,7 @@ from spherelab.cutoffs import Cutoff
 from spherelab.kernels import KernelField
 from spherelab.quadrature import SphereRule
 
-__all__ = ["GaussianDraw", "RandomEnsemble", "NodeEvaluator", "GridEvaluator"]
-
-
-@dataclass(frozen=True)
-class GaussianDraw:
-    """Coefficient vector of one random function, with its provenance."""
-
-    coefficients: np.ndarray
-    trial: int
-    master_seed: int
+__all__ = ["RandomEnsemble", "NodeEvaluator", "GridEvaluator"]
 
 
 class RandomEnsemble:
@@ -73,15 +64,15 @@ class RandomEnsemble:
         return np.random.Generator(np.random.Philox(seq))
 
     def draw(self, trial):
+        """Coefficient vector of one trial."""
         rng = self._generator(trial)
         re = rng.standard_normal(self.dim)
         im = rng.standard_normal(self.dim)
-        a = (re + 1j * im) / math.sqrt(2.0)
-        return GaussianDraw(a, int(trial), self.master_seed)
+        return (re + 1j * im) / math.sqrt(2.0)
 
     def draw_matrix(self, trials):
         """Coefficients of several trials stacked row-wise."""
-        return np.vstack([self.draw(t).coefficients for t in trials])
+        return np.vstack([self.draw(t) for t in trials])
 
     def evaluator(self, where):
         """Evaluator at a rule's nodes or at an array of points: the FFT

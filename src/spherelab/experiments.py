@@ -33,7 +33,7 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext, Experi
 from spherelab.cutoffs import Cutoff, mean_value, variance
 from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import RandomEnsemble
-from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
+from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
                                   contact_one_form)
@@ -110,8 +110,6 @@ class ExperimentConfig:
     kappa: int = 0
 
     def validated_for_statistics(self):
-        if self.trials < 2:
-            raise ExperimentError("standard errors need at least 2 trials")
         if self.trials < 100:
             raise ExperimentError("statistical assertions need >= 100 trials")
         return self
@@ -130,9 +128,10 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-# smallest rule sizes the rules accept (SphereRule, BallRule, SphereCellRule)
-_RULE_MINIMA = {"level": 4, "ball_level": 2, "ball_radial": 1, "cell_base": 1,
-                "cell_nodes": 1, "refine_depth": 0}
+# smallest values accepted: numpy's seeding needs seed >= 0, and the rule
+# sizes are the smallest the rules accept (SphereRule, BallRule, SphereCellRule)
+_MINIMA = {"seed": 0, "level": 4, "ball_level": 2, "ball_radial": 1, "cell_base": 1,
+           "cell_nodes": 1, "refine_depth": 0}
 
 
 def config_from_resolved(experiment, resolved):
@@ -175,9 +174,14 @@ def config_from_resolved(experiment, resolved):
             base[key] = as_tuple(override, int) if key == "k_grid" else int(override)
     if not base["k_grid"]:
         raise ValueError(f"empty k_grid for {experiment}")
-    for key, lowest in _RULE_MINIMA.items():
+    for key, lowest in _MINIMA.items():
         if base[key] < lowest:
             raise ValueError(f"{key} = {base[key]} for {experiment}; need >= {lowest}")
+    # Richardson in sqrt(delta) needs distinct positive deltas
+    for key in ("deltas", "mc_deltas"):
+        deltas = base[key]
+        if not all(d > 0.0 for d in deltas) or len(set(deltas)) != len(deltas):
+            raise ValueError(f"{key} = {deltas}; need distinct values > 0")
     return ExperimentConfig(**base)
 
 
@@ -301,10 +305,9 @@ def run_kernel_diag(config: ExperimentConfig):
     report = ExperimentReport("kernel-diag")
     cut = config.cutoff
     table = degree_table_for(max(config.k_grid), cut)
-    cd = ContactData()
     rng = np.random.default_rng(config.seed)
     x = random_sphere_points(1, rng=rng)[0]
-    reeb = cd.reeb(x)
+    reeb = 1j * x
     diag_errs = []
     beta_errs = []
     mv = mean_value(cut, 1)
@@ -339,8 +342,7 @@ def run_embed_check(config: ExperimentConfig):
     table = degree_table_for(max(config.k_grid), cut)
     rng = np.random.default_rng(config.seed)
     x = random_sphere_points(1, rng=rng)[0]
-    cd = ContactData()
-    reeb = cd.reeb(x)
+    reeb = 1j * x
     var_ref = variance(cut, 1)
     mv_ref = mean_value(cut, 1)
     tt_errs = []
@@ -377,7 +379,7 @@ def run_embed_check(config: ExperimentConfig):
     # not fitted: it comes from |F/|F|| being constrained to the unit
     # sphere of the component space).
     k_h = 64 if 64 in config.k_grid else config.k_grid[min(1, len(config.k_grid) - 1)]
-    em_h = maps.get(k_h) or EmbeddingMap(table, cut, k_h)
+    em_h = maps[k_h]
     pts = random_sphere_points(100, rng=rng)
     frames = _tangent_frames(pts)
     exact = em_h.overlap_hessian_matrix(pts, frames)
@@ -451,6 +453,12 @@ def _fd_hessians(em, pts, frames, h):
     return out
 
 
+def _pairing_options(config):
+    """Delta schedule and cell-rule sizes of the catalog divisor pairings."""
+    return dict(deltas=config.deltas, base_cells=config.cell_base,
+                nodes_per_axis=config.cell_nodes, refine_depth=config.refine_depth)
+
+
 def _cell_counts(res):
     """Final and still-flagged cell counts of a refined pairing, for check details."""
     return f"cells {res.extras['cells']}, unresolved {res.extras['unresolved_cells']}"
@@ -462,11 +470,7 @@ def run_lp_closed(config: ExperimentConfig):
     cases = [("z1", "angular-z2"), ("z2", "angular-z1")]
     for fname, psi_name in cases:
         psi = one_form(psi_name)
-        res = divisor_pairing_closed(catalog_function(fname), psi,
-                                     deltas=config.deltas,
-                                     base_cells=config.cell_base,
-                                     nodes_per_axis=config.cell_nodes,
-                                     refine_depth=config.refine_depth)
+        res = divisor_pairing_closed(catalog_function(fname), psi, **_pairing_options(config))
         direct = zero_set_direct(fname, psi)
         report.add_row("", f"pairing-{fname}-{psi_name}", res.value, direct)
         tol = max(0.01 * abs(direct), 3.0 * res.err_est)
@@ -480,11 +484,7 @@ def run_lp_closed(config: ExperimentConfig):
     # symbolic layer), so it is 0 before any quadrature runs; the direct
     # route over the zero circle carries the verdict.
     phi = forms.x_coord(0) * forms.x_coord(2)
-    res = divisor_pairing_closed(catalog_function("z1"), phi.d(),
-                                 deltas=config.deltas,
-                                 base_cells=config.cell_base,
-                                 nodes_per_axis=config.cell_nodes,
-                                 refine_depth=config.refine_depth)
+    res = divisor_pairing_closed(catalog_function("z1"), phi.d(), **_pairing_options(config))
     direct = zero_set_direct("z1", phi.d())
     budget = max(3.0 * res.err_est, 1e-6)
     report.add_row("", "pairing-z1-exact-form", res.value, 0.0)
@@ -499,11 +499,7 @@ def run_lp_boundary(config: ExperimentConfig):
     report = ExperimentReport("lp-boundary")
     psi = surface_form("vol-z2")
     res = divisor_pairing_boundary(catalog_function("z1-half"), psi,
-                                   deltas=config.deltas,
-                                   base_cells=config.cell_base,
-                                   nodes_per_axis=config.cell_nodes,
-                                   refine_depth=config.refine_depth,
-                                   ball_level=config.ball_level)
+                                   ball_level=config.ball_level, **_pairing_options(config))
     direct = zero_set_direct("z1-half", psi)
     report.add_row("", "pairing-z1-half-vol-z2", res.value, direct)
     tol = max(0.01 * abs(direct), 3.0 * res.err_est)
@@ -513,11 +509,7 @@ def run_lp_boundary(config: ExperimentConfig):
 
     psi_poly = surface_form("bump-z2")
     res2 = divisor_pairing_boundary(catalog_function("nowhere-zero"), psi_poly,
-                                    deltas=config.deltas,
-                                    base_cells=config.cell_base,
-                                    nodes_per_axis=config.cell_nodes,
-                                    refine_depth=config.refine_depth,
-                                    ball_level=config.ball_level)
+                                    ball_level=config.ball_level, **_pairing_options(config))
     budget = max(3.0 * res2.err_est, 1e-5)
     report.add_row("", "pairing-nowhere-zero", res2.value, 0.0)
     report.add_check("stokes-cancellation", abs(res2.value) <= budget,
@@ -525,11 +517,7 @@ def run_lp_boundary(config: ExperimentConfig):
 
     # psi ^ du " 0 pointwise forces a vanishing pairing
     res3 = divisor_pairing_boundary(catalog_function("z1-half"), surface_form("vol-z1"),
-                                    deltas=config.deltas,
-                                    base_cells=config.cell_base,
-                                    nodes_per_axis=config.cell_nodes,
-                                    refine_depth=config.refine_depth,
-                                    ball_level=config.ball_level)
+                                    ball_level=config.ball_level, **_pairing_options(config))
     budget3 = max(3.0 * res3.err_est, 1e-5)
     report.add_row("", "pairing-z1-half-vol-z1", res3.value, 0.0)
     report.add_check("tangential-vanishing", abs(res3.value) <= budget3,
@@ -788,11 +776,7 @@ def run_expectation_domain(config: ExperimentConfig):
                          f"|mean - ref| = {gap:.3e} <= 3 SE ({3 * se:.3e}) + budget ({budget:.3e})")
     # deterministic cross-check through the same machinery
     res = divisor_pairing_boundary(catalog_function("z1-half"), surface_form("vol-z2"),
-                                   deltas=config.deltas,
-                                   base_cells=config.cell_base,
-                                   nodes_per_axis=config.cell_nodes,
-                                   refine_depth=config.refine_depth,
-                                   ball_level=config.ball_level)
+                                   ball_level=config.ball_level, **_pairing_options(config))
     direct = zero_set_direct("z1-half", surface_form("vol-z2"))
     report.add_check("catalog-crosscheck",
                      abs(res.value - direct) <= max(0.01 * abs(direct), 3 * res.err_est),

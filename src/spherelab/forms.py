@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord", "real_direction", "holo_direction", "antiholo_direction"]
+__all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord", "real_direction"]
 
 
 def _merge_sign(word_a, word_b):
@@ -419,15 +419,3 @@ def real_direction(u):
     """Direction pair of a real tangent vector given in complex packing."""
     u = np.asarray(u, dtype=complex)
     return (u, np.conj(u))
-
-
-def holo_direction(w):
-    """(1,0)-type direction represented by the complex vector w."""
-    w = np.asarray(w, dtype=complex)
-    return (w, np.zeros_like(w))
-
-
-def antiholo_direction(w):
-    """(0,1)-type direction conj(Z_w)."""
-    w = np.asarray(w, dtype=complex)
-    return (np.zeros_like(w), np.conj(w))

@@ -88,8 +88,7 @@ class KernelField:
 
     def kernel(self, x, y):
         """S(x, y), compensated ascending-degree band sum."""
-        q = self.pair_product(x, y)
-        return _accel.band_power_sum(q, self.degrees, self.coeffs.astype(complex))
+        return self.kernel_from_products(self.pair_product(x, y))
 
     def kernel_from_products(self, q):
         """S as a function of the pairing value <x, y> directly."""
@@ -124,17 +123,11 @@ class KernelField:
         return self.moment1 / (2.0 * math.pi * self.squared_length())
 
     # ---------------------------------------------------- reference values
-    def _weight_moment(self, j):
-        # the density t^n eta(t) of S^{2n+1} at n = 1
-        return band_moment(self.cutoff, j, 1, squared=(self.weight == "squared"))
-
     def diag_reference(self):
         """Leading-order diagonal value k^2 (2 pi^2)^{-1} moment0."""
-        return self.k ** 2 / (2.0 * math.pi ** 2) * self._weight_moment(0)
-
-    def second_reference(self):
-        """Leading magnitude of the mixed second derivative on Reeb pairs."""
-        return self.k ** 4 / (2.0 * math.pi ** 2) * self._weight_moment(2)
+        # moment0 of the density t^n eta(t) of S^{2n+1} at n = 1
+        moment0 = band_moment(self.cutoff, 0, 1, squared=(self.weight == "squared"))
+        return self.k ** 2 / (2.0 * math.pi ** 2) * moment0
 
     # ------------------------------------------------------- ball quantities
     def ball_amplitude(self, points):
@@ -158,7 +151,7 @@ class KernelField:
         q = np.sum(points * np.conj(points), axis=-1).real
         ms = self.degrees.astype(float)
         qc = q.astype(complex)
-        s0 = _accel.band_power_sum(qc, self.degrees, self.coeffs.astype(complex)).real
+        s0 = self.ball_amplitude(points)
         # first and second radial band sums: sum m w c q^{m-1}, sum m(m-1) w c q^{m-2}
         d1_coeffs = (self.coeffs * ms).astype(complex)
         d2_coeffs = (self.coeffs * ms * (ms - 1.0)).astype(complex)
@@ -175,8 +168,3 @@ class KernelField:
         h = ((s2 * denom - s1 ** 2) / denom ** 2)[:, None, None] * outer
         h = h + (s1 / denom)[:, None, None] * eye
         return h
-
-    def log_amplitude_bound_constant(self, points, c=1.0):
-        """max |log(c + amplitude)| / (log k + 1) over the given points."""
-        vals = np.abs(np.log(c + self.ball_amplitude(points)))
-        return float(np.max(vals)) / (math.log(self.k) + 1.0)

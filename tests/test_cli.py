@@ -41,13 +41,26 @@ def test_malformed_config_exits_2(tmp_path, capsys):
              ("expectation-domain", "[quadrature]\nball_radial = 0\n"),
              ("lp-closed", "[quadrature]\ncell_base = 0\n"),
              ("lp-closed", "[quadrature]\ncell_nodes = 0\n"),
-             ("lp-boundary", "[quadrature]\nrefine_depth = -1\n")]
+             ("lp-boundary", "[quadrature]\nrefine_depth = -1\n"),
+             # numpy seeds are non-negative
+             ("kernel-diag", "[run]\nseed = -1\n"),
+             ("expectation-cr", "[expectation-cr]\nseed = -3\n"),
+             # Richardson in sqrt(delta) needs distinct positive deltas
+             ("lp-closed", "[currents]\ndeltas = -1e-2,1e-3\n"),
+             ("lp-closed", "[currents]\ndeltas = 1e-2,0\n"),
+             ("lp-closed", "[currents]\ndeltas = 1e-2,1e-3,1e-3\n"),
+             ("equi-cr", "[currents]\nmc_deltas = 1e-2,-1e-3\n"),
+             ("equi-cr", "[currents]\nmc_deltas = 1e-3,1e-3\n")]
     for i, (subcommand, text) in enumerate(cases):
         bad.write_text(text)
         out = tmp_path / f"out{i}"
         assert run_cli([subcommand, "--config", str(bad), "--out", str(out)]) == 2, text
         assert not out.exists(), text
         assert capsys.readouterr().err.startswith("config error: "), text
+    out = tmp_path / "out-seed"
+    assert run_cli(["kernel-diag", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from spherelab import _accel
+from spherelab import _accel, reporting
 from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 RegularizedPairing, _adaptive_rule, _normalized,
@@ -13,13 +13,14 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
 from spherelab.cutoffs import Cutoff
 from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import RandomEnsemble
-from spherelab.experiments import (_MICRO_BATCH, BoundarySampler, CfSampler, ExperimentConfig,
+from spherelab.experiments import (_EXPERIMENT_DEFAULTS, _MICRO_BATCH, EXPERIMENTS,
+                                   BoundarySampler, CfSampler, ExperimentConfig,
                                    ExperimentError, _accepted_rows, _batched_values,
                                    _beta_reference, _fd_hessians, _tangent_frames,
                                    config_from_resolved, one_form, run_embed_check,
                                    run_expectation_cr, run_expectation_domain, run_kernel_diag,
                                    run_lp_boundary, run_lp_closed, surface_form)
-from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
+from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import BallRule, SphereRule, contact_one_form
 from spherelab.reporting import resolve_config
@@ -38,6 +39,16 @@ def test_config_defaults_and_overrides():
     cfg3 = config_from_resolved("expectation-cr", resolved)
     assert cfg3.k_grid == (8, 16)
     assert cfg3.trials == 120
+
+
+def test_default_sources_agree():
+    # defaults are written as reporting.DEFAULTS strings and as the
+    # ExperimentConfig field defaults; the experiment names in three lists
+    resolved = resolve_config()
+    for name in EXPERIMENTS:
+        assert config_from_resolved(name, resolved) == ExperimentConfig(
+            name, **_EXPERIMENT_DEFAULTS.get(name, {})), name
+    assert set(EXPERIMENTS) == set(_EXPERIMENT_DEFAULTS) == reporting._EXPERIMENT_SECTIONS
 
 
 def test_statistical_preconditions():
@@ -62,7 +73,6 @@ def test_beta_reference_two_routes(table, bump):
 def test_horizontal_form_annihilates_reeb(rng):
     psi = one_form("horizontal-mix")
     xs = random_sphere_points(20, rng=rng)
-    cd = ContactData()
     from spherelab.forms import real_direction
     vals = psi.evaluate(xs, [real_direction(1j * xs)])
     assert np.max(np.abs(vals)) <= 1e-12
@@ -158,7 +168,7 @@ def _cf_reference(ctx, f, df_frame, deltas):
 
 
 def _boundary_reference(ctx, u, du_frame, u_ball, deltas):
-    scale = _normalized(u, ctx.sphere_rule.weights)
+    scale = _normalized(u, ctx.rule.weights)
     u, u_ball = u / scale, u_ball / scale
     numer = np.conj(u) * _frame_top(ctx, [d / scale for d in du_frame]) * 0.5
     usq, bsq = np.abs(u) ** 2, np.abs(u_ball) ** 2

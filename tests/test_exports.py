@@ -1,15 +1,27 @@
-"""Every name a spherelab module exports in __all__ is defined there.
+"""Every name a spherelab module exports in __all__ is defined there, and
+something in the package uses it.
 
 A deletion that leaves a stale export breaks only `from module import *`,
-which no code path runs; this check makes it fail here instead.
+which no code path runs; the first check makes it fail here instead.  An
+export that only tests reach is code the lab never runs; the second check
+keeps such names out of src, apart from the test oracles kept on purpose.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import spherelab
+
+SRC = Path(spherelab.__file__).parent
+
+# exported test oracles: independent routes the suite checks the lab against
+ORACLES = {
+    ("spherelab.basis", "monomial_norm_quadrature"),
+}
 
 
 def _exports():
@@ -22,3 +34,37 @@ def _exports():
 @pytest.mark.parametrize("module_name, name", _exports())
 def test_export_resolves(module_name, name):
     assert hasattr(importlib.import_module(module_name), name)
+
+
+def _definition_lines(tree, name):
+    """Line span of the module-level definition or assignment of name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return range(node.lineno, node.end_lineno + 1)
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return range(node.lineno, node.end_lineno + 1)
+    return range(0)
+
+
+def _used(path, name, skip):
+    """Whether a source file loads name (bare or as an attribute) outside
+    the line span skip."""
+    return any(((isinstance(node, ast.Name) and node.id == name
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name))
+               and node.lineno not in skip
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_exports_used_in_src():
+    unused = []
+    for module_name, name in _exports():
+        if (module_name, name) in ORACLES:
+            continue
+        home = Path(importlib.import_module(module_name).__file__)
+        skip = _definition_lines(ast.parse(home.read_text()), name)
+        if not any(_used(path, name, skip if path == home else range(0))
+                   for path in SRC.glob("*.py")):
+            unused.append(f"{module_name}.{name}")
+    assert not unused, f"exported, but nothing in src uses them: {unused}"

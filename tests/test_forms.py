@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherelab import forms
-from spherelab.forms import (PolyForm, antiholo_direction, dx, dz, dzbar,
-                             holo_direction, real_direction, x_coord, z_coord,
+from spherelab.forms import (PolyForm, dx, dz, dzbar, real_direction, x_coord, z_coord,
                              zbar_coord)
 
 
@@ -99,10 +98,12 @@ def test_direction_types(rng):
     # dz_j sees only the holomorphic part, dconj(z_j) only the other
     w = np.array([1.0 + 2.0j, -0.5j])
     pt = np.array([[0.3 + 0.1j, 0.2 - 0.4j]])
-    assert dz(0).evaluate(pt, [holo_direction(w)])[0] == pytest.approx(w[0])
-    assert dzbar(0).evaluate(pt, [holo_direction(w)])[0] == 0.0
-    assert dzbar(0).evaluate(pt, [antiholo_direction(w)])[0] == pytest.approx(np.conj(w[0]))
-    assert dz(0).evaluate(pt, [antiholo_direction(w)])[0] == 0.0
+    holo = (w, np.zeros_like(w))  # Z_w, of type (1,0)
+    antiholo = (np.zeros_like(w), np.conj(w))  # conj(Z_w), of type (0,1)
+    assert dz(0).evaluate(pt, [holo])[0] == pytest.approx(w[0])
+    assert dzbar(0).evaluate(pt, [holo])[0] == 0.0
+    assert dzbar(0).evaluate(pt, [antiholo])[0] == pytest.approx(np.conj(w[0]))
+    assert dz(0).evaluate(pt, [antiholo])[0] == 0.0
 
 
 def test_evaluation_antisymmetry(rng):
@@ -159,7 +160,7 @@ def test_evaluate_matches_determinant_reference(rng, degree):
         for s in range(degree):
             shape = (npts, 2) if per_point and s % 2 == 0 else (2,)
             w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            directions.append(real_direction(w) if s < 2 else holo_direction(w))
+            directions.append(real_direction(w) if s < 2 else (w, np.zeros_like(w)))
         got = psi.evaluate(pts, directions)
         ref = _det_reference(psi, pts, directions)
         assert got.shape == (npts,)

@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
-from spherelab.geometry import (BallPoint, ContactData, SpherePoint, TangentVector,
-                                complex_to_real, hermitian_pair, random_sphere_points,
-                                real_to_complex, tangent_frame)
+from spherelab.forms import real_direction
+from spherelab.geometry import hermitian_pair, random_sphere_points, tangent_frame
+from spherelab.quadrature import contact_one_form
 
-CD = ContactData()
+# the contact form every experiment pairs against, and its Levi form
+XI = contact_one_form()
+DXI = XI.d()
+
+
+def xi(x, u):
+    """xi(u) at the points x (npoints, 2) for real directions u."""
+    return XI.evaluate(np.atleast_2d(x), [real_direction(u)])
+
+
+def dxi(x, u, v):
+    return DXI.evaluate(np.atleast_2d(x), [real_direction(u), real_direction(v)])
 
 
 def omega0_bruteforce(x, v):
@@ -18,77 +29,51 @@ def omega0_bruteforce(x, v):
 
 def random_tangent(x, rng):
     g = rng.standard_normal(2 * len(x))
-    u = real_to_complex(g)
+    u = g[0::2] + 1j * g[1::2]
     u = u - hermitian_pair(u, x).real * x  # remove the radial part
     return u
 
 
-def test_sphere_point_normalizes(rng):
-    p = SpherePoint(np.array([3.0, 4.0j]))
-    assert abs(np.linalg.norm(p.z) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        SpherePoint(np.zeros(2, dtype=complex))
-
-
-def test_ball_point_boundary_flag():
-    assert not BallPoint(np.array([0.5, 0.0])).boundary
-    assert BallPoint(np.array([1.0, 0.0])).boundary
-    with pytest.raises(ValueError):
-        BallPoint(np.array([1.5, 0.0]))
-
-
-def test_tangent_vector_validated(rng):
-    x = random_sphere_points(1, rng=rng)[0]
-    p = SpherePoint(x)
-    u = random_tangent(x, rng)
-    TangentVector(p, u)
-    with pytest.raises(ValueError):
-        TangentVector(p, x)  # radial direction is not tangent
-
-
 def test_contact_form_examples():
     x = np.array([1.0, 0.0], dtype=complex)
-    reeb = real_to_complex(np.array([0.0, 1.0, 0.0, 0.0]))
-    assert CD.xi(x, reeb) == pytest.approx(1.0, abs=1e-15)
-    horiz = real_to_complex(np.array([0.0, 0.0, 1.0, 0.0]))
-    assert CD.xi(x, horiz) == pytest.approx(0.0, abs=1e-15)
+    reeb = np.array([1j, 0.0])
+    assert xi(x, reeb)[0] == pytest.approx(1.0, abs=1e-15)
+    horiz = np.array([0.0, 1.0], dtype=complex)
+    assert xi(x, horiz)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_contact_form_matches_bruteforce(rng):
     for _ in range(50):
         x = random_sphere_points(1, rng=rng)[0]
         v = random_tangent(x, rng)
-        assert CD.xi(x, v) == pytest.approx(omega0_bruteforce(x, v), abs=1e-12)
+        assert xi(x, v)[0] == pytest.approx(omega0_bruteforce(x, v), abs=1e-12)
 
 
 def test_reeb_examples():
-    assert np.allclose(complex_to_real(CD.reeb(np.array([1.0, 0.0]))),
-                       [0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(complex_to_real(CD.reeb(np.array([0.0, 1.0]))),
-                       [0.0, 0.0, 0.0, 1.0])
+    # T(x) = i x, the first vector of tangent_frame, in interleaved real coordinates
+    for x, real in (([1.0, 0.0], [0.0, 1.0, 0.0, 0.0]), ([0.0, 1.0], [0.0, 0.0, 0.0, 1.0])):
+        reeb = tangent_frame(np.array(x, dtype=complex))[0]
+        assert np.allclose(np.stack([reeb.real, reeb.imag], axis=-1).ravel(), real)
+        assert xi(x, reeb)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_reeb_contraction_identities(rng):
     xs = random_sphere_points(1000, rng=rng)
-    for x in xs[:25]:
-        reeb = CD.reeb(x)
-        assert abs(CD.xi(x, reeb) - 1.0) <= 1e-10
-        w = random_tangent(x, rng)
-        assert abs(CD.dxi(x, reeb, w)) <= 1e-10 * max(1.0, np.linalg.norm(w))
-    # vectorized sweep over the full thousand
     reebs = 1j * xs
-    vals = np.sum(reebs * np.conj(xs), axis=1).imag
-    assert np.max(np.abs(vals - 1.0)) <= 1e-10
+    assert np.max(np.abs(xi(xs, reebs) - 1.0)) <= 1e-10
+    ws = np.array([random_tangent(x, rng) for x in xs[:25]])
+    contraction = dxi(xs[:25], reebs[:25], ws)
+    assert np.all(np.abs(contraction) <= 1e-10 * np.maximum(1.0, np.linalg.norm(ws, axis=1)))
 
 
-def test_dxi_antisymmetric_and_positive_pair(rng):
+def test_dxi_antisymmetric_and_positive_pair():
     x = np.array([1.0, 0.0], dtype=complex)
-    v = real_to_complex(np.array([0.0, 0.0, 1.0, 0.0]))
-    w = real_to_complex(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert CD.dxi(x, v, v) == 0.0
-    val = CD.dxi(x, v, w)
+    v = np.array([0.0, 1.0], dtype=complex)
+    w = np.array([0.0, 1j])
+    assert dxi(x, v, v)[0] == 0.0
+    val = dxi(x, v, w)[0]
     assert val == pytest.approx(2.0, abs=1e-14)  # twice the Levi value, positive
-    assert CD.dxi(x, w, v) == pytest.approx(-val, abs=1e-14)
+    assert dxi(x, w, v)[0] == pytest.approx(-val, abs=1e-14)
 
 
 def test_dxi_matches_finite_difference(rng):
@@ -97,24 +82,20 @@ def test_dxi_matches_finite_difference(rng):
         x = random_sphere_points(1, rng=rng)[0]
         u = random_tangent(x, rng)
         v = random_tangent(x, rng)
-
-        def xi_at(y, w):
-            return omega0_bruteforce(y / np.linalg.norm(y), w)
-
         # constant extensions commute, so d xi(u, v) = u(xi(v)) - v(xi(u))
         du = (omega0_bruteforce(x + h * u, v) - omega0_bruteforce(x - h * u, v)) / (2 * h)
         dv = (omega0_bruteforce(x + h * v, u) - omega0_bruteforce(x - h * v, u)) / (2 * h)
-        assert CD.dxi(x, u, v) == pytest.approx(du - dv, abs=5e-6)
+        assert dxi(x, u, v)[0] == pytest.approx(du - dv, abs=5e-6)
 
 
 def test_strict_pseudoconvexity(rng):
     xs = random_sphere_points(1000, rng=rng)
     for x in xs[::20]:
         v = random_tangent(x, rng)
-        v = v - CD.xi(x, v) * CD.reeb(x)  # project to the contact plane
+        v = v - xi(x, v)[0].real * (1j * x)  # project to the contact plane
         if np.linalg.norm(v) < 1e-8:
             continue
-        assert CD.dxi(x, v, CD.complex_structure(v)) > 0.0
+        assert dxi(x, v, 1j * v)[0].real > 0.0
 
 
 def test_tangent_frame_structure(rng):

@@ -5,11 +5,9 @@ import pytest
 
 from spherelab import _accel
 from spherelab.basis import DegreeTable
-from spherelab.cutoffs import Cutoff, mean_value
-from spherelab.geometry import ContactData, random_sphere_points, tangent_frame
+from spherelab.cutoffs import Cutoff, band_moment, mean_value
+from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
-
-CD = ContactData()
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +78,17 @@ def test_grad_matches_finite_differences(field64, rng):
 
 def test_second_derivative_reeb_reference(field64):
     x = np.array([1.0, 0.0], dtype=complex)
-    reeb = CD.reeb(x)
+    reeb = 1j * x
     val = field64.second_diag_pair(x, reeb, reeb)
     # reference magnitude k^{n+3} (2 pi^{n+1})^{-1} moment2, first order in 1/k
-    assert val.real == pytest.approx(field64.second_reference(), rel=0.1)
+    reference = field64.k ** 4 / (2.0 * math.pi ** 2) * band_moment(field64.cutoff, 2, 1)
+    assert val.real == pytest.approx(reference, rel=0.1)
     assert abs(val.imag) <= 1e-12 * abs(val)
 
 
 def test_beta_structure(field64, rng):
     x = random_sphere_points(1, rng=rng)[0]
-    reeb = CD.reeb(x)
+    reeb = 1j * x
     beta_reeb = field64.beta_pair(x, reeb)
     assert abs(beta_reeb.imag) <= 1e-14 * abs(beta_reeb)
     # horizontal directions are annihilated exactly in the model
@@ -105,7 +104,7 @@ def test_beta_limit_over_grid(table, bump):
     errs = []
     for k in (32.0, 64.0, 128.0):
         kf = KernelField(table, bump, k)
-        val = (2.0 * math.pi / k) * kf.beta_pair(x, CD.reeb(x))
+        val = (2.0 * math.pi / k) * kf.beta_pair(x, 1j * x)
         errs.append(abs(val - mv))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] * 128 <= 2.0 * errs[0] * 32  # fitted constant stays bounded
@@ -139,8 +138,8 @@ def test_log_amplitude_bound(table, bump, rng):
     # that theoretical ceiling over the whole grid and that the fitted
     # global constant is attained at the largest scale.
     zs = random_sphere_points(400, rng=rng) * rng.uniform(0.0, 1.0, (400, 1))
-    ratios = [KernelField(table, bump, k).log_amplitude_bound_constant(zs)
-              for k in (16.0, 32.0, 64.0, 128.0)]
+    ratios = [np.max(np.abs(np.log(1.0 + KernelField(table, bump, k).ball_amplitude(zs))))
+              / (math.log(k) + 1.0) for k in (16.0, 32.0, 64.0, 128.0)]
     assert max(ratios) <= 2.0
     assert max(ratios) == ratios[-1]
 

@@ -5,7 +5,6 @@ import pytest
 
 from spherelab import forms
 from spherelab.forms import real_direction
-from spherelab.geometry import hopf_embed
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule,
                                   SphereCellRule, SphereRule,
                                   contact_one_form, contact_volume_form,
@@ -167,6 +166,13 @@ def _cell_nodes(boxes, m):
         "pairing_weights": weights / -(np.sin(phi) * np.cos(phi)),
         "frame": _hopf_frame(phi, theta1, theta2),
     }
+
+
+def hopf_embed(phi, theta1, theta2):
+    """Chart (phi, theta1, theta2) -> (cos(phi) e^{i theta1}, sin(phi) e^{i theta2})."""
+    z1 = np.cos(phi) * np.exp(1j * np.asarray(theta1))
+    z2 = np.sin(phi) * np.exp(1j * np.asarray(theta2))
+    return np.stack([z1, z2], axis=-1)
 
 
 def _sphere_nodes(level):
