@@ -67,14 +67,10 @@ def monomial_norm_quadrature(alpha, npts=None):
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One normalized monomial: exponents, squared norm, degree eigenvalue."""
+    """One normalized monomial: exponents and squared norm."""
 
     alpha: tuple
     norm_sq: float
-
-    @property
-    def eigenvalue(self):
-        return sum(self.alpha)
 
     def evaluate(self, points):
         """Normalized monomial at sphere or interior ball points (the

@@ -25,7 +25,8 @@ of the unit ball.  The same delta schedule regularizes 1/u and log|u|.
 
 A pairing context binds a test form to the rules it is paired on:
 CRPairingContext holds psi on pairs of the sphere rule's Hopf frame, the
-frame's holomorphic halves and the pairing weights; BoundaryPairingContext
+frame itself (three real tangent vectors, each a tuple of two node
+columns) and the pairing weights; BoundaryPairingContext
 sets up the same sphere-side data and adds the ball rule and the dbar psi
 and d dbar psi node values.  Both cases, and both routes, share one
 regularized pairing, built from a tuple of contexts:
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab import _accel
-from spherelab.forms import PolyForm
+from spherelab.forms import PolyForm, _permutation_sign, z_coord
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule, SphereCellRule,
                                   _standard_frame_directions)
 
@@ -69,7 +70,6 @@ __all__ = [
     "divisor_pairing_boundary",
     "zero_set_direct",
     "catalog_function",
-    "register_catalog_entry",
     "CATALOG",
 ]
 
@@ -90,9 +90,7 @@ class ExperimentError(RuntimeError):
 class PairingResult:
     value: complex
     err_est: float
-    deltas: tuple
     per_delta: np.ndarray
-    method: str
     log_monotone: bool = True
     extras: dict = field(default_factory=dict)
 
@@ -140,8 +138,8 @@ def holo_gradient_values(fpoly: PolyForm, points):
 
 class CRPairingContext:
     """psi-dependent node data for cf pairings on a fixed sphere rule: the
-    psi values on pairs of the rule's Hopf frame, the frame's holomorphic
-    halves and the oriented pairing weights."""
+    psi values on pairs of the rule's Hopf frame, the frame and the
+    oriented pairing weights."""
 
     def __init__(self, rule, psi: PolyForm):
         if psi.terms and psi.degree != 2:
@@ -158,7 +156,7 @@ class CRPairingContext:
         self.psi_12 = psi.evaluate(rule.points, [dirs[1], dirs[2]])
         self.psi_02 = psi.evaluate(rule.points, [dirs[0], dirs[2]])
         self.psi_01 = psi.evaluate(rule.points, [dirs[0], dirs[1]])
-        self.frame_holo = [d[0] for d in dirs]
+        self.frame = dirs
         self.pair_weights = rule.pairing_weights
 
 
@@ -230,7 +228,7 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     slots = (rule.points * holo_gradient_values(fpoly, rule.points)).T[:, None]
     per = pairing.per_delta(fvals[None], slots, deltas)[0, 0]
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(complex(value), float(err), deltas, per, "regularized-sphere",
+    return PairingResult(complex(value), float(err), per,
                          log_monotone=_log_monotone_ok(rule, fvals / rms, deltas),
                          extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
 
@@ -239,9 +237,7 @@ def divisor_pairing_closed(fpoly: PolyForm, psi: PolyForm, **kw):
     """Zero-divisor pairing (Z_f, psi) = cf(d psi) for a 1-form psi."""
     if psi.degree != 1:
         raise ValueError("closed divisor pairing needs a 1-form")
-    res = cf_pairing(fpoly, psi.d(), **kw)
-    res.method = "lelong-poincare-closed"
-    return res
+    return cf_pairing(fpoly, psi.d(), **kw)
 
 
 class BoundaryPairingContext(CRPairingContext):
@@ -277,7 +273,7 @@ def _slot_weights(ctx):
     drop out of the sums.
     """
     pieces = (ctx.psi_12, -ctx.psi_02, ctx.psi_01)
-    g1, g2 = (sum(p * h[j] for p, h in zip(pieces, ctx.frame_holo) if h[j] is not None)
+    g1, g2 = (sum(p * u[j] for p, u in zip(pieces, ctx.frame) if u[j] is not None)
               for j in (0, 1))
     return g1 / ctx.points[:, 0], g2 / ctx.points[:, 1]
 
@@ -392,77 +388,55 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
     u_ball = upoly.evaluate(ball_rule.points, [])
     per = pairing.per_delta(u_sphere[None], slots, deltas, u_ball[None])[0, 0]
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(complex(value), float(err), deltas, per, "lelong-poincare-boundary",
+    return PairingResult(complex(value), float(err), per,
                          extras={"cells": sphere_rule.ncells, "unresolved_cells": residual})
 
 
 # --------------------------------------------------------------- catalog
-CATALOG = {}
-
-
-def register_catalog_entry(name, fpoly, direct_fn, domain):
-    CATALOG[name] = {"function": fpoly, "direct": direct_fn, "domain": domain}
-
-
 def catalog_function(name):
     if name not in CATALOG:
         raise KeyError(f"unknown catalog function {name!r}; known: {sorted(CATALOG)}")
-    return CATALOG[name]["function"]
+    return CATALOG[name][0]
 
 
 def zero_set_direct(name, psi, level=24):
     """Direct parameterized integral over the known zero manifold."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog function {name!r}; known: {sorted(CATALOG)}")
-    return CATALOG[name]["direct"](psi, level)
+    return CATALOG[name][1](psi, level)
 
 
-def _register_defaults():
-    from spherelab import forms
+def _circle_direct(axis):
+    return lambda psi, level: complex(CircleRule(level, axis=axis).pair_form(psi))
 
-    z1 = forms.z_coord(0)
-    z2 = forms.z_coord(1)
 
-    def circle_direct(axis):
-        def run(psi, level):
-            return complex(CircleRule(level, axis=axis).pair_form(psi))
-        return run
+def _disc_direct(c):
+    return lambda psi, level: complex(DiscRule(level, c=c).pair_form(psi))
 
-    register_catalog_entry("z1", z1, circle_direct(axis=1), "sphere")
-    register_catalog_entry("z2", z2, circle_direct(axis=0), "sphere")
 
-    def disc_direct(c):
-        def run(psi, level):
-            return complex(DiscRule(level, c=c).pair_form(psi))
-        return run
-
-    register_catalog_entry("z1-half", z1 - 0.5, disc_direct(0.5), "ball")
-    register_catalog_entry("z1-shifted", z1 - 0.25, disc_direct(0.25), "ball")
-
-    def product_direct(psi, level):
-        swapped = _swap_coordinates(psi)
-        return complex(DiscRule(level, c=0.0).pair_form(psi)
-                       + DiscRule(level, c=0.0).pair_form(swapped))
-
-    register_catalog_entry("z1*z2", z1 * z2, product_direct, "ball")
-
-    register_catalog_entry("nowhere-zero", z1 + 2.0,
-                           lambda psi, level: 0.0 + 0.0j, "ball")
+def _product_direct(psi, level):
+    swapped = _swap_coordinates(psi)
+    return complex(DiscRule(level, c=0.0).pair_form(psi)
+                   + DiscRule(level, c=0.0).pair_form(swapped))
 
 
 def _swap_coordinates(psi: PolyForm):
     """Pull back a form under the coordinate swap (z1, z2) -> (z2, z1)."""
     swapped = {}
     for (word, exps), c in psi.terms.items():
-        new_word = tuple(sorted(w ^ 2 for w in word))
         raw = [w ^ 2 for w in word]
-        inv = sum(1 for i in range(len(raw)) for j in range(i + 1, len(raw)) if raw[i] > raw[j])
-        e = list(exps)
-        e[0], e[1], e[2], e[3] = exps[2], exps[3], exps[0], exps[1]
-        key = (new_word, tuple(e))
-        c = c if inv % 2 == 0 else -c
+        key = (tuple(sorted(raw)), (exps[2], exps[3], exps[0], exps[1]))
+        c = c if _permutation_sign(raw) > 0 else -c
         swapped[key] = swapped[key] + c if key in swapped else c
-    return PolyForm(psi.ncplx, swapped)
+    return PolyForm(swapped)
 
 
-_register_defaults()
+# name -> (holomorphic polynomial, direct integral over its zero set)
+CATALOG = {
+    "z1": (z_coord(0), _circle_direct(axis=1)),
+    "z2": (z_coord(1), _circle_direct(axis=0)),
+    "z1-half": (z_coord(0) - 0.5, _disc_direct(0.5)),
+    "z1-shifted": (z_coord(0) - 0.25, _disc_direct(0.25)),
+    "z1*z2": (z_coord(0) * z_coord(1), _product_direct),
+    "nowhere-zero": (z_coord(0) + 2.0, lambda psi, level: 0.0 + 0.0j),
+}

@@ -3,12 +3,12 @@
 A cutoff is a function chi supported in (delta1, delta2) with
 0 < delta1 < delta2.  The rescaled family chi_k(t) = chi(t / k) selects
 the spectral band (k*delta1, k*delta2).  The weight eta = |chi|^2 enters
-all second-moment quantities.  The moment of order j in dimension n is
+all second-moment quantities.  On S^3 the moment of order j is
 
-    band_moment(eta, j, n) = integral of t^(n+j) * eta(t) dt,
+    band_moment(cutoff, j) = integral of t^(1+j) * eta(t) dt,
 
 and mean_value / variance are the mean and variance of the probability
-density t^n eta(t) / band_moment(eta, 0, n) on (0, infinity).
+density t eta(t) / band_moment(cutoff, 0) on (0, infinity).
 
 Moments are computed with one fixed tanh-sinh (double-exponential) rule
 (Takahasi & Mori, Publ. RIMS 9, 1974): step 1/32 over |s| <= 4, 257
@@ -89,36 +89,36 @@ class Cutoff:
         return np.arange(max(lo, 0), hi + 1)
 
 
-def band_moment(cutoff, j, n, squared=True):
-    """Integral of t^(n+j) * w(t) over the support, w = chi^2 or chi.
+def band_moment(cutoff, j, squared=True):
+    """Integral of t^(1+j) * w(t) over the support, w = chi^2 or chi.
 
     The fixed 257-node tanh-sinh rule of this module on (delta1, delta2),
     summed with math.fsum; relative error near rounding for the bump and
     the indicator.
     """
-    if j < 0 or n < 1:
-        raise ValueError("need j >= 0 and n >= 1")
+    if j < 0:
+        raise ValueError("need j >= 0")
     weight = cutoff.eta if squared else cutoff.chi
     half = 0.5 * (cutoff.delta2 - cutoff.delta1)
     t = np.where(_TS_S < 0.0, cutoff.delta1 + half * _TS_GAP, cutoff.delta2 - half * _TS_GAP)
-    val = half * math.fsum(_TS_WEIGHTS * t ** (n + j) * weight(t))
+    val = half * math.fsum(_TS_WEIGHTS * t ** (1 + j) * weight(t))
     if not math.isfinite(val):
         raise ArithmeticError("non-finite band moment")
     return val
 
 
-def mean_value(cutoff, n, squared=True):
-    """Mean of the density t^n w(t) / moment0; lies in (delta1, delta2)."""
-    m0 = band_moment(cutoff, 0, n, squared)
+def mean_value(cutoff):
+    """Mean of the density t eta(t) / moment0; lies in (delta1, delta2)."""
+    m0 = band_moment(cutoff, 0)
     if m0 <= 0.0:
         raise ZeroDivisionError("zeroth band moment vanishes")
-    return band_moment(cutoff, 1, n, squared) / m0
+    return band_moment(cutoff, 1) / m0
 
 
-def variance(cutoff, n, squared=True):
-    """Variance of the density t^n w(t) / moment0; strictly positive."""
-    m0 = band_moment(cutoff, 0, n, squared)
+def variance(cutoff):
+    """Variance of the density t eta(t) / moment0; strictly positive."""
+    m0 = band_moment(cutoff, 0)
     if m0 <= 0.0:
         raise ZeroDivisionError("zeroth band moment vanishes")
-    mv = band_moment(cutoff, 1, n, squared) / m0
-    return band_moment(cutoff, 2, n, squared) / m0 - mv * mv
+    mv = band_moment(cutoff, 1) / m0
+    return band_moment(cutoff, 2) / m0 - mv * mv

@@ -74,16 +74,10 @@ class RandomEnsemble:
         """Coefficients of several trials stacked row-wise."""
         return np.vstack([self.draw(t) for t in trials])
 
-    def evaluator(self, where):
-        """Evaluator at a rule's nodes or at an array of points: the FFT
-        evaluator on rules with a torus_grid, the dense one elsewhere."""
-        if hasattr(where, "torus_grid"):
-            return GridEvaluator(self, where)
-        return NodeEvaluator(self, getattr(where, "points", where))
-
     # ------------------------------------------------------- regularity
-    def batch_margins(self, coefficient_rows, rule=None):
-        """Zero-gradient margins of many draws at once, on a coarse rule.
+    def batch_margins(self, coefficient_rows):
+        """Zero-gradient margins of many draws at once, on a coarse product
+        rule.
 
         A margin is the minimum of |df| over the near-zero nodes (|f| at
         most 0.3 times the root mean square of |f|), normalized by k times
@@ -91,8 +85,7 @@ class RandomEnsemble:
         margin falls below a threshold are rejected: they are measure
         zero in theory but numerically ill-conditioned.
         """
-        rule = rule or _margin_rule()
-        ev = self.evaluator(rule)
+        ev = GridEvaluator(self, _margin_rule())
         fabs = np.abs(ev.values(coefficient_rows))
         rms = np.sqrt(np.mean(np.square(fabs), axis=1))
         dfabs = ev.gradient_magnitude(*ev.slot1_sums(coefficient_rows))

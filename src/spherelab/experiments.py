@@ -32,7 +32,7 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext, Experi
                                 richardson_sqrt, zero_set_direct)
 from spherelab.cutoffs import Cutoff, mean_value, variance
 from spherelab.embedding import EmbeddingMap
-from spherelab.ensemble import RandomEnsemble
+from spherelab.ensemble import GridEvaluator, RandomEnsemble
 from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
@@ -228,7 +228,7 @@ class CfSampler:
 
     def __init__(self, ensemble, contexts, deltas):
         self.deltas = tuple(sorted(deltas))
-        self.ev = ensemble.evaluator(contexts[0].rule)
+        self.ev = GridEvaluator(ensemble, contexts[0].rule)
         self.pairing = RegularizedPairing(contexts)
 
     def batch(self, coeff_rows):
@@ -245,8 +245,8 @@ class BoundarySampler:
 
     def __init__(self, ensemble, sphere_rule, ball_rule, psis, deltas):
         self.deltas = tuple(sorted(deltas))
-        self.ev_sphere = ensemble.evaluator(sphere_rule)
-        self.ev_ball = ensemble.evaluator(ball_rule)
+        self.ev_sphere = GridEvaluator(ensemble, sphere_rule)
+        self.ev_ball = GridEvaluator(ensemble, ball_rule)
         self.pairing = RegularizedPairing(
             [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis])
 
@@ -283,13 +283,13 @@ def _beta_reference(field_eta, ctx):
     value is returned.
     """
     rule = ctx.rule
-    xi_psi = contact_one_form(2).wedge(ctx.psi)
+    xi_psi = contact_one_form().wedge(ctx.psi)
     route1 = field_eta.beta_scale() * rule.pair_form(xi_psi)
     betas = []
-    for hol in ctx.frame_holo:
+    for u in ctx.frame:
         # <u, x> summed over the frame components that do not vanish identically
-        grad = sum(field_eta.grad_diag_pair(rule.points[:, j, None], u[:, None])
-                   for j, u in enumerate(hol) if u is not None)
+        grad = sum(field_eta.grad_diag_pair(rule.points[:, j, None], c[:, None])
+                   for j, c in enumerate(u) if c is not None)
         betas.append(grad / (2j * math.pi * field_eta.squared_length()))
     top = betas[0] * ctx.psi_12 - betas[1] * ctx.psi_02 + betas[2] * ctx.psi_01
     route2 = rule.pair_values(top)
@@ -310,7 +310,7 @@ def run_kernel_diag(config: ExperimentConfig):
     reeb = 1j * x
     diag_errs = []
     beta_errs = []
-    mv = mean_value(cut, 1)
+    mv = mean_value(cut)
     for k in config.k_grid:
         kf = KernelField(table, cut, k, weight="squared")
         ratio = kf.diag() / kf.diag_reference()
@@ -343,8 +343,8 @@ def run_embed_check(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
     x = random_sphere_points(1, rng=rng)[0]
     reeb = 1j * x
-    var_ref = variance(cut, 1)
-    mv_ref = mean_value(cut, 1)
+    var_ref = variance(cut)
+    mv_ref = mean_value(cut)
     tt_errs = []
     maps = {}
     for k in config.k_grid:
@@ -599,10 +599,10 @@ def run_equidistribution_cr(config: ExperimentConfig):
     config.validated_for_statistics()
     report = ExperimentReport("equi-cr")
     cut = config.cutoff
-    mv = mean_value(cut, 1)
+    mv = mean_value(cut)
     table = degree_table_for(max(config.k_grid), cut)
     rule = SphereRule(config.level)
-    d_xi = contact_one_form(2).d()
+    d_xi = contact_one_form().d()
     for psi_name in ("angular-z2", "horizontal-mix"):
         psi = one_form(psi_name)
         limit = mv / (2.0 * math.pi) * rule.pair_form(d_xi.wedge(psi))
@@ -712,14 +712,14 @@ def run_equidistribution_domain(config: ExperimentConfig):
     """Deterministic curvature-mass concentration at the boundary."""
     report = ExperimentReport("equi-domain")
     cut = config.cutoff
-    mv = mean_value(cut, 1)
+    mv = mean_value(cut)
     table = degree_table_for(max(config.k_grid), cut)
     ball_rule = BallRule(config.ball_level, radial=config.ball_radial)
     sphere_rule = ball_rule.sphere
     for psi_name in ("vol-z2", "bump-z2", "interior-only"):
         psi = surface_form(psi_name)
         tables = _ddbar_pair_tables(psi, ball_rule)
-        boundary_ref = mv * sphere_rule.pair_form(contact_one_form(2).wedge(psi))
+        boundary_ref = mv * sphere_rule.pair_form(contact_one_form().wedge(psi))
         errs = []
         for k in config.k_grid:
             kf = KernelField(table, cut, k, weight="squared")
@@ -782,8 +782,8 @@ def run_expectation_domain(config: ExperimentConfig):
                      abs(res.value - direct) <= max(0.01 * abs(direct), 3 * res.err_est),
                      f"{res.value.real:.6f} vs {direct.real:.6f}, {_cell_counts(res)}")
     # scaled means approach the boundary limit (reported)
-    mvref = mean_value(cut, 1) / (2.0 * math.pi) * sphere_rule.pair_form(
-        contact_one_form(2).wedge(surface_form("vol-z2")))
+    mvref = mean_value(cut) / (2.0 * math.pi) * sphere_rule.pair_form(
+        contact_one_form().wedge(surface_form("vol-z2")))
     report.add_check("boundary-limit-note", True,
                      f"k^-1 reference at k={k}: "
                      f"{(raw['vol-z2'] / (2 * math.pi * k)).real:.5f}"

@@ -1,24 +1,24 @@
-"""Exact exterior calculus for polynomial-coefficient ambient forms.
+"""Exact exterior calculus for polynomial-coefficient ambient forms on C^2.
 
-Forms live on R^{2(n+1)} identified with C^{n+1}.  Internally every form
-is stored in the complex covector basis dz_j, dconj(z_j) with monomial
+Forms live on R^4 identified with C^2.  Internally every form is stored
+in the complex covector basis dz_j, dconj(z_j) with monomial
 coefficients in z and conj(z); this makes the exterior derivative and
 its (1,0)/(0,1) split exact term manipulations, with no numerical
 differentiation anywhere.  Constructors accept the real coordinates
-x_0, ..., x_{2n+1} (x_{2j} + i x_{2j+1} = z_j) and convert exactly.
+x_0, ..., x_3 (x_{2j} + i x_{2j+1} = z_j) and convert exactly.
 
 Coefficients are exact Gaussian rationals: a binary float converts to a
-fraction without rounding, and d, the type split, the wedge product and
-conjugation only add and multiply them, so identities such as d(d(form))
-= 0 hold term by term rather than up to rounding.  Evaluation converts
-each coefficient to a complex float once per call.
+fraction without rounding, and d, the type split and the wedge product
+only add and multiply them, so identities such as d(d(form)) = 0 hold
+term by term rather than up to rounding.  Evaluation converts each
+coefficient to a complex float once per call.
 
-Directions for evaluation are (holomorphic, antiholomorphic) component
-pairs: a real tangent vector u (complex packing) evaluates covectors as
-dz_j -> u_j, dconj(z_j) -> conj(u_j); a (1,0) direction w evaluates as
-dz_j -> w_j, dconj(z_j) -> 0.  Either half of a pair may also be a tuple
-of per-coordinate columns in which None marks a component that vanishes
-identically; evaluation then skips every product that contains it.
+A direction for evaluation is a real tangent vector u in complex
+packing, which evaluates covectors as dz_j -> u_j, dconj(z_j) ->
+conj(u_j).  It is an array of shape (2,) or (npoints, 2), or a tuple of
+the two per-coordinate columns in which None marks a component that
+vanishes identically; evaluation then skips every product that contains
+it.
 """
 
 from __future__ import annotations
@@ -29,23 +29,21 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord", "real_direction"]
+__all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord"]
+
+
+def _permutation_sign(seq):
+    """Sign (+1 or -1) of the permutation that sorts distinct items."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return (-1) ** inv
 
 
 def _merge_sign(word_a, word_b):
     """Concatenate two strictly increasing covector words; None if repeated."""
-    merged = list(word_a) + list(word_b)
-    seen = set(merged)
-    if len(seen) != len(merged):
+    merged = tuple(word_a) + tuple(word_b)
+    if len(set(merged)) != len(merged):
         return None, 0
-    # count inversions of the concatenation relative to sorted order
-    inv = 0
-    for i in range(len(merged)):
-        for j in range(i + 1, len(merged)):
-            if merged[i] > merged[j]:
-                inv += 1
-    order = tuple(sorted(merged))
-    return order, (-1) ** inv
+    return tuple(sorted(merged)), _permutation_sign(merged)
 
 
 class _Coeff:
@@ -86,9 +84,6 @@ class _Coeff:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        return _Coeff(self.re, -self.im)
-
     def __bool__(self):
         return bool(self.re or self.im)
 
@@ -111,11 +106,7 @@ class _Coeff:
 @functools.cache
 def _signed_permutations(p):
     """Permutations of range(p) with their signs, for Leibniz determinants."""
-    out = []
-    for perm in itertools.permutations(range(p)):
-        inv = sum(1 for i in range(p) for j in range(i + 1, p) if perm[i] > perm[j])
-        out.append((perm, (-1) ** inv))
-    return tuple(out)
+    return tuple((perm, _permutation_sign(perm)) for perm in itertools.permutations(range(p)))
 
 
 class PolyForm:
@@ -123,14 +114,13 @@ class PolyForm:
 
     terms maps (word, exps) -> exact coefficient, where word is a
     strictly increasing tuple of covector ids (2j = dz_j, 2j+1 =
-    dconj(z_j)) and exps is a tuple of 2(n+1) nonnegative exponents
-    (z_0, conj(z_0), z_1, conj(z_1), ...).
+    dconj(z_j)) and exps is a tuple of 4 nonnegative exponents
+    (z_0, conj(z_0), z_1, conj(z_1)).  PolyForm() is the zero form.
     """
 
-    __slots__ = ("ncplx", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ncplx, terms=None):
-        self.ncplx = int(ncplx)
+    def __init__(self, terms=None):
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -141,20 +131,15 @@ class PolyForm:
 
     # ------------------------------------------------------------- basics
     @classmethod
-    def zero(cls, ncplx):
-        return cls(ncplx)
+    def constant(cls, value):
+        return cls({((), (0, 0, 0, 0)): value})
 
     @classmethod
-    def constant(cls, value, ncplx):
-        exps = (0,) * (2 * ncplx)
-        return cls(ncplx, {((), exps): value})
-
-    @classmethod
-    def monomial(cls, ncplx, coeff, exps, word=()):
+    def monomial(cls, coeff, exps, word=()):
         word = tuple(word)
         if any(word[i] >= word[i + 1] for i in range(len(word) - 1)):
             raise ValueError("covector word must be strictly increasing")
-        return cls(ncplx, {(word, tuple(exps)): coeff})
+        return cls({(word, tuple(exps)): coeff})
 
     @property
     def degree(self):
@@ -180,21 +165,21 @@ class PolyForm:
 
     def __add__(self, other):
         if not isinstance(other, PolyForm):
-            other = PolyForm.constant(other, self.ncplx)
+            other = PolyForm.constant(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c
-        return PolyForm(self.ncplx, out)
+        return PolyForm(out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return PolyForm(self.ncplx, {k: -c for k, c in self.terms.items()})
+        return PolyForm({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PolyForm):
-            other = PolyForm.constant(other, self.ncplx)
+            other = PolyForm.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -204,31 +189,13 @@ class PolyForm:
         if isinstance(scalar, PolyForm):
             return self.wedge(scalar)
         scalar = _Coeff.of(scalar)
-        return PolyForm(self.ncplx, {k: c * scalar for k, c in self.terms.items()})
+        return PolyForm({k: c * scalar for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
 
-    def conj(self):
-        """Complex conjugate form (swaps dz_j with dconj(z_j))."""
-        out = {}
-        for (word, exps), c in self.terms.items():
-            new_word = tuple(sorted(w ^ 1 for w in word))
-            # sign from re-sorting the swapped word
-            swapped = [w ^ 1 for w in word]
-            inv = sum(1 for i in range(len(swapped)) for j in range(i + 1, len(swapped)) if swapped[i] > swapped[j])
-            new_exps = list(exps)
-            for j in range(self.ncplx):
-                new_exps[2 * j], new_exps[2 * j + 1] = exps[2 * j + 1], exps[2 * j]
-            key = (new_word, tuple(new_exps))
-            c = c.conjugate() if inv % 2 == 0 else -c.conjugate()
-            out[key] = out[key] + c if key in out else c
-        return PolyForm(self.ncplx, out)
-
     # ---------------------------------------------------------- operations
     def wedge(self, other):
-        if self.ncplx != other.ncplx:
-            raise ValueError("dimension mismatch")
         out = {}
         for (wa, ea), ca in self.terms.items():
             for (wb, eb), cb in other.terms.items():
@@ -239,27 +206,27 @@ class PolyForm:
                 key = (word, exps)
                 c = ca * cb if sign > 0 else -(ca * cb)
                 out[key] = out[key] + c if key in out else c
-        return PolyForm(self.ncplx, out)
+        return PolyForm(out)
 
     def _derive(self, holomorphic):
         out = {}
         for (word, exps), c in self.terms.items():
-            for j in range(self.ncplx):
+            for j in range(2):
+                # the exponent slot of z_j (or conj(z_j)) is also its covector id
                 slot = 2 * j if holomorphic else 2 * j + 1
-                cov = 2 * j if holomorphic else 2 * j + 1
                 e = exps[slot]
-                if e == 0 or cov in word:
+                if e == 0 or slot in word:
                     continue
                 new_exps = list(exps)
                 new_exps[slot] -= 1
                 # prepend the covector, then sort into the word
-                merged, sign = _merge_sign((cov,), word)
+                merged, sign = _merge_sign((slot,), word)
                 if sign == 0:
                     continue
                 key = (merged, tuple(new_exps))
                 term = c * (sign * int(e))
                 out[key] = out[key] + term if key in out else term
-        return PolyForm(self.ncplx, out)
+        return PolyForm(out)
 
     def partial_z(self):
         """Holomorphic exterior derivative (the (1,0) part of d)."""
@@ -306,10 +273,10 @@ class PolyForm:
     def evaluate(self, points, directions):
         """Value of the p-form on p direction fields at each point.
 
-        directions is a sequence of (holo, antiholo) pairs of arrays with
-        shape (ncplx,) or (npoints, ncplx), or of tuples of ncplx columns
-        with None for structural zeros.  Each word's determinant is the
-        Leibniz sum over permutations of products of covector values,
+        directions is a sequence of real tangent vectors in complex
+        packing: arrays of shape (2,) or (npoints, 2), or tuples of two
+        columns with None for structural zeros.  Each word's determinant
+        is the Leibniz sum over permutations of products of covector values,
         without the products that contain a structural zero; a constant
         direction stays a scalar per covector.  Coefficients are only
         evaluated for words whose determinant is not structurally zero.
@@ -326,10 +293,7 @@ class PolyForm:
             out += self._coefficient(points, ())
             return out
         # columns[s][c]: covector c (2j = dz_j, 2j+1 = dconj(z_j)) on direction s
-        columns = []
-        for holo, anti in directions:
-            holo, anti = _components(holo, self.ncplx), _components(anti, self.ncplx)
-            columns.append([(anti if c % 2 else holo)[c // 2] for c in range(2 * self.ncplx)])
+        columns = [_covector_columns(u) for u in directions]
         perms = _signed_permutations(p)
         for word in self._words():
             det = None
@@ -366,56 +330,49 @@ class PolyForm:
         return best
 
     def __repr__(self):
-        return f"PolyForm(ncplx={self.ncplx}, nterms={len(self.terms)})"
+        return f"PolyForm(nterms={len(self.terms)})"
 
 
 # ------------------------------------------------------------ constructors
-def dz(j, ncplx=2):
-    return PolyForm.monomial(ncplx, 1.0, (0,) * (2 * ncplx), (2 * j,))
+def dz(j):
+    return PolyForm.monomial(1.0, (0, 0, 0, 0), (2 * j,))
 
 
-def dzbar(j, ncplx=2):
-    return PolyForm.monomial(ncplx, 1.0, (0,) * (2 * ncplx), (2 * j + 1,))
+def dzbar(j):
+    return PolyForm.monomial(1.0, (0, 0, 0, 0), (2 * j + 1,))
 
 
-def z_coord(j, ncplx=2):
-    exps = [0] * (2 * ncplx)
+def z_coord(j):
+    exps = [0, 0, 0, 0]
     exps[2 * j] = 1
-    return PolyForm.monomial(ncplx, 1.0, exps)
+    return PolyForm.monomial(1.0, exps)
 
 
-def zbar_coord(j, ncplx=2):
-    exps = [0] * (2 * ncplx)
+def zbar_coord(j):
+    exps = [0, 0, 0, 0]
     exps[2 * j + 1] = 1
-    return PolyForm.monomial(ncplx, 1.0, exps)
+    return PolyForm.monomial(1.0, exps)
 
 
-def x_coord(i, ncplx=2):
+def x_coord(i):
     """Real coordinate x_i as a 0-form (x_{2j} = Re z_j, x_{2j+1} = Im z_j)."""
     j, odd = divmod(i, 2)
     if odd:
-        return (z_coord(j, ncplx) - zbar_coord(j, ncplx)) * (1.0 / 2j)
-    return (z_coord(j, ncplx) + zbar_coord(j, ncplx)) * 0.5
+        return (z_coord(j) - zbar_coord(j)) * (1.0 / 2j)
+    return (z_coord(j) + zbar_coord(j)) * 0.5
 
 
-def dx(i, ncplx=2):
+def dx(i):
     """Real coordinate covector dx_i."""
     j, odd = divmod(i, 2)
     if odd:
-        return (dz(j, ncplx) - dzbar(j, ncplx)) * (1.0 / 2j)
-    return (dz(j, ncplx) + dzbar(j, ncplx)) * 0.5
+        return (dz(j) - dzbar(j)) * (1.0 / 2j)
+    return (dz(j) + dzbar(j)) * 0.5
 
 
-# ------------------------------------------------------------- directions
-def _components(half, ncplx):
-    """Per-coordinate columns of one half of a direction pair."""
-    if isinstance(half, tuple):
-        return half
-    half = np.asarray(half, dtype=complex)
-    return [half[..., j] for j in range(ncplx)]
-
-
-def real_direction(u):
-    """Direction pair of a real tangent vector given in complex packing."""
-    u = np.asarray(u, dtype=complex)
-    return (u, np.conj(u))
+def _covector_columns(u):
+    """Values of dz_0, dconj(z_0), dz_1, dconj(z_1) on the direction u."""
+    if not isinstance(u, tuple):
+        u = np.asarray(u, dtype=complex)
+        u = (u[..., 0], u[..., 1])
+    return [None if c is None else part(c) for c in u for part in (np.asarray, np.conj)]

@@ -125,8 +125,7 @@ class KernelField:
     # ---------------------------------------------------- reference values
     def diag_reference(self):
         """Leading-order diagonal value k^2 (2 pi^2)^{-1} moment0."""
-        # moment0 of the density t^n eta(t) of S^{2n+1} at n = 1
-        moment0 = band_moment(self.cutoff, 0, 1, squared=(self.weight == "squared"))
+        moment0 = band_moment(self.cutoff, 0, squared=(self.weight == "squared"))
         return self.k ** 2 / (2.0 * math.pi ** 2) * moment0
 
     # ------------------------------------------------------- ball quantities
@@ -155,10 +154,9 @@ class KernelField:
         # first and second radial band sums: sum m w c q^{m-1}, sum m(m-1) w c q^{m-2}
         d1_coeffs = (self.coeffs * ms).astype(complex)
         d2_coeffs = (self.coeffs * ms * (ms - 1.0)).astype(complex)
-        s1 = np.zeros_like(s0)
+        # band degrees start at floor(delta1 k) + 1 >= 1, so only s2 needs a guard
+        s1 = _accel.band_power_sum(qc, self.degrees - 1, d1_coeffs).real
         s2 = np.zeros_like(s0)
-        if self.degrees.min() >= 1:
-            s1 = _accel.band_power_sum(qc, self.degrees - 1, d1_coeffs).real
         if self.degrees.min() >= 2:
             s2 = _accel.band_power_sum(qc, self.degrees - 2, d2_coeffs).real
         denom = c + s0

@@ -14,9 +14,10 @@ Both sphere rules are tensor products in (t, theta1, theta2), the
 product rule globally and the refinable cell rule per cell, so they keep
 per-axis factors (cos(phi), sin(phi), e^{i theta1}, e^{i theta2} and the
 axis weights) and build node arrays and the Hopf frame by broadcasting
-them: no trigonometry runs per node, and the frame directions d/dtheta1
-and d/dtheta2, which have one vanishing component each, carry it as a
-structural zero (None) instead of an array of zeros.
+them: no trigonometry runs per node.  The frame is three real tangent
+vectors, each a tuple of its two per-coordinate node columns in complex
+packing; d/dtheta1 and d/dtheta2, which have one vanishing component
+each, carry it as a structural zero (None) instead of an array of zeros.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from spherelab import forms
-from spherelab.forms import PolyForm, real_direction
+from spherelab.forms import PolyForm
 
 __all__ = [
     "SphereRule",
@@ -46,24 +47,19 @@ def gauss_legendre_01(npts):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def contact_one_form(ncplx=2):
+def contact_one_form():
     """Ambient one-form (1/2i) sum (conj(z_j) dz_j - z_j dconj(z_j))."""
-    total = PolyForm.zero(ncplx)
-    for j in range(ncplx):
-        total = total + forms.zbar_coord(j, ncplx) * forms.dz(j, ncplx) * (1.0 / 2j)
-        total = total - forms.z_coord(j, ncplx) * forms.dzbar(j, ncplx) * (1.0 / 2j)
+    total = PolyForm()
+    for j in range(2):
+        total = total + forms.zbar_coord(j) * forms.dz(j) * (1.0 / 2j)
+        total = total - forms.z_coord(j) * forms.dzbar(j) * (1.0 / 2j)
     return total
 
 
-def contact_volume_form(ncplx=2):
-    """(2^-n / n!) xi ^ (dxi)^n as an ambient polynomial form (n = ncplx-1)."""
-    xi = contact_one_form(ncplx)
-    dxi = xi.d()
-    n = ncplx - 1
-    vol = xi
-    for _ in range(n):
-        vol = vol.wedge(dxi)
-    return vol * (0.5 ** n / math.factorial(n))
+def contact_volume_form():
+    """The contact volume (1/2) xi ^ dxi as an ambient polynomial 3-form."""
+    xi = contact_one_form()
+    return xi.wedge(xi.d()) * 0.5
 
 
 class SphereRule:
@@ -90,7 +86,7 @@ class SphereRule:
         self.weights = _node_column((0.5 * wt)[:, None, None] * wang * wang, shape)
         self.points = _hopf_points(*axes)
         self._frame = _hopf_frame_directions(*axes)
-        vol = contact_volume_form(2)
+        vol = contact_volume_form()
         self._volume_coeff = vol.evaluate(self.points, self._frame).real
         sphi_cphi = _node_column(sphi * cphi, shape)
         self.density = np.abs(self._volume_coeff) / sphi_cphi
@@ -111,7 +107,7 @@ class SphereRule:
         return np.dot(self.weights, values)
 
     def frame_directions(self):
-        """Hopf coordinate frame as direction pairs for form evaluation."""
+        """Hopf coordinate frame as directions for form evaluation."""
         return list(self._frame)
 
     def pair_form(self, psi):
@@ -173,10 +169,9 @@ class BallRule:
 
 
 def _standard_frame_directions():
-    """Real coordinate frame of C^2 = R^4 as direction pairs."""
-    vecs = [np.array([1.0, 0.0]), np.array([1j, 0.0]),
+    """Real coordinate frame of C^2 = R^4 in complex packing."""
+    return [np.array([1.0, 0.0]), np.array([1j, 0.0]),
             np.array([0.0, 1.0]), np.array([0.0, 1j])]
-    return [real_direction(v) for v in vecs]
 
 
 def _node_column(factor, shape):
@@ -195,10 +190,10 @@ def _hopf_points(cphi, sphi, e1, e2):
 
 
 def _hopf_frame_directions(cphi, sphi, e1, e2):
-    """Coordinate frame (d/dphi, d/dtheta1, d/dtheta2) as real direction
-    pairs from the same axis factors as _hopf_points.
+    """Coordinate frame (d/dphi, d/dtheta1, d/dtheta2) from the same axis
+    factors as _hopf_points.
 
-    Each half of a pair is a tuple of per-coordinate node columns; the
+    Each direction is a tuple of its two per-coordinate node columns; the
     z2 component of d/dtheta1 and the z1 component of d/dtheta2 vanish
     identically and are None (a structural zero for PolyForm.evaluate).
     """
@@ -206,11 +201,8 @@ def _hopf_frame_directions(cphi, sphi, e1, e2):
     fields = (((-sphi) * e1, cphi * e2),
               (1j * cphi * e1, None),
               (None, 1j * sphi * e2))
-
-    def half(field, part):
-        return tuple(None if f is None else _node_column(part(f), shape) for f in field)
-
-    return [(half(field, np.asarray), half(field, np.conj)) for field in fields]
+    return [tuple(None if f is None else _node_column(f, shape) for f in field)
+            for field in fields]
 
 
 class CircleRule:
@@ -236,7 +228,7 @@ class CircleRule:
         """Line integral of a 1-form along the oriented circle."""
         if psi.degree != 1:
             raise ValueError("circle pairing needs a 1-form")
-        vals = psi.evaluate(self.points, [real_direction(self.tangents)])
+        vals = psi.evaluate(self.points, [self.tangents])
         return np.dot(self.weights, vals)
 
     def integrate(self, values):
@@ -280,7 +272,7 @@ class DiscRule:
         e_rho[:, 1] = np.exp(1j * self.theta)
         e_theta = np.zeros_like(e_rho)
         e_theta[:, 1] = 1j * self.rho * np.exp(1j * self.theta)
-        vals = psi.evaluate(self.points, [real_direction(e_rho), real_direction(e_theta)])
+        vals = psi.evaluate(self.points, [e_rho, e_theta])
         return np.dot(self.weights, vals)
 
     def integrate(self, values):

@@ -15,7 +15,7 @@ import pytest
 
 from spherelab.basis import DegreeTable, monomial_norm_closed_form, monomial_norm_quadrature
 from spherelab.cutoffs import Cutoff, mean_value
-from spherelab.ensemble import RandomEnsemble
+from spherelab.ensemble import NodeEvaluator, RandomEnsemble
 from spherelab.experiments import (ExperimentConfig, run_embed_check,
                                    run_equidistribution_cr,
                                    run_equidistribution_domain,
@@ -193,7 +193,7 @@ def test_criterion_13_exact_value_suite():
     t0 = time.perf_counter()
     # band mean of the squared unit-interval indicator
     ind = Cutoff(0.0, 1.0, "indicator")
-    mv = mean_value(ind, 1)
+    mv = mean_value(ind)
     ok_mv = abs(mv - 2.0 / 3.0) <= 1e-12
     # monomial norms against the closed Beta values
     ok_norms = True
@@ -204,7 +204,7 @@ def test_criterion_13_exact_value_suite():
     table = DegreeTable(28)
     ens = RandomEnsemble(table, Cutoff(), 32, kappa=0, master_seed=424242)
     pts = random_sphere_points(2, rng=np.random.default_rng(7))
-    vals = ens.evaluator(pts).values(ens.draw_matrix(range(10_000)))
+    vals = NodeEvaluator(ens, pts).values(ens.draw_matrix(range(10_000)))
     prod = vals[:, 0] * np.conj(vals[:, 1])
     se = float(np.std(prod)) / math.sqrt(len(prod))
     gap = float(abs(prod.mean() - ens.field.kernel(pts[0], pts[1])))

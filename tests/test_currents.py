@@ -110,7 +110,7 @@ def test_regularity_rejection():
         divisor_pairing_boundary(z1 * z1, VOL_Z2, ball_level=8,
                                  base_cells=6, nodes_per_axis=4, refine_depth=12)
     with pytest.raises(RegularityError):
-        divisor_pairing_boundary(forms.PolyForm.zero(2), VOL_Z2, ball_level=8, **FAST)
+        divisor_pairing_boundary(forms.PolyForm(), VOL_Z2, ball_level=8, **FAST)
 
 
 def test_catalog_registry():

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from spherelab.cutoffs import Cutoff, band_moment, mean_value, variance
 
 
-def composite_gauss_moment(cutoff, j, n, panels=64, order=24):
+def composite_gauss_moment(cutoff, j, panels=64, order=24):
     """Independent refinement oracle: composite Gauss-Legendre panels."""
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(cutoff.delta1, cutoff.delta2, panels + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        total += 0.5 * (b - a) * np.dot(w, t ** (n + j) * cutoff.eta(t))
+        total += 0.5 * (b - a) * np.dot(w, t ** (1 + j) * cutoff.eta(t))
     return total
 
 
@@ -55,23 +55,21 @@ def test_bump_peak_value():
 
 def test_indicator_moments_unit_interval():
     ind = Cutoff(0.0, 1.0, "indicator")
-    assert band_moment(ind, 0, 1) == pytest.approx(0.5, abs=1e-12)
-    assert band_moment(ind, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert mean_value(ind, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert band_moment(ind, 0) == pytest.approx(0.5, abs=1e-12)
+    assert band_moment(ind, 1) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert mean_value(ind) == pytest.approx(2.0 / 3.0, abs=1e-12)
     # tau2/tau0 - mv^2 with tau2 = 1/4
-    assert variance(ind, 1) == pytest.approx(0.25 / 0.5 - 4.0 / 9.0, abs=1e-12)
-    assert mean_value(ind, 2) == pytest.approx(3.0 / 4.0, abs=1e-12)
+    assert variance(ind) == pytest.approx(0.25 / 0.5 - 4.0 / 9.0, abs=1e-12)
 
 
 def test_indicator_moments_match_closed_form():
     for a, b in ((0.0, 1.0), (0.25, 0.75), (0.1, 2.0)):
         ind = Cutoff(a, b, "indicator")
-        for j in (0, 1, 2):
-            for n in (1, 2):
-                p = n + j + 1
-                exact = (b ** p - a ** p) / p
-                for squared in (True, False):
-                    assert band_moment(ind, j, n, squared) == pytest.approx(exact, rel=2e-15)
+        for j in (0, 1, 2, 3):
+            p = j + 2
+            exact = (b ** p - a ** p) / p
+            for squared in (True, False):
+                assert band_moment(ind, j, squared) == pytest.approx(exact, rel=2e-15)
 
 
 @pytest.mark.parametrize("d1, d2", [(0.25, 0.75), (0.05, 0.3), (0.4, 1.6)])
@@ -82,38 +80,37 @@ def test_bump_moments_match_adaptive_quadrature(d1, d2, sharp):
     c = Cutoff(d1, d2, sharpness=sharp)
     for squared in (True, False):
         weight = c.eta if squared else c.chi
-        for j in (0, 1, 2):
-            for n in (1, 2):
-                ref, _ = quad(lambda t: t ** (n + j) * weight(t), d1, d2,
-                              epsabs=1e-13, epsrel=1e-13)
-                assert band_moment(c, j, n, squared) == pytest.approx(ref, rel=1e-13)
+        for j in (0, 1, 2, 3):
+            ref, _ = quad(lambda t: t ** (1 + j) * weight(t), d1, d2,
+                          epsabs=1e-13, epsrel=1e-13)
+            assert band_moment(c, j, squared) == pytest.approx(ref, rel=1e-13)
 
 
 def test_bump_moments_match_refinement_oracle():
     c = Cutoff()
     for j in (0, 1, 2):
-        ref = composite_gauss_moment(c, j, 1)
-        assert band_moment(c, j, 1) == pytest.approx(ref, abs=1e-12)
+        ref = composite_gauss_moment(c, j)
+        assert band_moment(c, j) == pytest.approx(ref, abs=1e-12)
 
 
 @pytest.mark.parametrize("s", [2.0, 3.0])
 def test_scale_covariance(s):
     c = Cutoff(0.25, 0.75)
     scaled = Cutoff(s * 0.25, s * 0.75)
-    for j, n in ((0, 1), (1, 1), (2, 1), (0, 2)):
-        expect = s ** (n + j + 1) * band_moment(c, j, n)
-        assert band_moment(scaled, j, n) == pytest.approx(expect, rel=1e-10)
+    for j in (0, 1, 2):
+        expect = s ** (j + 2) * band_moment(c, j)
+        assert band_moment(scaled, j) == pytest.approx(expect, rel=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
 @given(d1=st.floats(0.05, 0.6), width=st.floats(0.05, 1.0), sharp=st.floats(0.3, 4.0))
 def test_mean_in_support_and_variance_positive(d1, width, sharp):
     c = Cutoff(d1, d1 + width, sharpness=sharp)
-    mv = mean_value(c, 1)
+    mv = mean_value(c)
     assert c.delta1 < mv < c.delta2
-    assert variance(c, 1) > 0.0
+    assert variance(c) > 0.0
     # strict Cauchy-Schwarz between the band moments
-    t0, t1, t2 = (band_moment(c, j, 1) for j in (0, 1, 2))
+    t0, t1, t2 = (band_moment(c, j) for j in (0, 1, 2))
     assert t1 < math.sqrt(t0 * t2)
 
 

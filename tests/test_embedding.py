@@ -128,8 +128,8 @@ def test_hessian_matrix_matches_pair_loop(table, bump, rng, kappa):
 def test_fs_asymptotics(big_table, bump, rng):
     x = random_sphere_points(1, rng=rng)[0]
     reeb = 1j * x
-    var_ref = variance(bump, 1)
-    mv_ref = mean_value(bump, 1)
+    var_ref = variance(bump)
+    mv_ref = mean_value(bump)
     errs = []
     for k in (64, 128, 256):
         em = EmbeddingMap(big_table, bump, k)
@@ -147,7 +147,7 @@ def test_fs_asymptotics(big_table, bump, rng):
 
 def test_scaled_hessian_structure(table, bump, rng):
     x = random_sphere_points(1, rng=rng)[0]
-    limit = -np.diag([variance(bump, 1), mean_value(bump, 1), mean_value(bump, 1)])
+    limit = -np.diag([variance(bump), mean_value(bump), mean_value(bump)])
     devs = []
     for k in (32, 64, 128):
         em = EmbeddingMap(table, bump, k)

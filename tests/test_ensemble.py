@@ -1,6 +1,5 @@
 import functools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ def test_worker_count_independence(ens32):
 
 def test_covariance_identity(ens32, rng):
     pts = random_sphere_points(2, rng=rng)
-    ev = ens32.evaluator(pts)
+    ev = NodeEvaluator(ens32, pts)
     a = ens32.draw_matrix(range(10_000))
     vals = ev.values(a)
     prod = vals[:, 0] * np.conj(vals[:, 1])
@@ -70,7 +69,7 @@ def test_kappa_adds_constant(table, bump, rng):
     pts = random_sphere_points(3, rng=rng)
     a = np.zeros((1, ens.dim), dtype=complex)
     a[0, 0] = 2.5
-    vals = ens.evaluator(pts).values(a)
+    vals = NodeEvaluator(ens, pts).values(a)
     assert np.allclose(vals, 2.5)
 
 
@@ -79,7 +78,7 @@ def test_unit_draw_reproduces_component(ens32, rng):
     j = 4
     a = np.zeros((1, ens32.dim), dtype=complex)
     a[0, j] = 1.0
-    vals = ens32.evaluator(pts).values(a)[0]
+    vals = NodeEvaluator(ens32, pts).values(a)[0]
     el = ens32.table.element(ens32.alphas[j])
     expect = ens32.component_weights[j] * el.evaluate(pts)
     assert np.allclose(vals, expect, rtol=1e-12)
@@ -90,10 +89,10 @@ def test_derivative_matches_finite_difference(ens32, rng):
     u = tangent_frame(x)[1]
     a = ens32.draw_matrix(range(1))
     h = 1e-6
-    ev_p = ens32.evaluator(((x + h * u) / np.linalg.norm(x + h * u))[None, :])
-    ev_m = ens32.evaluator(((x - h * u) / np.linalg.norm(x - h * u))[None, :])
+    ev_p = NodeEvaluator(ens32, ((x + h * u) / np.linalg.norm(x + h * u))[None, :])
+    ev_m = NodeEvaluator(ens32, ((x - h * u) / np.linalg.norm(x - h * u))[None, :])
     fd = (ev_p.values(a)[0, 0] - ev_m.values(a)[0, 0]) / (2 * h)
-    ev = ens32.evaluator(x[None, :])
+    ev = NodeEvaluator(ens32, x[None, :])
     x1, x2 = ev.slot1_sums(a)
     exact = ev.directional_derivative(x1, x2, u[None, :])[0, 0]
     assert fd == pytest.approx(exact, rel=1e-6)
@@ -103,7 +102,7 @@ def test_circle_action_distribution(ens32, rng):
     # |f(e^{i theta} x)| is distributed like |f(x)| for the Gaussian ensemble
     x = random_sphere_points(1, rng=rng)[0]
     pts = np.vstack([x, np.exp(0.9j) * x])
-    vals = ens32.evaluator(pts).values(ens32.draw_matrix(range(4000)))
+    vals = NodeEvaluator(ens32, pts).values(ens32.draw_matrix(range(4000)))
     stat = stats.ks_2samp(np.abs(vals[:, 0]), np.abs(vals[:, 1]))
     assert stat.pvalue > 1e-3
 
@@ -176,8 +175,7 @@ def test_grid_evaluator_matches_dense(table, bump, name, k, kappa):
     # k = 24 and 64 fold degrees >= nang onto the same FFT bins
     rule = _grid_rule(name)
     ens = RandomEnsemble(table, bump, k, kappa=kappa, master_seed=11)
-    ev = ens.evaluator(rule)
-    assert isinstance(ev, GridEvaluator)
+    ev = GridEvaluator(ens, rule)
     rng = np.random.default_rng(k + kappa)
     nodes = np.sort(rng.choice(rule.npoints, min(rule.npoints, 4096), replace=False))
     dense = NodeEvaluator(ens, rule.points[nodes])
@@ -189,7 +187,7 @@ def test_grid_evaluator_matches_dense(table, bump, name, k, kappa):
 
 def test_grid_rows_independent_of_batch(table, bump):
     ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
-    ev = ens.evaluator(_grid_rule("sphere-12"))
+    ev = GridEvaluator(ens, _grid_rule("sphere-12"))
     a = ens.draw_matrix(range(256))
     full = [ev.values(a), *ev.slot1_sums(a)]
     batched = [np.concatenate(parts) for parts in zip(
@@ -203,7 +201,7 @@ def test_grid_rows_independent_of_batch(table, bump):
 @pytest.mark.parametrize("kappa", [0, 1])
 def test_in_place_synthesis_matches_out_of_place_fft(table, bump, kappa):
     ens = RandomEnsemble(table, bump, 64, kappa=kappa, master_seed=11)
-    ev = ens.evaluator(_grid_rule("sphere-12"))
+    ev = GridEvaluator(ens, _grid_rule("sphere-12"))
     a = ens.draw_matrix(range(32))
     rest = a[:, kappa:]
 
@@ -225,10 +223,9 @@ def test_in_place_synthesis_matches_out_of_place_fft(table, bump, kappa):
             assert np.array_equal(x, ref) and np.array_equal(y, ref)
 
 
-def _batch_margins_allocating(ens, rows):
-    """batch_margins and gradient_magnitude as they computed before they
-    worked in place, expression for expression."""
-    ev = ens.evaluator(SphereRule(8))
+def _batch_margins_allocating(ens, rows, ev):
+    """batch_margins and gradient_magnitude on the evaluator ev as they
+    computed before they worked in place, expression for expression."""
     vals = ev.values(rows)
     rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=1))
     x1, x2 = ev.slot1_sums(rows)
@@ -247,7 +244,8 @@ def _batch_margins_allocating(ens, rows):
 def test_batch_margins_match_allocating_formulas(table, bump, nrows):
     ens = RandomEnsemble(table, bump, 24, kappa=1, master_seed=5)
     rows = ens.draw_matrix(range(nrows))
-    assert np.array_equal(ens.batch_margins(rows), _batch_margins_allocating(ens, rows))
+    ev = GridEvaluator(ens, SphereRule(8))
+    assert np.array_equal(ens.batch_margins(rows), _batch_margins_allocating(ens, rows, ev))
 
 
 @pytest.mark.parametrize("kappa", [0, 1])
@@ -255,8 +253,8 @@ def test_batch_margins_grid_matches_dense(table, bump, kappa):
     ens = RandomEnsemble(table, bump, 24, kappa=kappa, master_seed=5)
     rows = ens.draw_matrix(range(256))
     grid = ens.batch_margins(rows)
-    # a rule without torus_grid gets the dense evaluator at the same nodes
-    dense = ens.batch_margins(rows, rule=types.SimpleNamespace(points=SphereRule(8).points))
+    # the same margins from the dense evaluator at the same nodes
+    dense = _batch_margins_allocating(ens, rows, NodeEvaluator(ens, SphereRule(8).points))
     assert np.allclose(grid, dense, rtol=1e-10, atol=0.0)
     for threshold in (1e-6, float(np.median(dense))):
         assert np.array_equal(grid >= threshold, dense >= threshold)

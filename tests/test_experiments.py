@@ -12,7 +12,7 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
 from spherelab.embedding import EmbeddingMap
-from spherelab.ensemble import RandomEnsemble
+from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
 from spherelab.experiments import (_EXPERIMENT_DEFAULTS, _MICRO_BATCH, EXPERIMENTS,
                                    BoundarySampler, CfSampler, ExperimentConfig,
                                    ExperimentError, _accepted_rows, _batched_values,
@@ -65,7 +65,7 @@ def test_beta_reference_two_routes(table, bump):
     rule = SphereRule(10)
     val = _beta_reference(kf, CRPairingContext(rule, surface_form("vol-z2")))
     # and the closed route alone for comparison
-    xi_psi = contact_one_form(2).wedge(surface_form("vol-z2"))
+    xi_psi = contact_one_form().wedge(surface_form("vol-z2"))
     direct = kf.beta_scale() * rule.pair_form(xi_psi)
     assert val == pytest.approx(direct, rel=1e-12)
 
@@ -73,8 +73,7 @@ def test_beta_reference_two_routes(table, bump):
 def test_horizontal_form_annihilates_reeb(rng):
     psi = one_form("horizontal-mix")
     xs = random_sphere_points(20, rng=rng)
-    from spherelab.forms import real_direction
-    vals = psi.evaluate(xs, [real_direction(1j * xs)])
+    vals = psi.evaluate(xs, [1j * xs])
     assert np.max(np.abs(vals)) <= 1e-12
 
 
@@ -187,7 +186,7 @@ def _boundary_reference(ctx, u, du_frame, u_ball, deltas):
 def _dense_frame(ctx):
     """The context's frame as (nodes, 2) arrays, structural zeros filled in."""
     return [np.stack([np.zeros(len(ctx.points), dtype=complex) if c is None else c
-                      for c in h], axis=-1) for h in ctx.frame_holo]
+                      for c in u], axis=-1) for u in ctx.frame]
 
 
 def _sampler_frame_derivatives(ev, ctx, row):
@@ -218,7 +217,7 @@ def test_cf_sampler_columns_match_context_route(table, bump):
     rows = ens.draw_matrix(range(4))
     vals, errs = CfSampler(ens, contexts, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 3)
-    ev = ens.evaluator(rule.points)  # dense reference at the same nodes
+    ev = NodeEvaluator(ens, rule.points)  # dense reference at the same nodes
     pairing = RegularizedPairing(contexts)
     for r in range(rows.shape[0]):
         row = rows[r:r + 1]
@@ -240,8 +239,8 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
     rows = ens.draw_matrix(range(4))
     vals, errs = BoundarySampler(ens, sphere_rule, ball_rule, psis, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 2)
-    ev_s = ens.evaluator(sphere_rule.points)  # dense references
-    ev_b = ens.evaluator(ball_rule.points)
+    ev_s = NodeEvaluator(ens, sphere_rule.points)  # dense references
+    ev_b = NodeEvaluator(ens, ball_rule.points)
     contexts = [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis]
     pairing = RegularizedPairing(contexts)
     for r in range(rows.shape[0]):
@@ -409,15 +408,15 @@ def test_single_delta_schedule_is_a_precondition_failure(tmp_path, capsys, key, 
 
 
 def test_expectation_runs_build_one_evaluator_per_rule(monkeypatch):
-    # one evaluator per rule, of either kind: every test form shares it
+    # one evaluator per rule: every test form shares it
     built = []
-    original = RandomEnsemble.evaluator
+    original = GridEvaluator.__init__
 
-    def counting(self, where):
-        built.append(where)
-        return original(self, where)
+    def counting(self, ensemble, rule):
+        built.append(rule)
+        original(self, ensemble, rule)
 
-    monkeypatch.setattr(RandomEnsemble, "evaluator", counting)
+    monkeypatch.setattr(GridEvaluator, "__init__", counting)
     run_expectation_cr(ExperimentConfig("expectation-cr", k_grid=(24,), trials=100, level=10))
     assert len(built) == 3  # margin rule, main rule, control rule
     built.clear()

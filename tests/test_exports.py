@@ -5,10 +5,13 @@ A deletion that leaves a stale export breaks only `from module import *`,
 which no code path runs; the first check makes it fail here instead.  An
 export that only tests reach is code the lab never runs; the second check
 keeps such names out of src, apart from the test oracles kept on purpose.
+The lab is fixed at S^3 in C^2, so the third check keeps dimension
+parameters out of the public signatures.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -68,3 +71,27 @@ def test_exports_used_in_src():
                    for path in SRC.glob("*.py")):
             unused.append(f"{module_name}.{name}")
     assert not unused, f"exported, but nothing in src uses them: {unused}"
+
+
+def _public_functions():
+    """(qualified name, function) of every exported function and class,
+    the classes' public methods, classmethods and __init__ included."""
+    out = []
+    for module_name, name in _exports():
+        obj = getattr(importlib.import_module(module_name), name)
+        if inspect.isfunction(obj):
+            out.append((f"{module_name}.{name}", obj))
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                member = getattr(member, "__func__", member)  # class/static methods
+                if inspect.isfunction(member):
+                    out.append((f"{module_name}.{name}.{attr}", member))
+    return out
+
+
+def test_no_dimension_parameters():
+    offenders = [qualname for qualname, fn in _public_functions()
+                 if {"n", "ncplx", "dim"} & set(inspect.signature(fn).parameters)]
+    assert not offenders, f"public signatures with a dimension parameter: {offenders}"

@@ -6,12 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherelab import forms
-from spherelab.forms import (PolyForm, dx, dz, dzbar, real_direction, x_coord, z_coord,
-                             zbar_coord)
+from spherelab.forms import PolyForm, dx, dz, dzbar, x_coord, z_coord, zbar_coord
 
 
 def random_form(rng, degree, nterms=4):
-    out = PolyForm.zero(2)
+    out = PolyForm()
     words = {
         0: [()],
         1: [(0,), (1,), (2,), (3,)],
@@ -21,7 +20,7 @@ def random_form(rng, degree, nterms=4):
         word = words[rng.integers(len(words))]
         exps = tuple(rng.integers(0, 3, size=4))
         coeff = complex(rng.standard_normal(), rng.standard_normal())
-        out = out + PolyForm.monomial(2, coeff, exps, word)
+        out = out + PolyForm.monomial(coeff, exps, word)
     return out
 
 
@@ -69,7 +68,7 @@ def test_real_coordinate_constructors(rng):
     zpts = pts[:, 0::2] + 1j * pts[:, 1::2]
     vre = rng.standard_normal((10, 4))
     v = vre[:, 0::2] + 1j * vre[:, 1::2]
-    vals = psi.evaluate(zpts, [real_direction(v)])
+    vals = psi.evaluate(zpts, [v])
     expect = pts[:, 2] * vre[:, 3] - pts[:, 3] * vre[:, 2]
     assert np.allclose(vals, expect, atol=1e-13)
     assert np.max(np.abs(vals.imag)) <= 1e-13
@@ -83,34 +82,24 @@ def test_bidegree_and_degree():
         (dz(0) + dz(0) * dzbar(0)).degree
 
 
-def test_conjugation(rng):
-    psi = random_form(rng, 1)
-    pts = rng.standard_normal((5, 4))
-    zpts = pts[:, 0::2] + 1j * pts[:, 1::2]
-    u = rng.standard_normal((5, 4))
-    uv = u[:, 0::2] + 1j * u[:, 1::2]
-    a = psi.conj().evaluate(zpts, [real_direction(uv)])
-    b = np.conj(psi.evaluate(zpts, [real_direction(uv)]))
-    assert np.allclose(a, b, atol=1e-13)
-
-
 def test_direction_types(rng):
-    # dz_j sees only the holomorphic part, dconj(z_j) only the other
-    w = np.array([1.0 + 2.0j, -0.5j])
+    # a real tangent vector u in complex packing: dz_j -> u_j, dconj(z_j) -> conj(u_j);
+    # as a tuple of columns, None is a component that vanishes identically
+    u = np.array([1.0 + 2.0j, -0.5j])
     pt = np.array([[0.3 + 0.1j, 0.2 - 0.4j]])
-    holo = (w, np.zeros_like(w))  # Z_w, of type (1,0)
-    antiholo = (np.zeros_like(w), np.conj(w))  # conj(Z_w), of type (0,1)
-    assert dz(0).evaluate(pt, [holo])[0] == pytest.approx(w[0])
-    assert dzbar(0).evaluate(pt, [holo])[0] == 0.0
-    assert dzbar(0).evaluate(pt, [antiholo])[0] == pytest.approx(np.conj(w[0]))
-    assert dz(0).evaluate(pt, [antiholo])[0] == 0.0
+    assert dz(0).evaluate(pt, [u])[0] == u[0]
+    assert dzbar(1).evaluate(pt, [u])[0] == np.conj(u[1])
+    assert dx(1).evaluate(pt, [u])[0] == pytest.approx(u[0].imag)
+    assert dz(0).evaluate(pt, [(u[0], None)])[0] == u[0]
+    assert dz(1).evaluate(pt, [(u[0], None)])[0] == 0.0
+    assert (dz(0) * dzbar(1)).evaluate(pt, [(u[0], None), (2.0 * u[0], None)])[0] == 0.0
 
 
 def test_evaluation_antisymmetry(rng):
     psi = random_form(rng, 2)
     pts = np.atleast_2d((rng.standard_normal(4) + 1j * rng.standard_normal(4))[:2])
-    u = real_direction(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    v = real_direction(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     a = psi.evaluate(pts, [u, v])
     b = psi.evaluate(pts, [v, u])
     assert np.allclose(a, -b, atol=1e-12)
@@ -125,13 +114,16 @@ def test_sampled_cnorm_orders(rng):
 
 
 def _det_reference(psi, pts, directions):
-    """Evaluation through explicit (npoints, p, p) determinants."""
+    """Evaluation through explicit (npoints, p, p) determinants; a None
+    column of a direction is a zero."""
     npts = pts.shape[0]
     cov = []
-    for holo, anti in directions:
+    for u in directions:
+        if isinstance(u, tuple):
+            u = np.stack(np.broadcast_arrays(*(0.0 if c is None else c for c in u)), axis=-1)
         vals = np.empty((npts, 4), dtype=complex)
-        vals[:, 0::2] = np.broadcast_to(holo, (npts, 2))
-        vals[:, 1::2] = np.broadcast_to(anti, (npts, 2))
+        vals[:, 0::2] = np.broadcast_to(u, (npts, 2))
+        vals[:, 1::2] = np.broadcast_to(np.conj(u), (npts, 2))
         cov.append(vals)
     out = np.zeros(npts, dtype=complex)
     p = psi.degree
@@ -148,19 +140,19 @@ def test_evaluate_matches_determinant_reference(rng, degree):
     npts = 50
     pts = rng.standard_normal((npts, 2)) + 1j * rng.standard_normal((npts, 2))
     for per_point in (True, False):
-        psi = PolyForm.zero(2)
+        psi = PolyForm()
         for _ in range(6):
             word = words[rng.integers(len(words))]
             exps = tuple(rng.integers(0, 3, size=4))
             coeff = complex(rng.standard_normal(), rng.standard_normal())
-            psi = psi + PolyForm.monomial(2, coeff, exps, word)
+            psi = psi + PolyForm.monomial(coeff, exps, word)
         # per-point fields mixed with constant ones, or constants only;
-        # real and holomorphic direction types
+        # arrays, and column tuples with a structural zero
         directions = []
         for s in range(degree):
             shape = (npts, 2) if per_point and s % 2 == 0 else (2,)
             w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            directions.append(real_direction(w) if s < 2 else (w, np.zeros_like(w)))
+            directions.append(w if s < 2 else (w[..., 0], None) if s == 2 else (None, w[..., 1]))
         got = psi.evaluate(pts, directions)
         ref = _det_reference(psi, pts, directions)
         assert got.shape == (npts,)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spherelab.forms import real_direction
 from spherelab.geometry import hermitian_pair, random_sphere_points, tangent_frame
 from spherelab.quadrature import contact_one_form
 
@@ -12,11 +11,11 @@ DXI = XI.d()
 
 def xi(x, u):
     """xi(u) at the points x (npoints, 2) for real directions u."""
-    return XI.evaluate(np.atleast_2d(x), [real_direction(u)])
+    return XI.evaluate(np.atleast_2d(x), [u])
 
 
 def dxi(x, u, v):
-    return DXI.evaluate(np.atleast_2d(x), [real_direction(u), real_direction(v)])
+    return DXI.evaluate(np.atleast_2d(x), [u, v])
 
 
 def omega0_bruteforce(x, v):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spherelab import forms
-from spherelab.forms import real_direction
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule,
                                   SphereCellRule, SphereRule,
                                   contact_one_form, contact_volume_form,
@@ -68,7 +67,7 @@ def test_unitary_invariance(rule16, rng):
 
 
 def test_oriented_volume_pairing(rule16):
-    vol = contact_volume_form(2)
+    vol = contact_volume_form()
     assert rule16.pair_form(vol).real == pytest.approx(AREA_S3, abs=1e-10)
     # cross-quadrature: contact mass equals the oriented pairing
     assert rule16.integrate(rule16.density) == pytest.approx(
@@ -112,7 +111,7 @@ def test_disc_rule():
 def test_cell_rule_matches_product_rule(rule16):
     cells = SphereCellRule(base_cells=6, nodes_per_axis=4)
     assert cells.integrate(np.ones(cells.npoints)) == pytest.approx(AREA_S3, abs=1e-9)
-    psi = contact_one_form(2).wedge((forms.dz(1) * forms.dzbar(1) * 0.5j))
+    psi = contact_one_form().wedge((forms.dz(1) * forms.dzbar(1) * 0.5j))
     a = cells.pair_values(psi.evaluate(cells.points, cells.frame_directions()))
     b = rule16.pair_form(psi)
     assert a == pytest.approx(b, abs=1e-9)
@@ -186,7 +185,7 @@ def _sphere_nodes(level):
     weights = np.broadcast_to((0.5 * wt)[:, None, None] * wang * wang, P.shape).ravel()
     points = hopf_embed(phi, theta1, theta2)
     frame = _hopf_frame(phi, theta1, theta2)
-    coeff = contact_volume_form(2).evaluate(points, [real_direction(f) for f in frame]).real
+    coeff = contact_volume_form().evaluate(points, frame).real
     density = np.abs(coeff) / (np.sin(phi) * np.cos(phi))
     return {
         "points": points,
@@ -199,12 +198,12 @@ def _sphere_nodes(level):
 def _assert_nodes_equal(rule, ref):
     for name in ("points", "weights", "pairing_weights"):
         assert np.array_equal(getattr(rule, name), ref[name]), name
-    for (holo, anti), f in zip(rule.frame_directions(), ref["frame"], strict=True):
+    for u, f in zip(rule.frame_directions(), ref["frame"], strict=True):
         for j in range(2):
-            if holo[j] is None:
-                assert anti[j] is None and not f[:, j].any()
+            if u[j] is None:
+                assert not f[:, j].any()
             else:
-                assert np.array_equal(holo[j], f[:, j]) and np.array_equal(anti[j], np.conj(f[:, j]))
+                assert np.array_equal(u[j], f[:, j])
 
 
 def test_cell_rule_incremental_refine_matches_fresh_build(rng):
