@@ -16,7 +16,8 @@ import sys
 import traceback
 
 from spherelab import reporting
-from spherelab.experiments import EXPERIMENTS, ExperimentError, config_from_resolved
+from spherelab.experiments import (EXPERIMENTS, ExperimentConfig, ExperimentError,
+                                   config_from_resolved)
 
 SUBCOMMANDS = list(EXPERIMENTS) + ["all"]
 
@@ -78,13 +79,14 @@ def main(argv=None):
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = resolved.get("run.out") or _default_out()
+    run = resolved.get("run", {})
+    out_dir = run.get("out") or _default_out()
     os.makedirs(out_dir, exist_ok=True)
 
     manifest = reporting.RunManifest(
         config_path=args.config or "<defaults>",
-        config_hash=reporting.config_hash(resolved),
-        seed=int(resolved["run.seed"]),
+        config_hash=reporting.config_hash(configs.values()),
+        seed=int(run.get("seed", ExperimentConfig.seed)),
         out_dir=out_dir,
     )
     manifest.write(os.path.join(out_dir, "manifest.json"))
@@ -103,7 +105,7 @@ def main(argv=None):
             all_pass = False
             continue
         report.provenance = {
-            "seed": int(resolved["run.seed"]),
+            "seed": config.seed,
             "config_hash": manifest.config_hash,
             "version": reporting.tool_version(),
             "git": reporting.git_describe(),

@@ -374,12 +374,13 @@ def _boundary_regularity_check(u_sphere, grad_sphere, margin_floor=1e-3,
 
 def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
                              base_cells=6, nodes_per_axis=4, refine_depth=10,
-                             ball_level=12):
-    """(Z_u, psi) for a catalog holomorphic function on the unit ball."""
+                             ball_level=12, ball_radial=None):
+    """(Z_u, psi) for a catalog holomorphic function on the unit ball;
+    ball_level and ball_radial size the BallRule (None: its own default)."""
     deltas = tuple(sorted(deltas, reverse=True))
     sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
                                                      refine_depth)
-    ball_rule = BallRule(ball_level)
+    ball_rule = BallRule(ball_level, radial=ball_radial)
     # the context's node tables are dropped once the pairing has its weights
     pairing = RegularizedPairing((BoundaryPairingContext(sphere_rule, ball_rule, psi),))
     grad = holo_gradient_values(upoly, sphere_rule.points)

@@ -20,7 +20,7 @@ the limit with currents.richardson_sqrt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
 from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
                                   contact_one_form)
-from spherelab.reporting import ExperimentReport, experiment_keys
+from spherelab.reporting import ExperimentReport
 
 __all__ = ["ExperimentConfig", "ExperimentError", "EXPERIMENTS", "one_form",
            "surface_form", "ONE_FORMS", "SURFACE_FORMS"]
@@ -115,18 +115,35 @@ class ExperimentConfig:
         return self
 
 
+# Each experiment's own defaults, over the ExperimentConfig ones.  Its
+# section also takes the keys named here: only expectation-cr reads kappa
+# (expectation-domain fixes kappa = 1 and variance-cr runs both).
 _EXPERIMENT_DEFAULTS = {
     "kernel-diag": {"k_grid": (32, 64, 128)},
     "embed-check": {"k_grid": (32, 64, 128, 256)},
     "lp-closed": {},
     "lp-boundary": {},
-    "expectation-cr": {"k_grid": (48,), "trials": 4000, "level": 20},
+    "expectation-cr": {"k_grid": (48,), "trials": 4000, "level": 20,
+                       "kappa": ExperimentConfig.kappa},
     "equi-cr": {"k_grid": (16, 32, 64, 128), "trials": 400},
     "variance-cr": {"k_grid": (16, 32, 64, 128), "trials": 600},
     "equi-domain": {"k_grid": (16, 32, 64, 128)},
     "expectation-domain": {"k_grid": (32,), "trials": 2000},
 }
 
+# The INI schema: each global section's keys.  A key names the ExperimentConfig
+# field it sets, except the [cutoff] keys (Cutoff fields) and run.out (the
+# output directory); an experiment section sets _EXPERIMENT_KEYS for it alone.
+_SECTIONS = {
+    "run": ("seed", "out"),
+    "cutoff": ("delta1", "delta2", "shape", "sharpness"),
+    "grid": ("k_grid",),
+    "mc": ("trials",),
+    "quadrature": ("level", "ball_level", "ball_radial", "cell_base", "cell_nodes",
+                   "refine_depth"),
+    "currents": ("deltas", "mc_deltas", "filter_threshold"),
+}
+_EXPERIMENT_KEYS = ("k_grid", "trials", "level", "seed")
 
 # smallest values accepted: numpy's seeding needs seed >= 0, and the rule
 # sizes are the smallest the rules accept (SphereRule, BallRule, SphereCellRule)
@@ -134,55 +151,55 @@ _MINIMA = {"seed": 0, "level": 4, "ball_level": 2, "ball_radial": 1, "cell_base"
            "cell_nodes": 1, "refine_depth": 0}
 
 
+def _parse(text, default):
+    """Read a config value in the type of its default; a tuple is a comma list."""
+    if isinstance(default, tuple):
+        return tuple(_parse(p, default[0]) for p in text.split(",") if p.strip())
+    return type(default)(text)
+
+
 def config_from_resolved(experiment, resolved):
-    """Build the experiment configuration from a resolved flat config;
-    raises ValueError on a value that does not parse or is out of range."""
+    """Build an experiment's configuration from the values the user set.
 
-    def get(key, default=None):
-        return resolved.get(key, default)
-
-    def as_tuple(text, cast):
-        return tuple(cast(p) for p in str(text).split(",") if p.strip())
-
-    base = dict(
-        experiment=experiment,
-        seed=int(get("run.seed")),
-        cutoff=Cutoff(float(get("cutoff.delta1")), float(get("cutoff.delta2")),
-                      get("cutoff.shape"), float(get("cutoff.sharpness"))),
-        k_grid=as_tuple(get("grid.k_grid"), int),
-        trials=int(get("mc.trials")),
-        level=int(get("quadrature.level")),
-        ball_level=int(get("quadrature.ball_level")),
-        ball_radial=int(get("quadrature.ball_radial")),
-        cell_base=int(get("quadrature.cell_base")),
-        cell_nodes=int(get("quadrature.cell_nodes")),
-        refine_depth=int(get("quadrature.refine_depth")),
-        deltas=as_tuple(get("currents.deltas"), float),
-        mc_deltas=as_tuple(get("currents.mc_deltas"), float),
-        filter_threshold=float(get("currents.filter_threshold")),
-    )
-    explicit = getattr(resolved, "explicit", set())
-    global_of = {"k_grid": "grid.k_grid", "trials": "mc.trials",
-                 "level": "quadrature.level"}
-    for key, val in _EXPERIMENT_DEFAULTS.get(experiment, {}).items():
-        if global_of.get(key) not in explicit:
-            base[key] = val
-    # an experiment-specific section always wins
-    for key in experiment_keys(experiment):
-        override = resolved.get(f"{experiment}.{key}")
-        if override is not None:
-            base[key] = as_tuple(override, int) if key == "k_grid" else int(override)
-    if not base["k_grid"]:
-        raise ValueError(f"empty k_grid for {experiment}")
+    resolved maps section to {key: text} (reporting.resolve_config).  A field
+    comes from the first of these that sets it: the experiment section, the
+    global section, _EXPERIMENT_DEFAULTS, the ExperimentConfig default.
+    Every section is checked, not only the ones this experiment reads;
+    raises ValueError on an unknown section or key and on a value that
+    does not parse or is out of range.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) + fields(Cutoff)}
+    parsed = {}
+    for section, keys in resolved.items():
+        known = _SECTIONS.get(section)
+        if known is None and section in _EXPERIMENT_DEFAULTS:
+            known = _EXPERIMENT_KEYS + tuple(_EXPERIMENT_DEFAULTS[section])
+        if known is None:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, text in keys.items():
+            if key not in known:
+                raise ValueError(f"unknown key {key!r} in section [{section}]")
+            if (section, key) != ("run", "out"):
+                parsed.setdefault(section, {})[key] = _parse(text, defaults[key])
+    values = dict(_EXPERIMENT_DEFAULTS[experiment])
+    for section in (*_SECTIONS, experiment):  # the experiment's own section last
+        if section != "cutoff":
+            values.update(parsed.get(section, {}))
+    config = ExperimentConfig(experiment, cutoff=Cutoff(**parsed.get("cutoff", {})), **values)
+    if not config.k_grid or min(config.k_grid) < 1:
+        raise ValueError(f"k_grid = {config.k_grid} for {experiment}; need values >= 1")
     for key, lowest in _MINIMA.items():
-        if base[key] < lowest:
-            raise ValueError(f"{key} = {base[key]} for {experiment}; need >= {lowest}")
+        if getattr(config, key) < lowest:
+            raise ValueError(f"{key} = {getattr(config, key)} for {experiment}; "
+                             f"need >= {lowest}")
+    if config.kappa not in (0, 1):
+        raise ValueError(f"kappa = {config.kappa} for {experiment}; need 0 or 1")
     # Richardson in sqrt(delta) needs distinct positive deltas
     for key in ("deltas", "mc_deltas"):
-        deltas = base[key]
+        deltas = getattr(config, key)
         if not all(d > 0.0 for d in deltas) or len(set(deltas)) != len(deltas):
             raise ValueError(f"{key} = {deltas}; need distinct values > 0")
-    return ExperimentConfig(**base)
+    return config
 
 
 # ----------------------------------------------------------------- helpers
@@ -459,6 +476,12 @@ def _pairing_options(config):
                 nodes_per_axis=config.cell_nodes, refine_depth=config.refine_depth)
 
 
+def _boundary_pairing(config, fname, psi):
+    """Catalog boundary divisor pairing on the configured cell and ball rules."""
+    return divisor_pairing_boundary(catalog_function(fname), psi, ball_level=config.ball_level,
+                                    ball_radial=config.ball_radial, **_pairing_options(config))
+
+
 def _cell_counts(res):
     """Final and still-flagged cell counts of a refined pairing, for check details."""
     return f"cells {res.extras['cells']}, unresolved {res.extras['unresolved_cells']}"
@@ -498,8 +521,7 @@ def run_lp_boundary(config: ExperimentConfig):
     """Boundary Lelong-Poincare pairings on the unit ball."""
     report = ExperimentReport("lp-boundary")
     psi = surface_form("vol-z2")
-    res = divisor_pairing_boundary(catalog_function("z1-half"), psi,
-                                   ball_level=config.ball_level, **_pairing_options(config))
+    res = _boundary_pairing(config, "z1-half", psi)
     direct = zero_set_direct("z1-half", psi)
     report.add_row("", "pairing-z1-half-vol-z2", res.value, direct)
     tol = max(0.01 * abs(direct), 3.0 * res.err_est)
@@ -508,16 +530,14 @@ def run_lp_boundary(config: ExperimentConfig):
                      f"(3 pi / 4 = {3 * math.pi / 4:.8f}), {_cell_counts(res)}")
 
     psi_poly = surface_form("bump-z2")
-    res2 = divisor_pairing_boundary(catalog_function("nowhere-zero"), psi_poly,
-                                    ball_level=config.ball_level, **_pairing_options(config))
+    res2 = _boundary_pairing(config, "nowhere-zero", psi_poly)
     budget = max(3.0 * res2.err_est, 1e-5)
     report.add_row("", "pairing-nowhere-zero", res2.value, 0.0)
     report.add_check("stokes-cancellation", abs(res2.value) <= budget,
                      f"|pairing| = {abs(res2.value):.2e} <= {budget:.2e}")
 
     # psi ^ du " 0 pointwise forces a vanishing pairing
-    res3 = divisor_pairing_boundary(catalog_function("z1-half"), surface_form("vol-z1"),
-                                    ball_level=config.ball_level, **_pairing_options(config))
+    res3 = _boundary_pairing(config, "z1-half", surface_form("vol-z1"))
     budget3 = max(3.0 * res3.err_est, 1e-5)
     report.add_row("", "pairing-z1-half-vol-z1", res3.value, 0.0)
     report.add_check("tangential-vanishing", abs(res3.value) <= budget3,
@@ -737,8 +757,8 @@ def run_equidistribution_domain(config: ExperimentConfig):
             report.add_check(f"interior-vanishing-{psi_name}", errs[-1] <= max(1e-3, 2.0 * errs[0] * config.k_grid[0] / config.k_grid[-1]),
                              f"boundary limit 0; gaps " + ", ".join(f"{e:.3e}" for e in errs))
     report.add_check("volume-normalization-note", True,
-                     "contact volume fixed to (2^-n/n!) xi ^ (dxi)^n; "
-                     "multiply reported masses by 2^n n! for the unnormalized convention")
+                     "contact volume fixed to (1/2) xi ^ dxi; multiply reported masses "
+                     "by 2 for the unnormalized xi ^ dxi convention")
     return report
 
 
@@ -775,8 +795,7 @@ def run_expectation_domain(config: ExperimentConfig):
         report.add_check(f"expectation-{psi_name}", gap <= 3.0 * se + budget,
                          f"|mean - ref| = {gap:.3e} <= 3 SE ({3 * se:.3e}) + budget ({budget:.3e})")
     # deterministic cross-check through the same machinery
-    res = divisor_pairing_boundary(catalog_function("z1-half"), surface_form("vol-z2"),
-                                   ball_level=config.ball_level, **_pairing_options(config))
+    res = _boundary_pairing(config, "z1-half", surface_form("vol-z2"))
     direct = zero_set_direct("z1-half", surface_form("vol-z2"))
     report.add_check("catalog-crosscheck",
                      abs(res.value - direct) <= max(0.01 * abs(direct), 3 * res.err_est),

@@ -2,9 +2,11 @@
 
 Reports are pure data: rows of per-k measurements plus named checks with
 boolean outcomes; the verdict of a report is derivable from its checks
-alone.  CSV bodies are byte-stable across reruns of the same resolved
+alone.  CSV bodies are byte-stable across reruns of the same experiment
 configuration (floats are serialized with repr, row order is fixed, no
-timestamps inside the body).
+timestamps inside the body), and config_hash hashes those configurations.
+The config schema and its defaults live in experiments (ExperimentConfig);
+this module only reads the INI file and collects what the user set.
 """
 
 from __future__ import annotations
@@ -34,90 +36,34 @@ __all__ = [
 CSV_HEADER = ["k", "quantity", "estimate", "reference", "abs_err", "rel_err",
               "std_err", "observed_order"]
 
-DEFAULTS = {
-    "run": {"seed": "20240817", "out": ""},
-    "cutoff": {"delta1": "0.25", "delta2": "0.75", "shape": "smooth-bump",
-               "sharpness": "1.0"},
-    "grid": {"k_grid": "16,32,64,128"},
-    "mc": {"trials": "400"},
-    "quadrature": {"level": "16", "ball_level": "12", "ball_radial": "28",
-                   "cell_base": "6", "cell_nodes": "4", "refine_depth": "10"},
-    "currents": {"deltas": "1e-2,1e-3,1e-4,1e-5,1e-6",
-                 "mc_deltas": "1e-2,1e-3,1e-4",
-                 "filter_threshold": "1e-6"},
-}
-
 
 def load_config(path=None):
-    """Read an INI config; unknown sections and keys are an error, sections
-    optional.  An experiment section takes only experiment_keys(section)."""
+    """Read an INI config file; checking its sections and keys is
+    experiments.config_from_resolved's job."""
     parser = configparser.ConfigParser()
     if path is not None:
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(path)
-    for section in parser.sections():
-        if section in DEFAULTS:
-            known = DEFAULTS[section]
-        elif section in _EXPERIMENT_SECTIONS:
-            known = experiment_keys(section)
-        else:
-            raise ValueError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in known:
-                raise ValueError(f"unknown key {key!r} in section [{section}]")
     return parser
 
 
-_EXPERIMENT_SECTIONS = {
-    "kernel-diag", "embed-check", "lp-closed", "lp-boundary",
-    "expectation-cr", "equi-cr", "variance-cr", "equi-domain",
-    "expectation-domain",
-}
-
-
-def experiment_keys(experiment):
-    """Keys of an experiment section, each overriding the global value.
-    Only expectation-cr reads kappa: expectation-domain fixes kappa = 1
-    and variance-cr runs both."""
-    keys = ("k_grid", "trials", "level", "seed")
-    return keys + ("kappa",) if experiment == "expectation-cr" else keys
-
-
-class ResolvedConfig(dict):
-    """Flat config with the set of explicitly provided keys attached."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.explicit = set()
-
-
 def resolve_config(parser=None, overrides=None):
-    """Defaults, then file values, then CLI overrides; returns flat dict."""
-    resolved = ResolvedConfig()
-    for section, keys in DEFAULTS.items():
-        for key, val in keys.items():
-            resolved[f"{section}.{key}"] = val
-    if parser is not None:
-        for section in parser.sections():
-            for key, val in parser[section].items():
-                resolved[f"{section}.{key}"] = val
-                resolved.explicit.add(f"{section}.{key}")
-    for key, val in (overrides or {}).items():
+    """What the user set, as {section: {key: text}}: file values, then CLI
+    overrides keyed "section.key" (None is not set)."""
+    resolved = {section: dict(parser[section]) for section in parser.sections()} if parser else {}
+    for name, val in (overrides or {}).items():
         if val is not None:
-            resolved[key] = str(val)
-            resolved.explicit.add(key)
+            section, _, key = name.partition(".")
+            resolved.setdefault(section, {})[key] = str(val)
     return resolved
 
 
-_RESULT_NEUTRAL_KEYS = {"run.out"}
-
-
-def config_hash(resolved):
-    """Hash of every parameter that can affect results (the output
-    location is excluded on purpose)."""
-    body = "\n".join(f"{k}={resolved[k]}" for k in sorted(resolved)
-                     if k not in _RESULT_NEUTRAL_KEYS)
+def config_hash(configs):
+    """Hash of the experiment configurations that run: what the results
+    depend on, and nothing else (not the output location, nor how a value
+    was spelled)."""
+    body = "\n".join(repr(config) for config in configs)
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 

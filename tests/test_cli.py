@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from spherelab import reporting
 from spherelab.cli import main
-from spherelab.experiments import config_from_resolved
+from spherelab.experiments import (_SECTIONS, EXPERIMENTS, ExperimentConfig,
+                                   config_from_resolved)
 from spherelab.reporting import (CSV_HEADER, ExperimentReport, config_hash,
                                  emit_plotdata, load_config, resolve_config)
 
@@ -50,7 +53,10 @@ def test_malformed_config_exits_2(tmp_path, capsys):
              ("lp-closed", "[currents]\ndeltas = 1e-2,0\n"),
              ("lp-closed", "[currents]\ndeltas = 1e-2,1e-3,1e-3\n"),
              ("equi-cr", "[currents]\nmc_deltas = 1e-2,-1e-3\n"),
-             ("equi-cr", "[currents]\nmc_deltas = 1e-3,1e-3\n")]
+             ("equi-cr", "[currents]\nmc_deltas = 1e-3,1e-3\n"),
+             # the ensembles take kappa 0 or 1 and scales k >= 1
+             ("expectation-cr", "[expectation-cr]\nkappa = 5\n"),
+             ("kernel-diag", "[grid]\nk_grid = 0,16\n")]
     for i, (subcommand, text) in enumerate(cases):
         bad.write_text(text)
         out = tmp_path / f"out{i}"
@@ -169,13 +175,76 @@ def test_config_file_round_trip(tmp_path, capsys):
     cfg.write_text("[grid]\nk_grid = 16,32\n\n[run]\nseed = 7\n")
     parser = load_config(cfg)
     resolved = resolve_config(parser)
-    assert resolved["grid.k_grid"] == "16,32"
-    assert resolved["run.seed"] == "7"
-    h1 = config_hash(resolved)
-    assert h1 == config_hash(resolve_config(load_config(cfg)))
+    assert resolved == {"grid": {"k_grid": "16,32"}, "run": {"seed": "7"}}
+    config = config_from_resolved("kernel-diag", resolved)
+    assert (config.k_grid, config.seed) == ((16, 32), 7)
+    h1 = config_hash([config])
+    assert h1 == config_hash([config_from_resolved("kernel-diag",
+                                                   resolve_config(load_config(cfg)))])
     out = tmp_path / "out"
     assert run_cli(["kernel-diag", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+def _manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_config_hash_covers_what_runs(tmp_path, monkeypatch, capsys):
+    # setting the global defaults explicitly overrides expectation-cr's own
+    # (4000 trials at k = 48 on level 20), so the runs differ and so do the
+    # hashes; the runner is stubbed, the hash is the CLI's
+    monkeypatch.setitem(EXPERIMENTS, "expectation-cr",
+                        lambda config: ExperimentReport("expectation-cr"))
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    assert run_cli(["expectation-cr", "--out", str(default)]) == 0
+    assert run_cli(["expectation-cr", "--trials", "400", "--k-grid", "16,32,64,128",
+                    "--level", "16", "--out", str(explicit)]) == 0
+    assert _manifest(default)["config_hash"] != _manifest(explicit)["config_hash"]
+    capsys.readouterr()
+
+
+def test_config_hash_ignores_spelling_and_out(tmp_path, capsys):
+    hashes = []
+    for i, deltas in enumerate(("1e-2,1e-3,1e-4", "0.01,0.001,0.0001")):
+        cfg = tmp_path / f"run{i}.ini"
+        cfg.write_text(f"[currents]\nmc_deltas = {deltas}\n")
+        out = tmp_path / f"out{i}"
+        run_cli(["kernel-diag", "--k-grid", "16,32", "--config", str(cfg), "--out", str(out)])
+        hashes.append(_manifest(out)["config_hash"])
+    assert hashes[0] == hashes[1]
+    capsys.readouterr()
+
+
+def test_provenance_seed_is_the_experiment_seed(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[kernel-diag]\nseed = 5\n")
+    out = tmp_path / "out"
+    run_cli(["kernel-diag", "--k-grid", "16,32", "--config", str(cfg), "--out", str(out)])
+    payload = json.loads((out / "kernel-diag.json").read_text())
+    assert payload["provenance"]["seed"] == 5
+    assert _manifest(out)["seed"] == 20240817
+    capsys.readouterr()
+
+
+def test_readme_defaults_match_the_code():
+    # the README's ini block lists every global key with its default; a
+    # line without a [section] carries on the section above
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    overrides = {}
+    section = None
+    for line in block.splitlines():
+        header = re.match(r"\[([^\]]+)\]", line)
+        if header:
+            section = header.group(1)
+            line = line[header.end():]
+        for key, value in re.findall(r"(\w+) =\s*(\S*)", line):
+            overrides[f"{section}.{key}"] = value
+    assert set(overrides) == {f"{s}.{k}" for s, keys in _SECTIONS.items() for k in keys}
+    del overrides["run.out"]
+    resolved = resolve_config(overrides=overrides)
+    assert config_from_resolved("lp-closed", resolved) == ExperimentConfig("lp-closed")
 
 
 def test_git_describe_runs_once_per_process(monkeypatch):

@@ -9,9 +9,9 @@ from scipy import stats
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
 from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
+from spherelab.experiments import ExperimentConfig
 from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.quadrature import BallRule, SphereRule
-from spherelab.reporting import DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_regularity_filter_examples(table, bump):
     linear, zero = ens.batch_margins(rows)
     assert linear == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert zero == 0.0
-    threshold = float(DEFAULTS["currents"]["filter_threshold"])
+    threshold = ExperimentConfig.filter_threshold
     assert linear >= threshold > zero
 
 

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from spherelab import _accel, reporting
+from spherelab import _accel
 from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 RegularizedPairing, _adaptive_rule, _normalized,
@@ -42,13 +42,12 @@ def test_config_defaults_and_overrides():
 
 
 def test_default_sources_agree():
-    # defaults are written as reporting.DEFAULTS strings and as the
-    # ExperimentConfig field defaults; the experiment names in three lists
-    resolved = resolve_config()
+    # the experiment names are the keys of two tables, and a config that
+    # sets nothing gives each experiment its own defaults
+    assert set(EXPERIMENTS) == set(_EXPERIMENT_DEFAULTS)
     for name in EXPERIMENTS:
-        assert config_from_resolved(name, resolved) == ExperimentConfig(
-            name, **_EXPERIMENT_DEFAULTS.get(name, {})), name
-    assert set(EXPERIMENTS) == set(_EXPERIMENT_DEFAULTS) == reporting._EXPERIMENT_SECTIONS
+        assert config_from_resolved(name, resolve_config()) == ExperimentConfig(
+            name, **_EXPERIMENT_DEFAULTS[name]), name
 
 
 def test_statistical_preconditions():
@@ -490,3 +489,16 @@ def test_lp_rows_match_pinned_values():
     assert set(rows) == set(PINNED_ROWS)
     for quantity, pinned in PINNED_ROWS.items():
         assert abs(rows[quantity] - pinned) <= 1e-12 * max(1.0, abs(pinned)), quantity
+
+
+def test_lp_boundary_uses_configured_ball_radial():
+    # ball level 6 falls back to 8 radial nodes; the config asks for 12
+    config = ExperimentConfig("lp-boundary", refine_depth=2, ball_level=6, ball_radial=12)
+    rows = {r["quantity"]: complex(r["estimate"]) for r in run_lp_boundary(config).rows}
+    options = dict(refine_depth=2, ball_level=6)
+    direct = divisor_pairing_boundary(catalog_function("nowhere-zero"),
+                                      surface_form("bump-z2"), ball_radial=12, **options)
+    fallback = divisor_pairing_boundary(catalog_function("nowhere-zero"),
+                                        surface_form("bump-z2"), **options)
+    assert direct.value != fallback.value
+    assert rows["pairing-nowhere-zero"] == direct.value
