@@ -72,9 +72,9 @@ def main(argv=None):
         "quadrature.level": args.level,
         "run.out": args.out,
     }
-    resolved = reporting.resolve_config(file_cfg, overrides)
     names = list(EXPERIMENTS) if args.subcommand == "all" else [args.subcommand]
     try:
+        resolved = reporting.resolve_config(file_cfg, overrides)
         configs = {name: config_from_resolved(name, resolved) for name in names}
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

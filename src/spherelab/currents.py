@@ -255,10 +255,13 @@ class BoundaryPairingContext(CRPairingContext):
         dirs = rule.frame_directions()
         self._bind(rule, psi, dirs)
         self.ball_rule = ball_rule
-        self.dbar_top = psi.partial_zbar().evaluate(rule.points, dirs)
-        # d dbar(psi) applied as: first dbar, then the (1,0) derivative
-        self.ddbar_top = psi.partial_zbar().partial_z().evaluate(
-            ball_rule.points, _standard_frame_directions())
+        # d dbar(psi) applied as: first dbar, then the (1,0) derivative; a
+        # form with no terms is a structural zero (None), never evaluated
+        dbar = psi.partial_zbar()
+        ddbar = dbar.partial_z()
+        self.dbar_top = dbar.evaluate(rule.points, dirs) if dbar.terms else None
+        self.ddbar_top = (ddbar.evaluate(ball_rule.points, _standard_frame_directions())
+                          if ddbar.terms else None)
 
 
 def _slot_weights(ctx):
@@ -278,6 +281,15 @@ def _slot_weights(ctx):
     return g1 / ctx.points[:, 0], g2 / ctx.points[:, 1]
 
 
+def _top_weights(weights, tops):
+    """Node weights times each context's top values, one column each, with
+    zeros for a structural zero (None); None when every context has one."""
+    if all(top is None for top in tops):
+        return None
+    zero = np.zeros(len(weights), dtype=complex)
+    return np.stack([weights * (zero if top is None else top) for top in tops], axis=1)
+
+
 class RegularizedPairing:
     """The regularized pairing of a batch of functions with several test
     forms, one value per delta.
@@ -289,6 +301,8 @@ class RegularizedPairing:
     df ^ psi = x1 g1 + x2 g2 (_slot_weights of each context) and, in the
     boundary case, (1/2) log(|u|^2 + delta) against the dbar psi and
     d dbar psi node weights, then restores log|u| = log|u / rms| + log rms.
+    A log term whose forms are zero for every context (vol-z2, vol-z1) is
+    an exact zero: its weights are None and its pass is skipped.
     """
 
     def __init__(self, contexts):
@@ -300,11 +314,14 @@ class RegularizedPairing:
         self._slot_weights = (np.stack(g1, axis=1) * scale[:, None],
                               np.stack(g2, axis=1) * scale[:, None])
         if self._boundary:
-            self._w_dbar = np.stack([ctx.pair_weights * c.dbar_top for c in contexts], axis=1)
-            self._w_ddbar = np.stack([ctx.ball_rule.weights * c.ddbar_top for c in contexts],
-                                     axis=1)
-            self._shift_scale = (1j / math.pi) * (-self._w_dbar.sum(axis=0)
-                                                  + self._w_ddbar.sum(axis=0))
+            self._w_dbar = _top_weights(ctx.pair_weights, [c.dbar_top for c in contexts])
+            self._w_ddbar = _top_weights(ctx.ball_rule.weights, [c.ddbar_top for c in contexts])
+            shift = np.zeros(len(contexts), dtype=complex)
+            if self._w_dbar is not None:
+                shift -= self._w_dbar.sum(axis=0)
+            if self._w_ddbar is not None:
+                shift += self._w_ddbar.sum(axis=0)
+            self._shift_scale = (1j / math.pi) * shift
 
     def per_delta(self, fvals, slots, deltas, ball_vals=None):
         """(rows, forms, deltas) regularized values from f (rows, nodes), its
@@ -328,16 +345,20 @@ class RegularizedPairing:
         # free the sphere arrays before the ball's are made
         del conj_f, numer
         # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi)
-        # + int_D (1/2) log(|u|^2+d) d dbar psi
-        t2 = _accel.log_regularized_sums(self._w_dbar, fsq, deltas)
+        # + int_D (1/2) log(|u|^2+d) d dbar psi; a log term whose forms are
+        # all structurally zero is exactly zero and is not computed
+        total = -per
+        if self._w_dbar is not None:
+            total -= _accel.log_regularized_sums(self._w_dbar, fsq, deltas)
         del fsq
-        ball_sq = np.abs(ball_vals)
-        np.square(ball_sq, out=ball_sq)
-        ball_sq /= scale_sq
-        t3 = _accel.log_regularized_sums(self._w_ddbar, ball_sq, deltas)
+        if self._w_ddbar is not None:
+            ball_sq = np.abs(ball_vals)
+            np.square(ball_sq, out=ball_sq)
+            ball_sq /= scale_sq
+            total += _accel.log_regularized_sums(self._w_ddbar, ball_sq, deltas)
         # the normalization shifts log|u| by log s, which integrates to zero
         # against the exact-form terms only as delta -> 0: restore it
-        return ((1j / math.pi) * (-per - t2 + t3)
+        return ((1j / math.pi) * total
                 + (0.5 * np.log(scale_sq) * self._shift_scale)[:, :, None])
 
 

@@ -16,13 +16,15 @@ accuracy.
 
 Draws are evaluated at a rule's nodes by one of two evaluators.  On the
 product rules (SphereRule, BallRule) a monomial factors into a modulus
-part and a character of the angle grid, so GridEvaluator sums the
-coefficients per modulus into folded 2-D spectra and applies one inverse
-FFT per modulus pair (sum factorization); it never builds a
-nodes x components matrix.  Plain arrays of points get NodeEvaluator's
-dense design matrix, the reference the FFT evaluator is checked against.
-Draws are screened for a nondegenerate zero set by batch_margins on a
-coarse product rule.
+part and a character of each angle grid, so GridEvaluator sums over the
+second angle and the moduli in one small matrix product per residue of
+the first degree, then over the first angle in one more (sum
+factorization); it never builds a nodes x components matrix.  Plain
+arrays of points get NodeEvaluator's dense design matrix, the reference
+the grid evaluator is checked against.  Draws are screened for a
+nondegenerate zero set by batch_margins on a coarse product rule.  The
+module needs numpy alone; numpy.random is imported here, at start-up,
+and not first inside an experiment.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft
-import scipy.sparse
+from numpy.random import Generator, Philox, SeedSequence
 
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
@@ -60,8 +61,8 @@ class RandomEnsemble:
 
     # ------------------------------------------------------------ sampling
     def _generator(self, trial):
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(int(trial),))
-        return np.random.Generator(np.random.Philox(seq))
+        seq = SeedSequence(entropy=self.master_seed, spawn_key=(int(trial),))
+        return Generator(Philox(seq))
 
     def draw(self, trial):
         """Coefficient vector of one trial."""
@@ -176,19 +177,32 @@ class NodeEvaluator:
         return np.sqrt(mag, out=mag)
 
 
+# Batches are padded with zero rows to a multiple of this: BLAS blocks
+# the row dimension by it and rounds a remainder block differently.
+_ROW_MULTIPLE = 4
+# Cap on the bytes of one synthesis' work buffer H (at least one modulus):
+# unblocked, H would add up to one more grid-sized array.
+_WORK_BYTES = 1 << 23
+
+
 class GridEvaluator(NodeEvaluator):
-    """Evaluator on a product rule by folded 2-D inverse FFTs.
+    """Evaluator on a product rule by two dense matrix products per batch.
 
     The rule's nodes are (rho1 e^{2 pi i i1/N}, rho2 e^{2 pi i i2/N}) over
     M modulus pairs (rule.torus_grid()), so the normalized monomial with
     exponents (a, b) is its value at (rho1, rho2) times the character
-    e^{2 pi i (a i1 + b i2)/N}.  One sparse (M N^2, dim) matrix holds
-    those modulus factors at bin (a mod N, b mod N) of modulus m: degrees
-    of N and above fold onto the same bins and stay exact on the grid.  A
-    batch of draws is one sparse product and one batched ifft2, each row
-    independent of the others, with no nodes x dim matrix.  The inverse
-    FFT overwrites the sparse product's output (overwrite_x), so one
-    synthesis allocates one grid-sized array, which the caller owns.
+    e^{2 pi i (a i1 + b i2)/N}.  The components fall into A groups by
+    a' = a mod N.  Each group has an (M N, |group|) matrix K of modulus
+    factor times i2-character, rows in (m, i2) order, and one (N, A)
+    matrix E[i1, a'] holds the i1-characters (sum factorization): M N dim
+    numbers in all, never nodes x dim.  Degrees of N and above share the
+    character of their residue and stay exact on the grid.  A batch of
+    draws is one product K @ coefficients per group, giving
+    H[a', (m, i2), row], then out[m] = E @ H[:, m] for every modulus,
+    written in node order.  H is a work buffer over a block of moduli,
+    so one synthesis allocates one grid-sized array, which the caller
+    owns.  Each row's values are bitwise independent of the batch it came
+    in, since batches are padded to _ROW_MULTIPLE rows.
     """
 
     def __init__(self, ensemble: RandomEnsemble, rule):
@@ -196,25 +210,45 @@ class GridEvaluator(NodeEvaluator):
         moduli, nang = rule.torus_grid()
         factors = ensemble.table.design_matrix(ensemble.alphas, moduli,
                                                extra_scale=ensemble.component_weights)
-        nmod, dim = factors.shape
         alphas = np.asarray(ensemble.alphas, dtype=np.int64)
-        bins = (alphas[:, 0] % nang) * nang + alphas[:, 1] % nang
-        rows = np.arange(nmod)[:, None] * nang ** 2 + bins[None, :]
-        cols = np.broadcast_to(np.arange(dim)[None, :], (nmod, dim))
-        self._fold = scipy.sparse.csr_matrix(
-            (factors.ravel(), (rows.ravel(), cols.ravel())), shape=(nmod * nang ** 2, dim))
-        self._grid = (nmod, nang, nang)
+        residues = alphas[:, 0] % nang
+        self._order = np.argsort(residues, kind="stable")
+        bins, counts = np.unique(residues, return_counts=True)
+        ends = np.cumsum(counts)
+        self._groups = list(zip(ends - counts, ends))
+        angles = np.arange(nang)
+        # e^{2 pi i j / N} looked up by j mod N, so that equal phases are equal numbers
+        chars = np.exp(2j * math.pi * angles / nang)
+        self._factors = [
+            (factors[:, None, group] * chars[np.outer(angles, alphas[group, 1]) % nang])
+            .reshape(-1, len(group))
+            for group in (self._order[lo:hi] for lo, hi in self._groups)]
+        self._chars = chars[np.outer(angles, bins) % nang]
+        self._grid = (factors.shape[0], nang)
 
     def _synthesize(self, rest):
         """Monomial sums at the nodes for coefficient rows: (rows, npoints).
 
-        The spectra keep the rows on the last axis, so the result is the
-        transpose of a (npoints, rows) array, returned without a copy; the
-        transform runs in the spectra's buffer.
+        The output keeps the rows on the last axis, so the result is the
+        transpose of a (npoints, rows) array, returned without a copy.
         """
-        spectra = (self._fold @ rest.T).reshape(self._grid + (rest.shape[0],))
-        nodes = scipy.fft.ifft2(spectra, axes=(1, 2), norm="forward", overwrite_x=True)
-        return nodes.reshape(-1, rest.shape[0]).T
+        nrows = rest.shape[0]
+        pad = np.zeros((-nrows % _ROW_MULTIPLE, rest.shape[1]), dtype=complex)
+        coeffs = np.concatenate([rest, pad]).T[self._order]
+        rows = coeffs.shape[1]
+        nmod, nang = self._grid
+        ngroups = len(self._groups)
+        out = np.empty((nmod, nang, nang * rows), dtype=complex)
+        block = max(1, _WORK_BYTES // (16 * ngroups * nang * rows))
+        work = np.empty((ngroups, min(block, nmod) * nang, rows), dtype=complex)
+        for m0 in range(0, nmod, block):
+            m1 = min(m0 + block, nmod)
+            h = work[:, :(m1 - m0) * nang]
+            for factor, (lo, hi), part in zip(self._factors, self._groups, h):
+                np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
+            np.matmul(self._chars, h.reshape(ngroups, m1 - m0, nang * rows).transpose(1, 0, 2),
+                      out=out[m0:m1])
+        return out.reshape(-1, rows).T[:nrows]
 
     def values(self, a):
         a0, rest = self._split(a)

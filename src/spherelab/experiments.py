@@ -550,8 +550,8 @@ def _accepted_rows(ens, config, count):
 
     Each pass screens only the draws still needed, but at least a
     micro-batch: margins are bitwise independent of the number of rows
-    screened together from two rows on, so the accepted rows do not
-    depend on the pass sizes.
+    screened together (GridEvaluator pads a batch to its row multiple),
+    so the accepted rows do not depend on the pass sizes.
     """
     rows = []
     trial = 0
@@ -776,11 +776,14 @@ def run_expectation_domain(config: ExperimentConfig):
     report.add_check("filter-rate", rate <= 0.05, f"boundary reject rate {rate:.2%}")
     psi_names = ("vol-z2", "bump-z2")
     psis = tuple(surface_form(name) for name in psi_names)
-    sampler = BoundarySampler(ens, sphere_rule, ball_rule, psis, config.mc_deltas)
-    vals, errs = _batched_values(sampler, rows)
+    # each sampler's evaluators are dropped once its values are in, before
+    # the next node-heavy phase
+    vals, errs = _batched_values(
+        BoundarySampler(ens, sphere_rule, ball_rule, psis, config.mc_deltas), rows)
     nctl = min(48, rows.shape[0])
-    ctl = BoundarySampler(ens, SphereRule(config.level + 6), ball_rule, psis, config.mc_deltas)
-    ctl_vals, _ = _batched_values(ctl, rows[:nctl])
+    ctl_vals, _ = _batched_values(
+        BoundarySampler(ens, SphereRule(config.level + 6), ball_rule, psis, config.mc_deltas),
+        rows[:nctl])
     raw = {}
     for j, psi_name in enumerate(psi_names):
         mean = complex(np.mean(vals[:, j]))

@@ -26,6 +26,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from spherelab import forms
 from spherelab.forms import PolyForm
@@ -43,7 +44,7 @@ __all__ = [
 
 def gauss_legendre_01(npts):
     """Gauss-Legendre nodes/weights on (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = legendre.leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -50,7 +50,11 @@ def load_config(path=None):
 
 def resolve_config(parser=None, overrides=None):
     """What the user set, as {section: {key: text}}: file values, then CLI
-    overrides keyed "section.key" (None is not set)."""
+    overrides keyed "section.key" (None is not set).  A [DEFAULT] section
+    is a ValueError: configparser would copy its keys into every section."""
+    if parser is not None and parser.defaults():
+        raise ValueError(f"keys {sorted(parser.defaults())} in section [DEFAULT]; "
+                         "set each key in its own section")
     resolved = {section: dict(parser[section]) for section in parser.sections()} if parser else {}
     for name, val in (overrides or {}).items():
         if val is not None:

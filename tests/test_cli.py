@@ -69,6 +69,21 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_default_section_exits_2(tmp_path, capsys):
+    # configparser hands [DEFAULT] keys to no section when it stands alone,
+    # and to every section otherwise: either way the run would not use
+    # what the file says
+    cfg = tmp_path / "default.ini"
+    for i, text in enumerate(("[DEFAULT]\nseed = 5\n",
+                              "[DEFAULT]\nseed = 5\n\n[grid]\nk_grid = 16,32\n")):
+        cfg.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert run_cli(["kernel-diag", "--config", str(cfg), "--out", str(out)]) == 2, text
+        assert not out.exists(), text
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "[DEFAULT]" in err, err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # a typo in an experiment section is as unknown as one in [run]; kappa
     # is read by expectation-cr alone; a section name is matched in full

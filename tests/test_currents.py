@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spherelab import forms
-from spherelab.currents import (CATALOG, DEFAULT_DELTAS, RegularityError,
-                                _adaptive_rule, catalog_function, cf_pairing,
-                                divisor_pairing_boundary,
+from spherelab import _accel, forms
+from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
+                                RegularityError, RegularizedPairing, _adaptive_rule,
+                                catalog_function, cf_pairing, divisor_pairing_boundary,
                                 divisor_pairing_closed, richardson_sqrt,
                                 zero_set_direct)
+from spherelab.quadrature import BallRule, SphereRule
 
 ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
 ANGULAR_Z1 = forms.x_coord(0) * forms.dx(1) - forms.x_coord(1) * forms.dx(0)
@@ -90,6 +91,33 @@ def test_boundary_tangential_form_vanishes():
     res = divisor_pairing_boundary(catalog_function("z1-half"), VOL_Z1,
                                    ball_level=10, **FAST)
     assert abs(res.value) <= 1e-8
+
+
+def test_structurally_zero_log_terms_are_skipped(monkeypatch):
+    # dbar and d dbar of vol-z2 and vol-z1 have no terms: their node values
+    # are never evaluated and their log delta-sums never run; a weighted
+    # vol-z2 needs both passes, with a zero column for vol-z2 in each
+    sphere, ball = SphereRule(8), BallRule(4, radial=4)
+    weighted = (1.0 + forms.z_coord(0) * forms.zbar_coord(0)) * VOL_Z2
+    calls = []
+    original = _accel.log_regularized_sums
+    monkeypatch.setattr(_accel, "log_regularized_sums",
+                        lambda weights, *rest: calls.append(weights.shape[1])
+                        or original(weights, *rest))
+    rng = np.random.default_rng(3)
+
+    def per_delta(psis):
+        contexts = [BoundaryPairingContext(sphere, ball, psi) for psi in psis]
+        f, x1, x2 = (rng.standard_normal((2, sphere.npoints)) + 1j for _ in range(3))
+        u_ball = rng.standard_normal((2, ball.npoints)) + 1j
+        return contexts, RegularizedPairing(contexts).per_delta(f, (x1, x2), (1e-2, 1e-3),
+                                                                u_ball)
+
+    contexts, per = per_delta((VOL_Z2, VOL_Z1))
+    assert all(c.dbar_top is None and c.ddbar_top is None for c in contexts)
+    assert calls == [] and per.shape == (2, 2, 2) and np.all(np.isfinite(per))
+    per_delta((VOL_Z2, weighted))
+    assert calls == [2, 2]
 
 
 def test_product_divisor_additivity():

@@ -172,7 +172,7 @@ def test_torus_grid_reproduces_rule_points(name):
 @pytest.mark.parametrize("name", sorted(GRID_RULES))
 def test_grid_evaluator_matches_dense(table, bump, name, k, kappa):
     # k = 16 keeps every degree below the angle count of the small rules;
-    # k = 24 and 64 fold degrees >= nang onto the same FFT bins
+    # k = 24 and 64 fold degrees >= nang onto the characters of their residues
     rule = _grid_rule(name)
     ens = RandomEnsemble(table, bump, k, kappa=kappa, master_seed=11)
     ev = GridEvaluator(ens, rule)
@@ -198,29 +198,53 @@ def test_grid_rows_independent_of_batch(table, bump):
             assert np.array_equal(x[0], y[r]) and np.array_equal(x[0], z[r])
 
 
+@pytest.mark.parametrize("name", ["sphere-12", "ball-6x16"])
+def test_grid_rows_independent_of_batch_size(table, bump, name):
+    # k = 64 folds degrees on both rules; odd and small batches are padded
+    # to the row multiple the BLAS kernels block by
+    ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
+    ev = GridEvaluator(ens, _grid_rule(name))
+    a = ens.draw_matrix(range(40))
+    full = [ev.values(a), *ev.slot1_sums(a)]
+    for start, size in [(0, 1), (5, 1), (0, 2), (1, 3), (3, 5), (2, 6), (1, 7), (0, 9), (7, 33)]:
+        part = a[start:start + size]
+        for x, y in zip([ev.values(part), *ev.slot1_sums(part)], full):
+            assert np.array_equal(x, y[start:start + size])
+
+
+def _fft_synthesis(ens, rule, coeffs):
+    """Monomial sums at a product rule's nodes from folded 2-D spectra and
+    an inverse FFT per modulus pair, built independently of the evaluator."""
+    moduli, nang = rule.torus_grid()
+    factors = ens.table.design_matrix(ens.alphas, moduli, extra_scale=ens.component_weights)
+    alphas = np.asarray(ens.alphas)
+    spectra = np.zeros((coeffs.shape[0], len(moduli), nang, nang), dtype=complex)
+    for j, (a1, a2) in enumerate(alphas):
+        spectra[:, :, a1 % nang, a2 % nang] += coeffs[:, j, None] * factors[None, :, j]
+    return scipy.fft.ifft2(spectra, axes=(2, 3), norm="forward").reshape(coeffs.shape[0], -1)
+
+
 @pytest.mark.parametrize("kappa", [0, 1])
-def test_in_place_synthesis_matches_out_of_place_fft(table, bump, kappa):
+def test_synthesis_matches_fft_reference(table, bump, kappa):
     ens = RandomEnsemble(table, bump, 64, kappa=kappa, master_seed=11)
-    ev = GridEvaluator(ens, _grid_rule("sphere-12"))
+    rule = _grid_rule("sphere-12")
+    ev = GridEvaluator(ens, rule)
     a = ens.draw_matrix(range(32))
     rest = a[:, kappa:]
-
-    def out_of_place(coeffs):
-        spectra = (ev._fold @ coeffs.T).reshape(ev._grid + (coeffs.shape[0],))
-        return scipy.fft.ifft2(spectra, axes=(1, 2), norm="forward").reshape(-1, coeffs.shape[0]).T
-
-    ref_vals = out_of_place(rest)
+    ref_vals = _fft_synthesis(ens, rule, rest)
     if kappa:
         ref_vals = ref_vals + a[:, 0][:, None]
-    ref_slots = out_of_place(np.concatenate([rest * ev._deg1, rest * ev._deg2]))
+    ref_slots = _fft_synthesis(ens, rule, np.concatenate([rest * ev._deg1, rest * ev._deg2]))
     # each call returns a fresh array: a second call leaves the first intact
     for compute, refs in ((lambda: [ev.values(a)], [ref_vals]),
                           (lambda: ev.slot1_sums(a), [ref_slots[:32], ref_slots[32:]])):
         first = compute()
+        copies = [x.copy() for x in first]
         again = compute()
-        for x, y, ref in zip(first, again, refs):
+        for x, x0, y, ref in zip(first, copies, again, refs):
             assert not np.shares_memory(x, y)
-            assert np.array_equal(x, ref) and np.array_equal(y, ref)
+            assert np.array_equal(x, x0) and np.array_equal(x, y)
+            assert _max_rel(x, ref) <= 1e-13
 
 
 def _batch_margins_allocating(ens, rows, ev):
