@@ -6,15 +6,17 @@ weight columns at once, for the Monte Carlo samplers and (with one row)
 the deterministic catalog pairings alike.
 
 Both work in place: each call allocates one rows x nodes buffer for the
-reciprocal (or the log) and, for regularized_sums, one for the products,
-and reuses them across every delta and every numerator term, so no
-node-sized temporary is made per delta.  (At Monte Carlo sizes each such
-temporary exceeds glibc's mmap threshold and would come back as fresh,
-zero-filled pages every time.)  The buffers take the layout of the
-inputs (empty_like), as the allocating expressions did, and every
-complex product keeps its operand order, numerator first: with fused
-multiply-add, numpy's complex multiply rounds differently when the
-operands are swapped, and the CSV bodies print full-precision reprs.
+reciprocal (or the log) and reuses it across every delta, and
+regularized_sums writes its products into a buffer the caller passes
+(the pairing hands over the f it has consumed), so no node-sized
+temporary is made per delta or per numerator term.  (At Monte Carlo
+sizes each such temporary exceeds glibc's mmap threshold and would come
+back as fresh, zero-filled pages every time.)  The reciprocal and log
+buffers take the layout of the inputs (empty_like), as the allocating
+expressions did, and every complex product keeps its operand order,
+numerator first: with fused multiply-add, numpy's complex multiply
+rounds differently when the operands are swapped, and the CSV bodies
+print full-precision reprs.
 
 The band sums use ascending-degree compensated summation because the
 terms span many orders of magnitude; the compensation keeps the per-term
@@ -68,17 +70,18 @@ def band_power_sum(q, ms, coeffs):
     return total.reshape(q.shape)
 
 
-def regularized_sums(weights, numer, fsq, deltas):
+def regularized_sums(weights, numer, fsq, prod, deltas):
     """Quadrature sums of numer / (fsq + delta) for a delta schedule.
 
     numer is a sequence of (rows, nodes) numerator terms sharing the
     denominator fsq (rows, nodes), and weights the matching sequence of
     (nodes, columns) node-weight matrices; one reciprocal per delta serves
-    every term.  Returns (rows, columns, len(deltas)).
+    every term.  prod is a complex (rows, nodes) work array, overwritten
+    with each product before its weighted sum; numer and fsq are read only.
+    Returns (rows, columns, len(deltas)).
     """
     out = np.empty((fsq.shape[0], weights[0].shape[1], len(deltas)), dtype=complex)
     inv = np.empty_like(fsq)
-    prod = np.empty_like(numer[0])
     for i, d in enumerate(deltas):
         np.add(fsq, d, out=inv)
         np.divide(1.0, inv, out=inv)

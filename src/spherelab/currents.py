@@ -32,8 +32,9 @@ and d dbar psi node values.  Both cases, and both routes, share one
 regularized pairing, built from a tuple of contexts:
 RegularizedPairing takes f on the sphere nodes, its slot sums
 x_j = z_j df/dz_j and, for the ball, u on the interior nodes, for a batch
-of rows, and returns per-delta values for every test form of its pairing
-contexts; richardson_sqrt takes the limit along the delta axis.  The
+of rows, consumes f and the slot sums in place, and returns per-delta
+values for every test form of its pairing contexts; richardson_sqrt
+takes the limit along the delta axis.  The
 catalog pairings below pass one row, the Monte Carlo samplers in
 experiments.py a micro-batch of draws.
 
@@ -225,11 +226,12 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     # the context's node tables are dropped once the pairing has its weights
     pairing = RegularizedPairing((CRPairingContext(rule, psi),))
     rms = _normalized(fvals, rule.weights)
+    # the log trap reads f, which per_delta then consumes
+    log_monotone = _log_monotone_ok(rule, fvals / rms, deltas)
     slots = (rule.points * holo_gradient_values(fpoly, rule.points)).T[:, None]
     per = pairing.per_delta(fvals[None], slots, deltas)[0, 0]
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(complex(value), float(err), per,
-                         log_monotone=_log_monotone_ok(rule, fvals / rms, deltas),
+    return PairingResult(complex(value), float(err), per, log_monotone=log_monotone,
                          extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
 
 
@@ -326,24 +328,34 @@ class RegularizedPairing:
     def per_delta(self, fvals, slots, deltas, ball_vals=None):
         """(rows, forms, deltas) regularized values from f (rows, nodes), its
         slot sums x_j = z_j df/dz_j (a pair of arrays of the same shape) and,
-        for the boundary pairing, u on the ball nodes (rows, ball nodes)."""
+        for the boundary pairing, u on the ball nodes (rows, ball nodes).
+
+        Consumes f and the slot sums, which the caller must not read again:
+        conj(f) / s^2 overwrites f, the numerator terms overwrite x1 and x2,
+        and f then holds the delta sums' products, so a batch of several
+        rows allocates only |f|^2 and the reciprocal as new node arrays.
+        ball_vals is read only.
+        """
+        x1, x2 = slots
+        if fvals.shape[0] == 1:
+            # numpy's complex multiply, and the gemv a single row goes to,
+            # round by the row's stride, and one row of a synthesis (or of a
+            # slot pair) is strided: work on contiguous rows
+            fvals, x1, x2 = (np.ascontiguousarray(x) for x in (fvals, x1, x2))
         # every node-sized intermediate is computed in place, with the
         # operand order of the complex products fixed (see _accel)
         fsq = np.abs(fvals)
         np.square(fsq, out=fsq)
         scale_sq = (fsq @ self._rms_weights)[:, None]
         fsq /= scale_sq
-        # conj(f / s) * df / s with f normalized by its rms s; the x2 term
-        # overwrites conj(f / s)
-        conj_f = np.conj(fvals)
+        # conj(f / s) * df / s with f normalized by its rms s
+        conj_f = np.conj(fvals, out=fvals)
         conj_f /= scale_sq
-        x1, x2 = slots
-        numer = [conj_f * x1, np.multiply(conj_f, x2, out=conj_f)]
-        per = _accel.regularized_sums(self._slot_weights, numer, fsq, deltas)
+        numer = [np.multiply(conj_f, x1, out=x1), np.multiply(conj_f, x2, out=x2)]
+        # the freed f is the delta sums' product buffer
+        per = _accel.regularized_sums(self._slot_weights, numer, fsq, conj_f, deltas)
         if not self._boundary:
             return per
-        # free the sphere arrays before the ball's are made
-        del conj_f, numer
         # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi)
         # + int_D (1/2) log(|u|^2+d) d dbar psi; a log term whose forms are
         # all structurally zero is exactly zero and is not computed

@@ -84,9 +84,20 @@ class RandomEnsemble:
         most 0.3 times the root mean square of |f|), normalized by k times
         that root mean square; an all-zero draw gets 0.  Draws whose
         margin falls below a threshold are rejected: they are measure
-        zero in theory but numerically ill-conditioned.
+        zero in theory but numerically ill-conditioned.  The rows are
+        screened _MARGIN_BLOCK at a time, so the node arrays do not grow
+        with the number of draws; a row's margin does not depend on its
+        block, since the evaluator pads every batch to its row multiple.
         """
         ev = GridEvaluator(self, _margin_rule())
+        rows = np.atleast_2d(coefficient_rows)
+        # a lone last row joins the block before it: numpy sums the rms of
+        # a single row pairwise, but of a taller block one node at a time
+        starts = list(range(0, rows.shape[0] - 1, _MARGIN_BLOCK)) or [0]
+        return np.concatenate([self._margins(ev, rows[lo:hi])
+                               for lo, hi in zip(starts, starts[1:] + [rows.shape[0]])])
+
+    def _margins(self, ev, coefficient_rows):
         fabs = np.abs(ev.values(coefficient_rows))
         rms = np.sqrt(np.mean(np.square(fabs), axis=1))
         dfabs = ev.gradient_magnitude(*ev.slot1_sums(coefficient_rows))
@@ -96,6 +107,11 @@ class RandomEnsemble:
         margins = dfabs.min(axis=1) / (self.k * np.maximum(rms, 1e-300))
         margins[rms == 0.0] = 0.0
         return margins
+
+
+# Rows batch_margins screens at once: each of its node arrays holds this
+# many rows, whatever the number of draws.
+_MARGIN_BLOCK = 256
 
 
 @functools.cache
@@ -152,6 +168,22 @@ class NodeEvaluator:
         x2 = (rest * self._deg2[None, :]) @ self.matrix.T
         return x1, x2
 
+    def values_and_slots(self, a):
+        """f and its slot sums (x1, x2) for each coefficient row, as row
+        blocks of one fresh array: one synthesis of the blocks [a,
+        a alpha_1, a alpha_2]."""
+        a0, rest = self._split(a)
+        f, x1, x2 = self._synthesize(rest, rest * self._deg1, rest * self._deg2)
+        if a0 is not None:
+            f += (self.ensemble.kappa * a0)[:, None]
+        return f, (x1, x2)
+
+    def _synthesize(self, *blocks):
+        """Monomial sums at the nodes for equal-shaped blocks of coefficient
+        rows: one (rows, npoints) array per block, the row blocks of one
+        product over the stacked blocks."""
+        return np.split(np.concatenate(blocks) @ self.matrix.T, len(blocks))
+
     def directional_derivative(self, x1, x2, direction):
         """df along an ambient complex direction field (npoints, 2).
 
@@ -200,9 +232,10 @@ class GridEvaluator(NodeEvaluator):
     draws is one product K @ coefficients per group, giving
     H[a', (m, i2), row], then out[m] = E @ H[:, m] for every modulus,
     written in node order.  H is a work buffer over a block of moduli,
-    so one synthesis allocates one grid-sized array, which the caller
-    owns.  Each row's values are bitwise independent of the batch it came
-    in, since batches are padded to _ROW_MULTIPLE rows.
+    so a synthesis allocates one array, a grid-sized block per block of
+    rows (f, x1 and x2 for values_and_slots), which the caller owns.
+    Each row's values are bitwise independent of the batch it came in,
+    since batches are padded to _ROW_MULTIPLE rows.
     """
 
     def __init__(self, ensemble: RandomEnsemble, rule):
@@ -226,38 +259,46 @@ class GridEvaluator(NodeEvaluator):
         self._chars = chars[np.outer(angles, bins) % nang]
         self._grid = (factors.shape[0], nang)
 
-    def _synthesize(self, rest):
-        """Monomial sums at the nodes for coefficient rows: (rows, npoints).
+    def _synthesize(self, *blocks):
+        """Monomial sums at the nodes for equal-shaped blocks of coefficient
+        rows: one (rows, npoints) array per block, all views of one fresh
+        array.
 
-        The output keeps the rows on the last axis, so the result is the
-        transpose of a (npoints, rows) array, returned without a copy.
+        Each block is synthesized on its own and keeps its rows on the
+        last axis, so each result is the transpose of a contiguous
+        (npoints, rows) array, returned without a copy.  (Blocks stacked
+        into one synthesis would interleave their rows at every node, and
+        numpy's elementwise loops over such a block run about twice as
+        slow.)
         """
-        nrows = rest.shape[0]
-        pad = np.zeros((-nrows % _ROW_MULTIPLE, rest.shape[1]), dtype=complex)
-        coeffs = np.concatenate([rest, pad]).T[self._order]
-        rows = coeffs.shape[1]
+        nrows, ncomp = blocks[0].shape
+        rows = nrows + -nrows % _ROW_MULTIPLE
+        pad = np.zeros((rows - nrows, ncomp), dtype=complex)
         nmod, nang = self._grid
         ngroups = len(self._groups)
-        out = np.empty((nmod, nang, nang * rows), dtype=complex)
+        out = np.empty((len(blocks), nmod, nang, nang * rows), dtype=complex)
         block = max(1, _WORK_BYTES // (16 * ngroups * nang * rows))
         work = np.empty((ngroups, min(block, nmod) * nang, rows), dtype=complex)
-        for m0 in range(0, nmod, block):
-            m1 = min(m0 + block, nmod)
-            h = work[:, :(m1 - m0) * nang]
-            for factor, (lo, hi), part in zip(self._factors, self._groups, h):
-                np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
-            np.matmul(self._chars, h.reshape(ngroups, m1 - m0, nang * rows).transpose(1, 0, 2),
-                      out=out[m0:m1])
-        return out.reshape(-1, rows).T[:nrows]
+        for rest, dest in zip(blocks, out):
+            coeffs = np.concatenate([rest, pad]).T[self._order]
+            for m0 in range(0, nmod, block):
+                m1 = min(m0 + block, nmod)
+                h = work[:, :(m1 - m0) * nang]
+                for factor, (lo, hi), part in zip(self._factors, self._groups, h):
+                    np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
+                np.matmul(self._chars,
+                          h.reshape(ngroups, m1 - m0, nang * rows).transpose(1, 0, 2),
+                          out=dest[m0:m1])
+        return [dest.reshape(-1, rows).T[:nrows] for dest in out]
 
     def values(self, a):
         a0, rest = self._split(a)
-        vals = self._synthesize(rest)
+        vals, = self._synthesize(rest)
         if a0 is not None:
             vals += (self.ensemble.kappa * a0)[:, None]
         return vals
 
     def slot1_sums(self, a):
         _, rest = self._split(a)
-        both = self._synthesize(np.concatenate([rest * self._deg1, rest * self._deg2]))
-        return both[:rest.shape[0]], both[rest.shape[0]:]
+        x1, x2 = self._synthesize(rest * self._deg1, rest * self._deg2)
+        return x1, x2

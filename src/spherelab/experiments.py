@@ -240,7 +240,8 @@ class CfSampler:
 
     Takes a tuple of CRPairingContext on one rule (one per test 2-form)
     and returns one column per form: each batch of draws is evaluated once
-    (values and slot sums) and handed to the shared RegularizedPairing.
+    (values and slot sums, in one synthesis) and handed to the shared
+    RegularizedPairing, which consumes them.
     """
 
     def __init__(self, ensemble, contexts, deltas):
@@ -251,8 +252,7 @@ class CfSampler:
     def batch(self, coeff_rows):
         """(values, err_estimates), each (rows, forms), for the rows of draw
         coefficients."""
-        per = self.pairing.per_delta(self.ev.values(coeff_rows),
-                                     self.ev.slot1_sums(coeff_rows), self.deltas)
+        per = self.pairing.per_delta(*self.ev.values_and_slots(coeff_rows), self.deltas)
         return richardson_sqrt(self.deltas, per)
 
 
@@ -268,9 +268,8 @@ class BoundarySampler:
             [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis])
 
     def batch(self, coeff_rows):
-        per = self.pairing.per_delta(self.ev_sphere.values(coeff_rows),
-                                     self.ev_sphere.slot1_sums(coeff_rows), self.deltas,
-                                     self.ev_ball.values(coeff_rows))
+        fvals, slots = self.ev_sphere.values_and_slots(coeff_rows)
+        per = self.pairing.per_delta(fvals, slots, self.deltas, self.ev_ball.values(coeff_rows))
         return richardson_sqrt(self.deltas, per)
 
 
@@ -551,7 +550,9 @@ def _accepted_rows(ens, config, count):
     Each pass screens only the draws still needed, but at least a
     micro-batch: margins are bitwise independent of the number of rows
     screened together (GridEvaluator pads a batch to its row multiple),
-    so the accepted rows do not depend on the pass sizes.
+    so the accepted rows do not depend on the pass sizes.  batch_margins
+    works through a pass in fixed blocks of rows, so its node arrays do
+    not grow with the pass; the pass's coefficient rows do.
     """
     rows = []
     trial = 0
@@ -594,6 +595,8 @@ def run_expectation_cr(config: ExperimentConfig):
     # scale invariance: doubling all coefficients leaves cf unchanged
     v1 = sampler.batch(rows[:4])[0][:, 0]
     v2 = sampler.batch(2.0 * rows[:4])[0][:, 0]
+    # free the main sampler's evaluator before the control rule's is built
+    del sampler
     nctl = min(64, rows.shape[0])
     ctl_rule = SphereRule(config.level + 8)
     ctl_sampler = CfSampler(ens, tuple(CRPairingContext(ctl_rule, ctx.psi) for ctx in contexts),
@@ -634,8 +637,9 @@ def run_equidistribution_cr(config: ExperimentConfig):
         for k in config.k_grid:
             ens = RandomEnsemble(table, cut, k, kappa=0, master_seed=config.seed + k)
             rows, _ = _accepted_rows(ens, config, config.trials)
-            sampler = CfSampler(ens, (ctx,), config.mc_deltas)
-            vals, errs = _batched_values(sampler, rows)
+            # the sampler is dropped once its values are in, before the
+            # next k's draws are screened
+            vals, errs = _batched_values(CfSampler(ens, (ctx,), config.mc_deltas), rows)
             scaled = vals[:, 0] / k
             mean = complex(np.mean(scaled))
             se = _complex_se(scaled)
@@ -685,8 +689,8 @@ def run_variance_cr(config: ExperimentConfig):
         for k in config.k_grid:
             ens = RandomEnsemble(table, cut, k, kappa=kappa, master_seed=config.seed + k)
             rows, _ = _accepted_rows(ens, config, config.trials)
-            sampler = CfSampler(ens, (ctx,), config.mc_deltas)
-            vals = _batched_values(sampler, rows)[0][:, 0]
+            # the sampler is dropped once its values are in (see equi-cr)
+            vals = _batched_values(CfSampler(ens, (ctx,), config.mc_deltas), rows)[0][:, 0]
             v = float(np.mean(np.abs(vals - vals.mean()) ** 2))
             var_list.append(v)
             report.add_row(k, f"variance-kappa{kappa}", v)

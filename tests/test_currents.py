@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spherelab import _accel, forms
+from spherelab import _accel, currents, forms
 from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
-                                catalog_function, cf_pairing, divisor_pairing_boundary,
-                                divisor_pairing_closed, richardson_sqrt,
-                                zero_set_direct)
+                                _normalized, catalog_function, cf_pairing,
+                                divisor_pairing_boundary, divisor_pairing_closed,
+                                richardson_sqrt, zero_set_direct)
 from spherelab.quadrature import BallRule, SphereRule
 
 ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
@@ -153,6 +153,22 @@ def test_delta_monotonicity_reported():
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
     assert res.log_monotone
     assert len(res.per_delta) == len(DEFAULT_DELTAS)
+
+
+def test_log_trap_reads_f_before_per_delta_consumes_it(monkeypatch):
+    # per_delta overwrites f in place, so cf_pairing runs the log-monotone
+    # trap first, on f / rms as it came from the rule
+    calls = []
+    log_ok, per_delta = currents._log_monotone_ok, RegularizedPairing.per_delta
+    monkeypatch.setattr(currents, "_log_monotone_ok", lambda rule, fvals, deltas: (
+        calls.append(("log", rule, fvals.copy())) or log_ok(rule, fvals, deltas)))
+    monkeypatch.setattr(RegularizedPairing, "per_delta", lambda self, fvals, *rest: (
+        calls.append(("per_delta", None, fvals.copy())) or per_delta(self, fvals, *rest)))
+    res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
+    assert [name for name, _, _ in calls] == ["log", "per_delta"]
+    (_, rule, logged), (_, _, paired) = calls
+    assert np.array_equal(logged, paired[0] / _normalized(paired[0], rule.weights))
+    assert res.log_monotone
 
 
 def test_adaptive_rule_values_match_final_nodes():

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,12 +265,47 @@ def _batch_margins_allocating(ens, rows, ev):
     return margins
 
 
-@pytest.mark.parametrize("nrows", [1, 32, 256])
+@pytest.mark.parametrize("nrows", [1, 32, 256, 257, 600])
 def test_batch_margins_match_allocating_formulas(table, bump, nrows):
+    # 257 and 600 rows are screened in several blocks, the last of one row
+    # (joined to the block before it) and of 88 rows
     ens = RandomEnsemble(table, bump, 24, kappa=1, master_seed=5)
     rows = ens.draw_matrix(range(nrows))
     ev = GridEvaluator(ens, SphereRule(8))
     assert np.array_equal(ens.batch_margins(rows), _batch_margins_allocating(ens, rows, ev))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_margins_peak_memory_is_one_block(table, bump):
+    # the node arrays of the screen hold one block of rows, however many
+    # draws are screened
+    ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=5)
+    rows = ens.draw_matrix(range(2000))
+    ens.batch_margins(rows[:4])  # builds the cached margin rule
+    block = _traced_peak(lambda: ens.batch_margins(rows[:256]))
+    assert _traced_peak(lambda: ens.batch_margins(rows)) <= block + (1 << 20)
+
+
+@pytest.mark.parametrize("name", ["sphere-12", "ball-6x16"])
+def test_values_and_slots_match_separate_syntheses(table, bump, name):
+    # one synthesis of the three blocks gives the bits of the separate
+    # values and slot1_sums calls, as row blocks of one fresh array
+    ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
+    ev = GridEvaluator(ens, _grid_rule(name))
+    for nrows in (1, 5, 32):
+        a = ens.draw_matrix(range(nrows))
+        f, (x1, x2) = ev.values_and_slots(a)
+        assert np.array_equal(f, ev.values(a))
+        assert all(np.array_equal(x, y) for x, y in zip((x1, x2), ev.slot1_sums(a)))
+        assert f.base is not None and f.base is x1.base is x2.base
 
 
 @pytest.mark.parametrize("kappa", [0, 1])

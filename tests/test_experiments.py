@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,7 +13,7 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
 from spherelab.embedding import EmbeddingMap
-from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
+from spherelab.ensemble import _WORK_BYTES, GridEvaluator, NodeEvaluator, RandomEnsemble
 from spherelab.experiments import (_EXPERIMENT_DEFAULTS, _MICRO_BATCH, EXPERIMENTS,
                                    BoundarySampler, CfSampler, ExperimentConfig,
                                    ExperimentError, _accepted_rows, _batched_values,
@@ -223,7 +224,8 @@ def test_cf_sampler_columns_match_context_route(table, bump):
     for r in range(rows.shape[0]):
         row = rows[r:r + 1]
         f = ev.values(row)
-        one = richardson_sqrt(deltas, pairing.per_delta(f, ev.slot1_sums(row), deltas))
+        # per_delta consumes f, which the reference reads afterwards
+        one = richardson_sqrt(deltas, pairing.per_delta(f.copy(), ev.slot1_sums(row), deltas))
         for j, ctx in enumerate(contexts):
             ref = _cf_reference(ctx, f[0], _sampler_frame_derivatives(ev, ctx, row), deltas)
             _assert_close(vals[r, j], errs[r, j], ref)
@@ -247,7 +249,8 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
     for r in range(rows.shape[0]):
         row = rows[r:r + 1]
         u, u_ball = ev_s.values(row), ev_b.values(row)
-        one = richardson_sqrt(deltas, pairing.per_delta(u, ev_s.slot1_sums(row), deltas, u_ball))
+        one = richardson_sqrt(deltas, pairing.per_delta(u.copy(), ev_s.slot1_sums(row), deltas,
+                                                        u_ball))
         for j, ctx in enumerate(contexts):
             ref = _boundary_reference(ctx, u[0], _sampler_frame_derivatives(ev_s, ctx, row),
                                       u_ball[0], deltas)
@@ -326,8 +329,9 @@ def _per_delta_allocating(pairing, fvals, slots, deltas, ball_vals=None):
 @pytest.mark.parametrize("rows", [1, 32])
 @pytest.mark.parametrize("boundary", [False, True], ids=["closed", "boundary"])
 def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, rows):
-    # grid-evaluated micro-batches, as the samplers pass them: 32 rows make
-    # every node array larger than numpy's 256 KiB temporary-reuse threshold
+    # grid-evaluated micro-batches, as the samplers pass them: f and the
+    # slot sums are row blocks of one synthesis, and 32 rows make every
+    # node array larger than numpy's 256 KiB temporary-reuse threshold
     ens = RandomEnsemble(table, bump, 24, kappa=int(boundary), master_seed=17)
     sphere_rule = SphereRule(12)
     deltas = (1e-2, 1e-3, 1e-4)
@@ -342,26 +346,49 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
         ev = sampler.ev
     pairing = sampler.pairing
     a = ens.draw_matrix(range(rows))
-    fvals, slots = ev.values(a), ev.slot1_sums(a)
+    fvals, slots = ev.values_and_slots(a)
     ball_vals = sampler.ev_ball.values(a) if boundary else None
-    inputs = [fvals, *slots] + ([ball_vals] if boundary else [])
+    # per_delta consumes f and the slot sums: the reference reads copies in
+    # the same memory order
+    f0, x1, x2 = (x.copy(order="K") for x in (fvals, *slots))
+    inputs = [ball_vals] if boundary else []
     before = [x.copy() for x in inputs]
     per = pairing.per_delta(fvals, slots, deltas, ball_vals)
-    assert np.array_equal(per, _per_delta_allocating(pairing, fvals, slots, deltas, ball_vals))
-    # the caller's arrays are read, never overwritten
+    assert np.array_equal(per, _per_delta_allocating(pairing, f0, (x1, x2), deltas, ball_vals))
+    # the ball values are read, never overwritten
     assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
 
-    # both delta sums on the normalized arrays per_delta hands them
-    fsq = np.abs(fvals) ** 2
+    # both delta sums on the normalized arrays per_delta hands them, the
+    # products written into a fresh buffer
+    fsq = np.abs(f0) ** 2
     fsq /= (fsq @ pairing._rms_weights)[:, None]
-    numer = [np.conj(fvals) * x for x in slots]
-    args = (pairing._slot_weights, numer, fsq, deltas)
+    numer = [np.conj(f0) * x for x in (x1, x2)]
+    args = (pairing._slot_weights, numer, fsq)
     fsq_before = fsq.copy()
-    assert np.array_equal(_accel.regularized_sums(*args), _regularized_sums_allocating(*args))
+    assert np.array_equal(_accel.regularized_sums(*args, np.empty_like(numer[0]), deltas),
+                          _regularized_sums_allocating(*args, deltas))
     weights = pairing._w_dbar if boundary else pairing._slot_weights[0]
     assert np.array_equal(_accel.log_regularized_sums(weights, fsq, deltas),
                           _log_regularized_sums_allocating(weights, fsq, deltas))
     assert np.array_equal(fsq, fsq_before)
+
+
+def test_cf_sampler_batch_peak_memory(table, bump):
+    # one micro-batch on the control rule of mc-sphere holds the synthesis
+    # (f, x1, x2: 3 complex node arrays) and |f|^2 and the reciprocal (2
+    # real ones); the slack covers the synthesis work buffer
+    ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=3)
+    rule = SphereRule(20)
+    sampler = CfSampler(ens, (CRPairingContext(rule, surface_form("vol-z2")),), (1e-2, 1e-3))
+    rows = ens.draw_matrix(range(_MICRO_BATCH))
+    node_bytes = _MICRO_BATCH * rule.npoints * 8
+    tracemalloc.start()
+    try:
+        sampler.batch(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (3 * 2 + 2) * node_bytes + _WORK_BYTES + (1 << 21)
 
 
 def _accepted_rows_fixed_scan(ens, threshold, count):
