@@ -203,16 +203,15 @@ def config_from_resolved(experiment, resolved):
 
 
 # ----------------------------------------------------------------- helpers
-_TABLE_CACHE = {}
-
-
 def degree_table_for(kmax, cutoff):
-    """Shared degree table sized ceil(delta2 * kmax) + 2."""
-    max_degree = int(math.ceil(cutoff.delta2 * kmax)) + 2
-    key = max_degree
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = DegreeTable(max_degree)
-    return _TABLE_CACHE[key]
+    """Degree table sized ceil(delta2 * kmax) + 2."""
+    return DegreeTable(int(math.ceil(cutoff.delta2 * kmax)) + 2)
+
+
+def _not_evaluated(config, reason):
+    """Detail of a check that the scale grid is too short to exercise; such
+    a check is reported as passed, under this label."""
+    return f"not evaluated: k_grid {tuple(config.k_grid)} {reason}"
 
 
 def fit_order(ks, errs):
@@ -344,7 +343,8 @@ def run_kernel_diag(config: ExperimentConfig):
     ratios = [beta_errs[i + 1] / beta_errs[i] for i in range(len(beta_errs) - 1)]
     ok = all(0.35 <= r <= 0.7 for r in ratios)
     report.add_check("beta-error-halving", ok,
-                     "consecutive error ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+                     ("consecutive error ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+                     if ratios else _not_evaluated(config, "has one value"))
     fitted_c = max(e * k for e, k in zip(beta_errs, config.k_grid))
     report.add_check("beta-fitted-constant", True,
                      f"fitted C = {fitted_c:.4f} (reported, not asserted)")
@@ -408,7 +408,7 @@ def run_embed_check(config: ExperimentConfig):
 
     # negative definiteness and separation at k >= 64
     big_ks = [k for k in config.k_grid if k >= 64]
-    skipped = f"not evaluated: k_grid {tuple(config.k_grid)} has no k >= 64"
+    skipped = _not_evaluated(config, "has no k >= 64")
     neg_ok = True
     detail = []
     for k in big_ks:
@@ -435,7 +435,8 @@ def run_embed_check(config: ExperimentConfig):
         devs.append(float(np.max(np.abs(maps[k].scaled_hessian_matrix(x) - limit))))
     ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1)]
     report.add_check("scaled-hessian-structure", all(r <= 0.8 for r in ratios),
-                     "deviation ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+                     ("deviation ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+                     if ratios else _not_evaluated(config, "has one value"))
     return report
 
 
@@ -665,13 +666,16 @@ def run_equidistribution_cr(config: ExperimentConfig):
             final = exact_gaps[-1]
             report.add_check(f"vanishing-limit-{psi_name}", final <= 0.05 * max(c1, 1.0),
                              f"limit is 0; final expectation gap {final:.3e}")
+        freqs = "frequencies " + ", ".join(f"{t:.3f}" for t in tail)
         half = max(2, len(config.k_grid) // 2)
-        c_fit = max((tail[i] * math.sqrt(config.k_grid[i]) for i in range(half)), default=0.0)
-        bound_ok = all(tail[i] <= max(1.25 * c_fit, 2.0 / config.trials) / math.sqrt(config.k_grid[i])
-                       for i in range(len(config.k_grid)))
-        report.add_check(f"tail-{psi_name}", bound_ok,
-                         f"fitted C = {c_fit:.3f}; frequencies " +
-                         ", ".join(f"{t:.3f}" for t in tail))
+        if len(config.k_grid) <= half:
+            report.add_check(f"tail-{psi_name}", True, _not_evaluated(
+                config, f"has no k past the first {half}; {freqs}"))
+        else:
+            c_fit = max(tail[i] * math.sqrt(config.k_grid[i]) for i in range(half))
+            bound_ok = all(tail[i] <= max(1.25 * c_fit, 2.0 / config.trials)
+                           / math.sqrt(config.k_grid[i]) for i in range(len(config.k_grid)))
+            report.add_check(f"tail-{psi_name}", bound_ok, f"fitted C = {c_fit:.3f}; {freqs}")
     return report
 
 
@@ -697,17 +701,19 @@ def run_variance_cr(config: ExperimentConfig):
         variances[kappa] = var_list
     v0 = variances[0]
     ks = np.asarray(config.k_grid, dtype=float)
+    # the band and shape checks read the k values after the first two
+    short = _not_evaluated(config, "has fewer than 3 values") if len(ks) < 3 else None
     scaled = np.asarray(v0) / ks ** 1.5
     band_ok = all(scaled[i + 1] <= 2.0 * scaled[i] for i in range(1, len(scaled) - 1))
     report.add_check("variance-over-k32-band", band_ok,
-                     "Var/k^(3/2): " + ", ".join(f"{s:.3e}" for s in scaled))
+                     short or "Var/k^(3/2): " + ", ".join(f"{s:.3e}" for s in scaled))
     quad = np.asarray(v0) / ks ** 2
     report.add_check("variance-over-k2-decay", quad[-1] <= 0.5 * quad[0],
                      f"Var/k^2 falls {quad[0]:.3e} -> {quad[-1]:.3e}")
     shape = np.asarray(variances[1]) / (1.0 + np.sqrt(ks))
-    shape_ok = shape.max() <= 2.0 * max(shape[0], shape[1])
+    shape_ok = short is not None or shape.max() <= 2.0 * max(shape[0], shape[1])
     report.add_check("variance-kappa1-shape", shape_ok,
-                     "Var(kappa=1)/(1+sqrt k): " + ", ".join(f"{s:.3e}" for s in shape))
+                     short or "Var(kappa=1)/(1+sqrt k): " + ", ".join(f"{s:.3e}" for s in shape))
     return report
 
 
@@ -755,11 +761,15 @@ def run_equidistribution_domain(config: ExperimentConfig):
         c_fit = max(rate[:half])
         if abs(boundary_ref) > 1e-12:
             ok = all(r <= 1.25 * c_fit for r in rate)
-            report.add_check(f"rate-{psi_name}", ok,
-                             f"err*k/(log k + 1): " + ", ".join(f"{r:.3e}" for r in rate))
+            detail = "err*k/(log k + 1): " + ", ".join(f"{r:.3e}" for r in rate)
+            if len(rate) <= half:
+                detail = _not_evaluated(config, f"has no k past the first {half}; {detail}")
+            report.add_check(f"rate-{psi_name}", ok, detail)
         else:
+            gaps = "gaps " + ", ".join(f"{e:.3e}" for e in errs)
             report.add_check(f"interior-vanishing-{psi_name}", errs[-1] <= max(1e-3, 2.0 * errs[0] * config.k_grid[0] / config.k_grid[-1]),
-                             f"boundary limit 0; gaps " + ", ".join(f"{e:.3e}" for e in errs))
+                             f"boundary limit 0; {gaps}" if len(errs) > 1
+                             else _not_evaluated(config, f"has one value; {gaps}"))
     report.add_check("volume-normalization-note", True,
                      "contact volume fixed to (1/2) xi ^ dxi; multiply reported masses "
                      "by 2 for the unnormalized xi ^ dxi convention")

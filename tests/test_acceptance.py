@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from spherelab.basis import DegreeTable, monomial_norm_closed_form, monomial_norm_quadrature
+from spherelab.basis import DegreeTable, monomial_norm_closed_form
 from spherelab.cutoffs import Cutoff, mean_value
 from spherelab.ensemble import NodeEvaluator, RandomEnsemble
 from spherelab.experiments import (ExperimentConfig, run_embed_check,
@@ -23,6 +23,7 @@ from spherelab.experiments import (ExperimentConfig, run_embed_check,
                                    run_kernel_diag, run_lp_boundary,
                                    run_lp_closed, run_variance_cr)
 from spherelab.geometry import random_sphere_points
+from test_basis import monomial_norm_quadrature
 
 
 def _timed(fn, cfg):

@@ -1,14 +1,30 @@
+import functools
 import math
-import os
 
 import numpy as np
 import pytest
 
-from spherelab.basis import (DegreeTable, graded_indices,
-                             monomial_norm_closed_form, monomial_norm_quadrature)
+from spherelab.basis import DegreeTable, graded_indices, monomial_norm_closed_form
 from spherelab.geometry import random_sphere_points
+from spherelab.quadrature import gauss_legendre_01
 
 AREA = 2.0 * math.pi ** 2
+
+_gauss_legendre_01 = functools.cache(gauss_legendre_01)
+
+
+def monomial_norm_quadrature(alpha, npts=None):
+    """Squared norm of z^alpha on S^3 against the contact volume, by
+    quadrature: the oracle for monomial_norm_closed_form.
+
+    The integrand depends on |z_1|, |z_2| only, so the angular factors of
+    the product rule collapse to the total angle mass; the latitude part
+    is a Gauss-Legendre rule in t = |z_1|^2, exact for t-polynomials of
+    degree <= 2*npts - 1.
+    """
+    a1, a2 = (int(a) for a in alpha)
+    t, w = _gauss_legendre_01(max(npts or (a1 + a2 + 2), 4))
+    return float(np.dot(w * 0.5 * (2.0 * math.pi) ** 2, t ** a1 * (1.0 - t) ** a2))
 
 
 def test_graded_order():
@@ -41,9 +57,21 @@ def test_table_constants(table):
     assert np.all(np.diff(table.constants) > 0.0)  # strictly increasing on S^3
 
 
-def test_quadrature_abort_on_underresolved():
-    with pytest.raises(ArithmeticError):
-        DegreeTable(40, quad_points=3)
+def test_closed_forms_match_quadrature():
+    # c_m = 1 / ||z_1^m||^2, against one Gauss-Legendre rule for every
+    # m <= 200, and every norm with |alpha| <= 120 against one rule for
+    # all of them (rules of max degree + 4 points, exact for these degrees)
+    table = DegreeTable(200)
+    by_quad = np.array([1.0 / monomial_norm_quadrature((m, 0), npts=204) for m in range(201)])
+    assert np.max(np.abs(table.constants - by_quad) / table.constants) <= 1e-12
+    alphas = [a for m in range(121) for a in graded_indices(m)]
+    closed = np.array([monomial_norm_closed_form(a) for a in alphas])
+    by_quad = np.array([monomial_norm_quadrature(a, npts=124) for a in alphas])
+    assert np.max(np.abs(closed - by_quad) / closed) <= 1e-12
+    # the table reads the same closed form in every route
+    assert DegreeTable(120).norm_sq((60, 60)) == monomial_norm_closed_form((60, 60))
+    with pytest.raises(ValueError):
+        DegreeTable(120).norm_sq((60, 61))
 
 
 def test_degree_kernel_fit(table, rng):

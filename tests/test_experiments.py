@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 import types
@@ -524,6 +525,79 @@ def test_embed_check_labels_checks_it_cannot_evaluate():
     for name in ("hessian-negative-definite", "separation-max-h"):
         assert checks[name]["passed"]
         assert checks[name]["detail"] == "not evaluated: k_grid (16, 32) has no k >= 64"
+
+
+# Checks that compare values across the scale grid and, at that grid, have
+# none to compare (embed-check's two k >= 64 checks are labelled on any
+# grid without such a k)
+SHORT_GRID_CHECKS = {
+    (16,): {
+        "kernel-diag": {"beta-error-halving"},
+        "embed-check": {"scaled-hessian-structure", "hessian-negative-definite",
+                        "separation-max-h"},
+        "equi-cr": {"tail-angular-z2", "tail-horizontal-mix"},
+        "variance-cr": {"variance-over-k32-band", "variance-kappa1-shape"},
+        "equi-domain": {"rate-vol-z2", "rate-bump-z2", "interior-vanishing-interior-only"},
+    },
+    (16, 32): {
+        "kernel-diag": set(),
+        "embed-check": {"hessian-negative-definite", "separation-max-h"},
+        "equi-cr": {"tail-angular-z2", "tail-horizontal-mix"},
+        "variance-cr": {"variance-over-k32-band", "variance-kappa1-shape"},
+        "equi-domain": {"rate-vol-z2", "rate-bump-z2"},
+    },
+}
+
+
+@pytest.mark.parametrize("k_grid", sorted(SHORT_GRID_CHECKS))
+def test_short_grids_label_checks_they_cannot_evaluate(k_grid):
+    small = dict(trials=100, level=8, ball_level=6, ball_radial=12)
+    for name, labelled in SHORT_GRID_CHECKS[k_grid].items():
+        report = EXPERIMENTS[name](ExperimentConfig(name, k_grid=k_grid, **small))
+        got = {c["name"] for c in report.checks
+               if c["detail"].startswith(f"not evaluated: k_grid {k_grid} ")}
+        assert got == labelled, name
+        assert all(c["passed"] for c in report.checks if c["name"] in got), name
+
+
+# CSV bodies of kernel-diag at its defaults and of embed-check at k (16, 32),
+# computed at commit eb79a44, when DegreeTable took its constants and norms
+# from Gauss-Legendre quadrature.  The closed forms move them by rounding.
+QUADRATURE_ERA_CSV = {
+    "kernel-diag": """k,quantity,estimate,reference,abs_err,rel_err,std_err,observed_order
+32,diag-ratio,1.0625148211528208,1.0,0.06251482115282081,0.06251482115282081,,1.0001710788350784
+32,beta-reeb,(0.5135201856271892-1.0464091270343795e-17j),0.5143659057306852,0.0008457201034960393,0.0016441993803898165,,
+64,diag-ratio,1.031249319083436,1.0,0.031249319083435978,0.031249319083435978,,1.0001710788350784
+64,beta-reeb,(0.5139305201726594-1.047245272965027e-17j),0.5143659057306852,0.0004353855580258026,0.0008464510442372991,,
+128,diag-ratio,1.0156249991360606,1.0,0.015624999136060636,0.015624999136060636,,1.0001710788350784
+128,beta-reeb,(0.5141448917244164-1.0476821016518311e-17j),0.5143659057306852,0.00022101400626883816,0.00042968245718945066,,
+""",
+    "embed-check": """k,quantity,estimate,reference,abs_err,rel_err,std_err,observed_order
+16,fs-reeb-reeb,0.007026216296053175,0.006976573617879733,4.96426781734418e-05,0.007115624501720491,,1.0956180553664214
+32,fs-reeb-reeb,0.0069998031950505085,0.006976573617879733,2.3229577170775194e-05,0.0033296541315412866,,1.0956180553664214
+32,fs-horizontal,0.5135201856271886,0.5143659057306854,0.0008457201034968165,0.0016441993803913266,,
+""",
+}
+TOLERANCES = {"estimate": 1e-12, "reference": 1e-12, "std_err": 1e-12,
+              "abs_err": 1e-10, "rel_err": 1e-10, "observed_order": 1e-10}
+
+
+@pytest.mark.parametrize("name, k_grid", [
+    ("kernel-diag", _EXPERIMENT_DEFAULTS["kernel-diag"]["k_grid"]),
+    ("embed-check", (16, 32)),
+])
+def test_closed_form_constants_keep_rows(name, k_grid):
+    rows = list(csv.DictReader(EXPERIMENTS[name](
+        ExperimentConfig(name, k_grid=k_grid)).csv_body().splitlines()))
+    pinned = list(csv.DictReader(QUADRATURE_ERA_CSV[name].splitlines()))
+    assert [(r["k"], r["quantity"]) for r in rows] == [(r["k"], r["quantity"]) for r in pinned]
+    for row, pin in zip(rows, pinned):
+        for col, tol in TOLERANCES.items():
+            assert (row[col] == "") == (pin[col] == ""), (row["quantity"], col)
+            if pin[col]:
+                parent = complex(pin[col])
+                assert abs(complex(row[col]) - parent) <= tol * max(1.0, abs(parent)), \
+                    (row["k"], row["quantity"], col)
 
 
 # Row estimates of lp-closed and lp-boundary at refine_depth 2 and ball

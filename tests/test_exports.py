@@ -4,7 +4,7 @@ something in the package uses it.
 A deletion that leaves a stale export breaks only `from module import *`,
 which no code path runs; the first check makes it fail here instead.  An
 export that only tests reach is code the lab never runs; the second check
-keeps such names out of src, apart from the test oracles kept on purpose.
+keeps such names out of src; a test oracle lives with the tests that use it.
 The lab is fixed at S^3 in C^2, so the third check keeps dimension
 parameters out of the public signatures.
 """
@@ -20,11 +20,6 @@ import pytest
 import spherelab
 
 SRC = Path(spherelab.__file__).parent
-
-# exported test oracles: independent routes the suite checks the lab against
-ORACLES = {
-    ("spherelab.basis", "monomial_norm_quadrature"),
-}
 
 
 def _exports():
@@ -63,8 +58,6 @@ def _used(path, name, skip):
 def test_exports_used_in_src():
     unused = []
     for module_name, name in _exports():
-        if (module_name, name) in ORACLES:
-            continue
         home = Path(importlib.import_module(module_name).__file__)
         skip = _definition_lines(ast.parse(home.read_text()), name)
         if not any(_used(path, name, skip if path == home else range(0))
