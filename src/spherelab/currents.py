@@ -34,20 +34,24 @@ RegularizedPairing takes f on the sphere nodes, its slot sums
 x_j = z_j df/dz_j and, for the ball, u on the interior nodes, for a batch
 of rows, consumes f and the slot sums in place, and returns per-delta
 values for every test form of its pairing contexts; richardson_sqrt
-takes the limit along the delta axis.  The
-catalog pairings below pass one row, the Monte Carlo samplers in
-experiments.py a micro-batch of draws.
+takes the limit along the delta axis.  The Monte Carlo samplers in
+experiments.py pass it a micro-batch of draws.
 
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
 below half the in-cell spread) or fall under the regularization floor
 10 * min(delta), greedily by estimated contribution, up to a depth cap
 and cell budget; cells still flagged at the end are counted in the
-result's extras, never silently dropped.
+result's extras, never silently dropped.  The catalog pairings keep f on
+the refined rule and walk it in blocks of cells (_streamed_per_delta):
+each block binds its own context and adds its delta sums, with the same
+arithmetic as RegularizedPairing.per_delta, so the frame, psi values,
+slot weights and slot sums never exist for the whole rule at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -223,13 +227,10 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     deltas = tuple(sorted(deltas, reverse=True))
     rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
                                                  refine_depth)
-    # the context's node tables are dropped once the pairing has its weights
-    pairing = RegularizedPairing((CRPairingContext(rule, psi),))
     rms = _normalized(fvals, rule.weights)
-    # the log trap reads f, which per_delta then consumes
     log_monotone = _log_monotone_ok(rule, fvals / rms, deltas)
-    slots = (rule.points * holo_gradient_values(fpoly, rule.points)).T[:, None]
-    per = pairing.per_delta(fvals[None], slots, deltas)[0, 0]
+    per = _streamed_per_delta(fpoly, rule, fvals, deltas,
+                              lambda block: CRPairingContext(block, psi))[0]
     value, err = richardson_sqrt(deltas, per)
     return PairingResult(complex(value), float(err), per, log_monotone=log_monotone,
                          extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
@@ -257,13 +258,19 @@ class BoundaryPairingContext(CRPairingContext):
         dirs = rule.frame_directions()
         self._bind(rule, psi, dirs)
         self.ball_rule = ball_rule
-        # d dbar(psi) applied as: first dbar, then the (1,0) derivative; a
-        # form with no terms is a structural zero (None), never evaluated
+        # a form with no terms is a structural zero (None), never evaluated
         dbar = psi.partial_zbar()
-        ddbar = dbar.partial_z()
         self.dbar_top = dbar.evaluate(rule.points, dirs) if dbar.terms else None
-        self.ddbar_top = (ddbar.evaluate(ball_rule.points, _standard_frame_directions())
-                          if ddbar.terms else None)
+
+    @functools.cached_property
+    def ddbar_top(self):
+        """d dbar psi on the ball rule's standard frame, evaluated on first
+        use: of the contexts on the blocks of a streamed pairing, only one
+        is read for the ball term."""
+        # d dbar(psi) applied as: first dbar, then the (1,0) derivative
+        ddbar = self.psi.partial_zbar().partial_z()
+        return (ddbar.evaluate(self.ball_rule.points, _standard_frame_directions())
+                if ddbar.terms else None)
 
 
 def _slot_weights(ctx):
@@ -292,49 +299,136 @@ def _top_weights(weights, tops):
     return np.stack([weights * (zero if top is None else top) for top in tops], axis=1)
 
 
+def _normalize(fvals, rms_weights):
+    """|f / s|^2 and s^2, (rows, 1), for f (rows, nodes) with s its rms
+    against the normalized weights rms_weights."""
+    fsq = np.abs(fvals)
+    np.square(fsq, out=fsq)
+    scale_sq = (fsq @ rms_weights)[:, None]
+    fsq /= scale_sq
+    return fsq, scale_sq
+
+
+class _SphereTerms:
+    """The sphere terms of a regularized pairing on the nodes of one rule or
+    one block of cells: the node weights of contexts on those nodes and the
+    delta sums against them."""
+
+    def __init__(self, contexts):
+        ctx = contexts[0]
+        self.boundary = isinstance(ctx, BoundaryPairingContext)
+        scale = 0.5 * ctx.pair_weights if self.boundary else ctx.pair_weights / (2j * math.pi)
+        g1, g2 = zip(*(_slot_weights(c) for c in contexts))
+        self.slot_weights = (np.stack(g1, axis=1) * scale[:, None],
+                             np.stack(g2, axis=1) * scale[:, None])
+        self.w_dbar = (_top_weights(ctx.pair_weights, [c.dbar_top for c in contexts])
+                       if self.boundary else None)
+
+    def dbar_sum(self):
+        """Column sums of the dbar psi weights; None for a structural zero."""
+        return None if self.w_dbar is None else self.w_dbar.sum(axis=0)
+
+    def delta_sums(self, fvals, fsq, slots, scale_sq, deltas):
+        """(rows, forms, deltas) sums over these nodes from f, |f / s|^2 and
+        the slot sums x_j = z_j df/dz_j on them, with s^2 from _normalize
+        on the whole rule.
+
+        Consumes f and the slot sums, which must be contiguous: conj(f) /
+        s^2 overwrites f, the numerator terms overwrite x1 and x2, and f
+        then holds the delta sums' products, so only the reciprocal is a
+        new node array.  fsq is read only.
+        """
+        x1, x2 = slots
+        # every node-sized intermediate is computed in place, with the
+        # operand order of the complex products fixed (see _accel)
+        conj_f = np.conj(fvals, out=fvals)
+        conj_f /= scale_sq
+        numer = [np.multiply(conj_f, x1, out=x1), np.multiply(conj_f, x2, out=x2)]
+        # the freed f is the delta sums' product buffer
+        per = _accel.regularized_sums(self.slot_weights, numer, fsq, conj_f, deltas)
+        if not self.boundary:
+            return per
+        # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi);
+        # a log term whose forms are all structurally zero is exactly zero
+        # and is not computed
+        total = -per
+        if self.w_dbar is not None:
+            total -= _accel.log_regularized_sums(self.w_dbar, fsq, deltas)
+        return total
+
+
+class _DomainTerms:
+    """The terms of a boundary pairing added once per pairing, after the
+    sphere sums: int_D (1/2) log(|u|^2+d) d dbar psi on the ball rule, and
+    the shift of log|u| by log s that undoes the normalization."""
+
+    def __init__(self, contexts):
+        self.w_ddbar = _top_weights(contexts[0].ball_rule.weights,
+                                    [c.ddbar_top for c in contexts])
+        self._forms = len(contexts)
+
+    def shift_scale(self, dbar_sum):
+        """The factor of log s: (i/pi) times the column sums of the log
+        terms' weights, from those of the dbar psi weights (None for a
+        structural zero)."""
+        shift = np.zeros(self._forms, dtype=complex)
+        if dbar_sum is not None:
+            shift -= dbar_sum
+        if self.w_ddbar is not None:
+            shift += self.w_ddbar.sum(axis=0)
+        return (1j / math.pi) * shift
+
+    def finish(self, total, scale_sq, ball_vals, deltas, shift_scale):
+        """Per-delta values from the sphere sums total (overwritten) and u on
+        the ball nodes (rows, ball nodes), which is read only."""
+        if self.w_ddbar is not None:
+            ball_sq = np.abs(ball_vals)
+            np.square(ball_sq, out=ball_sq)
+            ball_sq /= scale_sq
+            total += _accel.log_regularized_sums(self.w_ddbar, ball_sq, deltas)
+        # the normalization shifts log|u| by log s, which integrates to zero
+        # against the exact-form terms only as delta -> 0: restore it
+        return ((1j / math.pi) * total
+                + (0.5 * np.log(scale_sq) * shift_scale)[:, :, None])
+
+
 class RegularizedPairing:
     """The regularized pairing of a batch of functions with several test
     forms, one value per delta.
 
     Built once from pairing contexts on one rule: all CRPairingContext
     (closed case), or all BoundaryPairingContext on one sphere and ball
-    rule (boundary case).  per_delta normalizes each row by its rms on the
-    sphere rule, sums conj(f) df ^ psi / (|f|^2 + delta) with
-    df ^ psi = x1 g1 + x2 g2 (_slot_weights of each context) and, in the
-    boundary case, (1/2) log(|u|^2 + delta) against the dbar psi and
-    d dbar psi node weights, then restores log|u| = log|u / rms| + log rms.
-    A log term whose forms are zero for every context (vol-z2, vol-z1) is
-    an exact zero: its weights are None and its pass is skipped.
+    rule (boundary case).  per_delta runs three steps.  _normalize finds
+    each row's rms s on the sphere rule.  _SphereTerms.delta_sums sums
+    conj(f) df ^ psi / (|f|^2 + delta) with df ^ psi = x1 g1 + x2 g2
+    (_slot_weights of each context) and, in the boundary case,
+    (1/2) log(|u|^2 + delta) against the dbar psi node weights.
+    _DomainTerms.finish adds the d dbar psi term on the ball and restores
+    log|u| = log|u / rms| + log rms.  A log term whose forms are zero for
+    every context (vol-z2, vol-z1) is an exact zero: its weights are None
+    and its pass is skipped.  The catalog pairings run the same steps with
+    the sphere terms of one block of cells at a time (_streamed_per_delta).
     """
 
     def __init__(self, contexts):
-        ctx = contexts[0]
-        self._boundary = isinstance(ctx, BoundaryPairingContext)
-        self._rms_weights = ctx.rule.weights / ctx.rule.weights.sum()
-        scale = 0.5 * ctx.pair_weights if self._boundary else ctx.pair_weights / (2j * math.pi)
-        g1, g2 = zip(*(_slot_weights(c) for c in contexts))
-        self._slot_weights = (np.stack(g1, axis=1) * scale[:, None],
-                              np.stack(g2, axis=1) * scale[:, None])
-        if self._boundary:
-            self._w_dbar = _top_weights(ctx.pair_weights, [c.dbar_top for c in contexts])
-            self._w_ddbar = _top_weights(ctx.ball_rule.weights, [c.ddbar_top for c in contexts])
-            shift = np.zeros(len(contexts), dtype=complex)
-            if self._w_dbar is not None:
-                shift -= self._w_dbar.sum(axis=0)
-            if self._w_ddbar is not None:
-                shift += self._w_ddbar.sum(axis=0)
-            self._shift_scale = (1j / math.pi) * shift
+        rule = contexts[0].rule
+        self._rms_weights = rule.weights / rule.weights.sum()
+        self._sphere = _SphereTerms(contexts)
+        if self._sphere.boundary:
+            self._domain = _DomainTerms(contexts)
+            self._shift_scale = self._domain.shift_scale(self._sphere.dbar_sum())
+        else:
+            self._domain = None
 
     def per_delta(self, fvals, slots, deltas, ball_vals=None):
         """(rows, forms, deltas) regularized values from f (rows, nodes), its
         slot sums x_j = z_j df/dz_j (a pair of arrays of the same shape) and,
         for the boundary pairing, u on the ball nodes (rows, ball nodes).
 
-        Consumes f and the slot sums, which the caller must not read again:
-        conj(f) / s^2 overwrites f, the numerator terms overwrite x1 and x2,
-        and f then holds the delta sums' products, so a batch of several
-        rows allocates only |f|^2 and the reciprocal as new node arrays.
-        ball_vals is read only.
+        Consumes f and the slot sums, which the caller must not read again
+        (see _SphereTerms.delta_sums); a batch of several rows allocates
+        only |f|^2 and the reciprocal as new node arrays.  ball_vals is
+        read only.
         """
         x1, x2 = slots
         if fvals.shape[0] == 1:
@@ -342,39 +436,61 @@ class RegularizedPairing:
             # round by the row's stride, and one row of a synthesis (or of a
             # slot pair) is strided: work on contiguous rows
             fvals, x1, x2 = (np.ascontiguousarray(x) for x in (fvals, x1, x2))
-        # every node-sized intermediate is computed in place, with the
-        # operand order of the complex products fixed (see _accel)
-        fsq = np.abs(fvals)
-        np.square(fsq, out=fsq)
-        scale_sq = (fsq @ self._rms_weights)[:, None]
-        fsq /= scale_sq
-        # conj(f / s) * df / s with f normalized by its rms s
-        conj_f = np.conj(fvals, out=fvals)
-        conj_f /= scale_sq
-        numer = [np.multiply(conj_f, x1, out=x1), np.multiply(conj_f, x2, out=x2)]
-        # the freed f is the delta sums' product buffer
-        per = _accel.regularized_sums(self._slot_weights, numer, fsq, conj_f, deltas)
-        if not self._boundary:
-            return per
-        # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi)
-        # + int_D (1/2) log(|u|^2+d) d dbar psi; a log term whose forms are
-        # all structurally zero is exactly zero and is not computed
-        total = -per
-        if self._w_dbar is not None:
-            total -= _accel.log_regularized_sums(self._w_dbar, fsq, deltas)
+        fsq, scale_sq = _normalize(fvals, self._rms_weights)
+        total = self._sphere.delta_sums(fvals, fsq, (x1, x2), scale_sq, deltas)
         del fsq
-        if self._w_ddbar is not None:
-            ball_sq = np.abs(ball_vals)
-            np.square(ball_sq, out=ball_sq)
-            ball_sq /= scale_sq
-            total += _accel.log_regularized_sums(self._w_ddbar, ball_sq, deltas)
-        # the normalization shifts log|u| by log s, which integrates to zero
-        # against the exact-form terms only as delta -> 0: restore it
-        return ((1j / math.pi) * total
-                + (0.5 * np.log(scale_sq) * self._shift_scale)[:, :, None])
+        if self._domain is None:
+            return total
+        return self._domain.finish(total, scale_sq, ball_vals, deltas, self._shift_scale)
 
 
-def _boundary_regularity_check(u_sphere, grad_sphere, margin_floor=1e-3,
+# Cells per block of a streamed catalog pairing: 64k nodes at 4 nodes per
+# axis, so each complex node array of a block is 1 MB.
+_BLOCK_CELLS = 1024
+
+
+def _streamed_per_delta(fpoly, rule, fvals, deltas, bind, ball_vals=None, grad_norm=None):
+    """(forms, deltas) values of one catalog function on a cell rule, the
+    steps of RegularizedPairing.per_delta with the sphere terms built and
+    summed one block of _BLOCK_CELLS cells at a time.
+
+    bind(block) returns the pairing context on a block view; fvals (f on
+    the rule's nodes) is read only; ball_vals is u on the ball nodes of a
+    boundary pairing.  grad_norm, a real node array, receives |du| at
+    every node.  Across the whole rule only f, |f / s|^2 and grad_norm
+    exist; every other node array spans one block.
+    """
+    fsq, scale_sq = _normalize(fvals[None], rule.weights / rule.weights.sum())
+    total = dbar_sum = domain = None
+    for nodes, block in rule.blocks(_BLOCK_CELLS):
+        ctx = bind(block)
+        sphere = _SphereTerms((ctx,))
+        if sphere.boundary and domain is None:
+            domain = _DomainTerms((ctx,))
+        points = block.points
+        # the context's node tables, and the view that caches the points,
+        # are dropped before the delta sums
+        del ctx, block
+        grad = holo_gradient_values(fpoly, points)
+        if grad_norm is not None:
+            grad_norm[nodes] = np.linalg.norm(grad, axis=-1)
+        slots = np.multiply(points, grad, out=grad).T.copy()[:, None]
+        del points, grad
+        # f is copied block by block, so the caller can read it afterwards
+        part = sphere.delta_sums(fvals[None, nodes].copy(), fsq[:, nodes], slots,
+                                 scale_sq, deltas)
+        total = part if total is None else total + part
+        block_dbar = sphere.dbar_sum()
+        if block_dbar is not None:
+            dbar_sum = block_dbar if dbar_sum is None else dbar_sum + block_dbar
+    del fsq
+    if domain is None:
+        return total[0]
+    return domain.finish(total, scale_sq, ball_vals[None], deltas,
+                         domain.shift_scale(dbar_sum))[0]
+
+
+def _boundary_regularity_check(u_sphere, grad_norm, margin_floor=1e-3,
                                slope_cap=0.25):
     """Reject u whose holomorphic gradient collapses near boundary zeros.
 
@@ -383,6 +499,7 @@ def _boundary_regularity_check(u_sphere, grad_sphere, margin_floor=1e-3,
     slope of log |du| against log |u| over the deep near-zero nodes.  A
     transversal zero has slope about 0; a zero of order p has slope
     (p - 1) / p, so anything appreciably above zero signals degeneracy.
+    grad_norm holds |du| at the nodes of u_sphere.
     """
     rms = math.sqrt(float(np.mean(np.abs(u_sphere) ** 2)))
     if rms == 0.0:
@@ -390,7 +507,6 @@ def _boundary_regularity_check(u_sphere, grad_sphere, margin_floor=1e-3,
     near = np.abs(u_sphere) <= 0.3 * rms
     if not near.any():
         return
-    grad_norm = np.linalg.norm(grad_sphere, axis=-1)
     grad_scale = math.sqrt(float(np.mean(grad_norm ** 2)))
     margin = float(np.min(grad_norm[near])) / max(grad_scale, 1e-300)
     if margin < margin_floor:
@@ -414,13 +530,12 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
     sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
                                                      refine_depth)
     ball_rule = BallRule(ball_level, radial=ball_radial)
-    # the context's node tables are dropped once the pairing has its weights
-    pairing = RegularizedPairing((BoundaryPairingContext(sphere_rule, ball_rule, psi),))
-    grad = holo_gradient_values(upoly, sphere_rule.points)
-    _boundary_regularity_check(u_sphere, grad)
-    slots = (sphere_rule.points * grad).T[:, None]
-    u_ball = upoly.evaluate(ball_rule.points, [])
-    per = pairing.per_delta(u_sphere[None], slots, deltas, u_ball[None])[0, 0]
+    grad_norm = np.empty(sphere_rule.npoints)
+    per = _streamed_per_delta(upoly, sphere_rule, u_sphere, deltas,
+                              lambda block: BoundaryPairingContext(block, ball_rule, psi),
+                              upoly.evaluate(ball_rule.points, []), grad_norm)[0]
+    # the check needs |du| on the whole rule, which the blocks gather
+    _boundary_regularity_check(u_sphere, grad_norm)
     value, err = richardson_sqrt(deltas, per)
     return PairingResult(complex(value), float(err), per,
                          extras={"cells": sphere_rule.ncells, "unresolved_cells": residual})

@@ -72,8 +72,12 @@ class RandomEnsemble:
         return (re + 1j * im) / math.sqrt(2.0)
 
     def draw_matrix(self, trials):
-        """Coefficients of several trials stacked row-wise."""
-        return np.vstack([self.draw(t) for t in trials])
+        """Coefficients of several trials stacked row-wise, each written
+        into the result as it is drawn."""
+        out = np.empty((len(trials), self.dim), dtype=complex)
+        for i, trial in enumerate(trials):
+            out[i] = self.draw(trial)
+        return out
 
     # ------------------------------------------------------- regularity
     def batch_margins(self, coefficient_rows):

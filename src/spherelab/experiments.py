@@ -214,6 +214,12 @@ def _not_evaluated(config, reason):
     return f"not evaluated: k_grid {tuple(config.k_grid)} {reason}"
 
 
+def _one_value(config):
+    """The not-evaluated label of a check that fits or compares across k,
+    on a one-value grid; None on a longer one."""
+    return _not_evaluated(config, "has one value") if len(config.k_grid) < 2 else None
+
+
 def fit_order(ks, errs):
     """Exponent p of err ~ C k^{-p} by least squares on the log-log cloud."""
     ks = np.asarray(ks, dtype=float)
@@ -338,13 +344,13 @@ def run_kernel_diag(config: ExperimentConfig):
     order = fit_order(config.k_grid, diag_errs)
     for i, k in enumerate(config.k_grid):
         report.rows[2 * i]["observed_order"] = repr(order)
-    report.add_check("diag-order-in-band", 0.6 <= order <= 1.4,
-                     f"observed order {order:.3f} in [0.6, 1.4]")
+    one = _one_value(config)
+    report.add_check("diag-order-in-band", one is not None or 0.6 <= order <= 1.4,
+                     one or f"observed order {order:.3f} in [0.6, 1.4]")
     ratios = [beta_errs[i + 1] / beta_errs[i] for i in range(len(beta_errs) - 1)]
     ok = all(0.35 <= r <= 0.7 for r in ratios)
-    report.add_check("beta-error-halving", ok,
-                     ("consecutive error ratios " + ", ".join(f"{r:.3f}" for r in ratios))
-                     if ratios else _not_evaluated(config, "has one value"))
+    report.add_check("beta-error-halving", ok, one or "consecutive error ratios "
+                     + ", ".join(f"{r:.3f}" for r in ratios))
     fitted_c = max(e * k for e, k in zip(beta_errs, config.k_grid))
     report.add_check("beta-fitted-constant", True,
                      f"fitted C = {fitted_c:.4f} (reported, not asserted)")
@@ -372,8 +378,9 @@ def run_embed_check(config: ExperimentConfig):
     order = fit_order(config.k_grid, tt_errs)
     for i in range(len(config.k_grid)):
         report.rows[i]["observed_order"] = repr(order)
-    report.add_check("fs-reeb-order", 0.6 <= order <= 1.4,
-                     f"observed order {order:.3f}")
+    one = _one_value(config)
+    report.add_check("fs-reeb-order", one is not None or 0.6 <= order <= 1.4,
+                     one or f"observed order {order:.3f}")
     # next-order coefficient, reported without a reference value
     resid = np.asarray(tt_errs) * np.asarray(config.k_grid, dtype=float)
     report.add_check("fs-next-coefficient", True,
@@ -435,8 +442,7 @@ def run_embed_check(config: ExperimentConfig):
         devs.append(float(np.max(np.abs(maps[k].scaled_hessian_matrix(x) - limit))))
     ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1)]
     report.add_check("scaled-hessian-structure", all(r <= 0.8 for r in ratios),
-                     ("deviation ratios " + ", ".join(f"{r:.3f}" for r in ratios))
-                     if ratios else _not_evaluated(config, "has one value"))
+                     one or "deviation ratios " + ", ".join(f"{r:.3f}" for r in ratios))
     return report
 
 
@@ -553,29 +559,36 @@ def _accepted_rows(ens, config, count):
     screened together (GridEvaluator pads a batch to its row multiple),
     so the accepted rows do not depend on the pass sizes.  batch_margins
     works through a pass in fixed blocks of rows, so its node arrays do
-    not grow with the pass; the pass's coefficient rows do.
+    not grow with the pass; the pass's coefficient rows do.  The first
+    pass's draws are the returned array: its accepted rows move up in
+    place, and later passes fill the rows left, so the coefficients are
+    never held twice.
     """
-    rows = []
+    rows = None
+    accepted = 0
     trial = 0
     rejected = 0
-    while len(rows) < count:
-        batch = max(count - len(rows), _MICRO_BATCH)
+    while accepted < count:
+        batch = max(count - accepted, _MICRO_BATCH)
         coeffs = ens.draw_matrix(range(trial, trial + batch))
-        margins = ens.batch_margins(coeffs)
-        for i in range(batch):
-            if margins[i] >= config.filter_threshold:
-                rows.append(coeffs[i])
-            else:
-                rejected += 1
-            if len(rows) == count:
-                break
+        keep = np.flatnonzero(ens.batch_margins(coeffs) >= config.filter_threshold)
+        keep = keep[:count - accepted]
+        # draws after the one that completes the count are not counted
+        screened = keep[-1] + 1 if accepted + len(keep) == count else batch
+        rejected += screened - len(keep)
+        if rows is None:
+            rows = coeffs
+        # keep ascends, so in the first pass no row is read after it is overwritten
+        for i, t in enumerate(keep, start=accepted):
+            rows[i] = coeffs[t]
+        accepted += len(keep)
         trial += batch
         if trial > 20 * count:
             raise ExperimentError("regularity filter rejected too many draws")
     rate = rejected / (rejected + count)
     if rate > 0.05:
         raise ExperimentError(f"filter reject rate {rate:.1%} exceeds 5%")
-    return np.asarray(rows), rate
+    return rows[:count], rate
 
 
 def run_expectation_cr(config: ExperimentConfig):
@@ -660,8 +673,9 @@ def run_equidistribution_cr(config: ExperimentConfig):
                          ", ".join("ok" if a else "FAIL" for a in agree))
         if abs(limit) > 1e-12:
             order = fit_order(config.k_grid, exact_gaps)
-            report.add_check(f"order-{psi_name}", 0.6 <= order <= 1.4,
-                             f"observed order {order:.3f} of the expectation gap")
+            one = _one_value(config)
+            report.add_check(f"order-{psi_name}", one is not None or 0.6 <= order <= 1.4,
+                             one or f"observed order {order:.3f} of the expectation gap")
         else:
             final = exact_gaps[-1]
             report.add_check(f"vanishing-limit-{psi_name}", final <= 0.05 * max(c1, 1.0),
@@ -708,8 +722,9 @@ def run_variance_cr(config: ExperimentConfig):
     report.add_check("variance-over-k32-band", band_ok,
                      short or "Var/k^(3/2): " + ", ".join(f"{s:.3e}" for s in scaled))
     quad = np.asarray(v0) / ks ** 2
-    report.add_check("variance-over-k2-decay", quad[-1] <= 0.5 * quad[0],
-                     f"Var/k^2 falls {quad[0]:.3e} -> {quad[-1]:.3e}")
+    one = _one_value(config)
+    report.add_check("variance-over-k2-decay", one is not None or quad[-1] <= 0.5 * quad[0],
+                     one or f"Var/k^2 falls {quad[0]:.3e} -> {quad[-1]:.3e}")
     shape = np.asarray(variances[1]) / (1.0 + np.sqrt(ks))
     shape_ok = short is not None or shape.max() <= 2.0 * max(shape[0], shape[1])
     report.add_check("variance-kappa1-shape", shape_ok,

@@ -297,7 +297,16 @@ class SphereCellRule:
     rule equals one built from scratch on its final boxes.  Pairing uses
     the same contact-volume normalization as SphereRule, so orientation
     and measure conventions agree between the two rules.
+
+    blocks(ncells) walks the rule in consecutive blocks of cells, each a
+    view whose factors are slices of the rule's.  A view's node arrays and
+    frame are the matching rows of the rule's, bit for bit, since every
+    node value is a product of its own cell's factors; so a pairing can
+    build its node data one block at a time instead of on the whole rule.
     """
+
+    _FACTORS = ("boxes", "t_weights", "theta1_weights", "theta2_weights",
+                "cos_phi", "sin_phi", "exp_theta1", "exp_theta2")
 
     def __init__(self, base_cells=8, nodes_per_axis=4):
         self.nodes_per_axis = int(nodes_per_axis)
@@ -320,16 +329,30 @@ class SphereCellRule:
         A = a0[:, None] + (a1 - a0)[:, None] * x[None, :]
         B = b0[:, None] + (b1 - b0)[:, None] * x[None, :]
         phi = np.arccos(np.sqrt(np.clip(T, 1e-15, 1.0 - 1e-15)))
-        return {
-            "boxes": boxes,
-            "t_weights": (t1 - t0)[:, None] * w[None, :],
-            "theta1_weights": (a1 - a0)[:, None] * w[None, :],
-            "theta2_weights": (b1 - b0)[:, None] * w[None, :],
-            "cos_phi": np.cos(phi),
-            "sin_phi": np.sin(phi),
-            "exp_theta1": np.exp(1j * A),
-            "exp_theta2": np.exp(1j * B),
-        }
+        values = (boxes, (t1 - t0)[:, None] * w[None, :], (a1 - a0)[:, None] * w[None, :],
+                  (b1 - b0)[:, None] * w[None, :], np.cos(phi), np.sin(phi),
+                  np.exp(1j * A), np.exp(1j * B))
+        return dict(zip(self._FACTORS, values))
+
+    def blocks(self, ncells):
+        """(node slice, view) for consecutive blocks of at most ncells cells.
+
+        A view shares the rule's factor arrays through slices and builds
+        node arrays only when asked.  It is not a rule build, so it
+        bypasses __init__.
+        """
+        m3 = self.nodes_per_axis ** 3
+        for first in range(0, self.ncells, ncells):
+            stop = min(first + ncells, self.ncells)
+            # no local name holds the view, so the caller decides its lifetime
+            yield slice(first * m3, stop * m3), self._view(slice(first, stop))
+
+    def _view(self, cells):
+        view = object.__new__(SphereCellRule)
+        view.nodes_per_axis, view._gl = self.nodes_per_axis, self._gl
+        for name in self._FACTORS:
+            setattr(view, name, getattr(self, name)[cells])
+        return view
 
     def _axes(self, first=0):
         """cos(phi), sin(phi), e^{i theta1}, e^{i theta2} of the cells from

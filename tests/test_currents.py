@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
                                 _normalized, catalog_function, cf_pairing,
                                 divisor_pairing_boundary, divisor_pairing_closed,
-                                richardson_sqrt, zero_set_direct)
+                                holo_gradient_values, richardson_sqrt, zero_set_direct)
 from spherelab.quadrature import BallRule, SphereRule
 
 ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
@@ -156,18 +157,22 @@ def test_delta_monotonicity_reported():
 
 
 def test_log_trap_reads_f_before_per_delta_consumes_it(monkeypatch):
-    # per_delta overwrites f in place, so cf_pairing runs the log-monotone
-    # trap first, on f / rms as it came from the rule
+    # the delta sums overwrite each block of f in place, so cf_pairing runs
+    # the log-monotone trap first, on f / rms as it came from the rule
     calls = []
-    log_ok, per_delta = currents._log_monotone_ok, RegularizedPairing.per_delta
+    log_ok, delta_sums = currents._log_monotone_ok, currents._SphereTerms.delta_sums
+    monkeypatch.setattr(currents, "_BLOCK_CELLS", 100)
     monkeypatch.setattr(currents, "_log_monotone_ok", lambda rule, fvals, deltas: (
         calls.append(("log", rule, fvals.copy())) or log_ok(rule, fvals, deltas)))
-    monkeypatch.setattr(RegularizedPairing, "per_delta", lambda self, fvals, *rest: (
-        calls.append(("per_delta", None, fvals.copy())) or per_delta(self, fvals, *rest)))
+    monkeypatch.setattr(currents._SphereTerms, "delta_sums", lambda self, fvals, *rest: (
+        calls.append(("block", None, fvals.copy())) or delta_sums(self, fvals, *rest)))
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
-    assert [name for name, _, _ in calls] == ["log", "per_delta"]
-    (_, rule, logged), (_, _, paired) = calls
-    assert np.array_equal(logged, paired[0] / _normalized(paired[0], rule.weights))
+    names = [name for name, _, _ in calls]
+    assert names[0] == "log" and len(names) > 2 and set(names[1:]) == {"block"}
+    (_, rule, logged), blocks = calls[0], [f for _, _, f in calls[1:]]
+    paired = np.concatenate(blocks, axis=1)[0]
+    assert len(blocks) == -(-rule.ncells // 100)
+    assert np.array_equal(logged, paired / _normalized(paired, rule.weights))
     assert res.log_monotone
 
 
@@ -187,3 +192,74 @@ def test_boundary_pairing_depth10_pinned():
     assert abs(res.value - pinned) <= 1e-12 * abs(pinned)
     assert abs(res.err_est - 0.0022183311428074504) <= 1e-12 * abs(pinned)
     assert res.extras == {"cells": 12816, "unresolved_cells": 7680}
+
+
+BUMP_Z2 = (1.0 + forms.z_coord(0) * forms.zbar_coord(0)) * VOL_Z2
+STREAMED_CASES = {
+    "closed-z1": lambda **kw: divisor_pairing_closed(catalog_function("z1"), ANGULAR_Z2, **kw),
+    "z1-half-vol-z2": lambda **kw: divisor_pairing_boundary(
+        catalog_function("z1-half"), VOL_Z2, ball_level=6, **kw),
+    # live dbar psi and d dbar psi terms, so the shift and the ball term run
+    "z1-half-bump-z2": lambda **kw: divisor_pairing_boundary(
+        catalog_function("z1-half"), BUMP_Z2, ball_level=6, **kw),
+    "nowhere-zero": lambda **kw: divisor_pairing_boundary(
+        catalog_function("nowhere-zero"), BUMP_Z2, ball_level=6, **kw),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+def test_streamed_pairing_does_not_depend_on_block_size(monkeypatch, case):
+    options = dict(base_cells=6, nodes_per_axis=4, refine_depth=4)
+    results = []
+    for ncells in (7, currents._BLOCK_CELLS, 1 << 20):
+        monkeypatch.setattr(currents, "_BLOCK_CELLS", ncells)
+        results.append(STREAMED_CASES[case](**options))
+    assert results[0].extras["cells"] > 7
+    ref = results[-1]
+    for res in results[:-1]:
+        scale = max(1.0, abs(ref.value))
+        assert abs(res.value - ref.value) <= 1e-12 * scale
+        assert abs(res.err_est - ref.err_est) <= 1e-12 * scale
+        assert np.all(np.abs(res.per_delta - ref.per_delta) <= 1e-12 * scale)
+        assert res.extras == ref.extras and res.log_monotone == ref.log_monotone
+
+
+def test_regularity_check_reads_whole_rule_values(monkeypatch):
+    # the blocks gather |du| node by node and leave u unconsumed, so the
+    # check sees the values a whole-rule evaluation gives, bit for bit
+    seen = []
+    check = currents._boundary_regularity_check
+    monkeypatch.setattr(currents, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(currents, "_boundary_regularity_check", lambda u, g: (
+        seen.append((u.copy(), g.copy())) or check(u, g)))
+    u = catalog_function("z1-half")
+    divisor_pairing_boundary(u, VOL_Z2, ball_level=6, base_cells=6, nodes_per_axis=4,
+                             refine_depth=4)
+    rule, uvals, _ = _adaptive_rule(u, DEFAULT_DELTAS, 6, 4, 4)
+    [(u_seen, grad_norm)] = seen
+    assert np.array_equal(u_seen, uvals)
+    assert np.array_equal(grad_norm,
+                          np.linalg.norm(holo_gradient_values(u, rule.points), axis=-1))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_pairings_peak_memory():
+    # the refined rule with f on it (54 MB and 76 MB under tracemalloc)
+    # sets these floors; a pairing that builds its node arrays on the whole
+    # rule at once peaks at 228 MB and 321 MB
+    depth10 = _traced_peak(lambda: divisor_pairing_boundary(
+        catalog_function("z1-half"), VOL_Z2, deltas=(1e-2, 1e-3, 1e-4), refine_depth=10,
+        ball_level=6))
+    assert depth10 <= 100e6
+    lp_closed = _traced_peak(lambda: divisor_pairing_closed(
+        catalog_function("z1"), ANGULAR_Z2, deltas=DEFAULT_DELTAS, base_cells=6,
+        nodes_per_axis=4, refine_depth=10))
+    assert lp_closed <= 130e6

@@ -88,9 +88,12 @@ def test_kernel_diag_deterministic():
 
 
 def test_kernel_diag_needs_two_scales():
-    cfg = ExperimentConfig("kernel-diag", k_grid=(16,))
-    report = run_kernel_diag(cfg)
-    assert not report.verdict  # order fit impossible on one point
+    # the order fit is impossible on one point: the check says so and
+    # passes, as the other cross-scale checks do, instead of failing
+    report = run_kernel_diag(ExperimentConfig("kernel-diag", k_grid=(16,)))
+    check = {c["name"]: c for c in report.checks}["diag-order-in-band"]
+    assert check["passed"] and check["detail"] == "not evaluated: k_grid (16,) has one value"
+    assert report.rows[0]["observed_order"] == "nan"
 
 
 def test_expectation_cr_small_deterministic(table):
@@ -316,12 +319,12 @@ def _per_delta_allocating(pairing, fvals, slots, deltas, ball_vals=None):
     scale_sq = (fsq @ pairing._rms_weights)[:, None]
     fsq /= scale_sq
     conj_f = np.conj(fvals) / scale_sq
-    per = _regularized_sums_allocating(pairing._slot_weights, [conj_f * x for x in slots],
+    per = _regularized_sums_allocating(pairing._sphere.slot_weights, [conj_f * x for x in slots],
                                        fsq, deltas)
     if ball_vals is None:
         return per
-    t2 = _log_regularized_sums_allocating(pairing._w_dbar, fsq, deltas)
-    t3 = _log_regularized_sums_allocating(pairing._w_ddbar,
+    t2 = _log_regularized_sums_allocating(pairing._sphere.w_dbar, fsq, deltas)
+    t3 = _log_regularized_sums_allocating(pairing._domain.w_ddbar,
                                           np.abs(ball_vals) ** 2 / scale_sq, deltas)
     return ((1j / math.pi) * (-per - t2 + t3)
             + (0.5 * np.log(scale_sq) * pairing._shift_scale)[:, :, None])
@@ -364,11 +367,11 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
     fsq = np.abs(f0) ** 2
     fsq /= (fsq @ pairing._rms_weights)[:, None]
     numer = [np.conj(f0) * x for x in (x1, x2)]
-    args = (pairing._slot_weights, numer, fsq)
+    args = (pairing._sphere.slot_weights, numer, fsq)
     fsq_before = fsq.copy()
     assert np.array_equal(_accel.regularized_sums(*args, np.empty_like(numer[0]), deltas),
                           _regularized_sums_allocating(*args, deltas))
-    weights = pairing._w_dbar if boundary else pairing._slot_weights[0]
+    weights = pairing._sphere.w_dbar if boundary else pairing._sphere.slot_weights[0]
     assert np.array_equal(_accel.log_regularized_sums(weights, fsq, deltas),
                           _log_regularized_sums_allocating(weights, fsq, deltas))
     assert np.array_equal(fsq, fsq_before)
@@ -427,6 +430,38 @@ def test_accepted_rows_screen_only_needed_draws(table, bump, monkeypatch, count)
     assert rate == ref_rate > 0.0
     assert screened[0] == count and len(screened) >= 2
     assert all(n == _MICRO_BATCH for n in screened[1:])
+
+
+class _ListedMarginsEnsemble:
+    """Draw t is the row (t, 2t, 3t); its margin is listed."""
+    dim = 3
+
+    def __init__(self, margins):
+        self.margins = np.asarray(margins, dtype=float)
+        self.drawn = []
+
+    def draw_matrix(self, trials):
+        self.drawn.append(np.array([[t, 2 * t, 3 * t] for t in trials], dtype=complex))
+        return self.drawn[-1]
+
+    def batch_margins(self, coeffs):
+        return self.margins[coeffs[:, 0].real.astype(int)]
+
+
+def test_accepted_rows_fill_one_array_and_count_screened_rejects():
+    # 100 rows: the first pass of 100 draws rejects draws 3 and 17, the
+    # second (one micro-batch) rejects 100, and the rejected draw 103 comes
+    # after the count is reached, so it is not counted
+    margins = np.ones(140)
+    margins[[3, 17, 100, 103]] = 0.0
+    ens = _ListedMarginsEnsemble(margins)
+    rows, rate = _accepted_rows(ens, types.SimpleNamespace(filter_threshold=0.5), 100)
+    kept = [t for t in range(103) if t not in (3, 17, 100)]
+    assert [len(d) for d in ens.drawn] == [100, _MICRO_BATCH]
+    assert np.array_equal(rows, np.array([[t, 2 * t, 3 * t] for t in kept], dtype=complex))
+    assert rate == 3 / 103
+    # the accepted rows fill the first pass's draws: no second copy is made
+    assert rows.shape == (100, 3) and np.shares_memory(rows, ens.drawn[0])
 
 
 def test_catalog_pairings_match_reference_route():
@@ -529,16 +564,19 @@ def test_embed_check_labels_checks_it_cannot_evaluate():
 
 # Checks that compare values across the scale grid and, at that grid, have
 # none to compare (embed-check's two k >= 64 checks are labelled on any
-# grid without such a k)
+# grid without such a k); on a one-value grid that includes every fitted
+# order and every first-to-last comparison
+ONE_VALUE_CHECKS = {
+    "kernel-diag": {"beta-error-halving", "diag-order-in-band"},
+    "embed-check": {"scaled-hessian-structure", "hessian-negative-definite",
+                    "separation-max-h", "fs-reeb-order"},
+    "equi-cr": {"tail-angular-z2", "tail-horizontal-mix", "order-angular-z2"},
+    "variance-cr": {"variance-over-k32-band", "variance-kappa1-shape",
+                    "variance-over-k2-decay"},
+    "equi-domain": {"rate-vol-z2", "rate-bump-z2", "interior-vanishing-interior-only"},
+}
 SHORT_GRID_CHECKS = {
-    (16,): {
-        "kernel-diag": {"beta-error-halving"},
-        "embed-check": {"scaled-hessian-structure", "hessian-negative-definite",
-                        "separation-max-h"},
-        "equi-cr": {"tail-angular-z2", "tail-horizontal-mix"},
-        "variance-cr": {"variance-over-k32-band", "variance-kappa1-shape"},
-        "equi-domain": {"rate-vol-z2", "rate-bump-z2", "interior-vanishing-interior-only"},
-    },
+    (16,): ONE_VALUE_CHECKS,
     (16, 32): {
         "kernel-diag": set(),
         "embed-check": {"hessian-negative-definite", "separation-max-h"},
@@ -546,6 +584,7 @@ SHORT_GRID_CHECKS = {
         "variance-cr": {"variance-over-k32-band", "variance-kappa1-shape"},
         "equi-domain": {"rate-vol-z2", "rate-bump-z2"},
     },
+    (24,): ONE_VALUE_CHECKS,
 }
 
 
@@ -558,6 +597,8 @@ def test_short_grids_label_checks_they_cannot_evaluate(k_grid):
                if c["detail"].startswith(f"not evaluated: k_grid {k_grid} ")}
         assert got == labelled, name
         assert all(c["passed"] for c in report.checks if c["name"] in got), name
+        # one value measures nothing across k, so no check fails for want of it
+        assert len(k_grid) > 1 or report.verdict, name
 
 
 # CSV bodies of kernel-diag at its defaults and of embed-check at k (16, 32),

@@ -230,3 +230,32 @@ def test_sphere_rule_nodes_match_per_node_build(level):
 
 def test_degree_bound_recorded(rule16):
     assert rule16.degree_bound == 31
+
+
+@pytest.mark.parametrize("ncells", [7, 1024, 1 << 20])
+def test_cell_rule_blocks_reproduce_node_arrays(rng, monkeypatch, ncells):
+    # a refined rule past numpy's temporary-reuse threshold, walked in
+    # blocks of 7 cells, of the catalog pairings' size, and in one block
+    cells = SphereCellRule(base_cells=8, nodes_per_axis=4)
+    for frac in (0.2, 0.05):
+        cells.refine(rng.random(cells.ncells) < frac)
+    frame = cells.frame_directions()
+    # a view is no rule build: the benchmark tracer counts builds in __init__
+    monkeypatch.setattr(SphereCellRule, "__init__", None)
+    blocks = list(cells.blocks(ncells))
+    assert len(blocks) == -(-cells.ncells // ncells)
+    assert [nodes.start for nodes, _ in blocks] == [
+        block * ncells * 64 for block in range(len(blocks))]
+    assert blocks[-1][0].stop == cells.npoints
+    for name in ("points", "weights", "pairing_weights"):
+        whole = getattr(cells, name)
+        assert np.array_equal(np.concatenate([getattr(view, name) for _, view in blocks]),
+                              whole), name
+    block_frames = [view.frame_directions() for _, view in blocks]
+    for i, direction in enumerate(frame):
+        for j, column in enumerate(direction):
+            parts = [f[i][j] for f in block_frames]
+            if column is None:
+                assert all(part is None for part in parts)
+            else:
+                assert np.array_equal(np.concatenate(parts), column)
