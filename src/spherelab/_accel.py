@@ -5,18 +5,19 @@ regularized zero-divisor pairings: a batch of rows against several
 weight columns at once, for the Monte Carlo samplers and (with one row)
 the deterministic catalog pairings alike.
 
-Both work in place: each call allocates one rows x nodes buffer for the
-reciprocal (or the log) and reuses it across every delta, and
-regularized_sums writes its products into a buffer the caller passes
-(the pairing hands over the f it has consumed), so no node-sized
-temporary is made per delta or per numerator term.  (At Monte Carlo
-sizes each such temporary exceeds glibc's mmap threshold and would come
-back as fresh, zero-filled pages every time.)  The reciprocal and log
-buffers take the layout of the inputs (empty_like), as the allocating
-expressions did, and every complex product keeps its operand order,
-numerator first: with fused multiply-add, numpy's complex multiply
-rounds differently when the operands are swapped, and the CSV bodies
-print full-precision reprs.
+The pairings call them once per block of nodes, never on a whole rule:
+BLOCK_BYTES caps each complex (rows, nodes) array of a block, and the
+evaluators and the catalog pairings size their blocks by it.  Both
+kernels work in place within a block: each call allocates one block
+buffer for the reciprocal (or the log) and reuses it across every delta,
+and regularized_sums writes its products into a buffer the caller
+passes (the pairing hands over the block of f it has consumed), so no
+temporary is made per delta or per numerator term.  The reciprocal and
+log buffers take the layout of the inputs (empty_like), as the
+allocating expressions did, and every complex product keeps its operand
+order, numerator first: with fused multiply-add, numpy's complex
+multiply rounds differently when the operands are swapped, and the CSV
+bodies print full-precision reprs.
 
 The band sums use ascending-degree compensated summation because the
 terms span many orders of magnitude; the compensation keeps the per-term
@@ -27,6 +28,11 @@ that call these kernels.
 from __future__ import annotations
 
 import numpy as np
+
+# Bytes of one complex (rows, nodes) array of a block of a streamed
+# pairing: a block holds as many moduli (or cells) as fit, and at least
+# one, so its arrays stay about this size however large the rule is.
+BLOCK_BYTES = 1 << 20
 
 
 def monomial_matrix(points, alphas, scale):
@@ -99,13 +105,18 @@ def log_regularized_sums(weights, fsq, deltas):
 
     fsq is (rows, nodes) and weights a (nodes, columns) complex matrix,
     applied as real and imaginary parts so the real logs are never
-    promoted.  Returns (rows, columns, len(deltas)).
+    promoted.  The 1/2 is folded into one scaled copy of the weights per
+    call, whose parts the products read, so the logs are never scaled: a
+    factor 2^-1 is exact, and the sums are bit for bit those of the
+    scaled logs.  (The parts stay strided views: numpy sends a one-row
+    product with a contiguous operand down another loop, which rounds
+    differently.)  Returns (rows, columns, len(deltas)).
     """
     out = np.empty((fsq.shape[0], weights.shape[1], len(deltas)), dtype=complex)
+    half = np.multiply(weights, 0.5)
     logs = np.empty_like(fsq)
     for i, d in enumerate(deltas):
         np.add(fsq, d, out=logs)
         np.log(logs, out=logs)
-        logs *= 0.5
-        out[:, :, i] = logs @ weights.real + 1j * (logs @ weights.imag)
+        out[:, :, i] = logs @ half.real + 1j * (logs @ half.imag)
     return out

@@ -26,32 +26,36 @@ of the unit ball.  The same delta schedule regularizes 1/u and log|u|.
 A pairing context binds a test form to the rules it is paired on:
 CRPairingContext holds psi on pairs of the sphere rule's Hopf frame, the
 frame itself (three real tangent vectors, each a tuple of two node
-columns) and the pairing weights; BoundaryPairingContext
-sets up the same sphere-side data and adds the ball rule and the dbar psi
-and d dbar psi node values.  Both cases, and both routes, share one
-regularized pairing, built from a tuple of contexts:
-RegularizedPairing takes f on the sphere nodes, its slot sums
-x_j = z_j df/dz_j and, for the ball, u on the interior nodes, for a batch
-of rows, consumes f and the slot sums in place, and returns per-delta
-values for every test form of its pairing contexts; richardson_sqrt
-takes the limit along the delta axis.  The Monte Carlo samplers in
-experiments.py pass it a micro-batch of draws.
+columns) and the pairing weights; BoundaryPairingContext sets up the
+same sphere-side data and adds the ball rule and the dbar psi node
+values.  Both cases, and both routes, share one regularized pairing, a
+loop over blocks of nodes (_pairing_sums): each block hands over f, the
+slot sums x_j = z_j df/dz_j and |f / s|^2 on its nodes, with s the rms
+of f on the whole rule, and the block's delta sums are added up; in the
+boundary case the d dbar psi term on the ball rule follows, over blocks
+of ball nodes.  No array but f (and, for the catalog pairings, |f / s|^2
+and |du|) spans a whole rule.  richardson_sqrt takes the limit along the
+delta axis.
+
+The Monte Carlo samplers in experiments.py call RegularizedPairing with a
+micro-batch of draws: f on the whole sphere rule, and the slot sums (and
+u on the ball) as the evaluators' walk over blocks of moduli yields
+them, against views of the contexts' node weights.  The catalog
+pairings keep f on a refined cell rule and walk it in blocks of cells
+(_cell_blocks): each block binds its own context and evaluates the
+gradient of the polynomial on its nodes.  Blocks are sized by
+_accel.BLOCK_BYTES.
 
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
 below half the in-cell spread) or fall under the regularization floor
 10 * min(delta), greedily by estimated contribution, up to a depth cap
 and cell budget; cells still flagged at the end are counted in the
-result's extras, never silently dropped.  The catalog pairings keep f on
-the refined rule and walk it in blocks of cells (_streamed_per_delta):
-each block binds its own context and adds its delta sums, with the same
-arithmetic as RegularizedPairing.per_delta, so the frame, psi values,
-slot weights and slot sums never exist for the whole rule at once.
+result's extras, never silently dropped.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -165,12 +169,14 @@ class CRPairingContext:
         self.pair_weights = rule.pairing_weights
 
 
-def _log_monotone_ok(rule, fvals, deltas):
-    """Sanity trap: integral of log(|f|^2 + delta) against the positive
-    measure must decrease as delta decreases."""
-    fsq = np.abs(fvals[None]) ** 2
-    w = np.abs(rule.weights)[:, None]
-    logs = _accel.log_regularized_sums(w, fsq, sorted(deltas, reverse=True))[0, 0].real
+def _log_monotone_ok(rule, fsq, deltas):
+    """Sanity trap: integral of log(|f / s|^2 + delta) against the positive
+    measure must decrease as delta decreases.  fsq is |f / s|^2 (1, nodes),
+    read in the pairing's blocks of cells."""
+    logs = 0.0
+    for nodes, _ in rule.blocks(_block_cells(rule)):
+        w = np.abs(rule.weights[nodes])[:, None]
+        logs = logs + _accel.log_regularized_sums(w, fsq[:, nodes], deltas)[0, 0].real
     return bool(np.all(np.diff(logs) <= 1e-9 * np.maximum(1.0, np.abs(logs[:-1]))))
 
 
@@ -227,10 +233,12 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     deltas = tuple(sorted(deltas, reverse=True))
     rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
                                                  refine_depth)
-    rms = _normalized(fvals, rule.weights)
-    log_monotone = _log_monotone_ok(rule, fvals / rms, deltas)
-    per = _streamed_per_delta(fpoly, rule, fvals, deltas,
-                              lambda block: CRPairingContext(block, psi))[0]
+    fsq, scale_sq = _normalize(fvals[None], rule.weights / rule.weights.sum())
+    log_monotone = _log_monotone_ok(rule, fsq, deltas)
+    blocks = _cell_blocks(fpoly, rule, fvals, fsq, lambda block: CRPairingContext(block, psi))
+    # the blocks hold the last reference to |f / s|^2, dropped after the last block
+    del fsq
+    per = _pairing_sums(blocks, scale_sq, deltas)[0, 0]
     value, err = richardson_sqrt(deltas, per)
     return PairingResult(complex(value), float(err), per, log_monotone=log_monotone,
                          extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
@@ -247,7 +255,8 @@ class BoundaryPairingContext(CRPairingContext):
     """psi-dependent node data for boundary divisor pairings.
 
     Binds a fixed sphere rule (boundary terms, with the node data of
-    CRPairingContext), a ball rule (the interior log term) and the
+    CRPairingContext and the dbar psi values), a ball rule (the interior
+    log term, whose d dbar psi values _DomainTerms evaluates) and the
     (1,1)-form psi; per-function values then need only u and du on the
     sphere nodes and u on the ball nodes.
     """
@@ -262,15 +271,6 @@ class BoundaryPairingContext(CRPairingContext):
         dbar = psi.partial_zbar()
         self.dbar_top = dbar.evaluate(rule.points, dirs) if dbar.terms else None
 
-    @functools.cached_property
-    def ddbar_top(self):
-        """d dbar psi on the ball rule's standard frame, evaluated on first
-        use: of the contexts on the blocks of a streamed pairing, only one
-        is read for the ball term."""
-        # d dbar(psi) applied as: first dbar, then the (1,0) derivative
-        ddbar = self.psi.partial_zbar().partial_z()
-        return (ddbar.evaluate(self.ball_rule.points, _standard_frame_directions())
-                if ddbar.terms else None)
 
 
 def _slot_weights(ctx):
@@ -305,6 +305,8 @@ def _normalize(fvals, rms_weights):
     fsq = np.abs(fvals)
     np.square(fsq, out=fsq)
     scale_sq = (fsq @ rms_weights)[:, None]
+    if not np.all(scale_sq > 0.0):
+        raise RegularityError("function vanishes identically on the rule")
     fsq /= scale_sq
     return fsq, scale_sq
 
@@ -324,19 +326,27 @@ class _SphereTerms:
         self.w_dbar = (_top_weights(ctx.pair_weights, [c.dbar_top for c in contexts])
                        if self.boundary else None)
 
+    def block(self, nodes):
+        """The terms on the node slice nodes: views of these weights."""
+        view = object.__new__(_SphereTerms)
+        view.boundary = self.boundary
+        view.slot_weights = tuple(w[nodes] for w in self.slot_weights)
+        view.w_dbar = None if self.w_dbar is None else self.w_dbar[nodes]
+        return view
+
     def dbar_sum(self):
         """Column sums of the dbar psi weights; None for a structural zero."""
         return None if self.w_dbar is None else self.w_dbar.sum(axis=0)
 
     def delta_sums(self, fvals, fsq, slots, scale_sq, deltas):
         """(rows, forms, deltas) sums over these nodes from f, |f / s|^2 and
-        the slot sums x_j = z_j df/dz_j on them, with s^2 from _normalize
-        on the whole rule.
+        the slot sums x_j = z_j df/dz_j on them, with s^2 the square of the
+        rms of f on the whole rule.
 
-        Consumes f and the slot sums, which must be contiguous: conj(f) /
-        s^2 overwrites f, the numerator terms overwrite x1 and x2, and f
-        then holds the delta sums' products, so only the reciprocal is a
-        new node array.  fsq is read only.
+        Consumes f and the slot sums: conj(f) / s^2 overwrites f, the
+        numerator terms overwrite x1 and x2, and f then holds the delta
+        sums' products, so only the reciprocal is a new node array.  fsq
+        is read only.
         """
         x1, x2 = slots
         # every node-sized intermediate is computed in place, with the
@@ -362,10 +372,15 @@ class _DomainTerms:
     sphere sums: int_D (1/2) log(|u|^2+d) d dbar psi on the ball rule, and
     the shift of log|u| by log s that undoes the normalization."""
 
-    def __init__(self, contexts):
-        self.w_ddbar = _top_weights(contexts[0].ball_rule.weights,
-                                    [c.ddbar_top for c in contexts])
-        self._forms = len(contexts)
+    def __init__(self, ball_rule, psis):
+        # d dbar(psi) applied as: first dbar, then the (1,0) derivative; a
+        # form with no terms is a structural zero (None), never evaluated
+        ddbars = [psi.partial_zbar().partial_z() for psi in psis]
+        frame = _standard_frame_directions()
+        self.w_ddbar = _top_weights(ball_rule.weights,
+                                    [ddbar.evaluate(ball_rule.points, frame)
+                                     if ddbar.terms else None for ddbar in ddbars])
+        self._forms = len(psis)
 
     def shift_scale(self, dbar_sum):
         """The factor of log s: (i/pi) times the column sums of the log
@@ -378,116 +393,127 @@ class _DomainTerms:
             shift += self.w_ddbar.sum(axis=0)
         return (1j / math.pi) * shift
 
-    def finish(self, total, scale_sq, ball_vals, deltas, shift_scale):
+    def finish(self, total, scale_sq, ball_blocks, deltas, shift_scale):
         """Per-delta values from the sphere sums total (overwritten) and u on
-        the ball nodes (rows, ball nodes), which is read only."""
+        the ball nodes, given as (node slice, u on those nodes) pairs; the
+        blocks are read only, and not walked when d dbar psi vanishes."""
         if self.w_ddbar is not None:
-            ball_sq = np.abs(ball_vals)
-            np.square(ball_sq, out=ball_sq)
-            ball_sq /= scale_sq
-            total += _accel.log_regularized_sums(self.w_ddbar, ball_sq, deltas)
+            for nodes, ball_vals in ball_blocks:
+                ball_sq = np.abs(ball_vals)
+                np.square(ball_sq, out=ball_sq)
+                ball_sq /= scale_sq
+                total += _accel.log_regularized_sums(self.w_ddbar[nodes], ball_sq, deltas)
         # the normalization shifts log|u| by log s, which integrates to zero
         # against the exact-form terms only as delta -> 0: restore it
         return ((1j / math.pi) * total
                 + (0.5 * np.log(scale_sq) * shift_scale)[:, :, None])
 
 
+def _pairing_sums(blocks, scale_sq, deltas, domain=None, ball_blocks=()):
+    """(rows, forms, deltas) regularized values, the one loop of every
+    pairing.
+
+    blocks yields (terms, f, |f / s|^2, slot sums) on consecutive blocks of
+    sphere nodes, terms being the _SphereTerms of the block; each block's
+    delta sums (which consume its f and slot sums) are added up, and so
+    are its dbar psi weights.  A boundary pairing passes its _DomainTerms,
+    which adds the d dbar psi term over ball_blocks and restores log|u| =
+    log|u / s| + log s.  A log term whose forms are zero for every context
+    (vol-z2, vol-z1) is an exact zero: its weights are None and its pass is
+    skipped.
+    """
+    total = dbar_sum = None
+    for terms, fvals, fsq, slots in blocks:
+        part = terms.delta_sums(fvals, fsq, slots, scale_sq, deltas)
+        total = part if total is None else total + part
+        block_dbar = terms.dbar_sum()
+        if block_dbar is not None:
+            dbar_sum = block_dbar if dbar_sum is None else dbar_sum + block_dbar
+    if domain is None:
+        return total
+    return domain.finish(total, scale_sq, ball_blocks, deltas, domain.shift_scale(dbar_sum))
+
+
 class RegularizedPairing:
     """The regularized pairing of a batch of functions with several test
-    forms, one value per delta.
+    forms, one value per delta, for the Monte Carlo samplers.
 
     Built once from pairing contexts on one rule: all CRPairingContext
     (closed case), or all BoundaryPairingContext on one sphere and ball
-    rule (boundary case).  per_delta runs three steps.  _normalize finds
-    each row's rms s on the sphere rule.  _SphereTerms.delta_sums sums
-    conj(f) df ^ psi / (|f|^2 + delta) with df ^ psi = x1 g1 + x2 g2
-    (_slot_weights of each context) and, in the boundary case,
-    (1/2) log(|u|^2 + delta) against the dbar psi node weights.
-    _DomainTerms.finish adds the d dbar psi term on the ball and restores
-    log|u| = log|u / rms| + log rms.  A log term whose forms are zero for
-    every context (vol-z2, vol-z1) is an exact zero: its weights are None
-    and its pass is skipped.  The catalog pairings run the same steps with
-    the sphere terms of one block of cells at a time (_streamed_per_delta).
+    rule (boundary case).  per_delta sums conj(f) df ^ psi / (|f|^2 +
+    delta) with df ^ psi = x1 g1 + x2 g2 (_slot_weights of each context)
+    and, in the boundary case, (1/2) log(|u|^2 + delta) against the dbar
+    psi node weights, block by block as the evaluator walks the rule, each
+    block against views of the whole-rule weights (_SphereTerms.block).
     """
 
     def __init__(self, contexts):
         rule = contexts[0].rule
         self._rms_weights = rule.weights / rule.weights.sum()
         self._sphere = _SphereTerms(contexts)
-        if self._sphere.boundary:
-            self._domain = _DomainTerms(contexts)
-            self._shift_scale = self._domain.shift_scale(self._sphere.dbar_sum())
-        else:
-            self._domain = None
+        self._domain = (_DomainTerms(contexts[0].ball_rule, [c.psi for c in contexts])
+                        if self._sphere.boundary else None)
 
-    def per_delta(self, fvals, slots, deltas, ball_vals=None):
-        """(rows, forms, deltas) regularized values from f (rows, nodes), its
-        slot sums x_j = z_j df/dz_j (a pair of arrays of the same shape) and,
-        for the boundary pairing, u on the ball nodes (rows, ball nodes).
+    def per_delta(self, fvals, slot_blocks, deltas, ball_blocks=()):
+        """(rows, forms, deltas) regularized values from f on the sphere rule
+        (rows, nodes), its slot sums x_j = z_j df/dz_j as (node slice,
+        (x1, x2)) pairs over consecutive blocks of the rule and, for the
+        boundary pairing, u on the ball rule as (node slice, u) pairs.
 
         Consumes f and the slot sums, which the caller must not read again
-        (see _SphereTerms.delta_sums); a batch of several rows allocates
-        only |f|^2 and the reciprocal as new node arrays.  ball_vals is
-        read only.
+        (see _SphereTerms.delta_sums); the ball values are read only.  s^2
+        is summed over blocks of f first; each block then makes |f / s|^2
+        and the delta sums' buffers on its own nodes.
         """
-        x1, x2 = slots
-        if fvals.shape[0] == 1:
-            # numpy's complex multiply, and the gemv a single row goes to,
-            # round by the row's stride, and one row of a synthesis (or of a
-            # slot pair) is strided: work on contiguous rows
-            fvals, x1, x2 = (np.ascontiguousarray(x) for x in (fvals, x1, x2))
-        fsq, scale_sq = _normalize(fvals, self._rms_weights)
-        total = self._sphere.delta_sums(fvals, fsq, (x1, x2), scale_sq, deltas)
-        del fsq
-        if self._domain is None:
-            return total
-        return self._domain.finish(total, scale_sq, ball_vals, deltas, self._shift_scale)
+        step = max(1, _accel.BLOCK_BYTES // (16 * fvals.shape[0]))
+        scale_sq = 0.0
+        for lo in range(0, fvals.shape[1], step):
+            fsq = np.abs(fvals[:, lo:lo + step])
+            np.square(fsq, out=fsq)
+            scale_sq = scale_sq + fsq @ self._rms_weights[lo:lo + step]
+        scale_sq = scale_sq[:, None]
+
+        def blocks():
+            for nodes, slots in slot_blocks:
+                block = fvals[:, nodes]
+                fsq = np.abs(block)
+                np.square(fsq, out=fsq)
+                fsq /= scale_sq
+                yield self._sphere.block(nodes), block, fsq, slots
+
+        return _pairing_sums(blocks(), scale_sq, deltas, self._domain, ball_blocks)
 
 
-# Cells per block of a streamed catalog pairing: 64k nodes at 4 nodes per
-# axis, so each complex node array of a block is 1 MB.
-_BLOCK_CELLS = 1024
+def _block_cells(rule):
+    """Cells per block of a catalog pairing: one complex node array of a
+    block (one row) takes at most BLOCK_BYTES, 1024 cells at 4 nodes per
+    axis."""
+    return max(1, _accel.BLOCK_BYTES // (16 * rule.nodes_per_axis ** 3))
 
 
-def _streamed_per_delta(fpoly, rule, fvals, deltas, bind, ball_vals=None, grad_norm=None):
-    """(forms, deltas) values of one catalog function on a cell rule, the
-    steps of RegularizedPairing.per_delta with the sphere terms built and
-    summed one block of _BLOCK_CELLS cells at a time.
+def _cell_blocks(fpoly, rule, fvals, fsq, bind, grad_norm=None):
+    """The blocks of cells of a catalog pairing, as _pairing_sums reads
+    them: the terms of the context bind(block) on a block view, a copy of
+    f (fvals, read only), |f / s|^2 (fsq, (1, nodes)) and the slot sums
+    of the polynomial fpoly on the block's nodes.
 
-    bind(block) returns the pairing context on a block view; fvals (f on
-    the rule's nodes) is read only; ball_vals is u on the ball nodes of a
-    boundary pairing.  grad_norm, a real node array, receives |du| at
-    every node.  Across the whole rule only f, |f / s|^2 and grad_norm
-    exist; every other node array spans one block.
+    grad_norm, a real node array, receives |du| at every node.  Each
+    context and every array but the three whole-rule ones spans one
+    block.
     """
-    fsq, scale_sq = _normalize(fvals[None], rule.weights / rule.weights.sum())
-    total = dbar_sum = domain = None
-    for nodes, block in rule.blocks(_BLOCK_CELLS):
-        ctx = bind(block)
-        sphere = _SphereTerms((ctx,))
-        if sphere.boundary and domain is None:
-            domain = _DomainTerms((ctx,))
+    for nodes, block in rule.blocks(_block_cells(rule)):
+        terms = _SphereTerms((bind(block),))
         points = block.points
-        # the context's node tables, and the view that caches the points,
-        # are dropped before the delta sums
-        del ctx, block
+        # the context is gone once its weights are taken; the view, which
+        # caches the points, is dropped before the delta sums
+        del block
         grad = holo_gradient_values(fpoly, points)
         if grad_norm is not None:
             grad_norm[nodes] = np.linalg.norm(grad, axis=-1)
         slots = np.multiply(points, grad, out=grad).T.copy()[:, None]
         del points, grad
         # f is copied block by block, so the caller can read it afterwards
-        part = sphere.delta_sums(fvals[None, nodes].copy(), fsq[:, nodes], slots,
-                                 scale_sq, deltas)
-        total = part if total is None else total + part
-        block_dbar = sphere.dbar_sum()
-        if block_dbar is not None:
-            dbar_sum = block_dbar if dbar_sum is None else dbar_sum + block_dbar
-    del fsq
-    if domain is None:
-        return total[0]
-    return domain.finish(total, scale_sq, ball_vals[None], deltas,
-                         domain.shift_scale(dbar_sum))[0]
+        yield terms, fvals[None, nodes].copy(), fsq[:, nodes], slots
 
 
 def _boundary_regularity_check(u_sphere, grad_norm, margin_floor=1e-3,
@@ -531,9 +557,14 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
                                                      refine_depth)
     ball_rule = BallRule(ball_level, radial=ball_radial)
     grad_norm = np.empty(sphere_rule.npoints)
-    per = _streamed_per_delta(upoly, sphere_rule, u_sphere, deltas,
-                              lambda block: BoundaryPairingContext(block, ball_rule, psi),
-                              upoly.evaluate(ball_rule.points, []), grad_norm)[0]
+    fsq, scale_sq = _normalize(u_sphere[None], sphere_rule.weights / sphere_rule.weights.sum())
+    blocks = _cell_blocks(upoly, sphere_rule, u_sphere, fsq,
+                          lambda block: BoundaryPairingContext(block, ball_rule, psi), grad_norm)
+    # the blocks hold the last reference to |f / s|^2, dropped before the ball term
+    del fsq
+    ball_blocks = [(slice(None), upoly.evaluate(ball_rule.points, [])[None])]
+    per = _pairing_sums(blocks, scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
+                        ball_blocks)[0, 0]
     # the check needs |du| on the whole rule, which the blocks gather
     _boundary_regularity_check(u_sphere, grad_norm)
     value, err = richardson_sqrt(deltas, per)

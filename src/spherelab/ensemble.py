@@ -21,10 +21,16 @@ second angle and the moduli in one small matrix product per residue of
 the first degree, then over the first angle in one more (sum
 factorization); it never builds a nodes x components matrix.  Plain
 arrays of points get NodeEvaluator's dense design matrix, the reference
-the grid evaluator is checked against.  Draws are screened for a
-nondegenerate zero set by batch_margins on a coarse product rule.  The
-module needs numpy alone; numpy.random is imported here, at start-up,
-and not first inside an experiment.
+the grid evaluator is checked against.  Both evaluators give f and its
+slot sums either on all nodes at once (values, slot1_sums) or one block
+of nodes at a time (walk).  On a product rule a block is a range of
+consecutive moduli, a contiguous node slice of SphereRule and BallRule
+alike, synthesized into buffers of one block that the next block
+reuses: the Monte Carlo pairings consume the slot sums and the ball
+values that way, and hold only f on the whole rule.  Draws are screened
+for a nondegenerate zero set by batch_margins on a coarse product rule.
+The module needs numpy alone; numpy.random is imported here, at
+start-up, and not first inside an experiment.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import math
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from spherelab import _accel
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
 from spherelab.kernels import KernelField
@@ -172,21 +179,37 @@ class NodeEvaluator:
         x2 = (rest * self._deg2[None, :]) @ self.matrix.T
         return x1, x2
 
-    def values_and_slots(self, a):
-        """f and its slot sums (x1, x2) for each coefficient row, as row
-        blocks of one fresh array: one synthesis of the blocks [a,
-        a alpha_1, a alpha_2]."""
-        a0, rest = self._split(a)
-        f, x1, x2 = self._synthesize(rest, rest * self._deg1, rest * self._deg2)
-        if a0 is not None:
-            f += (self.ensemble.kappa * a0)[:, None]
-        return f, (x1, x2)
+    def values_and_walk(self, a):
+        """f at every node and walk(a, slots=True): what one micro-batch of
+        the Monte Carlo pairing reads (f for its rms, the slot sums for its
+        delta sums)."""
+        return self.values(a), self.walk(a, slots=True)
 
-    def _synthesize(self, *blocks):
-        """Monomial sums at the nodes for equal-shaped blocks of coefficient
-        rows: one (rows, npoints) array per block, the row blocks of one
-        product over the stacked blocks."""
-        return np.split(np.concatenate(blocks) @ self.matrix.T, len(blocks))
+    def walk(self, a, slots=False):
+        """f, or with slots its slot sums (x1, x2), for the rows of
+        coefficients a, one block of nodes at a time.
+
+        Yields (nodes, block) for consecutive node slices, block being
+        f (rows, block nodes) or the pair (x1, x2) on them.  A block's
+        arrays are buffers that the next block overwrites, so the caller
+        may consume them in place but must not keep them.
+        """
+        a0, rest = self._split(a)
+        for nodes, arrays in self._walk(rest, (self._deg1, self._deg2) if slots else (None,)):
+            if slots:
+                yield nodes, arrays
+                continue
+            vals, = arrays
+            if a0 is not None:
+                vals += (self.ensemble.kappa * a0)[:, None]
+            yield nodes, vals
+
+    def _walk(self, rest, degrees):
+        """(nodes, (sums of rest times each degree vector on those nodes)),
+        None standing for rest itself; the dense reference walks all its
+        nodes as one block."""
+        yield slice(None), tuple((rest if d is None else rest * d) @ self.matrix.T
+                                 for d in degrees)
 
     def directional_derivative(self, x1, x2, direction):
         """df along an ambient complex direction field (npoints, 2).
@@ -216,9 +239,6 @@ class NodeEvaluator:
 # Batches are padded with zero rows to a multiple of this: BLAS blocks
 # the row dimension by it and rounds a remainder block differently.
 _ROW_MULTIPLE = 4
-# Cap on the bytes of one synthesis' work buffer H (at least one modulus):
-# unblocked, H would add up to one more grid-sized array.
-_WORK_BYTES = 1 << 23
 
 
 class GridEvaluator(NodeEvaluator):
@@ -232,14 +252,28 @@ class GridEvaluator(NodeEvaluator):
     factor times i2-character, rows in (m, i2) order, and one (N, A)
     matrix E[i1, a'] holds the i1-characters (sum factorization): M N dim
     numbers in all, never nodes x dim.  Degrees of N and above share the
-    character of their residue and stay exact on the grid.  A batch of
-    draws is one product K @ coefficients per group, giving
-    H[a', (m, i2), row], then out[m] = E @ H[:, m] for every modulus,
-    written in node order.  H is a work buffer over a block of moduli,
-    so a synthesis allocates one array, a grid-sized block per block of
-    rows (f, x1 and x2 for values_and_slots), which the caller owns.
-    Each row's values are bitwise independent of the batch it came in,
-    since batches are padded to _ROW_MULTIPLE rows.
+    character of their residue and stay exact on the grid.
+
+    Synthesis runs over blocks of consecutive moduli, each a contiguous
+    slice of N^2 nodes per modulus: one product K[block] @ coefficients
+    per group gives H[a', (m, i2), row] in a work buffer, then
+    out[m] = E @ H[:, m] for every modulus of the block, in node order.
+    A block holds as many moduli as keep one (rows, block nodes) complex
+    array within BLOCK_BYTES, and at least one.  values and slot1_sums
+    fill arrays over the whole rule block by block; walk synthesizes each
+    block into buffers of one block, which the next block reuses, so a
+    pairing can consume the slot sums (and the ball values) without
+    whole-rule arrays; values_and_walk does both for one micro-batch.
+    Each call makes one allocation for its arrays, buffers and H: split
+    over several smaller arrays, a micro-batch's memory went back to the
+    system and came back as fresh pages every batch (variance-cr on the
+    mc-scan benchmark config: 53k minor faults, against 13k in one).
+    Results keep the rows on the last axis: each is the transpose of a
+    contiguous (nodes, rows) array, which numpy's elementwise loops run
+    over fastest.  Each row's values are bitwise independent of the batch
+    it came in, since batches are padded to _ROW_MULTIPLE rows; they do
+    not depend on walk against whole-rule synthesis either, since both
+    run the same products.
     """
 
     def __init__(self, ensemble: RandomEnsemble, rule):
@@ -263,46 +297,80 @@ class GridEvaluator(NodeEvaluator):
         self._chars = chars[np.outer(angles, bins) % nang]
         self._grid = (factors.shape[0], nang)
 
-    def _synthesize(self, *blocks):
-        """Monomial sums at the nodes for equal-shaped blocks of coefficient
-        rows: one (rows, npoints) array per block, all views of one fresh
-        array.
+    def _fill(self, coeffs, m0, m1, dest, work):
+        """Monomial sums of the moduli m0 <= m < m1 into dest, shaped
+        (m1 - m0, N, N rows)."""
+        nang = self._grid[1]
+        h = work[:, :(m1 - m0) * nang]
+        for factor, (lo, hi), part in zip(self._factors, self._groups, h):
+            np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
+        np.matmul(self._chars, h.reshape(len(h), m1 - m0, -1).transpose(1, 0, 2), out=dest)
 
-        Each block is synthesized on its own and keeps its rows on the
-        last axis, so each result is the transpose of a contiguous
-        (npoints, rows) array, returned without a copy.  (Blocks stacked
-        into one synthesis would interleave their rows at every node, and
-        numpy's elementwise loops over such a block run about twice as
-        slow.)
+    def _synthesis(self, rest, whole, walked=()):
+        """Monomial sums of the coefficient rows rest times each degree
+        vector (None: rest itself), in one allocation.
+
+        Each entry of whole gets a (rows, npoints) array over every node.
+        The entries of walked are synthesized one block of moduli at a
+        time into buffers of one block, by the generator returned second
+        (None without walked entries), which yields (node slice, (one
+        array per entry)).  The allocation holds the whole-rule arrays,
+        the block buffers and the work buffer H.
         """
-        nrows, ncomp = blocks[0].shape
-        rows = nrows + -nrows % _ROW_MULTIPLE
-        pad = np.zeros((rows - nrows, ncomp), dtype=complex)
+        nrows, ncomp = rest.shape
+        pad = np.zeros((-nrows % _ROW_MULTIPLE, ncomp), dtype=complex)
+        coeffs = np.concatenate([rest, pad]).T[self._order]
+        rows = coeffs.shape[1]
         nmod, nang = self._grid
-        ngroups = len(self._groups)
-        out = np.empty((len(blocks), nmod, nang, nang * rows), dtype=complex)
-        block = max(1, _WORK_BYTES // (16 * ngroups * nang * rows))
-        work = np.empty((ngroups, min(block, nmod) * nang, rows), dtype=complex)
-        for rest, dest in zip(blocks, out):
-            coeffs = np.concatenate([rest, pad]).T[self._order]
-            for m0 in range(0, nmod, block):
-                m1 = min(m0 + block, nmod)
-                h = work[:, :(m1 - m0) * nang]
-                for factor, (lo, hi), part in zip(self._factors, self._groups, h):
-                    np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
-                np.matmul(self._chars,
-                          h.reshape(ngroups, m1 - m0, nang * rows).transpose(1, 0, 2),
-                          out=dest[m0:m1])
-        return [dest.reshape(-1, rows).T[:nrows] for dest in out]
+        step = min(nmod, max(1, _accel.BLOCK_BYTES // (16 * nang * nang * rows)))
+        per_modulus = nang * nang * rows
+        nwhole, nwalked = len(whole) * nmod * per_modulus, len(walked) * step * per_modulus
+        arena = np.empty(nwhole + nwalked + len(self._groups) * step * nang * rows,
+                         dtype=complex)
+        outs = arena[:nwhole].reshape(len(whole), nmod, nang, nang * rows)
+        buffers = arena[nwhole:nwhole + nwalked].reshape(len(walked), step, nang, nang * rows)
+        work = arena[nwhole + nwalked:].reshape(len(self._groups), step * nang, rows)
+
+        def scaled(degrees):
+            return coeffs if degrees is None else coeffs * degrees[self._order][:, None]
+
+        for degrees, dest in zip(whole, outs):
+            c = scaled(degrees)
+            for m0 in range(0, nmod, step):
+                m1 = min(m0 + step, nmod)
+                self._fill(c, m0, m1, dest[m0:m1], work)
+
+        def walk():
+            cs = [scaled(degrees) for degrees in walked]
+            for m0 in range(0, nmod, step):
+                m1 = min(m0 + step, nmod)
+                blocks = [dest[:m1 - m0] for dest in buffers]
+                for c, dest in zip(cs, blocks):
+                    self._fill(c, m0, m1, dest, work)
+                yield (slice(m0 * nang * nang, m1 * nang * nang),
+                       tuple(dest.reshape(-1, rows).T[:nrows] for dest in blocks))
+
+        return ([dest.reshape(-1, rows).T[:nrows] for dest in outs],
+                walk() if walked else None)
+
+    def _walk(self, rest, degrees):
+        return self._synthesis(rest, (), degrees)[1]
 
     def values(self, a):
         a0, rest = self._split(a)
-        vals, = self._synthesize(rest)
+        (vals,), _ = self._synthesis(rest, (None,))
         if a0 is not None:
             vals += (self.ensemble.kappa * a0)[:, None]
         return vals
 
     def slot1_sums(self, a):
         _, rest = self._split(a)
-        x1, x2 = self._synthesize(rest * self._deg1, rest * self._deg2)
+        x1, x2 = self._synthesis(rest, (self._deg1, self._deg2))[0]
         return x1, x2
+
+    def values_and_walk(self, a):
+        a0, rest = self._split(a)
+        (vals,), walk = self._synthesis(rest, (None,), (self._deg1, self._deg2))
+        if a0 is not None:
+            vals += (self.ensemble.kappa * a0)[:, None]
+        return vals, walk

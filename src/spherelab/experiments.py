@@ -12,9 +12,10 @@ first half of the scale grid and require the second half to stay within
 a fixed multiple; no hidden tolerances.
 
 The Monte Carlo samplers evaluate a micro-batch of draws at the rule's
-nodes and hand it to currents.RegularizedPairing, the same regularized
-pairing the deterministic catalog pairings call with one row, and take
-the limit with currents.richardson_sqrt.
+nodes, f on the whole rule and the rest one block of moduli at a time,
+and hand it to currents.RegularizedPairing, which runs the same block
+loop as the deterministic catalog pairings, and take the limit with
+currents.richardson_sqrt.
 """
 
 from __future__ import annotations
@@ -244,9 +245,9 @@ class CfSampler:
     """Batched regularized cf values for one ensemble on a fixed rule.
 
     Takes a tuple of CRPairingContext on one rule (one per test 2-form)
-    and returns one column per form: each batch of draws is evaluated once
-    (values and slot sums, in one synthesis) and handed to the shared
-    RegularizedPairing, which consumes them.
+    and returns one column per form: each batch of draws is evaluated on
+    the whole rule once (f, for its rms) and its slot sums one block of
+    moduli at a time, and the shared RegularizedPairing consumes both.
     """
 
     def __init__(self, ensemble, contexts, deltas):
@@ -257,13 +258,14 @@ class CfSampler:
     def batch(self, coeff_rows):
         """(values, err_estimates), each (rows, forms), for the rows of draw
         coefficients."""
-        per = self.pairing.per_delta(*self.ev.values_and_slots(coeff_rows), self.deltas)
+        per = self.pairing.per_delta(*self.ev.values_and_walk(coeff_rows), self.deltas)
         return richardson_sqrt(self.deltas, per)
 
 
 class BoundarySampler:
     """Batched boundary divisor pairings for the kappa = 1 ensemble, one
-    column per (1,1)-form of the tuple psis."""
+    column per (1,1)-form of the tuple psis; u on the ball rule is
+    synthesized one block of moduli at a time, as the pairing reads it."""
 
     def __init__(self, ensemble, sphere_rule, ball_rule, psis, deltas):
         self.deltas = tuple(sorted(deltas))
@@ -273,8 +275,8 @@ class BoundarySampler:
             [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis])
 
     def batch(self, coeff_rows):
-        fvals, slots = self.ev_sphere.values_and_slots(coeff_rows)
-        per = self.pairing.per_delta(fvals, slots, self.deltas, self.ev_ball.values(coeff_rows))
+        per = self.pairing.per_delta(*self.ev_sphere.values_and_walk(coeff_rows), self.deltas,
+                                     self.ev_ball.walk(coeff_rows))
         return richardson_sqrt(self.deltas, per)
 
 

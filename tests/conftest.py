@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,20 @@ def rule24():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def traced_peak():
+    """traced_peak(run): the peak bytes allocated under tracemalloc while
+    run() runs."""
+    return _traced_peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from spherelab import _accel, currents, forms
 from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
-                                _normalized, catalog_function, cf_pairing,
+                                _normalize, catalog_function, cf_pairing,
                                 divisor_pairing_boundary, divisor_pairing_closed,
                                 holo_gradient_values, richardson_sqrt, zero_set_direct)
 from spherelab.quadrature import BallRule, SphereRule
@@ -108,14 +107,15 @@ def test_structurally_zero_log_terms_are_skipped(monkeypatch):
     rng = np.random.default_rng(3)
 
     def per_delta(psis):
-        contexts = [BoundaryPairingContext(sphere, ball, psi) for psi in psis]
+        pairing = RegularizedPairing([BoundaryPairingContext(sphere, ball, psi) for psi in psis])
         f, x1, x2 = (rng.standard_normal((2, sphere.npoints)) + 1j for _ in range(3))
         u_ball = rng.standard_normal((2, ball.npoints)) + 1j
-        return contexts, RegularizedPairing(contexts).per_delta(f, (x1, x2), (1e-2, 1e-3),
-                                                                u_ball)
+        # the whole rule as one block of sphere nodes and one of ball nodes
+        return pairing, pairing.per_delta(f, [(slice(None), (x1, x2))], (1e-2, 1e-3),
+                                          [(slice(None), u_ball)])
 
-    contexts, per = per_delta((VOL_Z2, VOL_Z1))
-    assert all(c.dbar_top is None and c.ddbar_top is None for c in contexts)
+    pairing, per = per_delta((VOL_Z2, VOL_Z1))
+    assert pairing._sphere.w_dbar is None and pairing._domain.w_ddbar is None
     assert calls == [] and per.shape == (2, 2, 2) and np.all(np.isfinite(per))
     per_delta((VOL_Z2, weighted))
     assert calls == [2, 2]
@@ -158,21 +158,23 @@ def test_delta_monotonicity_reported():
 
 def test_log_trap_reads_f_before_per_delta_consumes_it(monkeypatch):
     # the delta sums overwrite each block of f in place, so cf_pairing runs
-    # the log-monotone trap first, on f / rms as it came from the rule
+    # the log-monotone trap first, on the |f / s|^2 that the blocks then read
     calls = []
     log_ok, delta_sums = currents._log_monotone_ok, currents._SphereTerms.delta_sums
-    monkeypatch.setattr(currents, "_BLOCK_CELLS", 100)
-    monkeypatch.setattr(currents, "_log_monotone_ok", lambda rule, fvals, deltas: (
-        calls.append(("log", rule, fvals.copy())) or log_ok(rule, fvals, deltas)))
-    monkeypatch.setattr(currents._SphereTerms, "delta_sums", lambda self, fvals, *rest: (
-        calls.append(("block", None, fvals.copy())) or delta_sums(self, fvals, *rest)))
+    monkeypatch.setattr(_accel, "BLOCK_BYTES", 100 * 16 * 4 ** 3)  # 100 cells a block
+    monkeypatch.setattr(currents, "_log_monotone_ok", lambda rule, fsq, deltas: (
+        calls.append(("log", rule, fsq.copy(), None)) or log_ok(rule, fsq, deltas)))
+    monkeypatch.setattr(currents._SphereTerms, "delta_sums", lambda self, fvals, fsq, *rest: (
+        calls.append(("block", None, fsq.copy(), fvals.copy()))
+        or delta_sums(self, fvals, fsq, *rest)))
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
-    names = [name for name, _, _ in calls]
+    names = [name for name, *_ in calls]
     assert names[0] == "log" and len(names) > 2 and set(names[1:]) == {"block"}
-    (_, rule, logged), blocks = calls[0], [f for _, _, f in calls[1:]]
-    paired = np.concatenate(blocks, axis=1)[0]
+    (_, rule, logged, _), blocks = calls[0], calls[1:]
     assert len(blocks) == -(-rule.ncells // 100)
-    assert np.array_equal(logged, paired / _normalized(paired, rule.weights))
+    paired = np.concatenate([f for *_, f in blocks], axis=1)
+    assert np.array_equal(np.concatenate([fsq for _, _, fsq, _ in blocks], axis=1), logged)
+    assert np.array_equal(logged, _normalize(paired, rule.weights / rule.weights.sum())[0])
     assert res.log_monotone
 
 
@@ -211,8 +213,9 @@ STREAMED_CASES = {
 def test_streamed_pairing_does_not_depend_on_block_size(monkeypatch, case):
     options = dict(base_cells=6, nodes_per_axis=4, refine_depth=4)
     results = []
-    for ncells in (7, currents._BLOCK_CELLS, 1 << 20):
-        monkeypatch.setattr(currents, "_BLOCK_CELLS", ncells)
+    # 7 cells a block, the default 1024, and the whole rule in one block
+    for budget in (7 * 16 * 4 ** 3, _accel.BLOCK_BYTES, (1 << 20) * 16 * 4 ** 3):
+        monkeypatch.setattr(_accel, "BLOCK_BYTES", budget)
         results.append(STREAMED_CASES[case](**options))
     assert results[0].extras["cells"] > 7
     ref = results[-1]
@@ -229,7 +232,7 @@ def test_regularity_check_reads_whole_rule_values(monkeypatch):
     # check sees the values a whole-rule evaluation gives, bit for bit
     seen = []
     check = currents._boundary_regularity_check
-    monkeypatch.setattr(currents, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(_accel, "BLOCK_BYTES", 7 * 16 * 4 ** 3)  # 7 cells a block
     monkeypatch.setattr(currents, "_boundary_regularity_check", lambda u, g: (
         seen.append((u.copy(), g.copy())) or check(u, g)))
     u = catalog_function("z1-half")
@@ -242,24 +245,17 @@ def test_regularity_check_reads_whole_rule_values(monkeypatch):
                           np.linalg.norm(holo_gradient_values(u, rule.points), axis=-1))
 
 
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_streamed_pairings_peak_memory():
+def test_streamed_pairings_peak_memory(traced_peak):
     # the refined rule with f on it (54 MB and 76 MB under tracemalloc)
     # sets these floors; a pairing that builds its node arrays on the whole
-    # rule at once peaks at 228 MB and 321 MB
-    depth10 = _traced_peak(lambda: divisor_pairing_boundary(
+    # rule at once peaks at 228 MB and 321 MB.  lp-closed's log-monotone
+    # trap reads |f / s|^2 in blocks of cells: on a complex copy of f / s,
+    # with |f|^2 and the logs on the whole rule, it peaked at 87.1 MB
+    depth10 = traced_peak(lambda: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, deltas=(1e-2, 1e-3, 1e-4), refine_depth=10,
         ball_level=6))
     assert depth10 <= 100e6
-    lp_closed = _traced_peak(lambda: divisor_pairing_closed(
+    lp_closed = traced_peak(lambda: divisor_pairing_closed(
         catalog_function("z1"), ANGULAR_Z2, deltas=DEFAULT_DELTAS, base_cells=6,
         nodes_per_axis=4, refine_depth=10))
-    assert lp_closed <= 130e6
+    assert lp_closed <= 80e6

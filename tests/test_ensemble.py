@@ -1,12 +1,12 @@
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 from scipy import stats
 
+from spherelab import _accel
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
 from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
@@ -275,37 +275,63 @@ def test_batch_margins_match_allocating_formulas(table, bump, nrows):
     assert np.array_equal(ens.batch_margins(rows), _batch_margins_allocating(ens, rows, ev))
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_batch_margins_peak_memory_is_one_block(table, bump):
+def test_batch_margins_peak_memory_is_one_block(table, bump, traced_peak):
     # the node arrays of the screen hold one block of rows, however many
     # draws are screened
     ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=5)
     rows = ens.draw_matrix(range(2000))
     ens.batch_margins(rows[:4])  # builds the cached margin rule
-    block = _traced_peak(lambda: ens.batch_margins(rows[:256]))
-    assert _traced_peak(lambda: ens.batch_margins(rows)) <= block + (1 << 20)
+    block = traced_peak(lambda: ens.batch_margins(rows[:256]))
+    assert traced_peak(lambda: ens.batch_margins(rows)) <= block + (1 << 20)
 
 
 @pytest.mark.parametrize("name", ["sphere-12", "ball-6x16"])
-def test_values_and_slots_match_separate_syntheses(table, bump, name):
-    # one synthesis of the three blocks gives the bits of the separate
-    # values and slot1_sums calls, as row blocks of one fresh array
+def test_walk_matches_whole_rule_syntheses(table, bump, name, monkeypatch):
+    # the walk's blocks of moduli tile the nodes in order, give the bits of
+    # the whole-rule values and slot1_sums (the same products fill both),
+    # and are written into buffers of one block, which the next block reuses
     ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
-    ev = GridEvaluator(ens, _grid_rule(name))
-    for nrows in (1, 5, 32):
-        a = ens.draw_matrix(range(nrows))
-        f, (x1, x2) = ev.values_and_slots(a)
-        assert np.array_equal(f, ev.values(a))
-        assert all(np.array_equal(x, y) for x, y in zip((x1, x2), ev.slot1_sums(a)))
-        assert f.base is not None and f.base is x1.base is x2.base
+    rule = _grid_rule(name)
+    ev = GridEvaluator(ens, rule)
+    dense = NodeEvaluator(ens, rule.points)
+    per_modulus = rule.torus_grid()[1] ** 2
+    # one modulus a block, the default budget, and the whole rule in one block
+    for budget in (1, _accel.BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(_accel, "BLOCK_BYTES", budget)
+        for nrows in (1, 5, 32):
+            a = ens.draw_matrix(range(nrows))
+            padded = nrows + -nrows % 4
+            for slots, whole, ref in ((False, [ev.values(a)], [dense.values(a)]),
+                                      (True, ev.slot1_sums(a), dense.slot1_sums(a))):
+                stops, parts, first = [0], [[] for _ in whole], None
+                for nodes, block in ev.walk(a, slots=slots):
+                    arrays = block if slots else (block,)
+                    assert nodes.start == stops[-1] and nodes.stop % per_modulus == 0
+                    stops.append(nodes.stop)
+                    size = nodes.stop - nodes.start
+                    assert (size == per_modulus if budget == 1
+                            else 16 * padded * size <= budget or size == per_modulus
+                            or nodes.stop == rule.npoints)
+                    if first is None:
+                        first = arrays
+                    else:
+                        assert all(np.shares_memory(x, y) for x, y in zip(first, arrays))
+                    for part, x in zip(parts, arrays):
+                        part.append(x.copy())
+                assert stops[-1] == rule.npoints
+                assert len(stops) == 2 or budget != 1 << 40
+                for part, x in zip(parts, whole):
+                    assert np.array_equal(np.concatenate(part, axis=1), x)
+                # the dense reference walks all its nodes as one block
+                walked = [np.concatenate(part, axis=1) for part in zip(
+                    *(b if slots else (b,) for _, b in dense.walk(a, slots=slots)))]
+                assert all(_max_rel(x, y) <= 1e-13 for x, y in zip(walked, ref))
+            # one micro-batch of the pairing: f and the slot walk, in one allocation
+            f, walk = ev.values_and_walk(a)
+            assert np.array_equal(f, ev.values(a))
+            for (nodes, block), (nodes0, block0) in zip(walk, ev.walk(a, slots=True)):
+                assert nodes == nodes0 and f.base is block[0].base is block[1].base
+                assert all(np.array_equal(x, y) for x, y in zip(block, block0))
 
 
 @pytest.mark.parametrize("kappa", [0, 1])

@@ -1,6 +1,5 @@
 import csv
 import math
-import tracemalloc
 import types
 
 import numpy as np
@@ -14,7 +13,7 @@ from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
 from spherelab.embedding import EmbeddingMap
-from spherelab.ensemble import _WORK_BYTES, GridEvaluator, NodeEvaluator, RandomEnsemble
+from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
 from spherelab.experiments import (_EXPERIMENT_DEFAULTS, _MICRO_BATCH, EXPERIMENTS,
                                    BoundarySampler, CfSampler, ExperimentConfig,
                                    ExperimentError, _accepted_rows, _batched_values,
@@ -25,7 +24,8 @@ from spherelab.experiments import (_EXPERIMENT_DEFAULTS, _MICRO_BATCH, EXPERIMEN
                                    run_lp_boundary, run_lp_closed, surface_form)
 from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
-from spherelab.quadrature import BallRule, SphereRule, contact_one_form
+from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
+                                  contact_one_form)
 from spherelab.reporting import resolve_config
 
 
@@ -178,7 +178,10 @@ def _boundary_reference(ctx, u, du_frame, u_ball, deltas):
     usq, bsq = np.abs(u) ** 2, np.abs(u_ball) ** 2
     # a structurally zero form (None) has zero weights
     w_dbar = ctx.pair_weights * (0.0 if ctx.dbar_top is None else ctx.dbar_top)
-    w_ddbar = ctx.ball_rule.weights * (0.0 if ctx.ddbar_top is None else ctx.ddbar_top)
+    ddbar = ctx.psi.partial_zbar().partial_z()
+    w_ddbar = ctx.ball_rule.weights * (
+        ddbar.evaluate(ctx.ball_rule.points, _standard_frame_directions()) if ddbar.terms
+        else 0.0)
     per = []
     for d in deltas:
         t1 = np.dot(ctx.pair_weights, numer / (usq + d))
@@ -229,7 +232,8 @@ def test_cf_sampler_columns_match_context_route(table, bump):
         row = rows[r:r + 1]
         f = ev.values(row)
         # per_delta consumes f, which the reference reads afterwards
-        one = richardson_sqrt(deltas, pairing.per_delta(f.copy(), ev.slot1_sums(row), deltas))
+        one = richardson_sqrt(deltas, pairing.per_delta(f.copy(), ev.walk(row, slots=True),
+                                                        deltas))
         for j, ctx in enumerate(contexts):
             ref = _cf_reference(ctx, f[0], _sampler_frame_derivatives(ev, ctx, row), deltas)
             _assert_close(vals[r, j], errs[r, j], ref)
@@ -253,8 +257,8 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
     for r in range(rows.shape[0]):
         row = rows[r:r + 1]
         u, u_ball = ev_s.values(row), ev_b.values(row)
-        one = richardson_sqrt(deltas, pairing.per_delta(u.copy(), ev_s.slot1_sums(row), deltas,
-                                                        u_ball))
+        one = richardson_sqrt(deltas, pairing.per_delta(u.copy(), ev_s.walk(row, slots=True),
+                                                        deltas, ev_b.walk(row)))
         for j, ctx in enumerate(contexts):
             ref = _boundary_reference(ctx, u[0], _sampler_frame_derivatives(ev_s, ctx, row),
                                       u_ball[0], deltas)
@@ -314,28 +318,44 @@ def _log_regularized_sums_allocating(weights, fsq, deltas):
     return out
 
 
-def _per_delta_allocating(pairing, fvals, slots, deltas, ball_vals=None):
-    fsq = np.abs(fvals) ** 2
-    scale_sq = (fsq @ pairing._rms_weights)[:, None]
-    fsq /= scale_sq
-    conj_f = np.conj(fvals) / scale_sq
-    per = _regularized_sums_allocating(pairing._sphere.slot_weights, [conj_f * x for x in slots],
-                                       fsq, deltas)
-    if ball_vals is None:
-        return per
-    t2 = _log_regularized_sums_allocating(pairing._sphere.w_dbar, fsq, deltas)
-    t3 = _log_regularized_sums_allocating(pairing._domain.w_ddbar,
-                                          np.abs(ball_vals) ** 2 / scale_sq, deltas)
-    return ((1j / math.pi) * (-per - t2 + t3)
-            + (0.5 * np.log(scale_sq) * pairing._shift_scale)[:, :, None])
+def _per_delta_allocating(pairing, fvals, slot_blocks, deltas, ball_blocks=()):
+    """per_delta on the same blocks, in allocating expressions: s^2 summed
+    over blocks of f, then each block's sums added in block order."""
+    step = max(1, _accel.BLOCK_BYTES // (16 * fvals.shape[0]))
+    scale_sq = 0.0
+    for lo in range(0, fvals.shape[1], step):
+        scale_sq = scale_sq + np.abs(fvals[:, lo:lo + step]) ** 2 @ pairing._rms_weights[lo:lo + step]
+    scale_sq = scale_sq[:, None]
+    sphere = pairing._sphere
+    total = dbar_sum = None
+    for nodes, slots in slot_blocks:
+        fsq = np.abs(fvals[:, nodes]) ** 2 / scale_sq
+        conj_f = np.conj(fvals[:, nodes]) / scale_sq
+        part = _regularized_sums_allocating([w[nodes] for w in sphere.slot_weights],
+                                            [conj_f * x for x in slots], fsq, deltas)
+        if sphere.boundary:
+            part = -part - _log_regularized_sums_allocating(sphere.w_dbar[nodes], fsq, deltas)
+            dbar = sphere.w_dbar[nodes].sum(axis=0)
+            dbar_sum = dbar if dbar_sum is None else dbar_sum + dbar
+        total = part if total is None else total + part
+    if not sphere.boundary:
+        return total
+    w_ddbar = pairing._domain.w_ddbar
+    for nodes, u in ball_blocks:
+        total = total + _log_regularized_sums_allocating(w_ddbar[nodes],
+                                                         np.abs(u) ** 2 / scale_sq, deltas)
+    shift = (1j / math.pi) * (-dbar_sum + w_ddbar.sum(axis=0))
+    return (1j / math.pi) * total + (0.5 * np.log(scale_sq) * shift)[:, :, None]
 
 
 @pytest.mark.parametrize("rows", [1, 32])
 @pytest.mark.parametrize("boundary", [False, True], ids=["closed", "boundary"])
 def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, rows):
-    # grid-evaluated micro-batches, as the samplers pass them: f and the
-    # slot sums are row blocks of one synthesis, and 32 rows make every
-    # node array larger than numpy's 256 KiB temporary-reuse threshold
+    # grid-evaluated micro-batches, as the samplers pass them: f on the
+    # whole rule and the slot sums as the walk yields them (four blocks of
+    # moduli at 32 rows, one at one row, which pads to four); 32 rows make
+    # the node arrays of f larger than numpy's 256 KiB temporary-reuse
+    # threshold
     ens = RandomEnsemble(table, bump, 24, kappa=int(boundary), master_seed=17)
     sphere_rule = SphereRule(12)
     deltas = (1e-2, 1e-3, 1e-4)
@@ -350,22 +370,29 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
         ev = sampler.ev
     pairing = sampler.pairing
     a = ens.draw_matrix(range(rows))
-    fvals, slots = ev.values_and_slots(a)
-    ball_vals = sampler.ev_ball.values(a) if boundary else None
+    fvals = ev.values(a)
+    slot_blocks = [(nodes, tuple(x.copy(order="K") for x in slots))
+                   for nodes, slots in ev.walk(a, slots=True)]
+    assert len(slot_blocks) == (4 if rows == 32 else 1)
+    ball_blocks = ([(nodes, u.copy(order="K")) for nodes, u in sampler.ev_ball.walk(a)]
+                   if boundary else [])
     # per_delta consumes f and the slot sums: the reference reads copies in
     # the same memory order
-    f0, x1, x2 = (x.copy(order="K") for x in (fvals, *slots))
-    inputs = [ball_vals] if boundary else []
-    before = [x.copy() for x in inputs]
-    per = pairing.per_delta(fvals, slots, deltas, ball_vals)
-    assert np.array_equal(per, _per_delta_allocating(pairing, f0, (x1, x2), deltas, ball_vals))
+    f0 = fvals.copy(order="K")
+    ref_blocks = [(nodes, tuple(x.copy(order="K") for x in slots))
+                  for nodes, slots in slot_blocks]
+    before = [u.copy() for _, u in ball_blocks]
+    per = pairing.per_delta(fvals, slot_blocks, deltas, ball_blocks)
+    assert np.array_equal(per, _per_delta_allocating(pairing, f0, ref_blocks, deltas,
+                                                     ball_blocks))
     # the ball values are read, never overwritten
-    assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
+    assert all(np.array_equal(u, u0) for (_, u), u0 in zip(ball_blocks, before))
 
-    # both delta sums on the normalized arrays per_delta hands them, the
-    # products written into a fresh buffer
+    # both delta sums on whole-rule arrays, the products written into a
+    # fresh buffer
     fsq = np.abs(f0) ** 2
     fsq /= (fsq @ pairing._rms_weights)[:, None]
+    x1, x2 = ev.slot1_sums(a)
     numer = [np.conj(f0) * x for x in (x1, x2)]
     args = (pairing._sphere.slot_weights, numer, fsq)
     fsq_before = fsq.copy()
@@ -377,22 +404,58 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
     assert np.array_equal(fsq, fsq_before)
 
 
-def test_cf_sampler_batch_peak_memory(table, bump):
-    # one micro-batch on the control rule of mc-sphere holds the synthesis
-    # (f, x1, x2: 3 complex node arrays) and |f|^2 and the reciprocal (2
-    # real ones); the slack covers the synthesis work buffer
+@pytest.mark.parametrize("case", ["closed-12", "closed-20", "boundary-10"])
+def test_sampler_values_do_not_depend_on_block_budget(table, bump, monkeypatch, case):
+    # one modulus a block against the whole rule in one block: only the
+    # order of the sums over nodes changes
+    ens = RandomEnsemble(table, bump, 24, kappa=int(case.startswith("boundary")),
+                         master_seed=29)
+    deltas = (1e-2, 1e-3, 1e-4)
+    if case == "boundary-10":
+        sampler = BoundarySampler(ens, SphereRule(10), BallRule(6, radial=16),
+                                  (surface_form("vol-z2"), surface_form("bump-z2")), deltas)
+    else:
+        rule = SphereRule(int(case.split("-")[1]))
+        sampler = CfSampler(ens, tuple(CRPairingContext(rule, surface_form(name))
+                                       for name in ("vol-z2", "vol-z1", "mixed-11")), deltas)
+    rows = ens.draw_matrix(range(_MICRO_BATCH))
+    results = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(_accel, "BLOCK_BYTES", budget)
+        results.append(sampler.batch(rows))
+    (vals, errs), (ref_vals, ref_errs) = results
+    assert np.all(np.abs(vals - ref_vals) <= 1e-12 * np.abs(ref_vals))
+    assert np.all(np.abs(errs - ref_errs) <= 1e-12 * np.abs(ref_vals))
+
+
+def test_cf_sampler_batch_peak_memory(table, bump, traced_peak):
+    # one micro-batch on the control rule of mc-sphere holds f on the whole
+    # rule (one complex node array of 32 rows) and buffers of one block of
+    # moduli: the slot sums, the synthesis work buffer, |f / s|^2 and the
+    # reciprocal
     ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=3)
     rule = SphereRule(20)
     sampler = CfSampler(ens, (CRPairingContext(rule, surface_form("vol-z2")),), (1e-2, 1e-3))
     rows = ens.draw_matrix(range(_MICRO_BATCH))
-    node_bytes = _MICRO_BATCH * rule.npoints * 8
-    tracemalloc.start()
-    try:
-        sampler.batch(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (3 * 2 + 2) * node_bytes + _WORK_BYTES + (1 << 21)
+    node_bytes = _MICRO_BATCH * rule.npoints * 16
+    peak = traced_peak(lambda: sampler.batch(rows))
+    assert peak <= node_bytes + 4 * _accel.BLOCK_BYTES + (1 << 21)
+
+
+def test_boundary_sampler_batch_peak_memory(table, bump, traced_peak):
+    # the expectation-domain ball rule: u on its 193536 nodes is only ever
+    # synthesized one block of moduli at a time, so a micro-batch holds f on
+    # the sphere rule and block buffers, far below one ball node array
+    # (99 MB at 32 rows)
+    ens = RandomEnsemble(table, bump, 24, kappa=1, master_seed=3)
+    sphere_rule, ball_rule = SphereRule(16), BallRule(12, radial=28)
+    sampler = BoundarySampler(ens, sphere_rule, ball_rule,
+                              (surface_form("vol-z2"), surface_form("bump-z2")),
+                              (1e-2, 1e-3, 1e-4))
+    rows = ens.draw_matrix(range(_MICRO_BATCH))
+    node_bytes = _MICRO_BATCH * sphere_rule.npoints * 16
+    peak = traced_peak(lambda: sampler.batch(rows))
+    assert peak <= node_bytes + 6 * _accel.BLOCK_BYTES + (1 << 21)
 
 
 def _accepted_rows_fixed_scan(ens, threshold, count):
@@ -676,3 +739,110 @@ def test_lp_boundary_uses_configured_ball_radial():
                                         surface_form("bump-z2"), **options)
     assert direct.value != fallback.value
     assert rows["pairing-nowhere-zero"] == direct.value
+
+
+# CSV bodies of the four Monte Carlo experiments before the samplers summed
+# over blocks of moduli: the three benchmark workload configs at benchmark
+# seed 4242 (mc-sphere, mc-ball, mc-scan) and equi-cr at k 16,32, 100
+# trials, level 12.  Streaming changes only the order of the sums over
+# nodes, so every field stays within 1e-12 relative.
+PINNED_MC_CSV = {
+    # mc-sphere
+    "expectation-cr": (
+        {
+            "run.seed": "688540760", "expectation-cr.k_grid": "24",
+            "expectation-cr.trials": "100", "expectation-cr.level": "12",
+        },
+        [
+            (
+                "24", "cf-mean-vol-z2", "(19.350980244366436+0.027217242685360094j)",
+                "(19.348421707529955+5.5745609503036505e-18j)", "0.027337234866339724",
+                "0.0014128922389416761", "0.04052567430049774", "",
+            ),
+            (
+                "24", "cf-mean-vol-z1", "(19.363980901762922-0.016234700739375805j)",
+                "(19.348421707529983-2.9090159715954624e-34j)", "0.022486752395030344",
+                "0.0011622008624237806", "0.04537281822215105", "",
+            ),
+            (
+                "24", "cf-mean-mixed-11", "(-12.899661559099812-0.0037519799611012497j)",
+                "(-12.898947805020018+9.210263849947053e-18j)", "0.0038192667509519694",
+                "0.0002960913408352258", "0.029364236532679666", "",
+            ),
+        ]),
+    # mc-ball
+    "expectation-domain": (
+        {
+            "run.seed": "1168894484", "quadrature.level": "10", "quadrature.ball_level": "6",
+            "quadrature.ball_radial": "16", "currents.deltas": "1e-2,1e-3,1e-4",
+            "expectation-domain.k_grid": "24", "expectation-domain.trials": "100",
+        },
+        [
+            (
+                "24", "divisor-mean-vol-z2", "(6.481912633031195-0.03443933423961383j)",
+                "(6.666939472723919+4.707979873540311e-18j)", "0.1882046735592525",
+                "0.028229545855222457", "0.619701704178172", "",
+            ),
+            (
+                "24", "divisor-mean-bump-z2", "(10.29378024425703-0.05788861431104687j)",
+                "(10.552286982216009+4.229667290074226e-18j)", "0.26490908862673035",
+                "0.025104424194791822", "0.9662200315464023", "",
+            ),
+        ]),
+    # mc-scan
+    "variance-cr": (
+        {
+            "run.seed": "1673873874", "variance-cr.k_grid": "16,32,64",
+            "variance-cr.trials": "100", "variance-cr.level": "12",
+        },
+        [
+            ("16", "variance-kappa0", "0.22048866202775286", "", "", "", "", ""),
+            ("32", "variance-kappa0", "0.21196804484384513", "", "", "", "", ""),
+            ("64", "variance-kappa0", "0.28360859933050675", "", "", "", "", ""),
+            ("16", "variance-kappa1", "14.05720840933112", "", "", "", "", ""),
+            ("32", "variance-kappa1", "57.28440380341047", "", "", "", "", ""),
+            ("64", "variance-kappa1", "89.61172462451495", "", "", "", "", ""),
+        ]),
+    # k 16,32, 100 trials, level 12
+    "equi-cr": (
+        {"grid.k_grid": "16,32", "mc.trials": "100", "quadrature.level": "12"},
+        [
+            (
+                "16", "scaled-divisor-angular-z2", "(1.6142752211008589-0.0001235035295171859j)",
+                "(1.6159281507005778-2.4295319124191236e-35j)", "0.0016575371439066773",
+                "0.0010257492842042884", "0.00585784541771532", "",
+            ),
+            (
+                "32", "scaled-divisor-angular-z2", "(1.6153715235994892-0.001961659945677703j)",
+                "(1.6159281507005778-2.4295319124191236e-35j)", "0.002039103595245362",
+                "0.0012618776363053758", "0.0025873426083455994", "",
+            ),
+            (
+                "16", "scaled-divisor-horizontal-mix",
+                "(7.719152985547983e-05+0.000580847179560282j)",
+                "(-3.074957686141583e-19-1.029136724342864e-19j)", "0.0005859539045731875",
+                "1807046818989367.0", "0.004104974001997095", "",
+            ),
+            (
+                "32", "scaled-divisor-horizontal-mix",
+                "(0.002312322258804109+0.0005507639727080675j)",
+                "(-3.074957686141583e-19-1.029136724342864e-19j)", "0.002377009714366795",
+                "7330555884224569.0", "0.002126153154397164", "",
+            ),
+        ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MC_CSV))
+def test_monte_carlo_rows_match_pinned_csv(name):
+    overrides, pinned = PINNED_MC_CSV[name]
+    report = EXPERIMENTS[name](config_from_resolved(name, resolve_config(overrides=overrides)))
+    assert report.verdict
+    header, *rows = csv.reader(report.csv_body().splitlines())
+    assert len(rows) == len(pinned)
+    for row, want_row in zip(rows, pinned):
+        assert row[:2] == list(want_row[:2])
+        for got, want in zip(row[2:], want_row[2:]):
+            if got != want:
+                got, want = (complex(x.strip("()")) for x in (got, want))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (row[:2], got, want)
