@@ -7,7 +7,9 @@ the deterministic catalog pairings alike.
 
 The pairings call them once per block of nodes, never on a whole rule:
 BLOCK_BYTES caps each complex (rows, nodes) array of a block, and the
-evaluators and the catalog pairings size their blocks by it.  Both
+evaluators and the catalog pairings size their blocks by it, so a Monte
+Carlo micro-batch holds no node array beyond its block buffers, f
+included (its normalization comes from the draw coefficients).  Both
 kernels work in place within a block: each call allocates one block
 buffer for the reciprocal (or the log) and reuses it across every delta,
 and regularized_sums writes its products into a buffer the caller

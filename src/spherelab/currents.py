@@ -33,18 +33,17 @@ loop over blocks of nodes (_pairing_sums): each block hands over f, the
 slot sums x_j = z_j df/dz_j and |f / s|^2 on its nodes, with s the rms
 of f on the whole rule, and the block's delta sums are added up; in the
 boundary case the d dbar psi term on the ball rule follows, over blocks
-of ball nodes.  No array but f (and, for the catalog pairings, |f / s|^2
-and |du|) spans a whole rule.  richardson_sqrt takes the limit along the
-delta axis.
+of ball nodes.  richardson_sqrt takes the limit along the delta axis.
 
 The Monte Carlo samplers in experiments.py call RegularizedPairing with a
-micro-batch of draws: f on the whole sphere rule, and the slot sums (and
-u on the ball) as the evaluators' walk over blocks of moduli yields
-them, against views of the contexts' node weights.  The catalog
-pairings keep f on a refined cell rule and walk it in blocks of cells
-(_cell_blocks): each block binds its own context and evaluates the
-gradient of the polynomial on its nodes.  Blocks are sized by
-_accel.BLOCK_BYTES.
+micro-batch of draws: s^2 from the draw coefficients (discrete Parseval,
+GridEvaluator.mean_square), then f, its slot sums (and u on the ball) as
+the evaluators' walk over blocks of moduli yields them, against views of
+the contexts' node weights, so no array of the batch spans a rule.  The
+catalog pairings keep f, |f / s|^2 and |du| on a refined cell rule and
+walk it in blocks of cells (_cell_blocks): each block binds its own
+context and evaluates the gradient of the polynomial on its nodes.
+Blocks are sized by _accel.BLOCK_BYTES.
 
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
@@ -222,6 +221,8 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
             flags = np.zeros_like(flags)
             flags[keep] = True
         kept = fvals[np.repeat(~flags, rule.nodes_per_axis ** 3)]
+        # the old values go before the refined rule's arrays are built
+        del fvals
         added = rule.refine(flags)
         fvals = np.concatenate([kept, fpoly.evaluate(rule.cell_points(rule.ncells - added), [])])
     return rule, fvals, residual_cells
@@ -429,6 +430,8 @@ def _pairing_sums(blocks, scale_sq, deltas, domain=None, ball_blocks=()):
         block_dbar = terms.dbar_sum()
         if block_dbar is not None:
             dbar_sum = block_dbar if dbar_sum is None else dbar_sum + block_dbar
+    # the last block's buffers are not held through the ball term
+    del terms, fvals, fsq, slots
     if domain is None:
         return total
     return domain.finish(total, scale_sq, ball_blocks, deltas, domain.shift_scale(dbar_sum))
@@ -445,43 +448,37 @@ class RegularizedPairing:
     and, in the boundary case, (1/2) log(|u|^2 + delta) against the dbar
     psi node weights, block by block as the evaluator walks the rule, each
     block against views of the whole-rule weights (_SphereTerms.block).
+    The normalization s^2 comes in with the blocks, computed from the
+    draw coefficients (GridEvaluator.mean_square), so no array of a
+    micro-batch spans the rule.
     """
 
     def __init__(self, contexts):
-        rule = contexts[0].rule
-        self._rms_weights = rule.weights / rule.weights.sum()
         self._sphere = _SphereTerms(contexts)
         self._domain = (_DomainTerms(contexts[0].ball_rule, [c.psi for c in contexts])
                         if self._sphere.boundary else None)
 
-    def per_delta(self, fvals, slot_blocks, deltas, ball_blocks=()):
-        """(rows, forms, deltas) regularized values from f on the sphere rule
-        (rows, nodes), its slot sums x_j = z_j df/dz_j as (node slice,
-        (x1, x2)) pairs over consecutive blocks of the rule and, for the
-        boundary pairing, u on the ball rule as (node slice, u) pairs.
+    def per_delta(self, scale_sq, blocks, deltas, ball_blocks=()):
+        """(rows, forms, deltas) regularized values from s^2 (rows,), the
+        mean square of f over the sphere rule, f with its slot sums x_j =
+        z_j df/dz_j as (node slice, f, (x1, x2)) triples over consecutive
+        blocks of the rule and, for the boundary pairing, u on the ball
+        rule as (node slice, u) pairs.
 
         Consumes f and the slot sums, which the caller must not read again
-        (see _SphereTerms.delta_sums); the ball values are read only.  s^2
-        is summed over blocks of f first; each block then makes |f / s|^2
-        and the delta sums' buffers on its own nodes.
+        (see _SphereTerms.delta_sums); the ball values are read only.  Each
+        block makes |f / s|^2 and the delta sums' buffers on its own nodes.
         """
-        step = max(1, _accel.BLOCK_BYTES // (16 * fvals.shape[0]))
-        scale_sq = 0.0
-        for lo in range(0, fvals.shape[1], step):
-            fsq = np.abs(fvals[:, lo:lo + step])
-            np.square(fsq, out=fsq)
-            scale_sq = scale_sq + fsq @ self._rms_weights[lo:lo + step]
-        scale_sq = scale_sq[:, None]
+        scale_sq = np.reshape(scale_sq, (-1, 1))
 
-        def blocks():
-            for nodes, slots in slot_blocks:
-                block = fvals[:, nodes]
-                fsq = np.abs(block)
+        def terms():
+            for nodes, fvals, slots in blocks:
+                fsq = np.abs(fvals)
                 np.square(fsq, out=fsq)
                 fsq /= scale_sq
-                yield self._sphere.block(nodes), block, fsq, slots
+                yield self._sphere.block(nodes), fvals, fsq, slots
 
-        return _pairing_sums(blocks(), scale_sq, deltas, self._domain, ball_blocks)
+        return _pairing_sums(terms(), scale_sq, deltas, self._domain, ball_blocks)
 
 
 def _block_cells(rule):
@@ -509,7 +506,16 @@ def _cell_blocks(fpoly, rule, fvals, fsq, bind, grad_norm=None):
         del block
         grad = holo_gradient_values(fpoly, points)
         if grad_norm is not None:
-            grad_norm[nodes] = np.linalg.norm(grad, axis=-1)
+            # sqrt(|du/dz1|^2 + |du/dz2|^2), in place as in
+            # NodeEvaluator.gradient_magnitude; no buffer outlives the block
+            mag = grad_norm[nodes]
+            np.abs(grad[:, 0], out=mag)
+            np.square(mag, out=mag)
+            term = np.abs(grad[:, 1])
+            np.square(term, out=term)
+            mag += term
+            np.sqrt(mag, out=mag)
+            del term
         slots = np.multiply(points, grad, out=grad).T.copy()[:, None]
         del points, grad
         # f is copied block by block, so the caller can read it afterwards

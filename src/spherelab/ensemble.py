@@ -26,9 +26,12 @@ slot sums either on all nodes at once (values, slot1_sums) or one block
 of nodes at a time (walk).  On a product rule a block is a range of
 consecutive moduli, a contiguous node slice of SphereRule and BallRule
 alike, synthesized into buffers of one block that the next block
-reuses: the Monte Carlo pairings consume the slot sums and the ball
-values that way, and hold only f on the whole rule.  Draws are screened
-for a nondegenerate zero set by batch_margins on a coarse product rule.
+reuses: the Monte Carlo pairings consume f, its slot sums and the ball
+values that way.  Their normalization, the weighted mean square of f
+over the rule, comes from the coefficients by discrete Parseval
+(GridEvaluator.mean_square), so no array of a micro-batch spans a rule.
+Draws are screened for a nondegenerate zero set by batch_margins on a
+coarse product rule.
 The module needs numpy alone; numpy.random is imported here, at
 start-up, and not first inside an experiment.
 """
@@ -36,6 +39,7 @@ start-up, and not first inside an experiment.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -139,19 +143,23 @@ class NodeEvaluator:
     BLAS speed; first derivatives reuse two auxiliary products (degree-
     weighted matrices) and are assembled pointwise for any direction
     field, exploiting that the monomial coordinates never vanish at
-    interior quadrature nodes.  Product rules use GridEvaluator, which
-    shares the derivative assembly.
+    interior quadrature nodes.  With node weights, mean_square is the
+    direct weighted mean of |f|^2, the reference for GridEvaluator's.
+    Product rules use GridEvaluator, which shares the derivative
+    assembly.
     """
 
-    def __init__(self, ensemble: RandomEnsemble, points):
-        self._bind(ensemble, points)
+    def __init__(self, ensemble: RandomEnsemble, points, weights=None):
+        self._bind(ensemble, points, weights)
         self.matrix = ensemble.table.design_matrix(ensemble.alphas, self.points,
                                                    extra_scale=ensemble.component_weights)
 
-    def _bind(self, ensemble, points):
-        """Nodes and degrees, which the derivative assembly reads."""
+    def _bind(self, ensemble, points, weights):
+        """Nodes, node weights and degrees, which the derivative assembly
+        and mean_square read."""
         self.ensemble = ensemble
         self.points = np.atleast_2d(np.asarray(points, dtype=complex))
+        self.weights = weights
         alphas = np.asarray(ensemble.alphas, dtype=float)
         self._deg1 = alphas[:, 0]
         self._deg2 = alphas[:, 1]
@@ -179,30 +187,28 @@ class NodeEvaluator:
         x2 = (rest * self._deg2[None, :]) @ self.matrix.T
         return x1, x2
 
-    def values_and_walk(self, a):
-        """f at every node and walk(a, slots=True): what one micro-batch of
-        the Monte Carlo pairing reads (f for its rms, the slot sums for its
-        delta sums)."""
-        return self.values(a), self.walk(a, slots=True)
+    def mean_square(self, a):
+        """s^2 = sum w |f|^2 / sum w over the nodes, one per coefficient
+        row: the normalization of the Monte Carlo pairing."""
+        fsq = np.abs(self.values(a))
+        np.square(fsq, out=fsq)
+        return fsq @ (self.weights / self.weights.sum())
 
     def walk(self, a, slots=False):
-        """f, or with slots its slot sums (x1, x2), for the rows of
+        """f, and with slots its slot sums (x1, x2), for the rows of
         coefficients a, one block of nodes at a time.
 
-        Yields (nodes, block) for consecutive node slices, block being
-        f (rows, block nodes) or the pair (x1, x2) on them.  A block's
+        Yields (nodes, f) for consecutive node slices, or with slots
+        (nodes, f, (x1, x2)), each array (rows, block nodes).  A block's
         arrays are buffers that the next block overwrites, so the caller
         may consume them in place but must not keep them.
         """
         a0, rest = self._split(a)
-        for nodes, arrays in self._walk(rest, (self._deg1, self._deg2) if slots else (None,)):
-            if slots:
-                yield nodes, arrays
-                continue
-            vals, = arrays
+        for nodes, (vals, *sums) in self._walk(rest, (None, self._deg1, self._deg2)
+                                               if slots else (None,)):
             if a0 is not None:
                 vals += (self.ensemble.kappa * a0)[:, None]
-            yield nodes, vals
+            yield (nodes, vals, tuple(sums)) if slots else (nodes, vals)
 
     def _walk(self, rest, degrees):
         """(nodes, (sums of rest times each degree vector on those nodes)),
@@ -260,24 +266,25 @@ class GridEvaluator(NodeEvaluator):
     out[m] = E @ H[:, m] for every modulus of the block, in node order.
     A block holds as many moduli as keep one (rows, block nodes) complex
     array within BLOCK_BYTES, and at least one.  values and slot1_sums
-    fill arrays over the whole rule block by block; walk synthesizes each
-    block into buffers of one block, which the next block reuses, so a
-    pairing can consume the slot sums (and the ball values) without
-    whole-rule arrays; values_and_walk does both for one micro-batch.
-    Each call makes one allocation for its arrays, buffers and H: split
-    over several smaller arrays, a micro-batch's memory went back to the
-    system and came back as fresh pages every batch (variance-cr on the
-    mc-scan benchmark config: 53k minor faults, against 13k in one).
-    Results keep the rows on the last axis: each is the transpose of a
-    contiguous (nodes, rows) array, which numpy's elementwise loops run
-    over fastest.  Each row's values are bitwise independent of the batch
-    it came in, since batches are padded to _ROW_MULTIPLE rows; they do
-    not depend on walk against whole-rule synthesis either, since both
-    run the same products.
+    fill arrays over the whole rule block by block, for the margin
+    screen; walk synthesizes f and its slot sums block by block into
+    buffers of one block, which the next block reuses, so a Monte Carlo
+    micro-batch holds no array over the whole rule.  Its normalization
+    comes from the coefficients instead (mean_square, by discrete
+    Parseval).  Each call makes one allocation for its arrays, buffers
+    and H: split over several smaller arrays, a micro-batch's memory went
+    back to the system and came back as fresh pages every batch
+    (variance-cr on the mc-scan benchmark config: 53k minor faults,
+    against 13k in one).  Results keep the rows on the last axis: each
+    is the transpose of a contiguous (nodes, rows) array, which numpy's
+    elementwise loops run over fastest.  Each row's values are bitwise
+    independent of the batch it came in, since batches are padded to
+    _ROW_MULTIPLE rows; they do not depend on walk against whole-rule
+    synthesis either, since both run the same products.
     """
 
     def __init__(self, ensemble: RandomEnsemble, rule):
-        self._bind(ensemble, rule.points)
+        self._bind(ensemble, rule.points, rule.weights)
         moduli, nang = rule.torus_grid()
         factors = ensemble.table.design_matrix(ensemble.alphas, moduli,
                                                extra_scale=ensemble.component_weights)
@@ -296,6 +303,54 @@ class GridEvaluator(NodeEvaluator):
             for group in (self._order[lo:hi] for lo, hi in self._groups)]
         self._chars = chars[np.outer(angles, bins) % nang]
         self._grid = (factors.shape[0], nang)
+        # the moduli are real, and so is every modulus factor
+        self._modulus_factors = factors.real
+
+    @functools.cached_property
+    def _parseval(self):
+        """The quadratic form of s^2 in the coefficients, built on first use.
+
+        A node (m, i1, i2) has weight w_m, and f there is sum_alpha c_alpha
+        P[m, alpha] e^{2 pi i (alpha . i)/N} with P the real modulus
+        factors (the kappa constant: factor kappa, residue (0, 0)).  Summing
+        the characters over both angles leaves N^2 for alpha = beta mod N
+        and 0 otherwise, so
+
+            sum w |f|^2 = N^2 sum_{alpha = beta mod N} M[alpha, beta] Re(conj(c_alpha) c_beta),
+
+        with M = sum_m w_m P[m, alpha] P[m, beta].  Returns the diagonal
+        weights of |c_alpha|^2, the pairs alpha != beta of one residue class
+        (each once) and their weights (twice M), all divided by sum w.
+        """
+        nmod, nang = self._grid
+        w = self.weights.reshape(nmod, nang * nang)
+        if np.any(w != w[:, :1]):
+            raise ValueError("the rule's weights vary over the angle grid of a modulus")
+        factors = self._modulus_factors
+        alphas = np.asarray(self.ensemble.alphas, dtype=np.int64)
+        if self.ensemble.kappa:
+            factors = np.hstack([np.full((nmod, 1), float(self.ensemble.kappa)), factors])
+            alphas = np.vstack([np.zeros((1, 2), dtype=np.int64), alphas])
+        classes = alphas[:, 0] % nang * nang + alphas[:, 1] % nang
+        order = np.argsort(classes, kind="stable")
+        members = np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
+        first, second = np.array([pair for group in members
+                                  for pair in itertools.combinations(group, 2)],
+                                 dtype=np.int64).reshape(-1, 2).T
+        wm = w[:, 0] * (nang * nang / self.weights.sum())
+        return (wm @ np.square(factors), first, second,
+                2.0 * (wm @ (factors[:, first] * factors[:, second])))
+
+    def mean_square(self, a):
+        """s^2 = sum w |f|^2 / sum w over the rule, one per coefficient row,
+        from the coefficients alone (_parseval): no node array is made, and
+        the padding rows of a synthesis never enter.  Raises ValueError if
+        the rule's weights vary within a modulus."""
+        a = np.atleast_2d(np.asarray(a, dtype=complex))
+        diag, first, second, cross = self._parseval
+        x, y = a[:, first], a[:, second]
+        return ((np.square(a.real) + np.square(a.imag)) @ diag
+                + (x.real * y.real + x.imag * y.imag) @ cross)
 
     def _fill(self, coeffs, m0, m1, dest, work):
         """Monomial sums of the moduli m0 <= m < m1 into dest, shaped
@@ -306,16 +361,18 @@ class GridEvaluator(NodeEvaluator):
             np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
         np.matmul(self._chars, h.reshape(len(h), m1 - m0, -1).transpose(1, 0, 2), out=dest)
 
-    def _synthesis(self, rest, whole, walked=()):
+    def _synthesis(self, rest, degrees, whole=False):
         """Monomial sums of the coefficient rows rest times each degree
-        vector (None: rest itself), in one allocation.
+        vector (None: rest itself), one block of moduli at a time, in one
+        allocation.
 
-        Each entry of whole gets a (rows, npoints) array over every node.
-        The entries of walked are synthesized one block of moduli at a
-        time into buffers of one block, by the generator returned second
-        (None without walked entries), which yields (node slice, (one
-        array per entry)).  The allocation holds the whole-rule arrays,
-        the block buffers and the work buffer H.
+        Returns (arrays, blocks).  blocks is a generator that synthesizes
+        the blocks in order and yields (node slice, (one array per entry)).
+        With whole, each entry's block is the slice of a (rows, npoints)
+        array over every node, and arrays holds those arrays, complete once
+        blocks is exhausted; without, the blocks are buffers of one block
+        that the next block reuses, and arrays is None.  The allocation
+        holds the arrays or block buffers and the work buffer H.
         """
         nrows, ncomp = rest.shape
         pad = np.zeros((-nrows % _ROW_MULTIPLE, ncomp), dtype=complex)
@@ -323,54 +380,41 @@ class GridEvaluator(NodeEvaluator):
         rows = coeffs.shape[1]
         nmod, nang = self._grid
         step = min(nmod, max(1, _accel.BLOCK_BYTES // (16 * nang * nang * rows)))
-        per_modulus = nang * nang * rows
-        nwhole, nwalked = len(whole) * nmod * per_modulus, len(walked) * step * per_modulus
-        arena = np.empty(nwhole + nwalked + len(self._groups) * step * nang * rows,
-                         dtype=complex)
-        outs = arena[:nwhole].reshape(len(whole), nmod, nang, nang * rows)
-        buffers = arena[nwhole:nwhole + nwalked].reshape(len(walked), step, nang, nang * rows)
-        work = arena[nwhole + nwalked:].reshape(len(self._groups), step * nang, rows)
+        size = len(degrees) * (nmod if whole else step) * nang * nang * rows
+        arena = np.empty(size + len(self._groups) * step * nang * rows, dtype=complex)
+        outs = arena[:size].reshape(len(degrees), -1, nang, nang * rows)
+        work = arena[size:].reshape(len(self._groups), step * nang, rows)
+        cs = [coeffs if d is None else coeffs * d[self._order][:, None] for d in degrees]
 
-        def scaled(degrees):
-            return coeffs if degrees is None else coeffs * degrees[self._order][:, None]
-
-        for degrees, dest in zip(whole, outs):
-            c = scaled(degrees)
+        def blocks():
             for m0 in range(0, nmod, step):
                 m1 = min(m0 + step, nmod)
-                self._fill(c, m0, m1, dest[m0:m1], work)
-
-        def walk():
-            cs = [scaled(degrees) for degrees in walked]
-            for m0 in range(0, nmod, step):
-                m1 = min(m0 + step, nmod)
-                blocks = [dest[:m1 - m0] for dest in buffers]
-                for c, dest in zip(cs, blocks):
+                dests = [out[m0:m1] if whole else out[:m1 - m0] for out in outs]
+                for c, dest in zip(cs, dests):
                     self._fill(c, m0, m1, dest, work)
                 yield (slice(m0 * nang * nang, m1 * nang * nang),
-                       tuple(dest.reshape(-1, rows).T[:nrows] for dest in blocks))
+                       tuple(dest.reshape(-1, rows).T[:nrows] for dest in dests))
 
-        return ([dest.reshape(-1, rows).T[:nrows] for dest in outs],
-                walk() if walked else None)
+        return ([out.reshape(-1, rows).T[:nrows] for out in outs] if whole else None,
+                blocks())
 
     def _walk(self, rest, degrees):
-        return self._synthesis(rest, (), degrees)[1]
+        return self._synthesis(rest, degrees)[1]
+
+    def _whole(self, rest, degrees):
+        arrays, blocks = self._synthesis(rest, degrees, whole=True)
+        for _ in blocks:
+            pass
+        return arrays
 
     def values(self, a):
         a0, rest = self._split(a)
-        (vals,), _ = self._synthesis(rest, (None,))
+        vals, = self._whole(rest, (None,))
         if a0 is not None:
             vals += (self.ensemble.kappa * a0)[:, None]
         return vals
 
     def slot1_sums(self, a):
         _, rest = self._split(a)
-        x1, x2 = self._synthesis(rest, (self._deg1, self._deg2))[0]
+        x1, x2 = self._whole(rest, (self._deg1, self._deg2))
         return x1, x2
-
-    def values_and_walk(self, a):
-        a0, rest = self._split(a)
-        (vals,), walk = self._synthesis(rest, (None,), (self._deg1, self._deg2))
-        if a0 is not None:
-            vals += (self.ensemble.kappa * a0)[:, None]
-        return vals, walk

@@ -12,10 +12,10 @@ first half of the scale grid and require the second half to stay within
 a fixed multiple; no hidden tolerances.
 
 The Monte Carlo samplers evaluate a micro-batch of draws at the rule's
-nodes, f on the whole rule and the rest one block of moduli at a time,
-and hand it to currents.RegularizedPairing, which runs the same block
-loop as the deterministic catalog pairings, and take the limit with
-currents.richardson_sqrt.
+nodes one block of moduli at a time, with the normalization taken from
+the coefficients, and hand it to currents.RegularizedPairing, which runs
+the same block loop as the deterministic catalog pairings, and take the
+limit with currents.richardson_sqrt.
 """
 
 from __future__ import annotations
@@ -245,9 +245,10 @@ class CfSampler:
     """Batched regularized cf values for one ensemble on a fixed rule.
 
     Takes a tuple of CRPairingContext on one rule (one per test 2-form)
-    and returns one column per form: each batch of draws is evaluated on
-    the whole rule once (f, for its rms) and its slot sums one block of
-    moduli at a time, and the shared RegularizedPairing consumes both.
+    and returns one column per form: each batch of draws gets s^2 from its
+    coefficients (GridEvaluator.mean_square), and f and its slot sums one
+    block of moduli at a time, which the shared RegularizedPairing
+    consumes: no array of the batch spans the rule.
     """
 
     def __init__(self, ensemble, contexts, deltas):
@@ -258,14 +259,17 @@ class CfSampler:
     def batch(self, coeff_rows):
         """(values, err_estimates), each (rows, forms), for the rows of draw
         coefficients."""
-        per = self.pairing.per_delta(*self.ev.values_and_walk(coeff_rows), self.deltas)
+        per = self.pairing.per_delta(self.ev.mean_square(coeff_rows),
+                                     self.ev.walk(coeff_rows, slots=True), self.deltas)
         return richardson_sqrt(self.deltas, per)
 
 
 class BoundarySampler:
     """Batched boundary divisor pairings for the kappa = 1 ensemble, one
-    column per (1,1)-form of the tuple psis; u on the ball rule is
-    synthesized one block of moduli at a time, as the pairing reads it."""
+    column per (1,1)-form of the tuple psis; as in CfSampler, s^2 comes
+    from the coefficients, and u with its slot sums on the sphere rule and
+    u on the ball rule are synthesized one block of moduli at a time, as
+    the pairing reads them."""
 
     def __init__(self, ensemble, sphere_rule, ball_rule, psis, deltas):
         self.deltas = tuple(sorted(deltas))
@@ -275,7 +279,8 @@ class BoundarySampler:
             [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis])
 
     def batch(self, coeff_rows):
-        per = self.pairing.per_delta(*self.ev_sphere.values_and_walk(coeff_rows), self.deltas,
+        per = self.pairing.per_delta(self.ev_sphere.mean_square(coeff_rows),
+                                     self.ev_sphere.walk(coeff_rows, slots=True), self.deltas,
                                      self.ev_ball.walk(coeff_rows))
         return richardson_sqrt(self.deltas, per)
 

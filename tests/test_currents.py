@@ -111,8 +111,8 @@ def test_structurally_zero_log_terms_are_skipped(monkeypatch):
         f, x1, x2 = (rng.standard_normal((2, sphere.npoints)) + 1j for _ in range(3))
         u_ball = rng.standard_normal((2, ball.npoints)) + 1j
         # the whole rule as one block of sphere nodes and one of ball nodes
-        return pairing, pairing.per_delta(f, [(slice(None), (x1, x2))], (1e-2, 1e-3),
-                                          [(slice(None), u_ball)])
+        return pairing, pairing.per_delta(np.ones(2), [(slice(None), f, (x1, x2))],
+                                          (1e-2, 1e-3), [(slice(None), u_ball)])
 
     pairing, per = per_delta((VOL_Z2, VOL_Z1))
     assert pairing._sphere.w_dbar is None and pairing._domain.w_ddbar is None
@@ -140,6 +140,34 @@ def test_regularity_rejection():
                                  base_cells=6, nodes_per_axis=4, refine_depth=12)
     with pytest.raises(RegularityError):
         divisor_pairing_boundary(forms.PolyForm(), VOL_Z2, ball_level=8, **FAST)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["z1^2"])
+def test_gradient_norm_keeps_regularity_outcome(name):
+    # |du| gathered block by block in place, as the boundary pairing does,
+    # against np.linalg.norm of the gradient on the whole refined rule
+    # (default cell parameters; the z1^2 of test_regularity_rejection at
+    # its depth): within 4e-16 relative, and the regularity check reaches
+    # the same outcome, message included, on both
+    upoly = forms.z_coord(0) * forms.z_coord(0) if name == "z1^2" else catalog_function(name)
+    rule, u, _ = _adaptive_rule(upoly, DEFAULT_DELTAS, 6, 4, 12 if name == "z1^2" else 10)
+    grad_norm = np.empty(rule.npoints)
+    fsq, _ = _normalize(u[None], rule.weights / rule.weights.sum())
+    for _ in currents._cell_blocks(upoly, rule, u, fsq,
+                                   lambda block: currents.CRPairingContext(block, VOL_Z2),
+                                   grad_norm):
+        pass
+    ref = np.linalg.norm(holo_gradient_values(upoly, rule.points), axis=-1)
+    assert np.all(np.abs(grad_norm - ref) <= 4e-16 * ref)
+    outcomes = []
+    for g in (grad_norm, ref):
+        try:
+            currents._boundary_regularity_check(u, g)
+            outcomes.append(None)
+        except RegularityError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (name != "z1^2")
 
 
 def test_catalog_registry():

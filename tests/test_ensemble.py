@@ -289,7 +289,8 @@ def test_batch_margins_peak_memory_is_one_block(table, bump, traced_peak):
 def test_walk_matches_whole_rule_syntheses(table, bump, name, monkeypatch):
     # the walk's blocks of moduli tile the nodes in order, give the bits of
     # the whole-rule values and slot1_sums (the same products fill both),
-    # and are written into buffers of one block, which the next block reuses
+    # and are written into buffers of one block, which the next block
+    # reuses; with slots, f and its slot sums come from one allocation
     ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
     rule = _grid_rule(name)
     ev = GridEvaluator(ens, rule)
@@ -301,11 +302,14 @@ def test_walk_matches_whole_rule_syntheses(table, bump, name, monkeypatch):
         for nrows in (1, 5, 32):
             a = ens.draw_matrix(range(nrows))
             padded = nrows + -nrows % 4
-            for slots, whole, ref in ((False, [ev.values(a)], [dense.values(a)]),
-                                      (True, ev.slot1_sums(a), dense.slot1_sums(a))):
+            for slots, whole, ref in (
+                    (False, [ev.values(a)], [dense.values(a)]),
+                    (True, [ev.values(a), *ev.slot1_sums(a)],
+                     [dense.values(a), *dense.slot1_sums(a)])):
                 stops, parts, first = [0], [[] for _ in whole], None
-                for nodes, block in ev.walk(a, slots=slots):
-                    arrays = block if slots else (block,)
+                for nodes, f, *sums in ev.walk(a, slots=slots):
+                    arrays = (f, *sums[0]) if slots else (f,)
+                    assert all(x.base is f.base for x in arrays)
                     assert nodes.start == stops[-1] and nodes.stop % per_modulus == 0
                     stops.append(nodes.stop)
                     size = nodes.stop - nodes.start
@@ -324,14 +328,64 @@ def test_walk_matches_whole_rule_syntheses(table, bump, name, monkeypatch):
                     assert np.array_equal(np.concatenate(part, axis=1), x)
                 # the dense reference walks all its nodes as one block
                 walked = [np.concatenate(part, axis=1) for part in zip(
-                    *(b if slots else (b,) for _, b in dense.walk(a, slots=slots)))]
+                    *((b[0], *b[1]) if slots else b for _, *b in dense.walk(a, slots=slots)))]
+                assert len(walked) == len(ref)
                 assert all(_max_rel(x, y) <= 1e-13 for x, y in zip(walked, ref))
-            # one micro-batch of the pairing: f and the slot walk, in one allocation
-            f, walk = ev.values_and_walk(a)
-            assert np.array_equal(f, ev.values(a))
-            for (nodes, block), (nodes0, block0) in zip(walk, ev.walk(a, slots=True)):
-                assert nodes == nodes0 and f.base is block[0].base is block[1].base
-                assert all(np.array_equal(x, y) for x, y in zip(block, block0))
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+@pytest.mark.parametrize("k, aliased", [(16, False), (64, True)])
+@pytest.mark.parametrize("name", ["sphere-8", "sphere-12", "sphere-20", "ball-6x16"])
+def test_mean_square_matches_weighted_sum(table, bump, name, k, aliased, kappa):
+    # discrete Parseval: s^2 from the coefficients is sum w |f|^2 / sum w
+    # on the nodes; at k = 16 no two degrees share a residue class on these
+    # rules, at k = 64 some do (with the constant's class at kappa = 1), and
+    # their cross terms enter
+    rule = _grid_rule(name)
+    ens = RandomEnsemble(table, bump, k, kappa=kappa, master_seed=13)
+    ev = GridEvaluator(ens, rule)
+    a = ens.draw_matrix(range(5))
+    s2 = ev.mean_square(a)
+    assert s2.shape == (5,)
+    assert (ev._parseval[1].size > 0) == aliased
+    fsq = np.abs(ev.values(a)) ** 2
+    ref = fsq @ rule.weights / rule.weights.sum()
+    assert np.all(np.abs(s2 - ref) <= 1e-13 * ref)
+    if rule.npoints <= 4096:
+        # the dense evaluator's direct weighted sum
+        dense = NodeEvaluator(ens, rule.points, rule.weights).mean_square(a)
+        assert np.all(np.abs(s2 - dense) <= 1e-13 * dense)
+    # doubling the coefficients scales s^2 by exactly 4
+    assert np.array_equal(ev.mean_square(2.0 * a), 4.0 * s2)
+
+
+def test_mean_square_reads_only_the_rows_given(table, bump):
+    # a synthesis pads its batch with zero rows to _ROW_MULTIPLE; s^2 comes
+    # from the coefficient rows themselves, one value per row, and a row's
+    # value does not depend on the rows around it beyond rounding
+    ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
+    ev = GridEvaluator(ens, _grid_rule("sphere-12"))
+    a = ens.draw_matrix(range(9))
+    full = ev.mean_square(a)
+    for start, size in [(0, 1), (5, 1), (1, 3), (3, 5), (1, 7)]:
+        part = ev.mean_square(a[start:start + size])
+        assert part.shape == (size,)
+        assert np.all(np.abs(part - full[start:start + size]) <= 1e-15 * full[start:start + size])
+    # the pairing's blocks of f carry the same rows, padding sliced off
+    assert all(f.shape[0] == 5 for _, f, _ in ev.walk(a[:5], slots=True))
+
+
+def test_mean_square_needs_weights_constant_per_modulus(table, bump):
+    # the Parseval form holds only for weights that depend on the modulus
+    # alone; synthesis does not read the weights and still runs
+    rule = SphereRule(8)
+    rule.weights = rule.weights * (1.0 + 1e-3 * (np.arange(rule.npoints) % 2))
+    ens = RandomEnsemble(table, bump, 16, kappa=0, master_seed=11)
+    ev = GridEvaluator(ens, rule)
+    a = ens.draw_matrix(range(4))
+    assert ev.values(a).shape == (4, rule.npoints)
+    with pytest.raises(ValueError, match="vary over the angle grid"):
+        ev.mean_square(a)
 
 
 @pytest.mark.parametrize("kappa", [0, 1])

@@ -226,14 +226,14 @@ def test_cf_sampler_columns_match_context_route(table, bump):
     rows = ens.draw_matrix(range(4))
     vals, errs = CfSampler(ens, contexts, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 3)
-    ev = NodeEvaluator(ens, rule.points)  # dense reference at the same nodes
+    # dense reference at the same nodes, with a direct weighted mean square
+    ev = NodeEvaluator(ens, rule.points, rule.weights)
     pairing = RegularizedPairing(contexts)
     for r in range(rows.shape[0]):
         row = rows[r:r + 1]
         f = ev.values(row)
-        # per_delta consumes f, which the reference reads afterwards
-        one = richardson_sqrt(deltas, pairing.per_delta(f.copy(), ev.walk(row, slots=True),
-                                                        deltas))
+        one = richardson_sqrt(deltas, pairing.per_delta(ev.mean_square(row),
+                                                        ev.walk(row, slots=True), deltas))
         for j, ctx in enumerate(contexts):
             ref = _cf_reference(ctx, f[0], _sampler_frame_derivatives(ev, ctx, row), deltas)
             _assert_close(vals[r, j], errs[r, j], ref)
@@ -250,15 +250,16 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
     rows = ens.draw_matrix(range(4))
     vals, errs = BoundarySampler(ens, sphere_rule, ball_rule, psis, deltas).batch(rows)
     assert vals.shape == errs.shape == (4, 2)
-    ev_s = NodeEvaluator(ens, sphere_rule.points)  # dense references
+    ev_s = NodeEvaluator(ens, sphere_rule.points, sphere_rule.weights)  # dense references
     ev_b = NodeEvaluator(ens, ball_rule.points)
     contexts = [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis]
     pairing = RegularizedPairing(contexts)
     for r in range(rows.shape[0]):
         row = rows[r:r + 1]
         u, u_ball = ev_s.values(row), ev_b.values(row)
-        one = richardson_sqrt(deltas, pairing.per_delta(u.copy(), ev_s.walk(row, slots=True),
-                                                        deltas, ev_b.walk(row)))
+        one = richardson_sqrt(deltas, pairing.per_delta(ev_s.mean_square(row),
+                                                        ev_s.walk(row, slots=True), deltas,
+                                                        ev_b.walk(row)))
         for j, ctx in enumerate(contexts):
             ref = _boundary_reference(ctx, u[0], _sampler_frame_derivatives(ev_s, ctx, row),
                                       u_ball[0], deltas)
@@ -285,10 +286,10 @@ def test_sampler_statistics_match_dense_evaluation(table, bump, boundary):
     rows = ens.draw_matrix(range(2 * _MICRO_BATCH))
     grid, _ = _batched_values(sampler, rows)
     if boundary:
-        sampler.ev_sphere = NodeEvaluator(ens, sphere_rule.points)
+        sampler.ev_sphere = NodeEvaluator(ens, sphere_rule.points, sphere_rule.weights)
         sampler.ev_ball = NodeEvaluator(ens, ball_rule.points)
     else:
-        sampler.ev = NodeEvaluator(ens, sphere_rule.points)
+        sampler.ev = NodeEvaluator(ens, sphere_rule.points, sphere_rule.weights)
     dense, _ = _batched_values(sampler, rows)
     for j in range(grid.shape[1]):
         mean, se = np.mean(dense[:, j]), _complex_se(dense[:, j])
@@ -318,19 +319,15 @@ def _log_regularized_sums_allocating(weights, fsq, deltas):
     return out
 
 
-def _per_delta_allocating(pairing, fvals, slot_blocks, deltas, ball_blocks=()):
-    """per_delta on the same blocks, in allocating expressions: s^2 summed
-    over blocks of f, then each block's sums added in block order."""
-    step = max(1, _accel.BLOCK_BYTES // (16 * fvals.shape[0]))
-    scale_sq = 0.0
-    for lo in range(0, fvals.shape[1], step):
-        scale_sq = scale_sq + np.abs(fvals[:, lo:lo + step]) ** 2 @ pairing._rms_weights[lo:lo + step]
+def _per_delta_allocating(pairing, scale_sq, blocks, deltas, ball_blocks=()):
+    """per_delta on the same s^2 and blocks, in allocating expressions:
+    each block's sums added in block order."""
     scale_sq = scale_sq[:, None]
     sphere = pairing._sphere
     total = dbar_sum = None
-    for nodes, slots in slot_blocks:
-        fsq = np.abs(fvals[:, nodes]) ** 2 / scale_sq
-        conj_f = np.conj(fvals[:, nodes]) / scale_sq
+    for nodes, fvals, slots in blocks:
+        fsq = np.abs(fvals) ** 2 / scale_sq
+        conj_f = np.conj(fvals) / scale_sq
         part = _regularized_sums_allocating([w[nodes] for w in sphere.slot_weights],
                                             [conj_f * x for x in slots], fsq, deltas)
         if sphere.boundary:
@@ -351,11 +348,11 @@ def _per_delta_allocating(pairing, fvals, slot_blocks, deltas, ball_blocks=()):
 @pytest.mark.parametrize("rows", [1, 32])
 @pytest.mark.parametrize("boundary", [False, True], ids=["closed", "boundary"])
 def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, rows):
-    # grid-evaluated micro-batches, as the samplers pass them: f on the
-    # whole rule and the slot sums as the walk yields them (four blocks of
-    # moduli at 32 rows, one at one row, which pads to four); 32 rows make
-    # the node arrays of f larger than numpy's 256 KiB temporary-reuse
-    # threshold
+    # grid-evaluated micro-batches, as the samplers pass them: s^2 from the
+    # coefficients, f and the slot sums as the walk yields them (four
+    # blocks of moduli at 32 rows, one at one row, which pads to four); 32
+    # rows make the whole-rule arrays of the second half larger than
+    # numpy's 256 KiB temporary-reuse threshold
     ens = RandomEnsemble(table, bump, 24, kappa=int(boundary), master_seed=17)
     sphere_rule = SphereRule(12)
     deltas = (1e-2, 1e-3, 1e-4)
@@ -370,28 +367,28 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
         ev = sampler.ev
     pairing = sampler.pairing
     a = ens.draw_matrix(range(rows))
-    fvals = ev.values(a)
-    slot_blocks = [(nodes, tuple(x.copy(order="K") for x in slots))
-                   for nodes, slots in ev.walk(a, slots=True)]
-    assert len(slot_blocks) == (4 if rows == 32 else 1)
+    scale_sq = ev.mean_square(a)
+    blocks = [(nodes, f.copy(order="K"), tuple(x.copy(order="K") for x in slots))
+              for nodes, f, slots in ev.walk(a, slots=True)]
+    assert len(blocks) == (4 if rows == 32 else 1)
     ball_blocks = ([(nodes, u.copy(order="K")) for nodes, u in sampler.ev_ball.walk(a)]
                    if boundary else [])
     # per_delta consumes f and the slot sums: the reference reads copies in
     # the same memory order
-    f0 = fvals.copy(order="K")
-    ref_blocks = [(nodes, tuple(x.copy(order="K") for x in slots))
-                  for nodes, slots in slot_blocks]
+    ref_blocks = [(nodes, f.copy(order="K"), tuple(x.copy(order="K") for x in slots))
+                  for nodes, f, slots in blocks]
     before = [u.copy() for _, u in ball_blocks]
-    per = pairing.per_delta(fvals, slot_blocks, deltas, ball_blocks)
-    assert np.array_equal(per, _per_delta_allocating(pairing, f0, ref_blocks, deltas,
+    per = pairing.per_delta(scale_sq, blocks, deltas, ball_blocks)
+    assert np.array_equal(per, _per_delta_allocating(pairing, scale_sq, ref_blocks, deltas,
                                                      ball_blocks))
     # the ball values are read, never overwritten
     assert all(np.array_equal(u, u0) for (_, u), u0 in zip(ball_blocks, before))
 
     # both delta sums on whole-rule arrays, the products written into a
     # fresh buffer
+    f0 = ev.values(a)
     fsq = np.abs(f0) ** 2
-    fsq /= (fsq @ pairing._rms_weights)[:, None]
+    fsq /= scale_sq[:, None]
     x1, x2 = ev.slot1_sums(a)
     numer = [np.conj(f0) * x for x in (x1, x2)]
     args = (pairing._sphere.slot_weights, numer, fsq)
@@ -429,33 +426,32 @@ def test_sampler_values_do_not_depend_on_block_budget(table, bump, monkeypatch, 
 
 
 def test_cf_sampler_batch_peak_memory(table, bump, traced_peak):
-    # one micro-batch on the control rule of mc-sphere holds f on the whole
-    # rule (one complex node array of 32 rows) and buffers of one block of
-    # moduli: the slot sums, the synthesis work buffer, |f / s|^2 and the
-    # reciprocal
+    # one micro-batch on the control rule of mc-sphere holds no array over
+    # the whole rule, only buffers of one block of moduli: f and the slot
+    # sums, the synthesis work buffer, |f / s|^2 and the reciprocal (4.0 MB
+    # measured, with numpy 2.4; one complex node array of 32 rows is 16.4 MB)
     ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=3)
     rule = SphereRule(20)
     sampler = CfSampler(ens, (CRPairingContext(rule, surface_form("vol-z2")),), (1e-2, 1e-3))
     rows = ens.draw_matrix(range(_MICRO_BATCH))
-    node_bytes = _MICRO_BATCH * rule.npoints * 16
     peak = traced_peak(lambda: sampler.batch(rows))
-    assert peak <= node_bytes + 4 * _accel.BLOCK_BYTES + (1 << 21)
+    assert peak <= 5 * _accel.BLOCK_BYTES
 
 
 def test_boundary_sampler_batch_peak_memory(table, bump, traced_peak):
-    # the expectation-domain ball rule: u on its 193536 nodes is only ever
-    # synthesized one block of moduli at a time, so a micro-batch holds f on
-    # the sphere rule and block buffers, far below one ball node array
-    # (99 MB at 32 rows)
+    # the expectation-domain rules: u on the sphere rule and on the ball
+    # rule's 193536 nodes is only ever synthesized one block of moduli at a
+    # time, so a micro-batch holds block buffers alone (5.2 MB measured),
+    # below one sphere node array (8.4 MB at 32 rows) and far below one
+    # ball node array (99 MB)
     ens = RandomEnsemble(table, bump, 24, kappa=1, master_seed=3)
     sphere_rule, ball_rule = SphereRule(16), BallRule(12, radial=28)
     sampler = BoundarySampler(ens, sphere_rule, ball_rule,
                               (surface_form("vol-z2"), surface_form("bump-z2")),
                               (1e-2, 1e-3, 1e-4))
     rows = ens.draw_matrix(range(_MICRO_BATCH))
-    node_bytes = _MICRO_BATCH * sphere_rule.npoints * 16
     peak = traced_peak(lambda: sampler.batch(rows))
-    assert peak <= node_bytes + 6 * _accel.BLOCK_BYTES + (1 << 21)
+    assert peak <= 6 * _accel.BLOCK_BYTES
 
 
 def _accepted_rows_fixed_scan(ens, threshold, count):
@@ -831,6 +827,17 @@ PINNED_MC_CSV = {
             ),
         ]),
 }
+
+
+def test_expectation_cr_scale_invariance_is_exact():
+    # doubling the coefficients scales s^2 (from the coefficients) by
+    # exactly 4 and f by exactly 2, so cf(2f) and cf(f) agree bit for bit
+    # at the mc-sphere benchmark config
+    overrides, _ = PINNED_MC_CSV["expectation-cr"]
+    report = EXPERIMENTS["expectation-cr"](
+        config_from_resolved("expectation-cr", resolve_config(overrides=overrides)))
+    check, = (c for c in report.checks if c["name"] == "scale-invariance")
+    assert check["passed"] and check["detail"] == "max |cf(2f) - cf(f)| = 0.00e+00"
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MC_CSV))
