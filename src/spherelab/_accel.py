@@ -54,6 +54,19 @@ def monomial_matrix(points, alphas, scale):
     return pow1[:, alphas[:, 0]] * pow2[:, alphas[:, 1]] * scale[None, :]
 
 
+def gradient_norm(d1, d2, out=None):
+    """sqrt(|d1|^2 + |d2|^2) elementwise, the norm of a holomorphic
+    gradient with components d1 and d2 (the margin screen's, a catalog
+    function's), in place in the real array out (a new one if None) with
+    one temporary for |d2|^2."""
+    out = np.abs(d1, out=out)
+    np.square(out, out=out)
+    term = np.abs(d2)
+    np.square(term, out=term)
+    out += term
+    return np.sqrt(out, out=out)
+
+
 def band_power_sum(q, ms, coeffs):
     """Compensated sum of coeffs[i] * q**ms[i] over an ascending band."""
     q = np.asarray(q, dtype=np.complex128)  # keeps scalar inputs zero-dim

@@ -506,16 +506,7 @@ def _cell_blocks(fpoly, rule, fvals, fsq, bind, grad_norm=None):
         del block
         grad = holo_gradient_values(fpoly, points)
         if grad_norm is not None:
-            # sqrt(|du/dz1|^2 + |du/dz2|^2), in place as in
-            # NodeEvaluator.gradient_magnitude; no buffer outlives the block
-            mag = grad_norm[nodes]
-            np.abs(grad[:, 0], out=mag)
-            np.square(mag, out=mag)
-            term = np.abs(grad[:, 1])
-            np.square(term, out=term)
-            mag += term
-            np.sqrt(mag, out=mag)
-            del term
+            _accel.gradient_norm(grad[:, 0], grad[:, 1], grad_norm[nodes])
         slots = np.multiply(points, grad, out=grad).T.copy()[:, None]
         del points, grad
         # f is copied block by block, so the caller can read it afterwards

@@ -21,17 +21,19 @@ second angle and the moduli in one small matrix product per residue of
 the first degree, then over the first angle in one more (sum
 factorization); it never builds a nodes x components matrix.  Plain
 arrays of points get NodeEvaluator's dense design matrix, the reference
-the grid evaluator is checked against.  Both evaluators give f and its
-slot sums either on all nodes at once (values, slot1_sums) or one block
-of nodes at a time (walk).  On a product rule a block is a range of
-consecutive moduli, a contiguous node slice of SphereRule and BallRule
-alike, synthesized into buffers of one block that the next block
-reuses: the Monte Carlo pairings consume f, its slot sums and the ball
-values that way.  Their normalization, the weighted mean square of f
-over the rule, comes from the coefficients by discrete Parseval
+the grid evaluator is checked against.  Both evaluators synthesize f
+and its slot sums one way, one block of nodes at a time (walk); the dense
+one walks its nodes as one block.  On a product rule a block is a range
+of consecutive moduli, a contiguous node slice of SphereRule and
+BallRule alike, synthesized into buffers of one block that the next
+block reuses.  The Monte Carlo pairings consume f, its slot sums and the
+ball values that way, and their normalization, the weighted mean square
+of f over the rule, comes from the coefficients by discrete Parseval
 (GridEvaluator.mean_square), so no array of a micro-batch spans a rule.
-Draws are screened for a nondegenerate zero set by batch_margins on a
-coarse product rule.
+batch_margins screens draws for a nondegenerate zero set on a coarse
+product rule from the same walk, keeping only |f| and |df| on every
+node; values and slot1_sums, the tests' references, gather the walk
+into arrays over every node.
 The module needs numpy alone; numpy.random is imported here, at
 start-up, and not first inside an experiment.
 """
@@ -100,9 +102,11 @@ class RandomEnsemble:
         that root mean square; an all-zero draw gets 0.  Draws whose
         margin falls below a threshold are rejected: they are measure
         zero in theory but numerically ill-conditioned.  The rows are
-        screened _MARGIN_BLOCK at a time, so the node arrays do not grow
-        with the number of draws; a row's margin does not depend on its
-        block, since the evaluator pads every batch to its row multiple.
+        screened _MARGIN_BLOCK at a time, each batch read from the
+        evaluator's walk, one block of moduli at a time: only |f| and |df|
+        span the rule's nodes, and they do not grow with the number of
+        draws.  A row's margin does not depend on its batch, since the
+        evaluator pads every batch to its row multiple.
         """
         ev = GridEvaluator(self, _margin_rule())
         rows = np.atleast_2d(coefficient_rows)
@@ -113,9 +117,16 @@ class RandomEnsemble:
                                for lo, hi in zip(starts, starts[1:] + [rows.shape[0]])])
 
     def _margins(self, ev, coefficient_rows):
-        fabs = np.abs(ev.values(coefficient_rows))
+        # |f| and |df| on every node, written block by block from the walk,
+        # each the transpose of a contiguous (nodes, rows) array like the
+        # walk's blocks: the layout fixes the order the rms sums in, and so
+        # the bits of the margins
+        shape = (len(ev.points), len(coefficient_rows))
+        fabs, dfabs = np.empty(shape).T, np.empty(shape).T
+        for nodes, f, (x1, x2) in ev.walk(coefficient_rows, slots=True):
+            np.abs(f, out=fabs[:, nodes])
+            ev.gradient_magnitude(x1, x2, nodes, out=dfabs[:, nodes])
         rms = np.sqrt(np.mean(np.square(fabs), axis=1))
-        dfabs = ev.gradient_magnitude(*ev.slot1_sums(coefficient_rows))
         # the minimum of |df| over the near-zero nodes: mask the others in place
         near = fabs <= 0.3 * rms[:, None]
         np.copyto(dfabs, np.inf, where=~near)
@@ -139,14 +150,16 @@ def _margin_rule():
 class NodeEvaluator:
     """Design matrix of one ensemble bound to a fixed, scattered point set.
 
-    values(A) is a plain matrix product, so batches of draws evaluate at
-    BLAS speed; first derivatives reuse two auxiliary products (degree-
-    weighted matrices) and are assembled pointwise for any direction
-    field, exploiting that the monomial coordinates never vanish at
-    interior quadrature nodes.  With node weights, mean_square is the
-    direct weighted mean of |f|^2, the reference for GridEvaluator's.
-    Product rules use GridEvaluator, which shares the derivative
-    assembly.
+    Its walk is one block of all nodes: f is a plain matrix product, so
+    batches of draws evaluate at BLAS speed; first derivatives reuse two
+    auxiliary products (degree-weighted matrices) and are assembled
+    pointwise for any direction field, exploiting that the monomial
+    coordinates never vanish at interior quadrature nodes.  values and
+    slot1_sums gather the blocks of any walk, this one's or
+    GridEvaluator's, into arrays over every node.  With node weights,
+    mean_square is the direct weighted mean of |f|^2, the reference for
+    GridEvaluator's.  Product rules use GridEvaluator, which overrides
+    the walk alone and shares the rest.
     """
 
     def __init__(self, ensemble: RandomEnsemble, points, weights=None):
@@ -174,18 +187,24 @@ class NodeEvaluator:
 
     def values(self, a):
         """f at the nodes for each coefficient row: (ntrials, npoints)."""
-        a0, rest = self._split(a)
-        vals = rest @ self.matrix.T
-        if a0 is not None:
-            vals = vals + (self.ensemble.kappa * a0)[:, None]
-        return vals
+        return self._gather((nodes, (f,)) for nodes, f in self.walk(a))[0]
 
     def slot1_sums(self, a):
         """Degree-weighted sums feeding any directional derivative."""
-        a0, rest = self._split(a)
-        x1 = (rest * self._deg1[None, :]) @ self.matrix.T
-        x2 = (rest * self._deg2[None, :]) @ self.matrix.T
-        return x1, x2
+        _, rest = self._split(a)
+        return self._gather(self._walk(rest, (self._deg1, self._deg2)))
+
+    def _gather(self, blocks):
+        """The (nodes, arrays) blocks of a walk copied into arrays over every
+        node, each the transpose of a contiguous (nodes, rows) array."""
+        outs = None
+        for nodes, arrays in blocks:
+            if outs is None:
+                outs = tuple(np.empty((len(self.points), len(x)), dtype=x.dtype).T
+                             for x in arrays)
+            for out, x in zip(outs, arrays):
+                out[:, nodes] = x
+        return outs
 
     def mean_square(self, a):
         """s^2 = sum w |f|^2 / sum w over the nodes, one per coefficient
@@ -228,18 +247,13 @@ class NodeEvaluator:
         c2 = u[..., 1] / self._z2
         return x1 * c1[None, :] + x2 * c2[None, :]
 
-    def gradient_magnitude(self, x1, x2):
-        """|holomorphic gradient| = sqrt(|df/dz1|^2 + |df/dz2|^2) at nodes;
-        it vanishes exactly where the full differential of the restriction
-        to the sphere vanishes."""
-        g = x1 / self._z1[None, :]
-        mag = np.abs(g)
-        np.square(mag, out=mag)
-        np.divide(x2, self._z2[None, :], out=g)
-        term = np.abs(g)
-        np.square(term, out=term)
-        mag += term
-        return np.sqrt(mag, out=mag)
+    def gradient_magnitude(self, x1, x2, nodes=slice(None), out=None):
+        """|holomorphic gradient| = sqrt(|df/dz1|^2 + |df/dz2|^2) from the
+        slot sums on the nodes given (into out, if given); it vanishes
+        exactly where the full differential of the restriction to the
+        sphere vanishes."""
+        return _accel.gradient_norm(x1 / self._z1[None, nodes],
+                                    x2 / self._z2[None, nodes], out)
 
 
 # Batches are padded with zero rows to a multiple of this: BLAS blocks
@@ -265,22 +279,20 @@ class GridEvaluator(NodeEvaluator):
     per group gives H[a', (m, i2), row] in a work buffer, then
     out[m] = E @ H[:, m] for every modulus of the block, in node order.
     A block holds as many moduli as keep one (rows, block nodes) complex
-    array within BLOCK_BYTES, and at least one.  values and slot1_sums
-    fill arrays over the whole rule block by block, for the margin
-    screen; walk synthesizes f and its slot sums block by block into
-    buffers of one block, which the next block reuses, so a Monte Carlo
-    micro-batch holds no array over the whole rule.  Its normalization
-    comes from the coefficients instead (mean_square, by discrete
-    Parseval).  Each call makes one allocation for its arrays, buffers
-    and H: split over several smaller arrays, a micro-batch's memory went
-    back to the system and came back as fresh pages every batch
-    (variance-cr on the mc-scan benchmark config: 53k minor faults,
-    against 13k in one).  Results keep the rows on the last axis: each
-    is the transpose of a contiguous (nodes, rows) array, which numpy's
-    elementwise loops run over fastest.  Each row's values are bitwise
-    independent of the batch it came in, since batches are padded to
-    _ROW_MULTIPLE rows; they do not depend on walk against whole-rule
-    synthesis either, since both run the same products.
+    array within BLOCK_BYTES, and at least one.  walk is the only
+    synthesis: f and its slot sums go block by block into buffers of one
+    block, which the next block reuses, so a Monte Carlo micro-batch
+    holds no array over the whole rule.  Its normalization comes from
+    the coefficients instead (mean_square, by discrete Parseval).  Each
+    walk makes one allocation for its buffers and H: split over several
+    smaller arrays, a micro-batch's memory went back to the system and
+    came back as fresh pages every batch (variance-cr on the mc-scan
+    benchmark config: 53k minor faults, against 13k in one).  Blocks
+    keep the rows on the last axis: each is the transpose of a
+    contiguous (nodes, rows) array, which numpy's elementwise loops run
+    over fastest.  Each row's values are bitwise independent of the
+    batch it came in, since batches are padded to _ROW_MULTIPLE rows,
+    and of the block budget, since every modulus runs the same products.
     """
 
     def __init__(self, ensemble: RandomEnsemble, rule):
@@ -361,60 +373,27 @@ class GridEvaluator(NodeEvaluator):
             np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
         np.matmul(self._chars, h.reshape(len(h), m1 - m0, -1).transpose(1, 0, 2), out=dest)
 
-    def _synthesis(self, rest, degrees, whole=False):
+    def _walk(self, rest, degrees):
         """Monomial sums of the coefficient rows rest times each degree
-        vector (None: rest itself), one block of moduli at a time, in one
-        allocation.
-
-        Returns (arrays, blocks).  blocks is a generator that synthesizes
-        the blocks in order and yields (node slice, (one array per entry)).
-        With whole, each entry's block is the slice of a (rows, npoints)
-        array over every node, and arrays holds those arrays, complete once
-        blocks is exhausted; without, the blocks are buffers of one block
-        that the next block reuses, and arrays is None.  The allocation
-        holds the arrays or block buffers and the work buffer H.
-        """
+        vector (None: rest itself), one block of moduli at a time: yields
+        (node slice, (one array per entry)), buffers of one block that the
+        next block overwrites.  One allocation holds them and the work
+        buffer H."""
         nrows, ncomp = rest.shape
         pad = np.zeros((-nrows % _ROW_MULTIPLE, ncomp), dtype=complex)
         coeffs = np.concatenate([rest, pad]).T[self._order]
         rows = coeffs.shape[1]
         nmod, nang = self._grid
         step = min(nmod, max(1, _accel.BLOCK_BYTES // (16 * nang * nang * rows)))
-        size = len(degrees) * (nmod if whole else step) * nang * nang * rows
+        size = len(degrees) * step * nang * nang * rows
         arena = np.empty(size + len(self._groups) * step * nang * rows, dtype=complex)
-        outs = arena[:size].reshape(len(degrees), -1, nang, nang * rows)
+        outs = arena[:size].reshape(len(degrees), step, nang, nang * rows)
         work = arena[size:].reshape(len(self._groups), step * nang, rows)
         cs = [coeffs if d is None else coeffs * d[self._order][:, None] for d in degrees]
-
-        def blocks():
-            for m0 in range(0, nmod, step):
-                m1 = min(m0 + step, nmod)
-                dests = [out[m0:m1] if whole else out[:m1 - m0] for out in outs]
-                for c, dest in zip(cs, dests):
-                    self._fill(c, m0, m1, dest, work)
-                yield (slice(m0 * nang * nang, m1 * nang * nang),
-                       tuple(dest.reshape(-1, rows).T[:nrows] for dest in dests))
-
-        return ([out.reshape(-1, rows).T[:nrows] for out in outs] if whole else None,
-                blocks())
-
-    def _walk(self, rest, degrees):
-        return self._synthesis(rest, degrees)[1]
-
-    def _whole(self, rest, degrees):
-        arrays, blocks = self._synthesis(rest, degrees, whole=True)
-        for _ in blocks:
-            pass
-        return arrays
-
-    def values(self, a):
-        a0, rest = self._split(a)
-        vals, = self._whole(rest, (None,))
-        if a0 is not None:
-            vals += (self.ensemble.kappa * a0)[:, None]
-        return vals
-
-    def slot1_sums(self, a):
-        _, rest = self._split(a)
-        x1, x2 = self._whole(rest, (self._deg1, self._deg2))
-        return x1, x2
+        for m0 in range(0, nmod, step):
+            m1 = min(m0 + step, nmod)
+            dests = [out[:m1 - m0] for out in outs]
+            for c, dest in zip(cs, dests):
+                self._fill(c, m0, m1, dest, work)
+            yield (slice(m0 * nang * nang, m1 * nang * nang),
+                   tuple(dest.reshape(-1, rows).T[:nrows] for dest in dests))

@@ -265,10 +265,15 @@ def _batch_margins_allocating(ens, rows, ev):
     return margins
 
 
-@pytest.mark.parametrize("nrows", [1, 32, 256, 257, 600])
-def test_batch_margins_match_allocating_formulas(table, bump, nrows):
+@pytest.mark.parametrize("nrows, budget", [
+    pytest.param(nrows, budget, id=f"{nrows}{suffix}")
+    for budget, suffix in ((_accel.BLOCK_BYTES, ""), (1, "-one-modulus"), (1 << 40, "-one-block"))
+    for nrows in (1, 32, 256, 257, 600)])
+def test_batch_margins_match_allocating_formulas(table, bump, nrows, budget, monkeypatch):
     # 257 and 600 rows are screened in several blocks, the last of one row
-    # (joined to the block before it) and of 88 rows
+    # (joined to the block before it) and of 88 rows; the screen walks the
+    # rule at the default budget, one modulus a block, and in one block
+    monkeypatch.setattr(_accel, "BLOCK_BYTES", budget)
     ens = RandomEnsemble(table, bump, 24, kappa=1, master_seed=5)
     rows = ens.draw_matrix(range(nrows))
     ev = GridEvaluator(ens, SphereRule(8))
@@ -283,30 +288,34 @@ def test_batch_margins_peak_memory_is_one_block(table, bump, traced_peak):
     ens.batch_margins(rows[:4])  # builds the cached margin rule
     block = traced_peak(lambda: ens.batch_margins(rows[:256]))
     assert traced_peak(lambda: ens.batch_margins(rows)) <= block + (1 << 20)
+    # and of the rule only |f| and |df| span every node: the synthesis
+    # walks blocks of moduli (16.5 MiB measured; complex f and slot sums
+    # synthesized on the whole rule take 37.3 MiB)
+    assert SphereRule(8).npoints == 2048
+    assert block <= 20 << 20
 
 
 @pytest.mark.parametrize("name", ["sphere-12", "ball-6x16"])
 def test_walk_matches_whole_rule_syntheses(table, bump, name, monkeypatch):
     # the walk's blocks of moduli tile the nodes in order, give the bits of
-    # the whole-rule values and slot1_sums (the same products fill both),
-    # and are written into buffers of one block, which the next block
-    # reuses; with slots, f and its slot sums come from one allocation
+    # the one-block walk at any budget (each modulus runs the same
+    # products), and are written into buffers of one block, which the next
+    # block reuses; with slots, f and its slot sums come from one allocation
     ens = RandomEnsemble(table, bump, 64, kappa=1, master_seed=11)
     rule = _grid_rule(name)
     ev = GridEvaluator(ens, rule)
     dense = NodeEvaluator(ens, rule.points)
     per_modulus = rule.torus_grid()[1] ** 2
-    # one modulus a block, the default budget, and the whole rule in one block
-    for budget in (1, _accel.BLOCK_BYTES, 1 << 40):
+    walked = {}
+    # the whole rule in one block first, then one modulus a block and the
+    # default budget
+    for budget in (1 << 40, 1, _accel.BLOCK_BYTES):
         monkeypatch.setattr(_accel, "BLOCK_BYTES", budget)
         for nrows in (1, 5, 32):
             a = ens.draw_matrix(range(nrows))
             padded = nrows + -nrows % 4
-            for slots, whole, ref in (
-                    (False, [ev.values(a)], [dense.values(a)]),
-                    (True, [ev.values(a), *ev.slot1_sums(a)],
-                     [dense.values(a), *dense.slot1_sums(a)])):
-                stops, parts, first = [0], [[] for _ in whole], None
+            for slots in (False, True):
+                stops, parts, first = [0], None, None
                 for nodes, f, *sums in ev.walk(a, slots=slots):
                     arrays = (f, *sums[0]) if slots else (f,)
                     assert all(x.base is f.base for x in arrays)
@@ -317,20 +326,22 @@ def test_walk_matches_whole_rule_syntheses(table, bump, name, monkeypatch):
                             else 16 * padded * size <= budget or size == per_modulus
                             or nodes.stop == rule.npoints)
                     if first is None:
-                        first = arrays
+                        first, parts = arrays, [[] for _ in arrays]
                     else:
                         assert all(np.shares_memory(x, y) for x, y in zip(first, arrays))
                     for part, x in zip(parts, arrays):
                         part.append(x.copy())
                 assert stops[-1] == rule.npoints
                 assert len(stops) == 2 or budget != 1 << 40
-                for part, x in zip(parts, whole):
-                    assert np.array_equal(np.concatenate(part, axis=1), x)
-                # the dense reference walks all its nodes as one block
-                walked = [np.concatenate(part, axis=1) for part in zip(
+                arrays = [np.concatenate(part, axis=1) for part in parts]
+                one_block = walked.setdefault((nrows, slots), arrays)
+                assert all(np.array_equal(x, y) for x, y in zip(arrays, one_block))
+                # against the dense reference, which walks all its nodes as
+                # one block
+                ref = [np.concatenate(part, axis=1) for part in zip(
                     *((b[0], *b[1]) if slots else b for _, *b in dense.walk(a, slots=slots)))]
-                assert len(walked) == len(ref)
-                assert all(_max_rel(x, y) <= 1e-13 for x, y in zip(walked, ref))
+                assert len(ref) == len(arrays)
+                assert all(_max_rel(x, y) <= 1e-13 for x, y in zip(arrays, ref))
 
 
 @pytest.mark.parametrize("kappa", [0, 1])
