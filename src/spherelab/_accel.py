@@ -21,6 +21,15 @@ order, numerator first: with fused multiply-add, numpy's complex
 multiply rounds differently when the operands are swapped, and the CSV
 bodies print full-precision reprs.
 
+Importing this module pins the OpenBLAS that numpy loaded to one thread.
+Every BLAS call spherelab makes is block-sized, a GEMM, dot or gemv on
+about BLOCK_BYTES, too small to split: a second OpenBLAS thread only
+busy-waits, doubling CPU time at the same wall time, and two spherelab
+processes side by side contend for the cores.  A threaded dot or gemv
+also splits its reduction by the thread count, so at one thread the CSV
+bodies are the same whatever OPENBLAS_NUM_THREADS says.  With another
+BLAS, or off Linux, BLAS is left as it is.
+
 The band sums use ascending-degree compensated summation because the
 terms span many orders of magnitude; the compensation keeps the per-term
 rounding at <= 2 ulp.  `python3 perfbench/run.py` measures the workloads
@@ -29,12 +38,60 @@ that call these kernels.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 # Bytes of one complex (rows, nodes) array of a block of a streamed
 # pairing: a block holds as many moduli (or cells) as fit, and at least
 # one, so its arrays stay about this size however large the rule is.
 BLOCK_BYTES = 1 << 20
+
+# OpenBLAS's thread-count setter and getter under the names its builds
+# export, tried in threadpoolctl's order (numpy wheels ship scipy-openblas,
+# whose names carry the 64-bit-integer suffix).
+_OPENBLAS_NAMES = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _pin_openblas():
+    """Set the OpenBLAS this process has loaded to one thread and return
+    its get_num_threads; return None, leaving BLAS alone, when no mapped
+    library with "openblas" in its path exports those names (another BLAS,
+    or no /proc/self/maps off Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line[line.find("/"):].rstrip("\n") for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_NAMES:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(1)
+                return getter
+    return None
+
+
+# At import, so the pin precedes every BLAS call whatever loaded numpy
+# first; an environment variable would have to be set before that.
+_openblas_threads = _pin_openblas()
+
+
+def blas_threads():
+    """Threads the loaded OpenBLAS runs a call on, or None when spherelab
+    found no OpenBLAS to pin."""
+    return None if _openblas_threads is None else _openblas_threads()
 
 
 def monomial_matrix(points, alphas, scale):

@@ -2,7 +2,9 @@
 
 Every experiment is a pure function of its configuration (which includes
 the master seed): draws are counter-based per trial index, reductions
-run in fixed trial order, and reports are byte-stable across reruns.
+run in fixed trial order, and reports are byte-stable across reruns and
+across BLAS thread settings (_accel runs BLAS on one thread, so no
+OPENBLAS_NUM_THREADS or core count splits a reduction differently).
 
 Statistical verdicts follow one policy: an estimate agrees with its
 reference when |estimate - reference| <= 3 * standard_error + budget,

@@ -5,6 +5,8 @@ boolean outcomes; the verdict of a report is derivable from its checks
 alone.  CSV bodies are byte-stable across reruns of the same experiment
 configuration (floats are serialized with repr, row order is fixed, no
 timestamps inside the body), and config_hash hashes those configurations.
+What else a run's timings and last digits may depend on (versions, cores,
+BLAS and its threads) goes to the run manifest's env, never into a body.
 The config schema and its defaults live in experiments (ExperimentConfig);
 this module only reads the INI file and collects what the user set.
 """
@@ -18,9 +20,14 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from spherelab import _accel
 
 __all__ = [
     "ExperimentReport",
@@ -90,6 +97,23 @@ def git_describe():
     return "untracked"
 
 
+def run_env():
+    """What a run's timings and last digits depend on besides its
+    configuration: the python and numpy versions, the usable cores, the
+    BLAS numpy was built with, and the threads it runs a call on (None
+    when unknown)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count()),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _accel.blas_threads(),
+    }
+
+
 @dataclass
 class RunManifest:
     config_path: str
@@ -108,6 +132,7 @@ class RunManifest:
             "timestamp": self.timestamp,
             "version": self.version,
             "git": git_describe(),
+            "env": run_env(),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,10 +1,12 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spherelab import reporting
@@ -113,6 +115,14 @@ def test_kernel_diag_run_and_outputs(tmp_path, capsys):
     assert manifest["config_hash"] == payload["provenance"]["config_hash"]
     captured = capsys.readouterr()
     assert "[PASS] kernel-diag" in captured.out
+    # the run environment goes to the manifest alone: the CSV body is the
+    # report's own, as the experiment makes it without a manifest
+    env = manifest["env"]
+    assert sorted(env) == ["blas", "blas_threads", "blas_version", "cpus", "numpy", "python"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["cpus"] >= 1 and env["blas_threads"] in (None, 1)
+    report = EXPERIMENTS["kernel-diag"](config_from_resolved("kernel-diag", {}))
+    assert body == report.csv_body()
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
