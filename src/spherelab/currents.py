@@ -7,10 +7,10 @@ Closed case (sphere): for a CR function f with nondegenerate zeros and a
 
 computed through the regularization conj(f) / (|f|^2 + delta) over a
 geometric delta schedule and extrapolated to delta -> 0 by polynomial
-Richardson in sqrt(delta) (the boundary-singularity analysis of the
-one-dimensional model integral has a half-power structure, so sqrt(delta)
-is the right extrapolation variable).  The zero-divisor pairing against
-a 1-form psi is cf(d psi) with d psi exact-symbolic.
+Richardson in sqrt(delta), the variable in use; the measured errors on
+the catalog fall like delta, not sqrt(delta), so the choice is open
+(ROADMAP item 3).  The zero-divisor pairing against a 1-form psi is
+cf(d psi) with d psi exact-symbolic.
 
 Boundary case (ball): for u holomorphic on the ball, smooth up to the
 boundary, regular with respect to it, and a (1,1)-form psi,
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab import _accel
-from spherelab.forms import PolyForm, _permutation_sign, z_coord
+from spherelab.forms import PolyForm, z_coord
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule, SphereCellRule,
                                   _standard_frame_directions)
 
@@ -559,7 +559,8 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
                           lambda block: BoundaryPairingContext(block, ball_rule, psi), grad_norm)
     # the blocks hold the last reference to |f / s|^2, dropped before the ball term
     del fsq
-    ball_blocks = [(slice(None), upoly.evaluate(ball_rule.points, [])[None])]
+    # lazy: u on the ball is evaluated only if the d dbar psi term walks the blocks
+    ball_blocks = ((slice(None), upoly.evaluate(points, [])[None]) for points in [ball_rule.points])
     per = _pairing_sums(blocks, scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
                         ball_blocks)[0, 0]
     # the check needs |du| on the whole rule, which the blocks gather
@@ -570,50 +571,41 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
 
 
 # --------------------------------------------------------------- catalog
-def catalog_function(name):
+def _catalog_lines(name):
     if name not in CATALOG:
         raise KeyError(f"unknown catalog function {name!r}; known: {sorted(CATALOG)}")
-    return CATALOG[name][0]
+    return CATALOG[name]
+
+
+def catalog_function(name):
+    """u = prod (<z, a> - c) over the lines (a, c) of a catalog entry, with
+    <z, a> = conj(a_1) z_1 + conj(a_2) z_2; zero coefficients drop out, so
+    its zero set is a union of flat discs in the ball (circles on S^3)."""
+    return math.prod(z_coord(0) * np.conj(a[0]) + z_coord(1) * np.conj(a[1]) - c
+                     for a, c in _catalog_lines(name))
 
 
 def zero_set_direct(name, psi, level=24):
-    """Direct parameterized integral over the known zero manifold."""
-    if name not in CATALOG:
-        raise KeyError(f"unknown catalog function {name!r}; known: {sorted(CATALOG)}")
-    return CATALOG[name][1](psi, level)
+    """Direct integral of psi over the zero set of a catalog function: a
+    1-form over the boundary circles in S^3, a 2-form over the discs in the
+    ball, summed over the lines that meet the ball (|c| < 1)."""
+    lines = _catalog_lines(name)
+    rules = {1: CircleRule, 2: DiscRule}
+    if psi.degree not in rules:
+        raise ValueError(f"zero-set oracle pairs 1-forms or 2-forms, not a {psi.degree}-form")
+    return complex(sum(rules[psi.degree](level, a, c).pair_form(psi)
+                       for a, c in lines if abs(c) < 1.0))
 
 
-def _circle_direct(axis):
-    return lambda psi, level: complex(CircleRule(level, axis=axis).pair_form(psi))
+_E1, _E2 = (1.0, 0.0), (0.0, 1.0)
 
-
-def _disc_direct(c):
-    return lambda psi, level: complex(DiscRule(level, c=c).pair_form(psi))
-
-
-def _product_direct(psi, level):
-    swapped = _swap_coordinates(psi)
-    return complex(DiscRule(level, c=0.0).pair_form(psi)
-                   + DiscRule(level, c=0.0).pair_form(swapped))
-
-
-def _swap_coordinates(psi: PolyForm):
-    """Pull back a form under the coordinate swap (z1, z2) -> (z2, z1)."""
-    swapped = {}
-    for (word, exps), c in psi.terms.items():
-        raw = [w ^ 2 for w in word]
-        key = (tuple(sorted(raw)), (exps[2], exps[3], exps[0], exps[1]))
-        c = c if _permutation_sign(raw) > 0 else -c
-        swapped[key] = swapped[key] + c if key in swapped else c
-    return PolyForm(swapped)
-
-
-# name -> (holomorphic polynomial, direct integral over its zero set)
+# name -> the complex lines (a, c), |a| = 1, whose product is the function;
+# a line with |c| >= 1 misses the ball and carries no zero set
 CATALOG = {
-    "z1": (z_coord(0), _circle_direct(axis=1)),
-    "z2": (z_coord(1), _circle_direct(axis=0)),
-    "z1-half": (z_coord(0) - 0.5, _disc_direct(0.5)),
-    "z1-shifted": (z_coord(0) - 0.25, _disc_direct(0.25)),
-    "z1*z2": (z_coord(0) * z_coord(1), _product_direct),
-    "nowhere-zero": (z_coord(0) + 2.0, lambda psi, level: 0.0 + 0.0j),
+    "z1": [(_E1, 0.0)],
+    "z2": [(_E2, 0.0)],
+    "z1-half": [(_E1, 0.5)],
+    "z1-shifted": [(_E1, 0.25)],
+    "z1*z2": [(_E1, 0.0), (_E2, 0.0)],
+    "nowhere-zero": [(_E1, -2.0)],
 }

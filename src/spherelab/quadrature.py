@@ -1,5 +1,6 @@
-"""Quadrature rules on the three-sphere S^3, the unit ball of C^2 and
-model curves; every rule is deterministic and none takes a dimension.
+"""Quadrature rules on the three-sphere S^3, the unit ball of C^2, and the
+discs of complex lines {<z, a> = c} in the ball with their boundary
+circles in S^3; every rule is deterministic and none takes a dimension.
 
 The deterministic sphere rule is a product of Gauss-Legendre nodes in
 t = cos(phi)^2 (the Hopf latitude) with uniform angle grids; it
@@ -206,20 +207,33 @@ def _hopf_frame_directions(cphi, sphi, e1, e2):
             for field in fields]
 
 
-class CircleRule:
-    """Trapezoid rule on the circle {z_axis = e^{i theta}} (other component 0),
-    oriented by increasing theta; weights carry arc length."""
+def _line_disc(a, c):
+    """Centre c a, unit vector b = (-conj(a_2), conj(a_1)) orthogonal to a,
+    and radius sqrt(1 - |c|^2) of the disc z = c a + w b, |w| <= radius
+    (complex orientation in w), where the line {<z, a> = c} meets the unit
+    ball; a must be a unit vector of C^2 and |c| < 1."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2,) or abs(np.vdot(a, a).real - 1.0) > 1e-12:
+        raise ValueError(f"line normal must be a unit vector of C^2, got {a}")
+    c = complex(c)
+    if abs(c) >= 1.0:
+        raise ValueError("line must meet the open unit ball (|c| < 1)")
+    return c * a, np.array([-np.conj(a[1]), np.conj(a[0])]), math.sqrt(1.0 - abs(c) ** 2)
 
-    def __init__(self, level, axis=1):
+
+class CircleRule:
+    """Trapezoid rule on the circle in S^3 that bounds the disc of the line
+    {<z, a> = c}: z = c a + r e^{i theta} b (see _line_disc), oriented by
+    increasing theta, with unit tangents and arc-length weights."""
+
+    def __init__(self, level, a=(1.0, 0.0), c=0.0):
+        centre, b, radius = _line_disc(a, c)
         npts = max(8, 4 * level)
         theta = 2.0 * math.pi * np.arange(npts) / npts
-        pts = np.zeros((npts, 2), dtype=complex)
-        pts[:, axis] = np.exp(1j * theta)
-        self.points = pts
-        tangent = np.zeros((npts, 2), dtype=complex)
-        tangent[:, axis] = 1j * np.exp(1j * theta)
-        self.tangents = tangent
-        self.weights = np.full(npts, 2.0 * math.pi / npts)
+        phase = np.exp(1j * theta)
+        self.points = centre + (radius * phase)[:, None] * b
+        self.tangents = (1j * phase)[:, None] * b
+        self.weights = np.full(npts, 2.0 * math.pi * radius / npts)
 
     @property
     def npoints(self):
@@ -237,14 +251,11 @@ class CircleRule:
 
 
 class DiscRule:
-    """Polar rule on the disc {z_1 = c, |z_2|^2 <= 1 - |c|^2}, complex
-    orientation of the z_2 plane."""
+    """Polar rule on the disc of the line {<z, a> = c} in the unit ball:
+    z = c a + rho e^{i theta} b (see _line_disc), complex orientation."""
 
-    def __init__(self, level, c=0.0):
-        if abs(c) >= 1.0:
-            raise ValueError("disc center must be interior")
-        self.c = complex(c)
-        radius = math.sqrt(1.0 - abs(c) ** 2)
+    def __init__(self, level, a=(1.0, 0.0), c=0.0):
+        centre, self._b, radius = _line_disc(a, c)
         nr = max(level, 8)
         nth = max(4 * level, 16)
         rho, wr = gauss_legendre_01(nr)
@@ -252,14 +263,11 @@ class DiscRule:
         wr = wr * radius
         theta = 2.0 * math.pi * np.arange(nth) / nth
         wth = 2.0 * math.pi / nth
-        R, TH = np.meshgrid(rho, theta, indexing="ij")
-        self.rho = R.ravel()
-        self.theta = TH.ravel()
-        pts = np.zeros((self.rho.size, 2), dtype=complex)
-        pts[:, 0] = self.c
-        pts[:, 1] = self.rho * np.exp(1j * self.theta)
-        self.points = pts
-        self.weights = (np.broadcast_to((wr)[:, None] * wth, R.shape)).ravel().copy()
+        # nodes in (rho, theta) order
+        self.rho = np.repeat(rho, nth)
+        self._phase = np.tile(np.exp(1j * theta), nr)
+        self.points = centre + (self.rho * self._phase)[:, None] * self._b
+        self.weights = np.repeat(wr * wth, nth)
 
     @property
     def npoints(self):
@@ -269,10 +277,8 @@ class DiscRule:
         """Surface integral of a 2-form over the oriented disc."""
         if psi.degree != 2:
             raise ValueError("disc pairing needs a 2-form")
-        e_rho = np.zeros((self.rho.size, 2), dtype=complex)
-        e_rho[:, 1] = np.exp(1j * self.theta)
-        e_theta = np.zeros_like(e_rho)
-        e_theta[:, 1] = 1j * self.rho * np.exp(1j * self.theta)
+        e_rho = self._phase[:, None] * self._b
+        e_theta = (1j * self.rho * self._phase)[:, None] * self._b
         vals = psi.evaluate(self.points, [e_rho, e_theta])
         return np.dot(self.weights, vals)
 

@@ -9,7 +9,7 @@ from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 _normalize, catalog_function, cf_pairing,
                                 divisor_pairing_boundary, divisor_pairing_closed,
                                 holo_gradient_values, richardson_sqrt, zero_set_direct)
-from spherelab.quadrature import BallRule, SphereRule
+from spherelab.quadrature import BallRule, CircleRule, DiscRule, SphereRule, contact_one_form
 
 ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
 ANGULAR_Z1 = forms.x_coord(0) * forms.dx(1) - forms.x_coord(1) * forms.dx(0)
@@ -176,6 +176,45 @@ def test_catalog_registry():
         catalog_function("does-not-exist")
     with pytest.raises(KeyError):
         zero_set_direct("does-not-exist", VOL_Z2)
+
+
+# the catalog's polynomials as written by hand before each entry became its
+# list of lines
+HAND_WRITTEN = {
+    "z1": forms.z_coord(0),
+    "z2": forms.z_coord(1),
+    "z1-half": forms.z_coord(0) - 0.5,
+    "z1-shifted": forms.z_coord(0) - 0.25,
+    "z1*z2": forms.z_coord(0) * forms.z_coord(1),
+    "nowhere-zero": forms.z_coord(0) + 2.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_function_is_its_lines(name):
+    u = catalog_function(name)
+    assert list(u.terms.items()) == list(HAND_WRITTEN[name].terms.items())
+    for a, c in CATALOG[name]:
+        if abs(c) >= 1.0:
+            with pytest.raises(ValueError):
+                DiscRule(8, a, c)
+            continue
+        for rule in (DiscRule(8, a, c), CircleRule(8, a, c)):
+            assert np.max(np.abs(u.evaluate(rule.points, []))) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_zero_set_direct_on_both_routes(name):
+    # Stokes on each disc: the contact form over the circles equals its
+    # differential over the discs, 2 pi (1 - |c|^2) per line in the ball
+    xi = contact_one_form()
+    expected = sum(2.0 * math.pi * (1.0 - abs(c) ** 2) for _, c in CATALOG[name] if abs(c) < 1.0)
+    closed = zero_set_direct(name, xi)
+    assert closed == pytest.approx(expected, abs=1e-12)
+    assert abs(closed - zero_set_direct(name, xi.d())) <= 1e-12
+    for psi in (forms.z_coord(0), xi.wedge(xi.d())):
+        with pytest.raises(ValueError):
+            zero_set_direct(name, psi)
 
 
 def test_delta_monotonicity_reported():

@@ -712,16 +712,31 @@ PINNED_ROWS = {
     "pairing-z1-half-vol-z1": 0.0,
 }
 
+# The reference column of the same rows, the direct zero-set oracles where
+# the row has one, computed at commit 93af197, where each catalog entry
+# carried its own hand-written oracle.
+PINNED_REFERENCES = {
+    "pairing-z1-angular-z2": 6.283185307179587,
+    "pairing-z2-angular-z1": 6.283185307179587,
+    "pairing-z1-exact-form": 0.0,
+    "pairing-z1-half-vol-z2": 2.356194490192339,
+    "pairing-nowhere-zero": 0.0,
+    "pairing-z1-half-vol-z1": 0.0,
+}
+
 
 def test_lp_rows_match_pinned_values():
-    rows = {}
+    rows, references = {}, {}
     for name, run in (("lp-closed", run_lp_closed), ("lp-boundary", run_lp_boundary)):
         report = run(ExperimentConfig(name, refine_depth=2, ball_level=6))
         assert report.verdict
         rows.update((r["quantity"], complex(r["estimate"])) for r in report.rows)
-    assert set(rows) == set(PINNED_ROWS)
+        references.update((r["quantity"], complex(r["reference"])) for r in report.rows)
+    assert set(rows) == set(PINNED_ROWS) == set(PINNED_REFERENCES)
     for quantity, pinned in PINNED_ROWS.items():
         assert abs(rows[quantity] - pinned) <= 1e-12 * max(1.0, abs(pinned)), quantity
+    for quantity, pinned in PINNED_REFERENCES.items():
+        assert abs(references[quantity] - pinned) <= 1e-12 * max(1.0, abs(pinned)), quantity
 
 
 def test_lp_boundary_uses_configured_ball_radial():

@@ -91,21 +91,52 @@ def test_ball_rule():
     assert val == pytest.approx(math.pi ** 2 / 6.0, abs=1e-10)
 
 
-def test_circle_rule():
-    c = CircleRule(8)
-    assert c.integrate(np.ones(c.npoints)) == pytest.approx(2.0 * math.pi, abs=1e-12)
-    psi = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
-    assert c.pair_form(psi).real == pytest.approx(2.0 * math.pi, abs=1e-12)
+# the default line {z_1 = 0}, the shifted {z_1 = 1/2} and a tilted line,
+# as (a, c) of {<z, a> = c}
+AXIS_LINE = ((1.0, 0.0), 0.0)
+SHIFTED_LINE = ((1.0, 0.0), 0.5)
+TILTED_LINE = ((0.6, 0.8j), 0.3 - 0.2j)
 
 
-def test_disc_rule():
-    d = DiscRule(8, c=0.5)
-    area = math.pi * 0.75
+@pytest.mark.parametrize("line", [AXIS_LINE, TILTED_LINE], ids=["axis", "tilted"])
+def test_circle_rule(line):
+    c = CircleRule(8) if line == AXIS_LINE else CircleRule(8, *line)
+    r_sq = 1.0 - abs(line[1]) ** 2
+    assert c.integrate(np.ones(c.npoints)) == pytest.approx(2.0 * math.pi * math.sqrt(r_sq),
+                                                            abs=1e-12)
+    # on the sphere the contact form restricts to r^2 dtheta
+    assert c.pair_form(contact_one_form()).real == pytest.approx(2.0 * math.pi * r_sq, abs=1e-12)
+    if line == AXIS_LINE:
+        psi = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
+        assert c.pair_form(psi).real == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("line", [SHIFTED_LINE, TILTED_LINE], ids=["shifted", "tilted"])
+def test_disc_rule(line):
+    d = DiscRule(8, c=0.5) if line == SHIFTED_LINE else DiscRule(8, *line)
+    r_sq = 1.0 - abs(line[1]) ** 2
+    area = math.pi * r_sq
     assert d.integrate(np.ones(d.npoints)) == pytest.approx(area, abs=1e-10)
-    w = forms.dz(1) * forms.dzbar(1) * 0.5j
-    assert d.pair_form(w).real == pytest.approx(area, abs=1e-10)
-    with pytest.raises(ValueError):
-        DiscRule(8, c=1.0)
+    # the Kaehler form restricts to the area form of every complex line
+    kaehler = (forms.dz(0) * forms.dzbar(0) + forms.dz(1) * forms.dzbar(1)) * 0.5j
+    assert d.pair_form(kaehler).real == pytest.approx(area, abs=1e-10)
+    if line == SHIFTED_LINE:
+        w = forms.dz(1) * forms.dzbar(1) * 0.5j
+        assert d.pair_form(w).real == pytest.approx(area, abs=1e-10)
+    # Stokes on the disc: circle xi = disc d xi = 2 pi (1 - |c|^2)
+    xi = contact_one_form()
+    circle = CircleRule(8, *line).pair_form(xi)
+    assert circle == pytest.approx(2.0 * math.pi * r_sq, abs=1e-12)
+    assert d.pair_form(xi.d()) == pytest.approx(circle, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, c", [((1.0, 0.0), 1.0), ((1.0, 0.0), -2.0), ((0.6, 0.6), 0.0),
+                                  ((1.0, 0.0, 0.0), 0.0)],
+                         ids=["on-sphere", "outside", "not-unit", "not-in-c2"])
+def test_line_rules_reject_bad_lines(a, c):
+    for rule in (CircleRule, DiscRule):
+        with pytest.raises(ValueError):
+            rule(8, a, c)
 
 
 def test_cell_rule_matches_product_rule(rule16):
