@@ -29,21 +29,23 @@ frame itself (three real tangent vectors, each a tuple of two node
 columns) and the pairing weights; BoundaryPairingContext sets up the
 same sphere-side data and adds the ball rule and the dbar psi node
 values.  Both cases, and both routes, share one regularized pairing, a
-loop over blocks of nodes (_pairing_sums): each block hands over f, the
-slot sums x_j = z_j df/dz_j and |f / s|^2 on its nodes, with s the rms
-of f on the whole rule, and the block's delta sums are added up; in the
-boundary case the d dbar psi term on the ball rule follows, over blocks
-of ball nodes.  richardson_sqrt takes the limit along the delta axis.
+loop over blocks of nodes (_pairing_sums) given s^2, the mean square of
+f on the whole rule: each block hands over its terms, f and the slot
+sums x_j = z_j df/dz_j on its nodes, the loop makes the block's
+|f / s|^2 and adds up its delta sums; in the boundary case the d dbar
+psi term on the ball rule follows, over blocks of ball nodes.
+richardson_sqrt takes the limit along the delta axis.
 
 The Monte Carlo samplers in experiments.py call RegularizedPairing with a
 micro-batch of draws: s^2 from the draw coefficients (discrete Parseval,
 GridEvaluator.mean_square), then f, its slot sums (and u on the ball) as
 the evaluators' walk over blocks of moduli yields them, against views of
 the contexts' node weights, so no array of the batch spans a rule.  The
-catalog pairings keep f, |f / s|^2 and |du| on a refined cell rule and
-walk it in blocks of cells (_cell_blocks): each block binds its own
-context and evaluates the gradient of the polynomial on its nodes.
-Blocks are sized by _accel.BLOCK_BYTES.
+catalog pairings take s^2 from f on a refined cell rule (_mean_square),
+keep only f over the whole rule (and |du| during the boundary
+regularity check) and walk it in blocks of cells (_cell_blocks): each
+block binds its own context and evaluates the gradient of the
+polynomial on its nodes.  Blocks are sized by _accel.BLOCK_BYTES.
 
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
@@ -152,12 +154,9 @@ class CRPairingContext:
     def __init__(self, rule, psi: PolyForm):
         if psi.terms and psi.degree != 2:
             raise ValueError("cf pairing needs a 2-form")
-        self._bind(rule, psi, rule.frame_directions())
-
-    def _bind(self, rule, psi, dirs):
-        """Sphere-side node data on the frame dirs of the rule.  The frame
-        is passed in because building it on a refined cell rule costs as
-        much as a form evaluation, and a subclass reuses it."""
+        # building the frame on a refined cell rule costs as much as a form
+        # evaluation: it is built once, and a subclass reuses it
+        dirs = rule.frame_directions()
         self.rule = rule
         self.psi = psi
         self.points = rule.points
@@ -168,23 +167,35 @@ class CRPairingContext:
         self.pair_weights = rule.pairing_weights
 
 
-def _log_monotone_ok(rule, fsq, deltas):
+def _relative_square(fvals, scale_sq):
+    """|f / s|^2, a new real array, for f (rows, nodes) and s^2 (rows, 1)."""
+    fsq = np.abs(fvals)
+    np.square(fsq, out=fsq)
+    fsq /= scale_sq
+    return fsq
+
+
+def _mean_square(fvals, weights):
+    """s^2, the mean square of f (nodes,) against the weights, as a (1, 1)
+    array: the normalization of a catalog pairing and of its refinement."""
+    fsq = np.abs(fvals[None])
+    np.square(fsq, out=fsq)
+    scale_sq = (fsq @ (weights / weights.sum()))[:, None]
+    if not np.all(scale_sq > 0.0):
+        raise RegularityError("function vanishes identically on the rule")
+    return scale_sq
+
+
+def _log_monotone_ok(rule, fvals, scale_sq, deltas):
     """Sanity trap: integral of log(|f / s|^2 + delta) against the positive
-    measure must decrease as delta decreases.  fsq is |f / s|^2 (1, nodes),
-    read in the pairing's blocks of cells."""
+    measure must decrease as delta decreases.  |f / s|^2 is made from f
+    (nodes,) and s^2 in the pairing's blocks of cells."""
     logs = 0.0
     for nodes, _ in rule.blocks(_block_cells(rule)):
         w = np.abs(rule.weights[nodes])[:, None]
-        logs = logs + _accel.log_regularized_sums(w, fsq[:, nodes], deltas)[0, 0].real
+        fsq = _relative_square(fvals[None, nodes], scale_sq)
+        logs = logs + _accel.log_regularized_sums(w, fsq, deltas)[0, 0].real
     return bool(np.all(np.diff(logs) <= 1e-9 * np.maximum(1.0, np.abs(logs[:-1]))))
-
-
-def _normalized(fvals, weights):
-    mass = weights.sum()
-    rms = math.sqrt(max(float(np.dot(weights, np.abs(fvals) ** 2) / mass), 0.0))
-    if rms == 0.0:
-        raise RegularityError("function vanishes identically on the rule")
-    return rms
 
 
 def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
@@ -207,7 +218,7 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
     floor = 10.0 * min(deltas)
     residual_cells = 0
     for _ in range(refine_depth):
-        rms = _normalized(fvals, rule.weights)
+        rms = math.sqrt(_mean_square(fvals, rule.weights)[0, 0])
         lo, spread = rule.cell_spread(np.abs(fvals / rms))
         flags = lo ** 2 <= np.maximum(floor, 0.25 * spread ** 2)
         residual_cells = int(flags.sum())
@@ -234,11 +245,9 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     deltas = tuple(sorted(deltas, reverse=True))
     rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
                                                  refine_depth)
-    fsq, scale_sq = _normalize(fvals[None], rule.weights / rule.weights.sum())
-    log_monotone = _log_monotone_ok(rule, fsq, deltas)
-    blocks = _cell_blocks(fpoly, rule, fvals, fsq, lambda block: CRPairingContext(block, psi))
-    # the blocks hold the last reference to |f / s|^2, dropped after the last block
-    del fsq
+    scale_sq = _mean_square(fvals, rule.weights)
+    log_monotone = _log_monotone_ok(rule, fvals, scale_sq, deltas)
+    blocks = _cell_blocks(fpoly, rule, fvals, lambda block: CRPairingContext(block, psi))
     per = _pairing_sums(blocks, scale_sq, deltas)[0, 0]
     value, err = richardson_sqrt(deltas, per)
     return PairingResult(complex(value), float(err), per, log_monotone=log_monotone,
@@ -265,13 +274,11 @@ class BoundaryPairingContext(CRPairingContext):
     def __init__(self, rule, ball_rule: BallRule, psi: PolyForm):
         if psi.bidegree != (1, 1):
             raise ValueError("boundary pairing needs a (1,1)-form")
-        dirs = rule.frame_directions()
-        self._bind(rule, psi, dirs)
+        super().__init__(rule, psi)
         self.ball_rule = ball_rule
         # a form with no terms is a structural zero (None), never evaluated
         dbar = psi.partial_zbar()
-        self.dbar_top = dbar.evaluate(rule.points, dirs) if dbar.terms else None
-
+        self.dbar_top = dbar.evaluate(rule.points, self.frame) if dbar.terms else None
 
 
 def _slot_weights(ctx):
@@ -298,18 +305,6 @@ def _top_weights(weights, tops):
         return None
     zero = np.zeros(len(weights), dtype=complex)
     return np.stack([weights * (zero if top is None else top) for top in tops], axis=1)
-
-
-def _normalize(fvals, rms_weights):
-    """|f / s|^2 and s^2, (rows, 1), for f (rows, nodes) with s its rms
-    against the normalized weights rms_weights."""
-    fsq = np.abs(fvals)
-    np.square(fsq, out=fsq)
-    scale_sq = (fsq @ rms_weights)[:, None]
-    if not np.all(scale_sq > 0.0):
-        raise RegularityError("function vanishes identically on the rule")
-    fsq /= scale_sq
-    return fsq, scale_sq
 
 
 class _SphereTerms:
@@ -400,9 +395,7 @@ class _DomainTerms:
         blocks are read only, and not walked when d dbar psi vanishes."""
         if self.w_ddbar is not None:
             for nodes, ball_vals in ball_blocks:
-                ball_sq = np.abs(ball_vals)
-                np.square(ball_sq, out=ball_sq)
-                ball_sq /= scale_sq
+                ball_sq = _relative_square(ball_vals, scale_sq)
                 total += _accel.log_regularized_sums(self.w_ddbar[nodes], ball_sq, deltas)
         # the normalization shifts log|u| by log s, which integrates to zero
         # against the exact-form terms only as delta -> 0: restore it
@@ -412,19 +405,22 @@ class _DomainTerms:
 
 def _pairing_sums(blocks, scale_sq, deltas, domain=None, ball_blocks=()):
     """(rows, forms, deltas) regularized values, the one loop of every
-    pairing.
+    pairing, for s^2 (rows, 1), the mean square of f on the whole rule.
 
-    blocks yields (terms, f, |f / s|^2, slot sums) on consecutive blocks of
-    sphere nodes, terms being the _SphereTerms of the block; each block's
-    delta sums (which consume its f and slot sums) are added up, and so
-    are its dbar psi weights.  A boundary pairing passes its _DomainTerms,
-    which adds the d dbar psi term over ball_blocks and restores log|u| =
-    log|u / s| + log s.  A log term whose forms are zero for every context
-    (vol-z2, vol-z1) is an exact zero: its weights are None and its pass is
+    blocks yields (terms, f, slot sums) on consecutive blocks of sphere
+    nodes, terms being the _SphereTerms of the block.  The loop is the one
+    place that makes a block's |f / s|^2; the block's delta sums (which
+    consume its f and slot sums) are added up, and so are its dbar psi
+    weights.  A boundary pairing passes its _DomainTerms, which adds the
+    d dbar psi term over ball_blocks and restores log|u| = log|u / s| +
+    log s.  A log term whose forms are zero for every context (vol-z2,
+    vol-z1) is an exact zero: its weights are None and its pass is
     skipped.
     """
     total = dbar_sum = None
-    for terms, fvals, fsq, slots in blocks:
+    for terms, fvals, slots in blocks:
+        # made before the delta sums consume f
+        fsq = _relative_square(fvals, scale_sq)
         part = terms.delta_sums(fvals, fsq, slots, scale_sq, deltas)
         total = part if total is None else total + part
         block_dbar = terms.dbar_sum()
@@ -466,19 +462,11 @@ class RegularizedPairing:
         rule as (node slice, u) pairs.
 
         Consumes f and the slot sums, which the caller must not read again
-        (see _SphereTerms.delta_sums); the ball values are read only.  Each
-        block makes |f / s|^2 and the delta sums' buffers on its own nodes.
+        (see _SphereTerms.delta_sums); the ball values are read only.
         """
-        scale_sq = np.reshape(scale_sq, (-1, 1))
-
-        def terms():
-            for nodes, fvals, slots in blocks:
-                fsq = np.abs(fvals)
-                np.square(fsq, out=fsq)
-                fsq /= scale_sq
-                yield self._sphere.block(nodes), fvals, fsq, slots
-
-        return _pairing_sums(terms(), scale_sq, deltas, self._domain, ball_blocks)
+        terms = ((self._sphere.block(nodes), fvals, slots) for nodes, fvals, slots in blocks)
+        return _pairing_sums(terms, np.reshape(scale_sq, (-1, 1)), deltas, self._domain,
+                             ball_blocks)
 
 
 def _block_cells(rule):
@@ -488,15 +476,11 @@ def _block_cells(rule):
     return max(1, _accel.BLOCK_BYTES // (16 * rule.nodes_per_axis ** 3))
 
 
-def _cell_blocks(fpoly, rule, fvals, fsq, bind, grad_norm=None):
+def _cell_blocks(fpoly, rule, fvals, bind):
     """The blocks of cells of a catalog pairing, as _pairing_sums reads
     them: the terms of the context bind(block) on a block view, a copy of
-    f (fvals, read only), |f / s|^2 (fsq, (1, nodes)) and the slot sums
-    of the polynomial fpoly on the block's nodes.
-
-    grad_norm, a real node array, receives |du| at every node.  Each
-    context and every array but the three whole-rule ones spans one
-    block.
+    f (fvals, read only) and the slot sums of the polynomial fpoly on the
+    block's nodes.  Each context and every array but f spans one block.
     """
     for nodes, block in rule.blocks(_block_cells(rule)):
         terms = _SphereTerms((bind(block),))
@@ -505,12 +489,20 @@ def _cell_blocks(fpoly, rule, fvals, fsq, bind, grad_norm=None):
         # caches the points, is dropped before the delta sums
         del block
         grad = holo_gradient_values(fpoly, points)
-        if grad_norm is not None:
-            _accel.gradient_norm(grad[:, 0], grad[:, 1], grad_norm[nodes])
         slots = np.multiply(points, grad, out=grad).T.copy()[:, None]
         del points, grad
         # f is copied block by block, so the caller can read it afterwards
-        yield terms, fvals[None, nodes].copy(), fsq[:, nodes], slots
+        yield terms, fvals[None, nodes].copy(), slots
+
+
+def _gradient_norm(fpoly, rule):
+    """|du| at every node of the rule, for the polynomial fpoly, evaluated
+    in the pairing's blocks of cells."""
+    grad_norm = np.empty(rule.npoints)
+    for nodes, block in rule.blocks(_block_cells(rule)):
+        grad = holo_gradient_values(fpoly, block.points)
+        _accel.gradient_norm(grad[:, 0], grad[:, 1], grad_norm[nodes])
+    return grad_norm
 
 
 def _boundary_regularity_check(u_sphere, grad_norm, margin_floor=1e-3,
@@ -552,19 +544,17 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
     deltas = tuple(sorted(deltas, reverse=True))
     sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
                                                      refine_depth)
+    # a u that fails the check does not pay for the pairing; |du| is freed
+    # before it starts
+    _boundary_regularity_check(u_sphere, _gradient_norm(upoly, sphere_rule))
+    scale_sq = _mean_square(u_sphere, sphere_rule.weights)
     ball_rule = BallRule(ball_level, radial=ball_radial)
-    grad_norm = np.empty(sphere_rule.npoints)
-    fsq, scale_sq = _normalize(u_sphere[None], sphere_rule.weights / sphere_rule.weights.sum())
-    blocks = _cell_blocks(upoly, sphere_rule, u_sphere, fsq,
-                          lambda block: BoundaryPairingContext(block, ball_rule, psi), grad_norm)
-    # the blocks hold the last reference to |f / s|^2, dropped before the ball term
-    del fsq
+    blocks = _cell_blocks(upoly, sphere_rule, u_sphere,
+                          lambda block: BoundaryPairingContext(block, ball_rule, psi))
     # lazy: u on the ball is evaluated only if the d dbar psi term walks the blocks
     ball_blocks = ((slice(None), upoly.evaluate(points, [])[None]) for points in [ball_rule.points])
     per = _pairing_sums(blocks, scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
                         ball_blocks)[0, 0]
-    # the check needs |du| on the whole rule, which the blocks gather
-    _boundary_regularity_check(u_sphere, grad_norm)
     value, err = richardson_sqrt(deltas, per)
     return PairingResult(complex(value), float(err), per,
                          extras={"cells": sphere_rule.ncells, "unresolved_cells": residual})

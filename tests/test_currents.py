@@ -6,7 +6,7 @@ import pytest
 from spherelab import _accel, currents, forms
 from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
-                                _normalize, catalog_function, cf_pairing,
+                                catalog_function, cf_pairing,
                                 divisor_pairing_boundary, divisor_pairing_closed,
                                 holo_gradient_values, richardson_sqrt, zero_set_direct)
 from spherelab.quadrature import BallRule, CircleRule, DiscRule, SphereRule, contact_one_form
@@ -131,13 +131,19 @@ def test_product_divisor_additivity():
     assert abs(res.value - direct) <= 0.015 * abs(direct)
 
 
-def test_regularity_rejection():
+def test_regularity_rejection(monkeypatch):
     # z1 * z1 has a double zero through the boundary circle: its gradient
-    # collapses on the zero set and the margin check must fire
+    # collapses on the zero set and the margin check must fire, before the
+    # pairing runs a single delta sum
+    calls = []
+    original = _accel.regularized_sums
+    monkeypatch.setattr(_accel, "regularized_sums",
+                        lambda *args: calls.append(1) or original(*args))
     z1 = forms.z_coord(0)
     with pytest.raises(RegularityError):
         divisor_pairing_boundary(z1 * z1, VOL_Z2, ball_level=8,
                                  base_cells=6, nodes_per_axis=4, refine_depth=12)
+    assert calls == []
     with pytest.raises(RegularityError):
         divisor_pairing_boundary(forms.PolyForm(), VOL_Z2, ball_level=8, **FAST)
 
@@ -151,12 +157,7 @@ def test_gradient_norm_keeps_regularity_outcome(name):
     # the same outcome, message included, on both
     upoly = forms.z_coord(0) * forms.z_coord(0) if name == "z1^2" else catalog_function(name)
     rule, u, _ = _adaptive_rule(upoly, DEFAULT_DELTAS, 6, 4, 12 if name == "z1^2" else 10)
-    grad_norm = np.empty(rule.npoints)
-    fsq, _ = _normalize(u[None], rule.weights / rule.weights.sum())
-    for _ in currents._cell_blocks(upoly, rule, u, fsq,
-                                   lambda block: currents.CRPairingContext(block, VOL_Z2),
-                                   grad_norm):
-        pass
+    grad_norm = currents._gradient_norm(upoly, rule)
     ref = np.linalg.norm(holo_gradient_values(upoly, rule.points), axis=-1)
     assert np.all(np.abs(grad_norm - ref) <= 4e-16 * ref)
     outcomes = []
@@ -225,23 +226,22 @@ def test_delta_monotonicity_reported():
 
 def test_log_trap_reads_f_before_per_delta_consumes_it(monkeypatch):
     # the delta sums overwrite each block of f in place, so cf_pairing runs
-    # the log-monotone trap first, on the |f / s|^2 that the blocks then read
+    # the log-monotone trap first; in the closed case the trap makes the
+    # only log delta sums, and each of its blocks of |f / s|^2 equals the
+    # pairing's, bit for bit
     calls = []
-    log_ok, delta_sums = currents._log_monotone_ok, currents._SphereTerms.delta_sums
+    log_sums, sums = _accel.log_regularized_sums, _accel.regularized_sums
     monkeypatch.setattr(_accel, "BLOCK_BYTES", 100 * 16 * 4 ** 3)  # 100 cells a block
-    monkeypatch.setattr(currents, "_log_monotone_ok", lambda rule, fsq, deltas: (
-        calls.append(("log", rule, fsq.copy(), None)) or log_ok(rule, fsq, deltas)))
-    monkeypatch.setattr(currents._SphereTerms, "delta_sums", lambda self, fvals, fsq, *rest: (
-        calls.append(("block", None, fsq.copy(), fvals.copy()))
-        or delta_sums(self, fvals, fsq, *rest)))
+    monkeypatch.setattr(_accel, "log_regularized_sums", lambda weights, fsq, deltas: (
+        calls.append(("log", fsq.copy())) or log_sums(weights, fsq, deltas)))
+    monkeypatch.setattr(_accel, "regularized_sums", lambda weights, numer, fsq, *rest: (
+        calls.append(("block", fsq.copy())) or sums(weights, numer, fsq, *rest)))
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
-    names = [name for name, *_ in calls]
-    assert names[0] == "log" and len(names) > 2 and set(names[1:]) == {"block"}
-    (_, rule, logged, _), blocks = calls[0], calls[1:]
-    assert len(blocks) == -(-rule.ncells // 100)
-    paired = np.concatenate([f for *_, f in blocks], axis=1)
-    assert np.array_equal(np.concatenate([fsq for _, _, fsq, _ in blocks], axis=1), logged)
-    assert np.array_equal(logged, _normalize(paired, rule.weights / rule.weights.sum())[0])
+    nblocks = -(-res.extras["cells"] // 100)
+    assert nblocks > 1
+    assert [name for name, _ in calls] == ["log"] * nblocks + ["block"] * nblocks
+    for (_, logged), (_, paired) in zip(calls[:nblocks], calls[nblocks:]):
+        assert np.array_equal(logged, paired)
     assert res.log_monotone
 
 
@@ -295,8 +295,9 @@ def test_streamed_pairing_does_not_depend_on_block_size(monkeypatch, case):
 
 
 def test_regularity_check_reads_whole_rule_values(monkeypatch):
-    # the blocks gather |du| node by node and leave u unconsumed, so the
-    # check sees the values a whole-rule evaluation gives, bit for bit
+    # |du| is gathered block by block and the check runs before the pairing
+    # consumes anything, so it sees the values a whole-rule evaluation
+    # gives, bit for bit
     seen = []
     check = currents._boundary_regularity_check
     monkeypatch.setattr(_accel, "BLOCK_BYTES", 7 * 16 * 4 ** 3)  # 7 cells a block
@@ -317,7 +318,9 @@ def test_streamed_pairings_peak_memory(traced_peak):
     # sets these floors; a pairing that builds its node arrays on the whole
     # rule at once peaks at 228 MB and 321 MB.  lp-closed's log-monotone
     # trap reads |f / s|^2 in blocks of cells: on a complex copy of f / s,
-    # with |f|^2 and the logs on the whole rule, it peaked at 87.1 MB
+    # with |f|^2 and the logs on the whole rule, it peaked at 87.1 MB.
+    # lp-boundary's default pairing peaked at 90.6 MB with |f / s|^2 on
+    # the whole rule
     depth10 = traced_peak(lambda: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, deltas=(1e-2, 1e-3, 1e-4), refine_depth=10,
         ball_level=6))
@@ -326,3 +329,7 @@ def test_streamed_pairings_peak_memory(traced_peak):
         catalog_function("z1"), ANGULAR_Z2, deltas=DEFAULT_DELTAS, base_cells=6,
         nodes_per_axis=4, refine_depth=10))
     assert lp_closed <= 80e6
+    lp_boundary = traced_peak(lambda: divisor_pairing_boundary(
+        catalog_function("z1-half"), VOL_Z2, deltas=DEFAULT_DELTAS, base_cells=6,
+        nodes_per_axis=4, refine_depth=10, ball_level=12, ball_radial=28))
+    assert lp_boundary <= 84e6

@@ -8,7 +8,7 @@ import pytest
 from spherelab import _accel
 from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
-                                RegularizedPairing, _adaptive_rule, _normalized,
+                                RegularizedPairing, _adaptive_rule,
                                 catalog_function, cf_pairing, divisor_pairing_boundary,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
@@ -163,7 +163,8 @@ def _frame_top(ctx, df_frame):
 
 
 def _cf_reference(ctx, f, df_frame, deltas):
-    scale = _normalized(f, ctx.rule.weights)
+    w = ctx.rule.weights
+    scale = math.sqrt(float(np.dot(w, np.abs(f) ** 2) / w.sum()))
     f = f / scale
     numer = np.conj(f) * _frame_top(ctx, [d / scale for d in df_frame])
     fsq = np.abs(f) ** 2
@@ -172,7 +173,8 @@ def _cf_reference(ctx, f, df_frame, deltas):
 
 
 def _boundary_reference(ctx, u, du_frame, u_ball, deltas):
-    scale = _normalized(u, ctx.rule.weights)
+    w = ctx.rule.weights
+    scale = math.sqrt(float(np.dot(w, np.abs(u) ** 2) / w.sum()))
     u, u_ball = u / scale, u_ball / scale
     numer = np.conj(u) * _frame_top(ctx, [d / scale for d in du_frame]) * 0.5
     usq, bsq = np.abs(u) ** 2, np.abs(u_ball) ** 2

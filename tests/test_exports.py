@@ -1,10 +1,12 @@
 """Every name a spherelab module exports in __all__ is defined there, and
-something in the package uses it.
+something in the package uses it, as it does every module-level function
+and class, private ones included.
 
 A deletion that leaves a stale export breaks only `from module import *`,
 which no code path runs; the first check makes it fail here instead.  An
-export that only tests reach is code the lab never runs; the second check
-keeps such names out of src; a test oracle lives with the tests that use it.
+export or a helper that only tests reach is code the lab never runs (a
+refactor can leave one behind); the second check keeps such names out of
+src; a test oracle lives with the tests that use it.
 The lab is fixed at S^3 in C^2, so the third check keeps dimension
 parameters out of the public signatures.
 """
@@ -13,6 +15,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -45,25 +48,31 @@ def _definition_lines(tree, name):
     return range(0)
 
 
-def _used(path, name, skip):
-    """Whether a source file loads name (bare or as an attribute) outside
-    the line span skip."""
-    return any(((isinstance(node, ast.Name) and node.id == name
-                 and isinstance(node.ctx, ast.Load))
-                or (isinstance(node, ast.Attribute) and node.attr == name))
-               and node.lineno not in skip
-               for node in ast.walk(ast.parse(path.read_text())))
+def _loads(tree):
+    """name -> the lines where the tree loads it, bare or as an attribute."""
+    lines = defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            lines[node.id].add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            lines[node.attr].add(node.lineno)
+    return lines
 
 
 def test_exports_used_in_src():
+    trees = {path: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    checked = {(Path(importlib.import_module(module_name).__file__), name)
+               for module_name, name in _exports()}
+    checked |= {(path, node.name) for path, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    loads = {path: _loads(tree) for path, tree in trees.items()}
     unused = []
-    for module_name, name in _exports():
-        home = Path(importlib.import_module(module_name).__file__)
-        skip = _definition_lines(ast.parse(home.read_text()), name)
-        if not any(_used(path, name, skip if path == home else range(0))
-                   for path in SRC.glob("*.py")):
-            unused.append(f"{module_name}.{name}")
-    assert not unused, f"exported, but nothing in src uses them: {unused}"
+    for home, name in sorted(checked):
+        skip = _definition_lines(trees[home], name)
+        if not any(line not in skip or path != home
+                   for path in trees for line in loads[path][name]):
+            unused.append(f"{home.stem}.{name}")
+    assert not unused, f"defined or exported, but nothing in src uses them: {unused}"
 
 
 def _public_functions():
