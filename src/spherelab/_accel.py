@@ -3,13 +3,15 @@
 regularized_sums and log_regularized_sums hold the one delta loop of the
 regularized zero-divisor pairings: a batch of rows against several
 weight columns at once, for the Monte Carlo samplers and (with one row)
-the deterministic catalog pairings alike.
+the deterministic catalog pairings alike.  Each row regularizes against
+delta * s^2, s^2 the mean square of its f, so |f|^2 + delta * s^2 and
+the pairings built on it do not change when f is scaled.
 
 The pairings call them once per block of nodes, never on a whole rule:
 BLOCK_BYTES caps each complex (rows, nodes) array of a block, and the
 evaluators and the catalog pairings size their blocks by it, so a Monte
 Carlo micro-batch holds no node array beyond its block buffers, f
-included (its normalization comes from the draw coefficients).  Both
+included (its s^2 comes from the draw coefficients).  Both
 kernels work in place within a block: each call allocates one block
 buffer for the reciprocal (or the log) and reuses it across every delta,
 and regularized_sums writes its products into a buffer the caller
@@ -148,20 +150,22 @@ def band_power_sum(q, ms, coeffs):
     return total.reshape(q.shape)
 
 
-def regularized_sums(weights, numer, fsq, prod, deltas):
-    """Quadrature sums of numer / (fsq + delta) for a delta schedule.
+def regularized_sums(weights, numer, fsq, prod, scale_sq, deltas):
+    """Quadrature sums of numer / (fsq + delta * scale_sq) for a delta
+    schedule.
 
     numer is a sequence of (rows, nodes) numerator terms sharing the
-    denominator fsq (rows, nodes), and weights the matching sequence of
-    (nodes, columns) node-weight matrices; one reciprocal per delta serves
-    every term.  prod is a complex (rows, nodes) work array, overwritten
-    with each product before its weighted sum; numer and fsq are read only.
+    denominator, with fsq = |f|^2 (rows, nodes) and scale_sq = s^2 (rows,
+    1), and weights the matching sequence of (nodes, columns) node-weight
+    matrices; one reciprocal per delta serves every term.  prod is a
+    complex (rows, nodes) work array, overwritten with each product before
+    its weighted sum; numer and fsq are read only.
     Returns (rows, columns, len(deltas)).
     """
     out = np.empty((fsq.shape[0], weights[0].shape[1], len(deltas)), dtype=complex)
     inv = np.empty_like(fsq)
     for i, d in enumerate(deltas):
-        np.add(fsq, d, out=inv)
+        np.add(fsq, d * scale_sq, out=inv)
         np.divide(1.0, inv, out=inv)
         np.multiply(numer[0], inv, out=prod)
         acc = prod @ weights[0]
@@ -172,10 +176,12 @@ def regularized_sums(weights, numer, fsq, prod, deltas):
     return out
 
 
-def log_regularized_sums(weights, fsq, deltas):
-    """Quadrature sums of (1/2) log(fsq + delta) for a delta schedule.
+def log_regularized_sums(weights, fsq, scale_sq, deltas):
+    """Quadrature sums of (1/2) log(fsq + delta * scale_sq) for a delta
+    schedule.
 
-    fsq is (rows, nodes) and weights a (nodes, columns) complex matrix,
+    fsq = |f|^2 is (rows, nodes), scale_sq = s^2 (rows, 1) and weights a
+    (nodes, columns) complex matrix,
     applied as real and imaginary parts so the real logs are never
     promoted.  The 1/2 is folded into one scaled copy of the weights per
     call, whose parts the products read, so the logs are never scaled: a
@@ -188,7 +194,7 @@ def log_regularized_sums(weights, fsq, deltas):
     half = np.multiply(weights, 0.5)
     logs = np.empty_like(fsq)
     for i, d in enumerate(deltas):
-        np.add(fsq, d, out=logs)
+        np.add(fsq, d * scale_sq, out=logs)
         np.log(logs, out=logs)
         out[:, :, i] = logs @ half.real + 1j * (logs @ half.imag)
     return out

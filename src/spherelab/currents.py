@@ -5,12 +5,12 @@ Closed case (sphere): for a CR function f with nondegenerate zeros and a
 
     cf(psi) = (1 / 2 pi i) * integral of (df / f) ^ psi,
 
-computed through the regularization conj(f) / (|f|^2 + delta) over a
-geometric delta schedule and extrapolated to delta -> 0 by polynomial
-Richardson in sqrt(delta), the variable in use; the measured errors on
-the catalog fall like delta, not sqrt(delta), so the choice is open
-(ROADMAP item 3).  The zero-divisor pairing against a 1-form psi is
-cf(d psi) with d psi exact-symbolic.
+computed through the regularization conj(f) / (|f|^2 + delta s^2), s^2
+the mean square of f on the rule, over a geometric delta schedule and
+extrapolated to delta -> 0 by polynomial Richardson in sqrt(delta), the
+variable in use; the measured errors on the catalog fall like delta, not
+sqrt(delta), so the choice is open (ROADMAP item 3).  The zero-divisor
+pairing against a 1-form psi is cf(d psi) with d psi exact-symbolic.
 
 Boundary case (ball): for u holomorphic on the ball, smooth up to the
 boundary, regular with respect to it, and a (1,1)-form psi,
@@ -21,7 +21,10 @@ boundary, regular with respect to it, and a (1,1)-form psi,
 
 with every boundary integral taken in the contact orientation (positive
 xi ^ d xi), which on the round sphere agrees with the Stokes orientation
-of the unit ball.  The same delta schedule regularizes 1/u and log|u|.
+of the unit ball.  The same delta schedule regularizes 1/u and log|u|,
+as (1/2) log(|u|^2 + delta s^2).  Scaling delta by s^2 regularizes u
+as if it were u / s: the rational sums are those of u / s, and (1/2)
+log(|u|^2 + delta s^2) = (1/2) log(|u / s|^2 + delta) + log s.
 
 A pairing context binds a test form to the rules it is paired on:
 CRPairingContext holds psi on pairs of the sphere rule's Hopf frame, the
@@ -31,8 +34,8 @@ same sphere-side data and adds the ball rule and the dbar psi node
 values.  Both cases, and both routes, share one regularized pairing, a
 loop over blocks of nodes (_pairing_sums) given s^2, the mean square of
 f on the whole rule: each block hands over its terms, f and the slot
-sums x_j = z_j df/dz_j on its nodes, the loop makes the block's
-|f / s|^2 and adds up its delta sums; in the boundary case the d dbar
+sums x_j = z_j df/dz_j on its nodes, and the loop adds up the block's
+delta sums against |f|^2 + delta s^2; in the boundary case the d dbar
 psi term on the ball rule follows, over blocks of ball nodes.
 richardson_sqrt takes the limit along the delta axis.
 
@@ -101,7 +104,6 @@ class PairingResult:
     value: complex
     err_est: float
     per_delta: np.ndarray
-    log_monotone: bool = True
     extras: dict = field(default_factory=dict)
 
 
@@ -167,35 +169,16 @@ class CRPairingContext:
         self.pair_weights = rule.pairing_weights
 
 
-def _relative_square(fvals, scale_sq):
-    """|f / s|^2, a new real array, for f (rows, nodes) and s^2 (rows, 1)."""
-    fsq = np.abs(fvals)
-    np.square(fsq, out=fsq)
-    fsq /= scale_sq
-    return fsq
-
-
 def _mean_square(fvals, weights):
     """s^2, the mean square of f (nodes,) against the weights, as a (1, 1)
-    array: the normalization of a catalog pairing and of its refinement."""
+    array: the scale of a catalog pairing's regularization and of its
+    refinement."""
     fsq = np.abs(fvals[None])
     np.square(fsq, out=fsq)
     scale_sq = (fsq @ (weights / weights.sum()))[:, None]
     if not np.all(scale_sq > 0.0):
         raise RegularityError("function vanishes identically on the rule")
     return scale_sq
-
-
-def _log_monotone_ok(rule, fvals, scale_sq, deltas):
-    """Sanity trap: integral of log(|f / s|^2 + delta) against the positive
-    measure must decrease as delta decreases.  |f / s|^2 is made from f
-    (nodes,) and s^2 in the pairing's blocks of cells."""
-    logs = 0.0
-    for nodes, _ in rule.blocks(_block_cells(rule)):
-        w = np.abs(rule.weights[nodes])[:, None]
-        fsq = _relative_square(fvals[None, nodes], scale_sq)
-        logs = logs + _accel.log_regularized_sums(w, fsq, deltas)[0, 0].real
-    return bool(np.all(np.diff(logs) <= 1e-9 * np.maximum(1.0, np.abs(logs[:-1]))))
 
 
 def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
@@ -242,15 +225,13 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
 def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
                base_cells=6, nodes_per_axis=4, refine_depth=10):
     """cf(psi) for a holomorphic-polynomial catalog function on the sphere."""
-    deltas = tuple(sorted(deltas, reverse=True))
     rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
                                                  refine_depth)
     scale_sq = _mean_square(fvals, rule.weights)
-    log_monotone = _log_monotone_ok(rule, fvals, scale_sq, deltas)
     blocks = _cell_blocks(fpoly, rule, fvals, lambda block: CRPairingContext(block, psi))
     per = _pairing_sums(blocks, scale_sq, deltas)[0, 0]
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(complex(value), float(err), per, log_monotone=log_monotone,
+    return PairingResult(complex(value), float(err), per,
                          extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
 
 
@@ -330,43 +311,40 @@ class _SphereTerms:
         view.w_dbar = None if self.w_dbar is None else self.w_dbar[nodes]
         return view
 
-    def dbar_sum(self):
-        """Column sums of the dbar psi weights; None for a structural zero."""
-        return None if self.w_dbar is None else self.w_dbar.sum(axis=0)
+    def delta_sums(self, fvals, slots, scale_sq, deltas):
+        """(rows, forms, deltas) sums over these nodes from f and the slot
+        sums x_j = z_j df/dz_j on them, regularized against |f|^2 + delta
+        s^2 with s^2 (rows, 1) the mean square of f on the whole rule.
 
-    def delta_sums(self, fvals, fsq, slots, scale_sq, deltas):
-        """(rows, forms, deltas) sums over these nodes from f, |f / s|^2 and
-        the slot sums x_j = z_j df/dz_j on them, with s^2 the square of the
-        rms of f on the whole rule.
-
-        Consumes f and the slot sums: conj(f) / s^2 overwrites f, the
-        numerator terms overwrite x1 and x2, and f then holds the delta
-        sums' products, so only the reciprocal is a new node array.  fsq
-        is read only.
+        Consumes f and the slot sums: conj(f) overwrites f, the numerator
+        terms overwrite x1 and x2, and f then holds the delta sums'
+        products, so |f|^2 and the reciprocal are the only new node arrays.
         """
         x1, x2 = slots
         # every node-sized intermediate is computed in place, with the
         # operand order of the complex products fixed (see _accel)
+        fsq = np.abs(fvals)
+        np.square(fsq, out=fsq)
         conj_f = np.conj(fvals, out=fvals)
-        conj_f /= scale_sq
         numer = [np.multiply(conj_f, x1, out=x1), np.multiply(conj_f, x2, out=x2)]
         # the freed f is the delta sums' product buffer
-        per = _accel.regularized_sums(self.slot_weights, numer, fsq, conj_f, deltas)
+        per = _accel.regularized_sums(self.slot_weights, numer, fsq, conj_f, scale_sq, deltas)
         if not self.boundary:
             return per
-        # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d)) - int_bD i*((1/2) log(|u|^2+d) dbar psi);
+        # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d s^2))
+        # - int_bD i*((1/2) log(|u|^2+d s^2) dbar psi);
         # a log term whose forms are all structurally zero is exactly zero
         # and is not computed
         total = -per
         if self.w_dbar is not None:
-            total -= _accel.log_regularized_sums(self.w_dbar, fsq, deltas)
+            total -= _accel.log_regularized_sums(self.w_dbar, fsq, scale_sq, deltas)
         return total
 
 
 class _DomainTerms:
-    """The terms of a boundary pairing added once per pairing, after the
-    sphere sums: int_D (1/2) log(|u|^2+d) d dbar psi on the ball rule, and
-    the shift of log|u| by log s that undoes the normalization."""
+    """The term of a boundary pairing added once per pairing, after the
+    sphere sums: int_D (1/2) log(|u|^2 + d s^2) d dbar psi on the ball
+    rule."""
 
     def __init__(self, ball_rule, psis):
         # d dbar(psi) applied as: first dbar, then the (1,0) derivative; a
@@ -376,31 +354,18 @@ class _DomainTerms:
         self.w_ddbar = _top_weights(ball_rule.weights,
                                     [ddbar.evaluate(ball_rule.points, frame)
                                      if ddbar.terms else None for ddbar in ddbars])
-        self._forms = len(psis)
 
-    def shift_scale(self, dbar_sum):
-        """The factor of log s: (i/pi) times the column sums of the log
-        terms' weights, from those of the dbar psi weights (None for a
-        structural zero)."""
-        shift = np.zeros(self._forms, dtype=complex)
-        if dbar_sum is not None:
-            shift -= dbar_sum
-        if self.w_ddbar is not None:
-            shift += self.w_ddbar.sum(axis=0)
-        return (1j / math.pi) * shift
-
-    def finish(self, total, scale_sq, ball_blocks, deltas, shift_scale):
+    def finish(self, total, scale_sq, ball_blocks, deltas):
         """Per-delta values from the sphere sums total (overwritten) and u on
         the ball nodes, given as (node slice, u on those nodes) pairs; the
         blocks are read only, and not walked when d dbar psi vanishes."""
         if self.w_ddbar is not None:
             for nodes, ball_vals in ball_blocks:
-                ball_sq = _relative_square(ball_vals, scale_sq)
-                total += _accel.log_regularized_sums(self.w_ddbar[nodes], ball_sq, deltas)
-        # the normalization shifts log|u| by log s, which integrates to zero
-        # against the exact-form terms only as delta -> 0: restore it
-        return ((1j / math.pi) * total
-                + (0.5 * np.log(scale_sq) * shift_scale)[:, :, None])
+                ball_sq = np.abs(ball_vals)
+                np.square(ball_sq, out=ball_sq)
+                total += _accel.log_regularized_sums(self.w_ddbar[nodes], ball_sq, scale_sq,
+                                                     deltas)
+        return (1j / math.pi) * total
 
 
 def _pairing_sums(blocks, scale_sq, deltas, domain=None, ball_blocks=()):
@@ -408,29 +373,22 @@ def _pairing_sums(blocks, scale_sq, deltas, domain=None, ball_blocks=()):
     pairing, for s^2 (rows, 1), the mean square of f on the whole rule.
 
     blocks yields (terms, f, slot sums) on consecutive blocks of sphere
-    nodes, terms being the _SphereTerms of the block.  The loop is the one
-    place that makes a block's |f / s|^2; the block's delta sums (which
-    consume its f and slot sums) are added up, and so are its dbar psi
-    weights.  A boundary pairing passes its _DomainTerms, which adds the
-    d dbar psi term over ball_blocks and restores log|u| = log|u / s| +
-    log s.  A log term whose forms are zero for every context (vol-z2,
-    vol-z1) is an exact zero: its weights are None and its pass is
-    skipped.
+    nodes, terms being the _SphereTerms of the block; the block's delta
+    sums against |f|^2 + delta s^2 (which consume its f and slot sums) are
+    added up.  A boundary pairing passes its _DomainTerms, which adds the
+    d dbar psi term over ball_blocks.  A log term whose forms are zero for
+    every context (vol-z2, vol-z1) is an exact zero: its weights are None
+    and its pass is skipped.
     """
-    total = dbar_sum = None
+    total = None
     for terms, fvals, slots in blocks:
-        # made before the delta sums consume f
-        fsq = _relative_square(fvals, scale_sq)
-        part = terms.delta_sums(fvals, fsq, slots, scale_sq, deltas)
+        part = terms.delta_sums(fvals, slots, scale_sq, deltas)
         total = part if total is None else total + part
-        block_dbar = terms.dbar_sum()
-        if block_dbar is not None:
-            dbar_sum = block_dbar if dbar_sum is None else dbar_sum + block_dbar
     # the last block's buffers are not held through the ball term
-    del terms, fvals, fsq, slots
+    del terms, fvals, slots
     if domain is None:
         return total
-    return domain.finish(total, scale_sq, ball_blocks, deltas, domain.shift_scale(dbar_sum))
+    return domain.finish(total, scale_sq, ball_blocks, deltas)
 
 
 class RegularizedPairing:
@@ -440,13 +398,14 @@ class RegularizedPairing:
     Built once from pairing contexts on one rule: all CRPairingContext
     (closed case), or all BoundaryPairingContext on one sphere and ball
     rule (boundary case).  per_delta sums conj(f) df ^ psi / (|f|^2 +
-    delta) with df ^ psi = x1 g1 + x2 g2 (_slot_weights of each context)
-    and, in the boundary case, (1/2) log(|u|^2 + delta) against the dbar
-    psi node weights, block by block as the evaluator walks the rule, each
-    block against views of the whole-rule weights (_SphereTerms.block).
-    The normalization s^2 comes in with the blocks, computed from the
-    draw coefficients (GridEvaluator.mean_square), so no array of a
-    micro-batch spans the rule.
+    delta s^2) with df ^ psi = x1 g1 + x2 g2 (_slot_weights of each
+    context) and, in the boundary case, (1/2) log(|u|^2 + delta s^2)
+    against the dbar psi node weights, block by block as the evaluator
+    walks the rule, each block against views of the whole-rule weights
+    (_SphereTerms.block).  s^2, the mean square of each row's f, comes in
+    with the blocks, computed from the draw coefficients
+    (GridEvaluator.mean_square), so no array of a micro-batch spans the
+    rule.
     """
 
     def __init__(self, contexts):
@@ -455,7 +414,8 @@ class RegularizedPairing:
                         if self._sphere.boundary else None)
 
     def per_delta(self, scale_sq, blocks, deltas, ball_blocks=()):
-        """(rows, forms, deltas) regularized values from s^2 (rows,), the
+        """(rows, forms, deltas) values regularized against |f|^2 + delta
+        s^2, the last axis in the order of deltas, from s^2 (rows,), the
         mean square of f over the sphere rule, f with its slot sums x_j =
         z_j df/dz_j as (node slice, f, (x1, x2)) triples over consecutive
         blocks of the rule and, for the boundary pairing, u on the ball
@@ -541,7 +501,6 @@ def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELT
                              ball_level=12, ball_radial=None):
     """(Z_u, psi) for a catalog holomorphic function on the unit ball;
     ball_level and ball_radial size the BallRule (None: its own default)."""
-    deltas = tuple(sorted(deltas, reverse=True))
     sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
                                                      refine_depth)
     # a u that fails the check does not pay for the pairing; |du| is freed

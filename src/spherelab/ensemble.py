@@ -27,8 +27,8 @@ one walks its nodes as one block.  On a product rule a block is a range
 of consecutive moduli, a contiguous node slice of SphereRule and
 BallRule alike, synthesized into buffers of one block that the next
 block reuses.  The Monte Carlo pairings consume f, its slot sums and the
-ball values that way, and their normalization, the weighted mean square
-of f over the rule, comes from the coefficients by discrete Parseval
+ball values that way, and their s^2, the weighted mean square of f over
+the rule that scales the regularization, comes from the coefficients by discrete Parseval
 (GridEvaluator.mean_square), so no array of a micro-batch spans a rule.
 batch_margins screens draws for a nondegenerate zero set on a coarse
 product rule from the same walk, keeping only |f| and |df| on every
@@ -208,7 +208,8 @@ class NodeEvaluator:
 
     def mean_square(self, a):
         """s^2 = sum w |f|^2 / sum w over the nodes, one per coefficient
-        row: the normalization of the Monte Carlo pairing."""
+        row: the scale of the Monte Carlo pairing's regularization
+        |f|^2 + delta s^2."""
         fsq = np.abs(self.values(a))
         np.square(fsq, out=fsq)
         return fsq @ (self.weights / self.weights.sum())
@@ -282,8 +283,8 @@ class GridEvaluator(NodeEvaluator):
     array within BLOCK_BYTES, and at least one.  walk is the only
     synthesis: f and its slot sums go block by block into buffers of one
     block, which the next block reuses, so a Monte Carlo micro-batch
-    holds no array over the whole rule.  Its normalization comes from
-    the coefficients instead (mean_square, by discrete Parseval).  Each
+    holds no array over the whole rule.  Its s^2 comes from the
+    coefficients instead (mean_square, by discrete Parseval).  Each
     walk makes one allocation for its buffers and H: split over several
     smaller arrays, a micro-batch's memory went back to the system and
     came back as fresh pages every batch (variance-cr on the mc-scan

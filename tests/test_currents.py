@@ -15,6 +15,7 @@ ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
 ANGULAR_Z1 = forms.x_coord(0) * forms.dx(1) - forms.x_coord(1) * forms.dx(0)
 VOL_Z2 = forms.dz(1) * forms.dzbar(1) * 0.5j
 VOL_Z1 = forms.dz(0) * forms.dzbar(0) * 0.5j
+BUMP_Z2 = (1.0 + forms.z_coord(0) * forms.zbar_coord(0)) * VOL_Z2
 
 FAST = dict(base_cells=6, nodes_per_axis=4, refine_depth=8)
 
@@ -34,7 +35,7 @@ def test_closed_oracle_circle():
     assert direct.real == pytest.approx(2.0 * math.pi, abs=1e-12)
     assert abs(res.value - direct) <= 0.01 * abs(direct)
     assert abs(res.value - direct) <= max(0.01 * abs(direct), 3.0 * res.err_est)
-    assert res.log_monotone
+    assert np.all(np.isfinite(res.per_delta))
 
 
 def test_closed_oracle_swapped_coordinate():
@@ -218,31 +219,16 @@ def test_zero_set_direct_on_both_routes(name):
             zero_set_direct(name, psi)
 
 
-def test_delta_monotonicity_reported():
+def test_per_delta_is_finite_and_follows_the_schedule():
     res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
-    assert res.log_monotone
+    assert np.all(np.isfinite(res.per_delta))
     assert len(res.per_delta) == len(DEFAULT_DELTAS)
-
-
-def test_log_trap_reads_f_before_per_delta_consumes_it(monkeypatch):
-    # the delta sums overwrite each block of f in place, so cf_pairing runs
-    # the log-monotone trap first; in the closed case the trap makes the
-    # only log delta sums, and each of its blocks of |f / s|^2 equals the
-    # pairing's, bit for bit
-    calls = []
-    log_sums, sums = _accel.log_regularized_sums, _accel.regularized_sums
-    monkeypatch.setattr(_accel, "BLOCK_BYTES", 100 * 16 * 4 ** 3)  # 100 cells a block
-    monkeypatch.setattr(_accel, "log_regularized_sums", lambda weights, fsq, deltas: (
-        calls.append(("log", fsq.copy())) or log_sums(weights, fsq, deltas)))
-    monkeypatch.setattr(_accel, "regularized_sums", lambda weights, numer, fsq, *rest: (
-        calls.append(("block", fsq.copy())) or sums(weights, numer, fsq, *rest)))
-    res = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), **FAST)
-    nblocks = -(-res.extras["cells"] // 100)
-    assert nblocks > 1
-    assert [name for name, _ in calls] == ["log"] * nblocks + ["block"] * nblocks
-    for (_, logged), (_, paired) in zip(calls[:nblocks], calls[nblocks:]):
-        assert np.array_equal(logged, paired)
-    assert res.log_monotone
+    # each per-delta sum is independent of the others, so a reversed
+    # schedule reverses the columns and leaves the limit's bits alone
+    rev = cf_pairing(catalog_function("z1"), ANGULAR_Z2.d(), deltas=DEFAULT_DELTAS[::-1],
+                     **FAST)
+    assert np.array_equal(rev.per_delta, res.per_delta[::-1])
+    assert rev.value == res.value and rev.err_est == res.err_est
 
 
 def test_adaptive_rule_values_match_final_nodes():
@@ -263,12 +249,24 @@ def test_boundary_pairing_depth10_pinned():
     assert res.extras == {"cells": 12816, "unresolved_cells": 7680}
 
 
-BUMP_Z2 = (1.0 + forms.z_coord(0) * forms.zbar_coord(0)) * VOL_Z2
+def test_boundary_pairing_live_log_terms_pinned():
+    # z1-half against bump-z2: live dbar psi and d dbar psi log terms and
+    # real zeros on the sphere, where regularizing against delta s^2 must
+    # give the log s that normalizing u by s and restoring log s gave
+    res = divisor_pairing_boundary(catalog_function("z1-half"), BUMP_Z2, ball_level=6,
+                                   refine_depth=4)
+    pinned = 2.916581772851383 - 1.3410272904339293e-16j
+    assert abs(res.value - pinned) <= 1e-12 * abs(pinned)
+    assert abs(res.err_est - 1.6931857165225495e-06) <= 1e-12 * abs(pinned)
+    assert res.extras == {"cells": 4752, "unresolved_cells": 384}
+
+
 STREAMED_CASES = {
     "closed-z1": lambda **kw: divisor_pairing_closed(catalog_function("z1"), ANGULAR_Z2, **kw),
     "z1-half-vol-z2": lambda **kw: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, ball_level=6, **kw),
-    # live dbar psi and d dbar psi terms, so the shift and the ball term run
+    # live dbar psi and d dbar psi terms, so both log passes and the ball
+    # term run
     "z1-half-bump-z2": lambda **kw: divisor_pairing_boundary(
         catalog_function("z1-half"), BUMP_Z2, ball_level=6, **kw),
     "nowhere-zero": lambda **kw: divisor_pairing_boundary(
@@ -291,7 +289,7 @@ def test_streamed_pairing_does_not_depend_on_block_size(monkeypatch, case):
         assert abs(res.value - ref.value) <= 1e-12 * scale
         assert abs(res.err_est - ref.err_est) <= 1e-12 * scale
         assert np.all(np.abs(res.per_delta - ref.per_delta) <= 1e-12 * scale)
-        assert res.extras == ref.extras and res.log_monotone == ref.log_monotone
+        assert res.extras == ref.extras
 
 
 def test_regularity_check_reads_whole_rule_values(monkeypatch):
@@ -316,11 +314,10 @@ def test_regularity_check_reads_whole_rule_values(monkeypatch):
 def test_streamed_pairings_peak_memory(traced_peak):
     # the refined rule with f on it (54 MB and 76 MB under tracemalloc)
     # sets these floors; a pairing that builds its node arrays on the whole
-    # rule at once peaks at 228 MB and 321 MB.  lp-closed's log-monotone
-    # trap reads |f / s|^2 in blocks of cells: on a complex copy of f / s,
-    # with |f|^2 and the logs on the whole rule, it peaked at 87.1 MB.
-    # lp-boundary's default pairing peaked at 90.6 MB with |f / s|^2 on
-    # the whole rule
+    # rule at once peaks at 228 MB and 321 MB.  lp-closed's pairing makes
+    # no log pass (75.5 MB measured); lp-boundary's default pairing peaked
+    # at 90.6 MB with |f / s|^2 on the whole rule, and at 78.1 MB with |f|^2
+    # made in blocks of cells
     depth10 = traced_peak(lambda: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, deltas=(1e-2, 1e-3, 1e-4), refine_depth=10,
         ball_level=6))

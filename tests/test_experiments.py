@@ -243,7 +243,8 @@ def test_cf_sampler_columns_match_context_route(table, bump):
 
 
 def test_boundary_sampler_columns_match_context_route(table, bump):
-    # same for the boundary pairing, including the log-normalization shift
+    # same for the boundary pairing; the reference divides u by s and adds
+    # log s times the log terms' weight sums back
     ens = RandomEnsemble(table, bump, 12, kappa=1, master_seed=7)
     sphere_rule = SphereRule(8)
     ball_rule = BallRule(6, radial=8)
@@ -299,13 +300,13 @@ def test_sampler_statistics_match_dense_evaluation(table, bump, boundary):
         assert abs(_complex_se(grid[:, j]) - se) <= 1e-12 * se
 
 
-# The allocating formulas that per_delta and the _accel delta sums computed
-# before they worked in place, kept expression for expression: their bits
-# are the reference the in-place code must reproduce.
-def _regularized_sums_allocating(weights, numer, fsq, deltas):
+# The allocating formulas that per_delta and the _accel delta sums compute
+# in place, kept expression for expression: their bits are the reference
+# the in-place code must reproduce.
+def _regularized_sums_allocating(weights, numer, fsq, scale_sq, deltas):
     out = np.empty((fsq.shape[0], weights[0].shape[1], len(deltas)), dtype=complex)
     for i, d in enumerate(deltas):
-        inv = 1.0 / (fsq + d)
+        inv = 1.0 / (fsq + d * scale_sq)
         acc = (numer[0] * inv) @ weights[0]
         for term, w in zip(numer[1:], weights[1:]):
             acc += (term * inv) @ w
@@ -313,17 +314,42 @@ def _regularized_sums_allocating(weights, numer, fsq, deltas):
     return out
 
 
-def _log_regularized_sums_allocating(weights, fsq, deltas):
+def _log_regularized_sums_allocating(weights, fsq, scale_sq, deltas):
     out = np.empty((fsq.shape[0], weights.shape[1], len(deltas)), dtype=complex)
     for i, d in enumerate(deltas):
-        logs = 0.5 * np.log(fsq + d)
+        logs = 0.5 * np.log(fsq + d * scale_sq)
         out[:, :, i] = logs @ weights.real + 1j * (logs @ weights.imag)
     return out
 
 
 def _per_delta_allocating(pairing, scale_sq, blocks, deltas, ball_blocks=()):
     """per_delta on the same s^2 and blocks, in allocating expressions:
-    each block's sums added in block order."""
+    each block's sums against |f|^2 + delta s^2 added in block order."""
+    scale_sq = scale_sq[:, None]
+    sphere = pairing._sphere
+    total = None
+    for nodes, fvals, slots in blocks:
+        fsq = np.abs(fvals) ** 2
+        conj_f = np.conj(fvals)
+        part = _regularized_sums_allocating([w[nodes] for w in sphere.slot_weights],
+                                            [conj_f * x for x in slots], fsq, scale_sq, deltas)
+        if sphere.boundary:
+            part = -part - _log_regularized_sums_allocating(sphere.w_dbar[nodes], fsq,
+                                                            scale_sq, deltas)
+        total = part if total is None else total + part
+    if not sphere.boundary:
+        return total
+    for nodes, u in ball_blocks:
+        total = total + _log_regularized_sums_allocating(pairing._domain.w_ddbar[nodes],
+                                                         np.abs(u) ** 2, scale_sq, deltas)
+    return (1j / math.pi) * total
+
+
+def _per_delta_normalized(pairing, scale_sq, blocks, deltas, ball_blocks=()):
+    """per_delta as computed before the regularization took delta s^2:
+    f divided by s, and in the boundary case log s times the log terms'
+    weight sums added back, (1/2) log(|f / s|^2 + delta) + log s being
+    (1/2) log(|f|^2 + delta s^2)."""
     scale_sq = scale_sq[:, None]
     sphere = pairing._sphere
     total = dbar_sum = None
@@ -331,9 +357,10 @@ def _per_delta_allocating(pairing, scale_sq, blocks, deltas, ball_blocks=()):
         fsq = np.abs(fvals) ** 2 / scale_sq
         conj_f = np.conj(fvals) / scale_sq
         part = _regularized_sums_allocating([w[nodes] for w in sphere.slot_weights],
-                                            [conj_f * x for x in slots], fsq, deltas)
+                                            [conj_f * x for x in slots], fsq, 1.0, deltas)
         if sphere.boundary:
-            part = -part - _log_regularized_sums_allocating(sphere.w_dbar[nodes], fsq, deltas)
+            part = -part - _log_regularized_sums_allocating(sphere.w_dbar[nodes], fsq, 1.0,
+                                                            deltas)
             dbar = sphere.w_dbar[nodes].sum(axis=0)
             dbar_sum = dbar if dbar_sum is None else dbar_sum + dbar
         total = part if total is None else total + part
@@ -342,7 +369,7 @@ def _per_delta_allocating(pairing, scale_sq, blocks, deltas, ball_blocks=()):
     w_ddbar = pairing._domain.w_ddbar
     for nodes, u in ball_blocks:
         total = total + _log_regularized_sums_allocating(w_ddbar[nodes],
-                                                         np.abs(u) ** 2 / scale_sq, deltas)
+                                                         np.abs(u) ** 2 / scale_sq, 1.0, deltas)
     shift = (1j / math.pi) * (-dbar_sum + w_ddbar.sum(axis=0))
     return (1j / math.pi) * total + (0.5 * np.log(scale_sq) * shift)[:, :, None]
 
@@ -383,6 +410,11 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
     per = pairing.per_delta(scale_sq, blocks, deltas, ball_blocks)
     assert np.array_equal(per, _per_delta_allocating(pairing, scale_sq, ref_blocks, deltas,
                                                      ball_blocks))
+    # against dividing f by s and restoring log s, which reads the same
+    # copies: the same values in exact arithmetic, within 1e-12 in floating
+    # point
+    old = _per_delta_normalized(pairing, scale_sq, ref_blocks, deltas, ball_blocks)
+    assert np.all(np.abs(per - old) <= 1e-12 * np.maximum(1.0, np.abs(old)))
     # the ball values are read, never overwritten
     assert all(np.array_equal(u, u0) for (_, u), u0 in zip(ball_blocks, before))
 
@@ -390,16 +422,17 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
     # fresh buffer
     f0 = ev.values(a)
     fsq = np.abs(f0) ** 2
-    fsq /= scale_sq[:, None]
     x1, x2 = ev.slot1_sums(a)
     numer = [np.conj(f0) * x for x in (x1, x2)]
     args = (pairing._sphere.slot_weights, numer, fsq)
     fsq_before = fsq.copy()
-    assert np.array_equal(_accel.regularized_sums(*args, np.empty_like(numer[0]), deltas),
-                          _regularized_sums_allocating(*args, deltas))
+    assert np.array_equal(
+        _accel.regularized_sums(*args, np.empty_like(numer[0]), scale_sq[:, None], deltas),
+        _regularized_sums_allocating(*args, scale_sq[:, None], deltas))
     weights = pairing._sphere.w_dbar if boundary else pairing._sphere.slot_weights[0]
-    assert np.array_equal(_accel.log_regularized_sums(weights, fsq, deltas),
-                          _log_regularized_sums_allocating(weights, fsq, deltas))
+    assert np.array_equal(_accel.log_regularized_sums(weights, fsq, scale_sq[:, None], deltas),
+                          _log_regularized_sums_allocating(weights, fsq, scale_sq[:, None],
+                                                           deltas))
     assert np.array_equal(fsq, fsq_before)
 
 
