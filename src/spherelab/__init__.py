@@ -8,6 +8,9 @@ desk-scale: exact product quadrature on the three-sphere and the ball,
 and Monte Carlo over random draws.
 """
 
+# first, so that numpy, which every other module imports, loads OpenBLAS
+# single-threaded (see _accel)
+from spherelab import _accel  # noqa: F401
 from spherelab.cutoffs import Cutoff, band_moment, mean_value, variance
 from spherelab.basis import DegreeTable
 from spherelab.kernels import KernelField

@@ -23,13 +23,18 @@ order, numerator first: with fused multiply-add, numpy's complex
 multiply rounds differently when the operands are swapped, and the CSV
 bodies print full-precision reprs.
 
-Importing this module pins the OpenBLAS that numpy loaded to one thread.
-Every BLAS call spherelab makes is block-sized, a GEMM, dot or gemv on
-about BLOCK_BYTES, too small to split: a second OpenBLAS thread only
+OpenBLAS starts single-threaded in a spherelab process.  Every BLAS
+call spherelab makes is block-sized, a GEMM, dot or gemv on about
+BLOCK_BYTES, too small to split: a second OpenBLAS thread only
 busy-waits, doubling CPU time at the same wall time, and two spherelab
 processes side by side contend for the cores.  A threaded dot or gemv
 also splits its reduction by the thread count, so at one thread the CSV
-bodies are the same whatever OPENBLAS_NUM_THREADS says.  With another
+bodies are the same whatever OPENBLAS_NUM_THREADS says.  spherelab
+imports this module first: when numpy is not loaded yet, it is imported
+here under OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no worker thread
+(which would spin from the moment the library loads), and the caller's
+value is restored right after.  Importing this module also pins an
+OpenBLAS that numpy loaded before spherelab to one thread.  With another
 BLAS, or off Linux, BLAS is left as it is.
 
 The band sums use ascending-degree compensated summation because the
@@ -41,6 +46,20 @@ that call these kernels.
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # OpenBLAS reads its thread count once, when numpy loads it
+    _caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if _caller_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
 
 import numpy as np
 
@@ -85,8 +104,8 @@ def _pin_openblas():
     return None
 
 
-# At import, so the pin precedes every BLAS call whatever loaded numpy
-# first; an environment variable would have to be set before that.
+# At import, so the pin precedes every BLAS call when numpy was loaded
+# before spherelab, too late for the environment variable.
 _openblas_threads = _pin_openblas()
 
 

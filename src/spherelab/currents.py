@@ -53,9 +53,15 @@ polynomial on its nodes.  Blocks are sized by _accel.BLOCK_BYTES.
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
 below half the in-cell spread) or fall under the regularization floor
-10 * min(delta), greedily by estimated contribution, up to a depth cap
-and cell budget; cells still flagged at the end are counted in the
-result's extras, never silently dropped.
+10 * min(delta) * s^2, greedily by estimated contribution, up to a depth
+cap and cell budget; cells still flagged at the end are counted in the
+result's extras, never silently dropped.  Each cell's statistics (min
+|f|, max |f|, sum w |f|^2 and sum w over its nodes) are taken once, when
+the cell is made, and a pass reads s^2, the flags and the scores from
+them alone, so it evaluates and summarizes only its new cells.
+
+A test form with no terms, such as d(d phi) for an exact 1-form d phi,
+pairs to exact zeros for every delta: cf_pairing builds no rule for it.
 """
 
 from __future__ import annotations
@@ -181,58 +187,97 @@ def _mean_square(fvals, weights):
     return scale_sq
 
 
+def _cell_stats(fvals, weights, m3):
+    """Per-cell statistics (min |f|, max |f|, sum w |f|^2, sum w) of f on
+    consecutive cells of m3 nodes with node weights w, as a (cells, 4)
+    array: the refinement reads only these."""
+    absf = np.abs(fvals).reshape(-1, m3)
+    weights = weights.reshape(-1, m3)
+    stats = np.empty((absf.shape[0], 4))
+    stats[:, 0] = absf.min(axis=1)
+    stats[:, 1] = absf.max(axis=1)
+    np.square(absf, out=absf)
+    stats[:, 2] = np.einsum("ij,ij->i", absf, weights)
+    stats[:, 3] = weights.sum(axis=1)
+    return stats
+
+
 def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
                    max_cells=60_000, per_level=384):
     """Refine cells that straddle or approach the zero set of f.
 
-    A cell is a candidate when the minimum of the normalized |f| over its
-    nodes falls below half its in-cell spread (geometric proximity to the
-    zero set) or below the regularization floor 10 * min(delta).  Among
-    candidates, at most per_level cells with the largest estimated
-    contribution weight * spread / (min^2 + floor) are subdivided, so the
-    node budget stays bounded; leftover candidates at the end are
-    reported, never silently dropped.
+    Each cell keeps statistics of f on its own nodes (_cell_stats), taken
+    once when the cell is made, and a pass reads only these: s^2, the
+    mean square of f on the rule, is their weighted sum over the total
+    weight.  A cell is a candidate when min |f|^2 over its nodes falls
+    below a quarter of its squared in-cell spread max |f| - min |f|
+    (geometric proximity to the zero set) or below the regularization
+    floor 10 * min(delta) * s^2.  Among candidates, at most per_level
+    cells with the largest estimated contribution weight * spread /
+    (min^2 + floor * s^2) are subdivided, so the node budget stays
+    bounded; leftover candidates at the end are reported, never silently
+    dropped.  An f that vanishes on every node raises RegularityError.
 
     Returns the rule, the values of f on its nodes and the number of
-    cells still flagged; each pass evaluates f only on the new nodes.
+    cells still flagged; each pass evaluates f, and its statistics, only
+    on the new cells.
     """
     rule = SphereCellRule(base_cells=base_cells, nodes_per_axis=nodes_per_axis)
-    fvals = fpoly.evaluate(rule.points, [])
+    m3 = rule.nodes_per_axis ** 3
+
+    def new_cells(first):
+        vals = fpoly.evaluate(rule.cell_points(first), [])
+        return vals, _cell_stats(vals, rule.cell_weights(first), m3)
+
+    fvals, stats = new_cells(0)
     floor = 10.0 * min(deltas)
     residual_cells = 0
     for _ in range(refine_depth):
-        rms = math.sqrt(_mean_square(fvals, rule.weights)[0, 0])
-        lo, spread = rule.cell_spread(np.abs(fvals / rms))
-        flags = lo ** 2 <= np.maximum(floor, 0.25 * spread ** 2)
+        lo, hi, wsq, wsum = stats.T
+        scale_sq = wsq.sum() / wsum.sum()
+        if not scale_sq > 0.0:
+            raise RegularityError("function vanishes identically on the rule")
+        spread = hi - lo
+        lo_sq = lo ** 2
+        flags = lo_sq <= np.maximum(floor * scale_sq, 0.25 * spread ** 2)
         residual_cells = int(flags.sum())
-        if not flags.any() or rule.ncells + 7 * flags.sum() > max_cells:
+        if not residual_cells or rule.ncells + 7 * residual_cells > max_cells:
             break
-        if flags.sum() > per_level:
-            m3 = rule.nodes_per_axis ** 3
-            cell_w = rule.weights.reshape(rule.ncells, m3).sum(axis=1)
-            score = np.where(flags, cell_w * spread / (lo ** 2 + floor), -1.0)
+        if residual_cells > per_level:
+            score = np.where(flags, wsum * spread / (lo_sq + floor * scale_sq), -1.0)
             keep = np.argsort(score, kind="stable")[::-1][:per_level]
             flags = np.zeros_like(flags)
             flags[keep] = True
-        kept = fvals[np.repeat(~flags, rule.nodes_per_axis ** 3)]
-        # the old values go before the refined rule's arrays are built
+        kept = fvals.reshape(rule.ncells, m3)[~flags].reshape(-1)
+        # the old values go before the new cells' node arrays are built,
+        # and the pieces of the new ones before the next pass
         del fvals
         added = rule.refine(flags)
-        fvals = np.concatenate([kept, fpoly.evaluate(rule.cell_points(rule.ncells - added), [])])
+        new_vals, new_stats = new_cells(rule.ncells - added)
+        fvals = np.concatenate([kept, new_vals])
+        stats = np.concatenate([stats[~flags], new_stats])
+        del kept, new_vals
     return rule, fvals, residual_cells
 
 
 def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
                base_cells=6, nodes_per_axis=4, refine_depth=10):
-    """cf(psi) for a holomorphic-polynomial catalog function on the sphere."""
-    rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis,
-                                                 refine_depth)
-    scale_sq = _mean_square(fvals, rule.weights)
-    blocks = _cell_blocks(fpoly, rule, fvals, lambda block: CRPairingContext(block, psi))
-    per = _pairing_sums(blocks, scale_sq, deltas)[0, 0]
+    """cf(psi) for a holomorphic-polynomial catalog function on the sphere.
+
+    A psi with no terms (d(d phi) of an exact form) pairs to exact zeros
+    for every delta: no rule is built and no block is walked."""
+    if psi.terms:
+        rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells,
+                                                     nodes_per_axis, refine_depth)
+        scale_sq = _mean_square(fvals, rule.weights)
+        blocks = _cell_blocks(fpoly, rule, fvals, lambda block: CRPairingContext(block, psi))
+        per = _pairing_sums(blocks, scale_sq, deltas)[0, 0]
+        extras = {"cells": rule.ncells, "unresolved_cells": residual_cells}
+    else:
+        per = np.zeros(len(deltas), dtype=complex)
+        extras = {"cells": 0, "unresolved_cells": 0}
     value, err = richardson_sqrt(deltas, per)
-    return PairingResult(complex(value), float(err), per,
-                         extras={"cells": rule.ncells, "unresolved_cells": residual_cells})
+    return PairingResult(complex(value), float(err), per, extras=extras)
 
 
 def divisor_pairing_closed(fpoly: PolyForm, psi: PolyForm, **kw):

@@ -297,12 +297,14 @@ class SphereCellRule:
     e^{i theta1} and e^{i theta2}, next to the boxes.  Node arrays
     (points, weights, pairing_weights) and the Hopf frame are built from
     them by broadcasting, in (cell, t, theta1, theta2) order; points and
-    weights are kept until the next refine.  refine(mask) subdivides
-    flagged cells 2 x 2 x 2: kept cells keep their order, the children
-    follow, and only the children's factors are computed, so a refined
-    rule equals one built from scratch on its final boxes.  Pairing uses
-    the same contact-volume normalization as SphereRule, so orientation
-    and measure conventions agree between the two rules.
+    weights are kept until the next refine, and cell_points and
+    cell_weights build them for the cells from a given one on.
+    refine(mask) subdivides flagged cells 2 x 2 x 2: kept cells keep
+    their order, the children follow, and only the children's factors
+    are computed, so a refined rule equals one built from scratch on its
+    final boxes.  Pairing uses the same contact-volume normalization as
+    SphereRule, so orientation and measure conventions agree between the
+    two rules.
 
     blocks(ncells) walks the rule in consecutive blocks of cells, each a
     view whose factors are slices of the rule's.  A view's node arrays and
@@ -383,12 +385,17 @@ class SphereCellRule:
     def points(self):
         return self.cell_points()
 
-    @functools.cached_property
-    def weights(self):
+    def cell_weights(self, first=0):
+        """Node weights of the cells first, first + 1, ... in node order."""
         # round measure: dsigma = (1/2) dt dtheta1 dtheta2
-        wt, wa, wb = self.t_weights, self.theta1_weights, self.theta2_weights
+        s = slice(first, None)
+        wt, wa, wb = self.t_weights[s], self.theta1_weights[s], self.theta2_weights[s]
         return (0.5 * (wt[:, :, None, None] * wa[:, None, :, None]
                        * wb[:, None, None, :])).reshape(-1)
+
+    @functools.cached_property
+    def weights(self):
+        return self.cell_weights()
 
     @property
     def pairing_weights(self):
@@ -407,13 +414,6 @@ class SphereCellRule:
 
     def pair_values(self, top_values):
         return np.dot(self.pairing_weights, top_values)
-
-    def cell_spread(self, values):
-        """Per-cell (min, max - min) of pointwise values."""
-        m3 = self.nodes_per_axis ** 3
-        grid = values.reshape(self.ncells, m3)
-        lo = grid.min(axis=1)
-        return lo, grid.max(axis=1) - lo
 
     def refine(self, mask):
         """Subdivide flagged cells 2x2x2; returns the number of new cells.

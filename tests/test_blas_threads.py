@@ -43,19 +43,49 @@ def test_import_pins_openblas_to_one_thread():
     assert _accel.blas_threads() == 1
 
 
-def _lp_closed_csv(tmp_path, threads):
+def _child(code, threads):
+    """Run code in a fresh interpreter with spherelab on the path and
+    OPENBLAS_NUM_THREADS at threads (unset when None); returns stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("threads", [2, None])
+def test_openblas_starts_single_threaded(threads):
+    # numpy loads OpenBLAS under OPENBLAS_NUM_THREADS=1 when spherelab
+    # imports it, so no worker thread is started to spin, and the caller's
+    # setting is back in the environment afterwards
+    if not os.path.isdir("/proc/self/task") or _openblas_threads() is None:
+        pytest.skip("needs Linux and an OpenBLAS under numpy")
+    code = ("import os, spherelab.cli\n"
+            "print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))")
+    assert _child(code, threads).split() == ["1", "unset" if threads is None else str(threads)]
+
+
+def _lp_closed_csv(tmp_path, threads, numpy_first=False):
     config = tmp_path / "small.ini"
     config.write_text("[quadrature]\nrefine_depth = 2\n")
-    out = tmp_path / f"threads{threads}"
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "spherelab.cli", "lp-closed",
-                           "--config", str(config), "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = tmp_path / f"threads{threads}-{numpy_first}"
+    # with numpy loaded first, OpenBLAS has started its threads and only
+    # the pin at import sets it to one
+    code = ("import numpy\n" if numpy_first else "") + (
+        "import spherelab.cli\n"
+        f"raise SystemExit(spherelab.cli.main(['lp-closed', '--config', {str(config)!r}, "
+        f"'--out', {str(out)!r}]))")
+    _child(code, threads)
     return (out / "lp-closed.csv").read_bytes()
 
 
 def test_csv_bodies_do_not_depend_on_blas_threads(tmp_path):
     # at this size the two-thread OpenBLAS splits lp-closed's node
     # reductions when spherelab leaves its thread count alone
-    assert _lp_closed_csv(tmp_path, 1) == _lp_closed_csv(tmp_path, 2)
+    one = _lp_closed_csv(tmp_path, 1)
+    assert _lp_closed_csv(tmp_path, 2) == one
+    assert _lp_closed_csv(tmp_path, 2, numpy_first=True) == one

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spherelab import _accel, currents, forms
+from spherelab import _accel, currents, forms, quadrature
 from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
                                 catalog_function, cf_pairing,
@@ -55,6 +55,20 @@ def test_exact_form_pairs_to_zero():
     res = divisor_pairing_closed(catalog_function("z1"), phi.d(), **FAST)
     assert abs(res.value) <= 1e-10
     assert abs(zero_set_direct("z1", phi.d())) <= 1e-10
+
+
+def test_empty_form_builds_no_rule(monkeypatch):
+    # d(d phi) has no terms, so the regularized side of the closedness
+    # check is exactly zero for every delta before any quadrature runs
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a form with no terms built a cell rule")
+
+    monkeypatch.setattr(quadrature.SphereCellRule, "__init__", no_rule)
+    phi = forms.x_coord(0) * forms.x_coord(2)
+    res = divisor_pairing_closed(catalog_function("z1"), phi.d())
+    assert res.value == 0 and res.err_est == 0.0
+    assert res.per_delta.shape == (len(DEFAULT_DELTAS),) and np.all(res.per_delta == 0)
+    assert res.extras == {"cells": 0, "unresolved_cells": 0}
 
 
 def test_linearity_in_test_form():
@@ -249,6 +263,16 @@ def test_boundary_pairing_depth10_pinned():
     assert res.extras == {"cells": 12816, "unresolved_cells": 7680}
 
 
+def test_closed_pairing_default_cells_pinned():
+    # lp-closed's z1 / angular-z2 row at the default cell parameters; the
+    # refinement's cell statistics choose the same cells as the whole-rule
+    # |f / s| they replaced, and move the value by at most an ulp
+    res = divisor_pairing_closed(catalog_function("z1"), ANGULAR_Z2, deltas=DEFAULT_DELTAS,
+                                 base_cells=6, nodes_per_axis=4, refine_depth=10)
+    assert abs(res.value - 6.283182292538469) <= 1e-12 * 6.283182292538469
+    assert res.extras == {"cells": 17604, "unresolved_cells": 7488}
+
+
 def test_boundary_pairing_live_log_terms_pinned():
     # z1-half against bump-z2: live dbar psi and d dbar psi log terms and
     # real zeros on the sphere, where regularizing against delta s^2 must
@@ -311,13 +335,26 @@ def test_regularity_check_reads_whole_rule_values(monkeypatch):
                           np.linalg.norm(holo_gradient_values(u, rule.points), axis=-1))
 
 
+def test_adaptive_rule_peak_memory(traced_peak):
+    # each pass summarizes only its new cells, so the peak is the values
+    # kept across a pass and the new cells' nodes, not whole-rule |f / s|,
+    # node weights and mean-square temporaries (4.2 x fvals at 75.5 MB)
+    out = []
+    peak = traced_peak(lambda: out.append(_adaptive_rule(catalog_function("z1"), DEFAULT_DELTAS,
+                                                         6, 4, 10)))
+    rule, fvals, _ = out[0]
+    assert rule.ncells == 17604
+    assert peak <= 3 * fvals.nbytes
+
+
 def test_streamed_pairings_peak_memory(traced_peak):
     # the refined rule with f on it (54 MB and 76 MB under tracemalloc)
     # sets these floors; a pairing that builds its node arrays on the whole
     # rule at once peaks at 228 MB and 321 MB.  lp-closed's pairing makes
     # no log pass (75.5 MB measured); lp-boundary's default pairing peaked
     # at 90.6 MB with |f / s|^2 on the whole rule, and at 78.1 MB with |f|^2
-    # made in blocks of cells
+    # made in blocks of cells.  With the refinement reading per-cell
+    # statistics the three read 45.9, 55.0 and 69.2 MB
     depth10 = traced_peak(lambda: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, deltas=(1e-2, 1e-3, 1e-4), refine_depth=10,
         ball_level=6))

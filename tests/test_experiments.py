@@ -866,14 +866,12 @@ PINNED_MC_CSV = {
             (
                 "16", "scaled-divisor-horizontal-mix",
                 "(7.719152985547983e-05+0.000580847179560282j)",
-                "(-3.074957686141583e-19-1.029136724342864e-19j)", "0.0005859539045731875",
-                "1807046818989367.0", "0.004104974001997095", "",
+                "0.0", "0.0005859539045731875", "", "0.004104974001997095", "",
             ),
             (
                 "32", "scaled-divisor-horizontal-mix",
                 "(0.002312322258804109+0.0005507639727080675j)",
-                "(-3.074957686141583e-19-1.029136724342864e-19j)", "0.002377009714366795",
-                "7330555884224569.0", "0.002126153154397164", "",
+                "0.0", "0.002377009714366795", "", "0.002126153154397164", "",
             ),
         ]),
 }
