@@ -16,6 +16,13 @@ the diagonal are exact closed expressions in K0, K1, K2; no numerical
 differentiation is performed anywhere (finite differences appear only as
 test oracles).
 
+Inside the ball the amplitude S(z, z) and the complex Hessian of
+log(c + S(z, z)) depend on q = |z|^2 only, through the radial band sums
+of q and its first two q-derivatives.  These sums run once per distinct
+q of the points and are spread back to them, so a product ball rule pays
+for a few values per radius, not one per node (48 values for the 10368
+nodes of BallRule(6, radial=12)).
+
 Direction convention: derivative slots take ambient complex vectors.
 For the first slot the derivative of <x, y> along u is <u, y>; for the
 second slot it is <x, v>.  A real tangent vector enters via its complex
@@ -129,40 +136,57 @@ class KernelField:
         return self.k ** 2 / (2.0 * math.pi ** 2) * moment0
 
     # ------------------------------------------------------- ball quantities
+    def _radial_sums(self, points, order):
+        """Band sums of the points' q = |z|^2 and the index that spreads them.
+
+        Returns (inverse, sums): sums[j] holds, at each distinct q,
+        s_j = sum m (m - 1) ... (m - j + 1) w_m c_m q^(m - j), the j-th
+        derivative in q of the amplitude, for j = 0 .. order, and
+        sums[j][inverse] is s_j at the points.  The key is each point's
+        rounded q itself, so a point's sums are bit for bit those of a
+        per-point evaluation.  Degrees m < j, whose coefficient has a
+        factor 0, are left out, so no negative power of q is formed.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=complex))
+        q = np.sum(points * np.conj(points), axis=-1).real
+        distinct, inverse = np.unique(q, return_inverse=True)
+        ms = self.degrees.astype(float)
+        coeffs = self.coeffs
+        sums = []
+        for j in range(order + 1):
+            keep = self.degrees >= j
+            sums.append(_accel.band_power_sum(distinct, self.degrees[keep] - j,
+                                              coeffs[keep]).real)
+            coeffs = coeffs * (ms - j)
+        return inverse, sums
+
     def ball_amplitude(self, points):
         """Sum of squared moduli of the weighted extended components.
 
-        Depends on |z|^2 only; vanishes at 0 because the band excludes
+        Depends on |z|^2 only, and the band sum runs once per distinct
+        |z|^2 of the points; vanishes at 0 because the band excludes
         degree zero; increases with |z|."""
-        points = np.atleast_2d(np.asarray(points, dtype=complex))
-        q = np.sum(points * np.conj(points), axis=-1).real.astype(complex)
-        return _accel.band_power_sum(q, self.degrees, self.coeffs.astype(complex)).real
+        inverse, (s0,) = self._radial_sums(points, 0)
+        return s0[inverse]
 
     def ddbar_log(self, points, c=1.0):
         """Matrix of the complex Hessian of log(c + amplitude).
 
         Returns (npoints, 2, 2) with entries d^2/dz_j dconj(z_k); the
-        matrix is Hermitian and positive semidefinite for c > 0.
+        matrix is Hermitian and positive semidefinite for c > 0.  It is
+        a(q) conj(z) z^T + b(q) I in q = |z|^2, and the band sums and
+        the factors a, b run once per distinct |z|^2 of the points.
         """
         if c <= 0.0:
             raise ValueError("c must be positive")
         points = np.atleast_2d(np.asarray(points, dtype=complex))
-        q = np.sum(points * np.conj(points), axis=-1).real
-        ms = self.degrees.astype(float)
-        qc = q.astype(complex)
-        s0 = self.ball_amplitude(points)
-        # first and second radial band sums: sum m w c q^{m-1}, sum m(m-1) w c q^{m-2}
-        d1_coeffs = (self.coeffs * ms).astype(complex)
-        d2_coeffs = (self.coeffs * ms * (ms - 1.0)).astype(complex)
-        # band degrees start at floor(delta1 k) + 1 >= 1, so only s2 needs a guard
-        s1 = _accel.band_power_sum(qc, self.degrees - 1, d1_coeffs).real
-        s2 = np.zeros_like(s0)
-        if self.degrees.min() >= 2:
-            s2 = _accel.band_power_sum(qc, self.degrees - 2, d2_coeffs).real
+        inverse, (s0, s1, s2) = self._radial_sums(points, 2)
         denom = c + s0
+        outer_factor = ((s2 * denom - s1 ** 2) / denom ** 2)[inverse]
+        eye_factor = (s1 / denom)[inverse]
         zbar = np.conj(points)
         outer = zbar[:, :, None] * points[:, None, :]
         eye = np.eye(points.shape[1])[None, :, :]
-        h = ((s2 * denom - s1 ** 2) / denom ** 2)[:, None, None] * outer
-        h = h + (s1 / denom)[:, None, None] * eye
+        h = outer_factor[:, None, None] * outer
+        h = h + eye_factor[:, None, None] * eye
         return h

@@ -787,6 +787,27 @@ def test_lp_boundary_uses_configured_ball_radial():
     assert rows["pairing-nowhere-zero"] == direct.value
 
 
+# equi-domain's CSV body at the deterministic benchmark workload's config
+# (ball level 6, 12 radii, k 16,32), from the per-node kernel band sums:
+# summing once per distinct |z|^2 keeps it byte for byte.
+EQUI_DOMAIN_CSV = """\
+k,quantity,estimate,reference,abs_err,rel_err,std_err,observed_order
+16,domain-pairing-vol-z2,(0.9877672104076769+3.5378827826575594e-19j),(5.0765880069698825-4.795933959489416e-18j),4.088820796562206,0.8054269503352398,,
+32,domain-pairing-vol-z2,(2.4246294835492623+1.3877177118805834e-18j),(5.0765880069698825-4.795933959489416e-18j),2.65195852342062,0.5223899437534864,,
+16,domain-pairing-bump-z2,(1.5403995162466004+2.988463723194641e-19j),(8.46098001161647-4.4533181358346515e-18j),6.920580495369871,0.8179407687842645,,
+32,domain-pairing-bump-z2,(3.8660479961053653+1.2688981483889456e-18j),(8.46098001161647-4.4533181358346515e-18j),4.594932015511105,0.5430732621046865,,
+16,domain-pairing-interior-only,(0.010396958992598525-5.159970174333431e-18j),(1.121861331892203e-16+2.85586215202108e-17j),0.010396958992598413,89811611306935.11,,
+32,domain-pairing-interior-only,(0.007083432090727777-1.4385803694798153e-17j),(1.121861331892203e-16+2.85586215202108e-17j),0.007083432090727665,61188511958582.875,,
+"""
+
+
+def test_equi_domain_csv_pinned():
+    config = ExperimentConfig("equi-domain", ball_level=6, ball_radial=12, k_grid=(16, 32))
+    report = EXPERIMENTS["equi-domain"](config)
+    assert report.verdict
+    assert report.csv_body() == EQUI_DOMAIN_CSV
+
+
 # CSV bodies of the four Monte Carlo experiments before the samplers summed
 # over blocks of moduli: the three benchmark workload configs at benchmark
 # seed 4242 (mc-sphere, mc-ball, mc-scan) and equi-cr at k 16,32, 100

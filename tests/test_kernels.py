@@ -8,6 +8,7 @@ from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff, band_moment, mean_value
 from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
+from spherelab.quadrature import BallRule
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +166,63 @@ def test_weight_kinds(table, bump):
         KernelField(table, bump, 32.0, weight="cubed")
     with pytest.raises(ValueError):
         KernelField(table, bump, 4000.0)  # band exceeds table
+
+
+def _per_node_ball_data(kf, points, c=1.0):
+    # the evaluation before the radial reduction: the band sums at every
+    # node's |z|^2 and h assembled from them node by node
+    q = np.sum(points * np.conj(points), axis=-1).real.astype(complex)
+    ms = kf.degrees.astype(float)
+    s0 = _accel.band_power_sum(q, kf.degrees, kf.coeffs.astype(complex)).real
+    s1 = _accel.band_power_sum(q, kf.degrees - 1, (kf.coeffs * ms).astype(complex)).real
+    s2 = _accel.band_power_sum(q, kf.degrees - 2, (kf.coeffs * ms * (ms - 1.0)).astype(complex)).real
+    denom = c + s0
+    outer = np.conj(points)[:, :, None] * points[:, None, :]
+    h = ((s2 * denom - s1 ** 2) / denom ** 2)[:, None, None] * outer
+    h = h + (s1 / denom)[:, None, None] * np.eye(2)[None, :, :]
+    return s0, h
+
+
+@pytest.mark.parametrize("nodes", ["ball-rule", "scattered"])
+def test_ball_data_match_per_node_sums(field64, rng, monkeypatch, nodes):
+    # keyed on the exact |z|^2, the once-per-radius sums are bit for bit
+    # the per-node ones; a ball rule's 10368 nodes carry 48 distinct
+    # |z|^2, scattered points one each
+    if nodes == "ball-rule":
+        points, distinct = BallRule(6, radial=12).points, 48
+    else:
+        points = random_sphere_points(2000, rng=rng) * rng.uniform(0.0, 1.0, (2000, 1))
+        distinct = 2000
+    amplitude, h = _per_node_ball_data(field64, points)
+    sizes = []
+    original = _accel.band_power_sum
+    monkeypatch.setattr(_accel, "band_power_sum",
+                        lambda q, *args: sizes.append(np.size(q)) or original(q, *args))
+    assert np.array_equal(field64.ball_amplitude(points), amplitude)
+    assert np.array_equal(field64.ddbar_log(points, c=1.0), h)
+    assert sizes == [distinct] * 4
+
+
+def _fd_complex_hessian(func, z, step):
+    # d^2 func / dz_j dconj(z_k) from central differences in the real
+    # coordinates (Re z_1, Re z_2, Im z_1, Im z_2)
+    x = np.concatenate([z.real, z.imag])
+    shifts = np.eye(4) * step
+    real = lambda v: func(v[:2] + 1j * v[2:])
+    hess = np.array([[(real(x + a + b) - real(x + a - b) - real(x - a + b) + real(x - a - b))
+                      / (4.0 * step * step) for b in shifts] for a in shifts])
+    return 0.25 * (hess[:2, :2] + hess[2:, 2:] + 1j * (hess[:2, 2:] - hess[2:, :2]))
+
+
+@pytest.mark.parametrize("k", [2.0, 3.0])
+def test_ddbar_log_band_from_degree_one(table, bump, k):
+    # bands {1} and {1, 2}: the second radial sum keeps every degree >= 2
+    # and never forms a negative power of |z|^2, even at 0
+    kf = KernelField(table, bump, k)
+    assert kf.degrees[0] == 1
+    z = np.array([0.3 + 0.2j, 0.4 - 0.1j])
+    exact = kf.ddbar_log(z[None, :], c=1.0)[0]
+    fd = _fd_complex_hessian(lambda p: math.log(1.0 + kf.ball_amplitude(p[None, :])[0]), z, 1e-4)
+    assert np.max(np.abs(exact - fd)) <= 1e-5 * np.max(np.abs(exact))
+    at_zero = kf.ddbar_log(np.zeros((1, 2), dtype=complex), c=1.0)[0]
+    assert np.array_equal(at_zero, kf.coeffs[0] * np.eye(2))
