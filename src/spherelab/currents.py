@@ -34,9 +34,10 @@ same sphere-side data and adds the ball rule and the dbar psi node
 values.  Both cases, and both routes, share one regularized pairing, a
 loop over blocks of nodes (_pairing_sums) given s^2, the mean square of
 f on the whole rule: each block hands over its terms, f and the slot
-sums x_j = z_j df/dz_j on its nodes, and the loop adds up the block's
-delta sums against |f|^2 + delta s^2; in the boundary case the d dbar
-psi term on the ball rule follows, over blocks of ball nodes.
+sums x_j = z_j df/dz_j on its nodes (only those of the slots whose
+weights are not exactly zero: _SphereTerms), and the loop adds up the
+block's delta sums against |f|^2 + delta s^2; in the boundary case the
+d dbar psi term on the ball rule follows, over blocks of ball nodes.
 richardson_sqrt takes the limit along the delta axis.
 
 The Monte Carlo samplers in experiments.py call RegularizedPairing with a
@@ -87,6 +88,7 @@ __all__ = [
     "cf_pairing",
     "divisor_pairing_closed",
     "divisor_pairing_boundary",
+    "divisor_pairings_boundary",
     "zero_set_direct",
     "catalog_function",
     "CATALOG",
@@ -292,12 +294,12 @@ class BoundaryPairingContext(CRPairingContext):
 
     Binds a fixed sphere rule (boundary terms, with the node data of
     CRPairingContext and the dbar psi values), a ball rule (the interior
-    log term, whose d dbar psi values _DomainTerms evaluates) and the
-    (1,1)-form psi; per-function values then need only u and du on the
-    sphere nodes and u on the ball nodes.
+    log term, whose d dbar psi values _DomainTerms evaluates; None when d
+    dbar psi has no terms) and the (1,1)-form psi; per-function values
+    then need only u and du on the sphere nodes and u on the ball nodes.
     """
 
-    def __init__(self, rule, ball_rule: BallRule, psi: PolyForm):
+    def __init__(self, rule, ball_rule, psi: PolyForm):
         if psi.bidegree != (1, 1):
             raise ValueError("boundary pairing needs a (1,1)-form")
         super().__init__(rule, psi)
@@ -336,23 +338,38 @@ def _top_weights(weights, tops):
 class _SphereTerms:
     """The sphere terms of a regularized pairing on the nodes of one rule or
     one block of cells: the node weights of contexts on those nodes and the
-    delta sums against them."""
+    delta sums against them.
+
+    A slot whose weights are exactly zero on every node, for every form
+    (slot 2 of vol-z2, bump-z2 and d(angular-z2), slot 1 of vol-z1 and
+    d(angular-z1)), is None, like w_dbar: its slot sum is neither
+    synthesized nor summed.  It would add only signed zeros, and y + (+-0)
+    = y for y != 0, so the sums keep their bits; a slot that cancels only
+    to rounding is kept.  When both slots are zero, both are kept.
+    """
 
     def __init__(self, contexts):
         ctx = contexts[0]
         self.boundary = isinstance(ctx, BoundaryPairingContext)
         scale = 0.5 * ctx.pair_weights if self.boundary else ctx.pair_weights / (2j * math.pi)
-        g1, g2 = zip(*(_slot_weights(c) for c in contexts))
-        self.slot_weights = (np.stack(g1, axis=1) * scale[:, None],
-                             np.stack(g2, axis=1) * scale[:, None])
+        weights = [np.stack(g, axis=1) * scale[:, None]
+                   for g in zip(*(_slot_weights(c) for c in contexts))]
+        live = [w.any() for w in weights]
+        self.slot_weights = tuple(w if keep or not any(live) else None
+                                  for w, keep in zip(weights, live))
         self.w_dbar = (_top_weights(ctx.pair_weights, [c.dbar_top for c in contexts])
                        if self.boundary else None)
+
+    @property
+    def slots(self):
+        """One flag per slot: whether the delta sums read its slot sum."""
+        return tuple(w is not None for w in self.slot_weights)
 
     def block(self, nodes):
         """The terms on the node slice nodes: views of these weights."""
         view = object.__new__(_SphereTerms)
         view.boundary = self.boundary
-        view.slot_weights = tuple(w[nodes] for w in self.slot_weights)
+        view.slot_weights = tuple(None if w is None else w[nodes] for w in self.slot_weights)
         view.w_dbar = None if self.w_dbar is None else self.w_dbar[nodes]
         return view
 
@@ -360,20 +377,23 @@ class _SphereTerms:
         """(rows, forms, deltas) sums over these nodes from f and the slot
         sums x_j = z_j df/dz_j on them, regularized against |f|^2 + delta
         s^2 with s^2 (rows, 1) the mean square of f on the whole rule.
+        slots holds x1 and x2; only those of the live slots (self.slots)
+        are read, and a dropped one may be None.
 
-        Consumes f and the slot sums: conj(f) overwrites f, the numerator
-        terms overwrite x1 and x2, and f then holds the delta sums'
-        products, so |f|^2 and the reciprocal are the only new node arrays.
+        Consumes f and the slot sums read: conj(f) overwrites f, the
+        numerator terms overwrite their slot sums, and f then holds the
+        delta sums' products, so |f|^2 and the reciprocal are the only new
+        node arrays.
         """
-        x1, x2 = slots
         # every node-sized intermediate is computed in place, with the
         # operand order of the complex products fixed (see _accel)
         fsq = np.abs(fvals)
         np.square(fsq, out=fsq)
         conj_f = np.conj(fvals, out=fvals)
-        numer = [np.multiply(conj_f, x1, out=x1), np.multiply(conj_f, x2, out=x2)]
+        weights, numer = zip(*((w, np.multiply(conj_f, x, out=x))
+                               for w, x in zip(self.slot_weights, slots) if w is not None))
         # the freed f is the delta sums' product buffer
-        per = _accel.regularized_sums(self.slot_weights, numer, fsq, conj_f, scale_sq, deltas)
+        per = _accel.regularized_sums(weights, numer, fsq, conj_f, scale_sq, deltas)
         if not self.boundary:
             return per
         # - int_bD i*(conj(u) du ^ psi / 2(|u|^2+d s^2))
@@ -393,12 +413,13 @@ class _DomainTerms:
 
     def __init__(self, ball_rule, psis):
         # d dbar(psi) applied as: first dbar, then the (1,0) derivative; a
-        # form with no terms is a structural zero (None), never evaluated
+        # form with no terms is a structural zero (None), never evaluated,
+        # and when every form is one the ball rule may be None
         ddbars = [psi.partial_zbar().partial_z() for psi in psis]
         frame = _standard_frame_directions()
-        self.w_ddbar = _top_weights(ball_rule.weights,
-                                    [ddbar.evaluate(ball_rule.points, frame)
-                                     if ddbar.terms else None for ddbar in ddbars])
+        tops = [ddbar.evaluate(ball_rule.points, frame) if ddbar.terms else None
+                for ddbar in ddbars]
+        self.w_ddbar = None if ball_rule is None else _top_weights(ball_rule.weights, tops)
 
     def finish(self, total, scale_sq, ball_blocks, deltas):
         """Per-delta values from the sphere sums total (overwritten) and u on
@@ -450,11 +471,13 @@ class RegularizedPairing:
     (_SphereTerms.block).  s^2, the mean square of each row's f, comes in
     with the blocks, computed from the draw coefficients
     (GridEvaluator.mean_square), so no array of a micro-batch spans the
-    rule.
+    rule.  slots flags the slot sums the forms read (_SphereTerms.slots):
+    the samplers' walk synthesizes only those.
     """
 
     def __init__(self, contexts):
         self._sphere = _SphereTerms(contexts)
+        self.slots = self._sphere.slots
         self._domain = (_DomainTerms(contexts[0].ball_rule, [c.psi for c in contexts])
                         if self._sphere.boundary else None)
 
@@ -464,10 +487,11 @@ class RegularizedPairing:
         mean square of f over the sphere rule, f with its slot sums x_j =
         z_j df/dz_j as (node slice, f, (x1, x2)) triples over consecutive
         blocks of the rule and, for the boundary pairing, u on the ball
-        rule as (node slice, u) pairs.
+        rule as (node slice, u) pairs.  Only the slot sums flagged in
+        self.slots are read; the others may be None.
 
-        Consumes f and the slot sums, which the caller must not read again
-        (see _SphereTerms.delta_sums); the ball values are read only.
+        Consumes f and the slot sums read, which the caller must not read
+        again (see _SphereTerms.delta_sums); the ball values are read only.
         """
         terms = ((self._sphere.block(nodes), fvals, slots) for nodes, fvals, slots in blocks)
         return _pairing_sums(terms, np.reshape(scale_sq, (-1, 1)), deltas, self._domain,
@@ -485,19 +509,28 @@ def _cell_blocks(fpoly, rule, fvals, bind):
     """The blocks of cells of a catalog pairing, as _pairing_sums reads
     them: the terms of the context bind(block) on a block view, a copy of
     f (fvals, read only) and the slot sums of the polynomial fpoly on the
-    block's nodes.  Each context and every array but f spans one block.
+    block's nodes, those of the slots the terms read (None for the other).
+    Each context and every array but f spans one block.
     """
+    grad = fpoly.partial_z()
     for nodes, block in rule.blocks(_block_cells(rule)):
         terms = _SphereTerms((bind(block),))
         points = block.points
         # the context is gone once its weights are taken; the view, which
         # caches the points, is dropped before the delta sums
         del block
-        grad = holo_gradient_values(fpoly, points)
-        slots = np.multiply(points, grad, out=grad).T.copy()[:, None]
-        del points, grad
+        slots = tuple(_slot_sum(grad, points, j) if live else None
+                      for j, live in enumerate(terms.slots))
+        del points
         # f is copied block by block, so the caller can read it afterwards
         yield terms, fvals[None, nodes].copy(), slots
+
+
+def _slot_sum(grad, points, j):
+    """x_j = z_j df/dz_j at points as a (1, nodes) row, from grad, the
+    (1,0) derivative of a polynomial f (zero when it has no dz_j term)."""
+    vals = grad._coefficient(points, (2 * j,))
+    return np.multiply(points[:, j], 0.0 if vals is None else vals)[None]
 
 
 def _gradient_norm(fpoly, rule):
@@ -541,27 +574,49 @@ def _boundary_regularity_check(u_sphere, grad_norm, margin_floor=1e-3,
                 f"gradient vanishes on the zero set (order slope {slope:.2f})")
 
 
-def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
-                             base_cells=6, nodes_per_axis=4, refine_depth=10,
-                             ball_level=12, ball_radial=None):
-    """(Z_u, psi) for a catalog holomorphic function on the unit ball;
-    ball_level and ball_radial size the BallRule (None: its own default)."""
+def _ball_values(upoly, ball_rule):
+    """u on the ball rule as one (node slice, u) block; lazy, so u is
+    evaluated only if the d dbar psi term walks the blocks."""
+    yield slice(None), upoly.evaluate(ball_rule.points, [])[None]
+
+
+def divisor_pairings_boundary(upoly: PolyForm, psis, deltas=DEFAULT_DELTAS, base_cells=6,
+                              nodes_per_axis=4, refine_depth=10, ball_level=12,
+                              ball_radial=None):
+    """(Z_u, psi) for each (1,1)-form of psis, for a catalog holomorphic
+    function on the unit ball; ball_level and ball_radial size the BallRule
+    (None: its own default), which is built only when some d dbar psi has
+    terms.
+
+    The cell rule is refined, and u checked for regularity, once for all
+    the forms; each form then takes its own pass over the rule's blocks,
+    so its values are those of its pairing alone (one pass with a column
+    per form sums in another order)."""
     sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
                                                      refine_depth)
     # a u that fails the check does not pay for the pairing; |du| is freed
     # before it starts
     _boundary_regularity_check(u_sphere, _gradient_norm(upoly, sphere_rule))
     scale_sq = _mean_square(u_sphere, sphere_rule.weights)
-    ball_rule = BallRule(ball_level, radial=ball_radial)
-    blocks = _cell_blocks(upoly, sphere_rule, u_sphere,
-                          lambda block: BoundaryPairingContext(block, ball_rule, psi))
-    # lazy: u on the ball is evaluated only if the d dbar psi term walks the blocks
-    ball_blocks = ((slice(None), upoly.evaluate(points, [])[None]) for points in [ball_rule.points])
-    per = _pairing_sums(blocks, scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
-                        ball_blocks)[0, 0]
-    value, err = richardson_sqrt(deltas, per)
-    return PairingResult(complex(value), float(err), per,
-                         extras={"cells": sphere_rule.ncells, "unresolved_cells": residual})
+    ball_rule = (BallRule(ball_level, radial=ball_radial)
+                 if any(psi.partial_zbar().partial_z().terms for psi in psis) else None)
+    results = []
+    for psi in psis:
+        blocks = _cell_blocks(upoly, sphere_rule, u_sphere,
+                              lambda block, psi=psi: BoundaryPairingContext(block, ball_rule, psi))
+        per = _pairing_sums(blocks, scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
+                            _ball_values(upoly, ball_rule))[0, 0]
+        value, err = richardson_sqrt(deltas, per)
+        results.append(PairingResult(complex(value), float(err), per,
+                                     extras={"cells": sphere_rule.ncells,
+                                             "unresolved_cells": residual}))
+    return results
+
+
+def divisor_pairing_boundary(upoly: PolyForm, psi: PolyForm, **kw):
+    """(Z_u, psi) for a catalog holomorphic function on the unit ball and
+    one (1,1)-form psi (divisor_pairings_boundary)."""
+    return divisor_pairings_boundary(upoly, (psi,), **kw)[0]
 
 
 # --------------------------------------------------------------- catalog

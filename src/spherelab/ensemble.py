@@ -23,10 +23,12 @@ factorization); it never builds a nodes x components matrix.  Plain
 arrays of points get NodeEvaluator's dense design matrix, the reference
 the grid evaluator is checked against.  Both evaluators synthesize f
 and its slot sums one way, one block of nodes at a time (walk); the dense
-one walks its nodes as one block.  On a product rule a block is a range
-of consecutive moduli, a contiguous node slice of SphereRule and
-BallRule alike, synthesized into buffers of one block that the next
-block reuses.  The Monte Carlo pairings consume f, its slot sums and the
+one walks its nodes as one block.  A pairing's walk synthesizes only the
+slot sums its forms read (RegularizedPairing.slots: vol-z2 reads x1
+alone), so its block buffers are two, not three.  On a product rule a
+block is a range of consecutive moduli, a contiguous node slice of
+SphereRule and BallRule alike, synthesized into buffers of one block
+that the next block reuses.  The Monte Carlo pairings consume f, its slot sums and the
 ball values that way, and their s^2, the weighted mean square of f over
 the rule that scales the regularization, comes from the coefficients by discrete Parseval
 (GridEvaluator.mean_square), so no array of a micro-batch spans a rule.
@@ -219,16 +221,24 @@ class NodeEvaluator:
         coefficients a, one block of nodes at a time.
 
         Yields (nodes, f) for consecutive node slices, or with slots
-        (nodes, f, (x1, x2)), each array (rows, block nodes).  A block's
-        arrays are buffers that the next block overwrites, so the caller
-        may consume them in place but must not keep them.
+        (nodes, f, (x1, x2)), each array (rows, block nodes).  slots is
+        True for both slot sums or a pair of flags, one per slot: a slot
+        whose flag is False is not synthesized, and yields None (a
+        pairing's RegularizedPairing.slots).  A block's arrays are buffers
+        that the next block overwrites, so the caller may consume them in
+        place but must not keep them.
         """
         a0, rest = self._split(a)
-        for nodes, (vals, *sums) in self._walk(rest, (None, self._deg1, self._deg2)
-                                               if slots else (None,)):
+        live = (slots, slots) if isinstance(slots, bool) else tuple(slots)
+        degrees = [d for d, keep in zip((self._deg1, self._deg2), live) if keep]
+        for nodes, (vals, *sums) in self._walk(rest, (None, *degrees)):
             if a0 is not None:
                 vals += (self.ensemble.kappa * a0)[:, None]
-            yield (nodes, vals, tuple(sums)) if slots else (nodes, vals)
+            if not slots:
+                yield nodes, vals
+                continue
+            sums = iter(sums)
+            yield nodes, vals, tuple(next(sums) if keep else None for keep in live)
 
     def _walk(self, rest, degrees):
         """(nodes, (sums of rest times each degree vector on those nodes)),

@@ -32,6 +32,7 @@ from spherelab.basis import DegreeTable
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext, ExperimentError,
                                 RegularizedPairing, catalog_function,
                                 divisor_pairing_boundary, divisor_pairing_closed,
+                                divisor_pairings_boundary,
                                 richardson_sqrt, zero_set_direct)
 from spherelab.cutoffs import Cutoff, mean_value, variance
 from spherelab.embedding import EmbeddingMap
@@ -250,7 +251,9 @@ class CfSampler:
     and returns one column per form: each batch of draws gets s^2 from its
     coefficients (GridEvaluator.mean_square), and f and its slot sums one
     block of moduli at a time, which the shared RegularizedPairing
-    consumes: no array of the batch spans the rule.
+    consumes: no array of the batch spans the rule.  Only the slot sums
+    the forms read are synthesized (RegularizedPairing.slots): x1 alone
+    for vol-z2 and d(angular-z2).
     """
 
     def __init__(self, ensemble, contexts, deltas):
@@ -262,16 +265,18 @@ class CfSampler:
         """(values, err_estimates), each (rows, forms), for the rows of draw
         coefficients."""
         per = self.pairing.per_delta(self.ev.mean_square(coeff_rows),
-                                     self.ev.walk(coeff_rows, slots=True), self.deltas)
+                                     self.ev.walk(coeff_rows, slots=self.pairing.slots),
+                                     self.deltas)
         return richardson_sqrt(self.deltas, per)
 
 
 class BoundarySampler:
     """Batched boundary divisor pairings for the kappa = 1 ensemble, one
     column per (1,1)-form of the tuple psis; as in CfSampler, s^2 comes
-    from the coefficients, and u with its slot sums on the sphere rule and
-    u on the ball rule are synthesized one block of moduli at a time, as
-    the pairing reads them."""
+    from the coefficients, and u with the slot sums its forms read on the
+    sphere rule (x1 alone for vol-z2 and bump-z2) and u on the ball rule
+    are synthesized one block of moduli at a time, as the pairing reads
+    them."""
 
     def __init__(self, ensemble, sphere_rule, ball_rule, psis, deltas):
         self.deltas = tuple(deltas)
@@ -282,8 +287,8 @@ class BoundarySampler:
 
     def batch(self, coeff_rows):
         per = self.pairing.per_delta(self.ev_sphere.mean_square(coeff_rows),
-                                     self.ev_sphere.walk(coeff_rows, slots=True), self.deltas,
-                                     self.ev_ball.walk(coeff_rows))
+                                     self.ev_sphere.walk(coeff_rows, slots=self.pairing.slots),
+                                     self.deltas, self.ev_ball.walk(coeff_rows))
         return richardson_sqrt(self.deltas, per)
 
 
@@ -491,10 +496,11 @@ def _pairing_options(config):
                 nodes_per_axis=config.cell_nodes, refine_depth=config.refine_depth)
 
 
-def _boundary_pairing(config, fname, psi):
-    """Catalog boundary divisor pairing on the configured cell and ball rules."""
-    return divisor_pairing_boundary(catalog_function(fname), psi, ball_level=config.ball_level,
-                                    ball_radial=config.ball_radial, **_pairing_options(config))
+def _boundary_options(config):
+    """Delta schedule, cell-rule and ball-rule sizes of the catalog boundary
+    divisor pairings."""
+    return dict(ball_level=config.ball_level, ball_radial=config.ball_radial,
+                **_pairing_options(config))
 
 
 def _cell_counts(res):
@@ -536,7 +542,10 @@ def run_lp_boundary(config: ExperimentConfig):
     """Boundary Lelong-Poincare pairings on the unit ball."""
     report = ExperimentReport("lp-boundary")
     psi = surface_form("vol-z2")
-    res = _boundary_pairing(config, "z1-half", psi)
+    # z1-half's rule is refined and checked once for both of its forms
+    res, res3 = divisor_pairings_boundary(catalog_function("z1-half"),
+                                          (psi, surface_form("vol-z1")),
+                                          **_boundary_options(config))
     direct = zero_set_direct("z1-half", psi)
     report.add_row("", "pairing-z1-half-vol-z2", res.value, direct)
     tol = max(0.01 * abs(direct), 3.0 * res.err_est)
@@ -545,14 +554,14 @@ def run_lp_boundary(config: ExperimentConfig):
                      f"(3 pi / 4 = {3 * math.pi / 4:.8f}), {_cell_counts(res)}")
 
     psi_poly = surface_form("bump-z2")
-    res2 = _boundary_pairing(config, "nowhere-zero", psi_poly)
+    res2 = divisor_pairing_boundary(catalog_function("nowhere-zero"), psi_poly,
+                                    **_boundary_options(config))
     budget = max(3.0 * res2.err_est, 1e-5)
     report.add_row("", "pairing-nowhere-zero", res2.value, 0.0)
     report.add_check("stokes-cancellation", abs(res2.value) <= budget,
                      f"|pairing| = {abs(res2.value):.2e} <= {budget:.2e}")
 
     # psi ^ du " 0 pointwise forces a vanishing pairing
-    res3 = _boundary_pairing(config, "z1-half", surface_form("vol-z1"))
     budget3 = max(3.0 * res3.err_est, 1e-5)
     report.add_row("", "pairing-z1-half-vol-z1", res3.value, 0.0)
     report.add_check("tangential-vanishing", abs(res3.value) <= budget3,
@@ -778,6 +787,10 @@ def run_equidistribution_domain(config: ExperimentConfig):
         psi = surface_form(psi_name)
         tables = _ddbar_pair_tables(psi, ball_rule)
         boundary_ref = mv * sphere_rule.pair_form(contact_one_form().wedge(psi))
+        # a reference this small is zero (interior-only vanishes on the
+        # sphere), computed as rounding noise that rel_err would divide by
+        if abs(boundary_ref) <= 1e-12:
+            boundary_ref = 0.0
         errs = []
         for k in config.k_grid:
             kf = KernelField(table, cut, k, weight="squared")
@@ -840,7 +853,8 @@ def run_expectation_domain(config: ExperimentConfig):
         report.add_check(f"expectation-{psi_name}", gap <= 3.0 * se + budget,
                          f"|mean - ref| = {gap:.3e} <= 3 SE ({3 * se:.3e}) + budget ({budget:.3e})")
     # deterministic cross-check through the same machinery
-    res = _boundary_pairing(config, "z1-half", surface_form("vol-z2"))
+    res = divisor_pairing_boundary(catalog_function("z1-half"), surface_form("vol-z2"),
+                                   **_boundary_options(config))
     direct = zero_set_direct("z1-half", surface_form("vol-z2"))
     report.add_check("catalog-crosscheck",
                      abs(res.value - direct) <= max(0.01 * abs(direct), 3 * res.err_est),

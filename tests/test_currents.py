@@ -8,7 +8,8 @@ from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
                                 catalog_function, cf_pairing,
                                 divisor_pairing_boundary, divisor_pairing_closed,
-                                holo_gradient_values, richardson_sqrt, zero_set_direct)
+                                divisor_pairings_boundary, holo_gradient_values,
+                                richardson_sqrt, zero_set_direct)
 from spherelab.quadrature import BallRule, CircleRule, DiscRule, SphereRule, contact_one_form
 
 ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
@@ -106,6 +107,27 @@ def test_boundary_tangential_form_vanishes():
     res = divisor_pairing_boundary(catalog_function("z1-half"), VOL_Z1,
                                    ball_level=10, **FAST)
     assert abs(res.value) <= 1e-8
+
+
+def test_boundary_pairings_share_one_refinement(monkeypatch):
+    # one refinement and one regularity check for both forms, then one pass
+    # per form: each form keeps the bits of its lone pairing.  Neither form
+    # has a d dbar psi term, so no ball rule is built; bump-z2 builds one.
+    options = dict(ball_level=6, **FAST)
+    upoly = catalog_function("z1-half")
+    alone = [divisor_pairing_boundary(upoly, psi, **options) for psi in (VOL_Z2, VOL_Z1)]
+    built = []
+    for cls in (quadrature.SphereCellRule, BallRule):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kw:
+                            built.append(type(self).__name__) or init(self, *args, **kw))
+    shared = divisor_pairings_boundary(upoly, (VOL_Z2, VOL_Z1), **options)
+    assert built == ["SphereCellRule"]
+    for res, ref in zip(shared, alone):
+        assert res.per_delta.tobytes() == ref.per_delta.tobytes()
+        assert res.value == ref.value and res.err_est == ref.err_est
+        assert res.extras == ref.extras
+    divisor_pairing_boundary(catalog_function("nowhere-zero"), BUMP_Z2, **options)
+    assert built == ["SphereCellRule", "SphereCellRule", "BallRule"]
 
 
 def test_structurally_zero_log_terms_are_skipped(monkeypatch):

@@ -5,10 +5,10 @@ import types
 import numpy as np
 import pytest
 
-from spherelab import _accel
+from spherelab import _accel, forms
 from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
-                                RegularizedPairing, _adaptive_rule,
+                                RegularizedPairing, _adaptive_rule, _slot_weights,
                                 catalog_function, cf_pairing, divisor_pairing_boundary,
                                 holo_gradient_values, richardson_sqrt)
 from spherelab.cutoffs import Cutoff
@@ -322,16 +322,28 @@ def _log_regularized_sums_allocating(weights, fsq, scale_sq, deltas):
     return out
 
 
-def _per_delta_allocating(pairing, scale_sq, blocks, deltas, ball_blocks=()):
-    """per_delta on the same s^2 and blocks, in allocating expressions:
-    each block's sums against |f|^2 + delta s^2 added in block order."""
+def _both_slot_weights(contexts):
+    """The node weights of both slots as the pairing assembles them, a slot
+    that is zero on every node included: a reference that sums it shows
+    that dropping it changes no bit."""
+    ctx = contexts[0]
+    boundary = isinstance(ctx, BoundaryPairingContext)
+    scale = 0.5 * ctx.pair_weights if boundary else ctx.pair_weights / (2j * math.pi)
+    return tuple(np.stack(g, axis=1) * scale[:, None]
+                 for g in zip(*(_slot_weights(c) for c in contexts)))
+
+
+def _per_delta_allocating(pairing, slot_weights, scale_sq, blocks, deltas, ball_blocks=()):
+    """per_delta on the same s^2 and blocks, in allocating expressions, with
+    the weights of both slots: each block's sums against |f|^2 + delta s^2
+    added in block order."""
     scale_sq = scale_sq[:, None]
     sphere = pairing._sphere
     total = None
     for nodes, fvals, slots in blocks:
         fsq = np.abs(fvals) ** 2
         conj_f = np.conj(fvals)
-        part = _regularized_sums_allocating([w[nodes] for w in sphere.slot_weights],
+        part = _regularized_sums_allocating([w[nodes] for w in slot_weights],
                                             [conj_f * x for x in slots], fsq, scale_sq, deltas)
         if sphere.boundary:
             part = -part - _log_regularized_sums_allocating(sphere.w_dbar[nodes], fsq,
@@ -345,7 +357,7 @@ def _per_delta_allocating(pairing, scale_sq, blocks, deltas, ball_blocks=()):
     return (1j / math.pi) * total
 
 
-def _per_delta_normalized(pairing, scale_sq, blocks, deltas, ball_blocks=()):
+def _per_delta_normalized(pairing, slot_weights, scale_sq, blocks, deltas, ball_blocks=()):
     """per_delta as computed before the regularization took delta s^2:
     f divided by s, and in the boundary case log s times the log terms'
     weight sums added back, (1/2) log(|f / s|^2 + delta) + log s being
@@ -356,7 +368,7 @@ def _per_delta_normalized(pairing, scale_sq, blocks, deltas, ball_blocks=()):
     for nodes, fvals, slots in blocks:
         fsq = np.abs(fvals) ** 2 / scale_sq
         conj_f = np.conj(fvals) / scale_sq
-        part = _regularized_sums_allocating([w[nodes] for w in sphere.slot_weights],
+        part = _regularized_sums_allocating([w[nodes] for w in slot_weights],
                                             [conj_f * x for x in slots], fsq, 1.0, deltas)
         if sphere.boundary:
             part = -part - _log_regularized_sums_allocating(sphere.w_dbar[nodes], fsq, 1.0,
@@ -386,8 +398,10 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
     sphere_rule = SphereRule(12)
     deltas = (1e-2, 1e-3, 1e-4)
     if boundary:
-        sampler = BoundarySampler(ens, sphere_rule, BallRule(6, radial=16),
-                                  (surface_form("vol-z2"), surface_form("bump-z2")), deltas)
+        ball_rule = BallRule(6, radial=16)
+        psis = (surface_form("vol-z2"), surface_form("bump-z2"))
+        sampler = BoundarySampler(ens, sphere_rule, ball_rule, psis, deltas)
+        contexts = [BoundaryPairingContext(sphere_rule, ball_rule, psi) for psi in psis]
         ev = sampler.ev_sphere
     else:
         contexts = tuple(CRPairingContext(sphere_rule, surface_form(name))
@@ -395,6 +409,9 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
         sampler = CfSampler(ens, contexts, deltas)
         ev = sampler.ev
     pairing = sampler.pairing
+    # the boundary forms read x1 alone; the references sum both slots
+    assert pairing.slots == ((True, False) if boundary else (True, True))
+    slot_weights = _both_slot_weights(contexts)
     a = ens.draw_matrix(range(rows))
     scale_sq = ev.mean_square(a)
     blocks = [(nodes, f.copy(order="K"), tuple(x.copy(order="K") for x in slots))
@@ -408,12 +425,13 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
                   for nodes, f, slots in blocks]
     before = [u.copy() for _, u in ball_blocks]
     per = pairing.per_delta(scale_sq, blocks, deltas, ball_blocks)
-    assert np.array_equal(per, _per_delta_allocating(pairing, scale_sq, ref_blocks, deltas,
-                                                     ball_blocks))
+    assert np.array_equal(per, _per_delta_allocating(pairing, slot_weights, scale_sq, ref_blocks,
+                                                     deltas, ball_blocks))
     # against dividing f by s and restoring log s, which reads the same
     # copies: the same values in exact arithmetic, within 1e-12 in floating
     # point
-    old = _per_delta_normalized(pairing, scale_sq, ref_blocks, deltas, ball_blocks)
+    old = _per_delta_normalized(pairing, slot_weights, scale_sq, ref_blocks, deltas,
+                                ball_blocks)
     assert np.all(np.abs(per - old) <= 1e-12 * np.maximum(1.0, np.abs(old)))
     # the ball values are read, never overwritten
     assert all(np.array_equal(u, u0) for (_, u), u0 in zip(ball_blocks, before))
@@ -424,16 +442,68 @@ def test_in_place_pairing_matches_allocating_formulas(table, bump, boundary, row
     fsq = np.abs(f0) ** 2
     x1, x2 = ev.slot1_sums(a)
     numer = [np.conj(f0) * x for x in (x1, x2)]
-    args = (pairing._sphere.slot_weights, numer, fsq)
+    args = (slot_weights, numer, fsq)
     fsq_before = fsq.copy()
     assert np.array_equal(
         _accel.regularized_sums(*args, np.empty_like(numer[0]), scale_sq[:, None], deltas),
         _regularized_sums_allocating(*args, scale_sq[:, None], deltas))
-    weights = pairing._sphere.w_dbar if boundary else pairing._sphere.slot_weights[0]
+    weights = pairing._sphere.w_dbar if boundary else slot_weights[0]
     assert np.array_equal(_accel.log_regularized_sums(weights, fsq, scale_sq[:, None], deltas),
                           _log_regularized_sums_allocating(weights, fsq, scale_sq[:, None],
                                                            deltas))
     assert np.array_equal(fsq, fsq_before)
+
+
+def test_vol_z2_sampler_synthesizes_one_slot(table, bump, monkeypatch):
+    # vol-z2 reads x1 alone: each block of moduli synthesizes f and x1,
+    # two products, not three, and they keep the bits of the both-slot walk
+    ens = RandomEnsemble(table, bump, 24, kappa=0, master_seed=23)
+    sampler = CfSampler(ens, (CRPairingContext(SphereRule(12), surface_form("vol-z2")),),
+                        (1e-2, 1e-3, 1e-4))
+    assert sampler.pairing.slots == (True, False)
+    a = ens.draw_matrix(range(_MICRO_BATCH))
+    fills = []
+    fill = GridEvaluator._fill
+    monkeypatch.setattr(GridEvaluator, "_fill",
+                        lambda self, *args: fills.append(args[1]) or fill(self, *args))
+    sampler.batch(a)
+    assert len(fills) == 2 * len(set(fills)) == 2 * 4
+    ev = sampler.ev
+    live = [(f.copy(), slots) for _, f, slots in ev.walk(a, slots=sampler.pairing.slots)
+            for slots in [tuple(None if x is None else x.copy() for x in slots)]]
+    both = [(f.copy(), x1.copy()) for _, f, (x1, _) in ev.walk(a, slots=True)]
+    assert len(live) == len(both) == 4
+    for (f, (x1, x2)), (f_ref, x1_ref) in zip(live, both):
+        assert x2 is None
+        assert f.tobytes() == f_ref.tobytes() and x1.tobytes() == x1_ref.tobytes()
+
+
+# Every form the experiments pair: the cf forms of expectation-cr, equi-cr,
+# variance-cr and lp-closed, and the boundary forms of lp-boundary and
+# expectation-domain.
+PAIRED_CF_FORMS = {name: surface_form(name) for name in ("vol-z2", "vol-z1", "mixed-11")}
+PAIRED_CF_FORMS.update({f"d({name})": one_form(name).d()
+                        for name in ("angular-z2", "angular-z1", "horizontal-mix")})
+PAIRED_BOUNDARY_FORMS = ("vol-z2", "vol-z1", "bump-z2")
+
+
+@pytest.mark.parametrize("rule_name", ["sphere-12", "cells"])
+def test_dropped_slots_are_the_structural_zeros(rule_name):
+    # a slot is dropped when its weights are exactly zero on every node;
+    # for the lab's forms that is exactly where dz_j ^ psi has no terms
+    if rule_name == "sphere-12":
+        rule = SphereRule(12)
+    else:
+        rule = _adaptive_rule(catalog_function("z1-half"), (1e-2, 1e-3), 6, 4, 2)[0]
+        assert rule.ncells > 6 ** 3
+    ball_rule = BallRule(4, radial=4)
+    cases = [(name, psi, CRPairingContext(rule, psi)) for name, psi in PAIRED_CF_FORMS.items()]
+    cases += [(f"boundary {name}", surface_form(name),
+               BoundaryPairingContext(rule, ball_rule, surface_form(name)))
+              for name in PAIRED_BOUNDARY_FORMS]
+    for name, psi, ctx in cases:
+        expected = tuple(bool((forms.dz(j) * psi).terms) for j in range(2))
+        assert RegularizedPairing([ctx]).slots == expected, name
 
 
 @pytest.mark.parametrize("case", ["closed-12", "closed-20", "boundary-10"])
@@ -789,15 +859,17 @@ def test_lp_boundary_uses_configured_ball_radial():
 
 # equi-domain's CSV body at the deterministic benchmark workload's config
 # (ball level 6, 12 radii, k 16,32), from the per-node kernel band sums:
-# summing once per distinct |z|^2 keeps it byte for byte.
+# summing once per distinct |z|^2 keeps it byte for byte.  interior-only's
+# boundary reference is exactly 0 (it was rounding noise of 1e-16, which
+# rel_err divided by).
 EQUI_DOMAIN_CSV = """\
 k,quantity,estimate,reference,abs_err,rel_err,std_err,observed_order
 16,domain-pairing-vol-z2,(0.9877672104076769+3.5378827826575594e-19j),(5.0765880069698825-4.795933959489416e-18j),4.088820796562206,0.8054269503352398,,
 32,domain-pairing-vol-z2,(2.4246294835492623+1.3877177118805834e-18j),(5.0765880069698825-4.795933959489416e-18j),2.65195852342062,0.5223899437534864,,
 16,domain-pairing-bump-z2,(1.5403995162466004+2.988463723194641e-19j),(8.46098001161647-4.4533181358346515e-18j),6.920580495369871,0.8179407687842645,,
 32,domain-pairing-bump-z2,(3.8660479961053653+1.2688981483889456e-18j),(8.46098001161647-4.4533181358346515e-18j),4.594932015511105,0.5430732621046865,,
-16,domain-pairing-interior-only,(0.010396958992598525-5.159970174333431e-18j),(1.121861331892203e-16+2.85586215202108e-17j),0.010396958992598413,89811611306935.11,,
-32,domain-pairing-interior-only,(0.007083432090727777-1.4385803694798153e-17j),(1.121861331892203e-16+2.85586215202108e-17j),0.007083432090727665,61188511958582.875,,
+16,domain-pairing-interior-only,(0.010396958992598525-5.159970174333431e-18j),0.0,0.010396958992598525,,,
+32,domain-pairing-interior-only,(0.007083432090727777-1.4385803694798153e-17j),0.0,0.007083432090727777,,,
 """
 
 
