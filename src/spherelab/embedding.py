@@ -1,8 +1,9 @@
 """The band component map into projective space and its metric data.
 
-For a scale k the map sends a sphere point to the vector of cutoff-
-weighted normalized monomials (optionally prefixed by a constant kappa
-component).  Its projectivization is studied through
+For a scale k the map sends a sphere point to the vector of its kernel
+field's components (KernelField.components): cutoff-weighted normalized
+monomials, led by the constant kappa when kappa = 1.  Its
+projectivization is studied through
 
     normalized_overlap h(x, y) = |<F(x), F(y)>|^2 / (|F(x)|^2 |F(y)|^2),
     overlap_hessian    H(u, v) = Re(<uF, F> conj(<vF, F>)
@@ -35,23 +36,17 @@ class EmbeddingMap:
     """Cutoff-weighted component map at scale k with kappa in {0, 1}."""
 
     def __init__(self, table: DegreeTable, cutoff: Cutoff, k, kappa=0):
-        if kappa not in (0, 1):
-            raise ValueError("kappa must be 0 or 1")
         self.table = table
         self.cutoff = cutoff
         self.k = float(k)
-        self.kappa = float(kappa)
         self.field = KernelField(table, cutoff, k, weight="squared", kappa=kappa)
 
     def components(self, points):
-        """Component vectors (npoints, components), graded-lex order."""
+        """Component vectors (npoints, components), in the order of
+        KernelField.components."""
         points = np.atleast_2d(np.asarray(points, dtype=complex))
         alphas, weights = self.field.components
-        m = self.table.design_matrix(alphas, points, extra_scale=weights)
-        if self.kappa:
-            const = np.full((points.shape[0], 1), self.kappa, dtype=complex)
-            return np.hstack([const, m])
-        return m
+        return self.table.design_matrix(alphas, points, extra_scale=weights)
 
     # ------------------------------------------------------------- overlap
     def squared_length(self):
@@ -59,7 +54,7 @@ class EmbeddingMap:
 
     def overlap(self, x, y):
         """<F(x), F(y)> = kappa^2 + band kernel."""
-        return self.kappa ** 2 + self.field.kernel(x, y)
+        return self.field.kappa ** 2 + self.field.kernel(x, y)
 
     def normalized_overlap(self, x, y):
         """h(x, y) in [0, 1]; equals 1 iff the projective images agree."""
@@ -69,7 +64,7 @@ class EmbeddingMap:
     def normalized_overlap_from_products(self, q):
         """h as a function of the Hermitian pairing <x, y> (unitary
         invariance makes this the full dependence)."""
-        s = self.kappa ** 2 + self.field.kernel_from_products(q)
+        s = self.field.kappa ** 2 + self.field.kernel_from_products(q)
         return np.abs(s) ** 2 / self.squared_length() ** 2
 
     def fs_distance(self, x, y):

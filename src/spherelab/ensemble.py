@@ -1,11 +1,11 @@
 """Gaussian ensembles of band-limited CR / holomorphic functions.
 
 A draw is a plain coefficient vector of i.i.d. standard complex
-Gaussians (unit variance per complex coordinate), one per cutoff-weighted
-component, plus a leading coefficient for the constant component when
-kappa = 1.  Streams are counter-based: the coefficients of trial i are
-produced by a Philox generator keyed by hashing (master_seed, i), so the
-trial index alone reproduces a draw: any subset of trials can be
+Gaussians (unit variance per complex coordinate), one per component of
+KernelField.components, which with kappa = 1 starts with the constant,
+of degree (0, 0).  Streams are counter-based: the coefficients of trial
+i are produced by a Philox generator keyed by hashing (master_seed, i),
+so the trial index alone reproduces a draw: any subset of trials can be
 generated independently, in any order, on any worker, with identical
 bits.
 
@@ -59,20 +59,17 @@ __all__ = ["RandomEnsemble", "NodeEvaluator", "GridEvaluator"]
 
 
 class RandomEnsemble:
-    """Random band functions f = sum a_j chi(m_j / k) (normalized monomial)_j,
-    prefixed by a_0 * kappa when kappa = 1."""
+    """Random band functions f = sum a_j w_j (normalized monomial)_j over
+    KernelField.components: a_0 * kappa first when kappa = 1."""
 
     def __init__(self, table: DegreeTable, cutoff: Cutoff, k, kappa=0, master_seed=2024):
-        if kappa not in (0, 1):
-            raise ValueError("kappa must be 0 or 1")
         self.table = table
         self.cutoff = cutoff
         self.k = float(k)
-        self.kappa = int(kappa)
         self.master_seed = int(master_seed)
         self.field = KernelField(table, cutoff, k, weight="squared", kappa=kappa)
         self.alphas, self.component_weights = self.field.components
-        self.dim = len(self.alphas) + (1 if self.kappa else 0)
+        self.dim = len(self.alphas)
 
     # ------------------------------------------------------------ sampling
     def _generator(self, trial):
@@ -181,20 +178,14 @@ class NodeEvaluator:
         self._z1 = self.points[:, 0]
         self._z2 = self.points[:, 1]
 
-    def _split(self, a):
-        a = np.atleast_2d(np.asarray(a, dtype=complex))
-        if self.ensemble.kappa:
-            return a[:, 0], a[:, 1:]
-        return None, a
-
     def values(self, a):
         """f at the nodes for each coefficient row: (ntrials, npoints)."""
         return self._gather((nodes, (f,)) for nodes, f in self.walk(a))[0]
 
     def slot1_sums(self, a):
         """Degree-weighted sums feeding any directional derivative."""
-        _, rest = self._split(a)
-        return self._gather(self._walk(rest, (self._deg1, self._deg2)))
+        a = np.atleast_2d(np.asarray(a, dtype=complex))
+        return self._gather(self._walk(a, (self._deg1, self._deg2)))
 
     def _gather(self, blocks):
         """The (nodes, arrays) blocks of a walk copied into arrays over every
@@ -221,37 +212,36 @@ class NodeEvaluator:
         coefficients a, one block of nodes at a time.
 
         Yields (nodes, f) for consecutive node slices, or with slots
-        (nodes, f, (x1, x2)), each array (rows, block nodes).  slots is
+        (nodes, f, (x1, x2)), each array (rows, block nodes); the kappa = 1
+        constant, of degree (0, 0), adds 0 to the slot sums.  slots is
         True for both slot sums or a pair of flags, one per slot: a slot
         whose flag is False is not synthesized, and yields None (a
         pairing's RegularizedPairing.slots).  A block's arrays are buffers
         that the next block overwrites, so the caller may consume them in
         place but must not keep them.
         """
-        a0, rest = self._split(a)
+        a = np.atleast_2d(np.asarray(a, dtype=complex))
         live = (slots, slots) if isinstance(slots, bool) else tuple(slots)
         degrees = [d for d, keep in zip((self._deg1, self._deg2), live) if keep]
-        for nodes, (vals, *sums) in self._walk(rest, (None, *degrees)):
-            if a0 is not None:
-                vals += (self.ensemble.kappa * a0)[:, None]
+        for nodes, (vals, *sums) in self._walk(a, (None, *degrees)):
             if not slots:
                 yield nodes, vals
                 continue
             sums = iter(sums)
             yield nodes, vals, tuple(next(sums) if keep else None for keep in live)
 
-    def _walk(self, rest, degrees):
-        """(nodes, (sums of rest times each degree vector on those nodes)),
-        None standing for rest itself; the dense reference walks all its
-        nodes as one block."""
-        yield slice(None), tuple((rest if d is None else rest * d) @ self.matrix.T
+    def _walk(self, a, degrees):
+        """(nodes, (sums of the coefficient rows a times each degree vector
+        on those nodes)), None standing for a itself; the dense reference
+        walks all its nodes as one block."""
+        yield slice(None), tuple((a if d is None else a * d) @ self.matrix.T
                                  for d in degrees)
 
     def directional_derivative(self, x1, x2, direction):
         """df along an ambient complex direction field (npoints, 2).
 
         For the monomial part, d(z^alpha)(u) = (alpha_1 u_1 / z_1 +
-        alpha_2 u_2 / z_2) z^alpha; the constant component drops out.
+        alpha_2 u_2 / z_2) z^alpha; the constant, alpha = (0, 0), drops out.
         """
         u = np.atleast_2d(np.asarray(direction, dtype=complex))
         c1 = u[..., 0] / self._z1
@@ -335,9 +325,9 @@ class GridEvaluator(NodeEvaluator):
 
         A node (m, i1, i2) has weight w_m, and f there is sum_alpha c_alpha
         P[m, alpha] e^{2 pi i (alpha . i)/N} with P the real modulus
-        factors (the kappa constant: factor kappa, residue (0, 0)).  Summing
-        the characters over both angles leaves N^2 for alpha = beta mod N
-        and 0 otherwise, so
+        factors (the kappa = 1 constant: alpha = (0, 0), factor kappa).
+        Summing the characters over both angles leaves N^2 for alpha = beta
+        mod N and 0 otherwise, so
 
             sum w |f|^2 = N^2 sum_{alpha = beta mod N} M[alpha, beta] Re(conj(c_alpha) c_beta),
 
@@ -351,9 +341,6 @@ class GridEvaluator(NodeEvaluator):
             raise ValueError("the rule's weights vary over the angle grid of a modulus")
         factors = self._modulus_factors
         alphas = np.asarray(self.ensemble.alphas, dtype=np.int64)
-        if self.ensemble.kappa:
-            factors = np.hstack([np.full((nmod, 1), float(self.ensemble.kappa)), factors])
-            alphas = np.vstack([np.zeros((1, 2), dtype=np.int64), alphas])
         classes = alphas[:, 0] % nang * nang + alphas[:, 1] % nang
         order = np.argsort(classes, kind="stable")
         members = np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
@@ -384,15 +371,15 @@ class GridEvaluator(NodeEvaluator):
             np.matmul(factor[m0 * nang:m1 * nang], coeffs[lo:hi], out=part)
         np.matmul(self._chars, h.reshape(len(h), m1 - m0, -1).transpose(1, 0, 2), out=dest)
 
-    def _walk(self, rest, degrees):
-        """Monomial sums of the coefficient rows rest times each degree
-        vector (None: rest itself), one block of moduli at a time: yields
+    def _walk(self, a, degrees):
+        """Monomial sums of the coefficient rows a times each degree
+        vector (None: a itself), one block of moduli at a time: yields
         (node slice, (one array per entry)), buffers of one block that the
         next block overwrites.  One allocation holds them and the work
         buffer H."""
-        nrows, ncomp = rest.shape
+        nrows, ncomp = a.shape
         pad = np.zeros((-nrows % _ROW_MULTIPLE, ncomp), dtype=complex)
-        coeffs = np.concatenate([rest, pad]).T[self._order]
+        coeffs = np.concatenate([a, pad]).T[self._order]
         rows = coeffs.shape[1]
         nmod, nang = self._grid
         step = min(nmod, max(1, _accel.BLOCK_BYTES // (16 * nang * nang * rows)))

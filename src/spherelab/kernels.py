@@ -53,6 +53,8 @@ class KernelField:
             raise ValueError("k must be positive")
         if weight not in ("squared", "plain"):
             raise ValueError("weight must be 'squared' or 'plain'")
+        if kappa not in (0, 1):
+            raise ValueError("kappa must be 0 or 1")
         self.table = table
         self.cutoff = cutoff
         self.k = float(k)
@@ -76,11 +78,16 @@ class KernelField:
 
     @functools.cached_property
     def components(self):
-        """(alphas, weights) of the band's component list in graded-lex
-        order: the exponents of each normalized monomial of a band degree m
-        and its weight chi(m / k), shared by ensembles and embedding maps."""
+        """(alphas, weights) of the component list, shared by ensembles and
+        embedding maps: with kappa = 1 first the constant, exponents (0, 0)
+        and weight kappa ||1||, whose normalized column is exactly kappa;
+        then, in graded-lex order, the exponents of each normalized monomial
+        of a band degree m and its weight chi(m / k)."""
         alphas = []
         weights = []
+        if self.kappa:
+            alphas.append((0, 0))
+            weights.append(self.kappa * math.sqrt(self.table.norm_sq((0, 0))))
         for m in self.degrees:
             w = float(self.cutoff.chi(m / self.k))
             for alpha in graded_indices(int(m)):

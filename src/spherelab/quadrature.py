@@ -159,16 +159,6 @@ class BallRule:
     def integrate(self, values):
         return np.dot(self.weights, values)
 
-    def pair_form(self, psi):
-        """Integral of a top-degree (2,2) ambient form, complex orientation."""
-        if psi.degree != 4:
-            raise ValueError("ball pairing needs a 4-form")
-        g = psi.evaluate(self.points, _standard_frame_directions())
-        return self.pair_values(g)
-
-    def pair_values(self, top_values):
-        return np.dot(self.weights, top_values)
-
 
 def _standard_frame_directions():
     """Real coordinate frame of C^2 = R^4 in complex packing."""

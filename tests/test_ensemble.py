@@ -9,6 +9,7 @@ from scipy import stats
 from spherelab import _accel
 from spherelab.basis import DegreeTable
 from spherelab.cutoffs import Cutoff
+from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
 from spherelab.experiments import ExperimentConfig
 from spherelab.geometry import random_sphere_points, tangent_frame
@@ -65,13 +66,23 @@ def test_covariance_identity(ens32, rng):
 
 
 def test_kappa_adds_constant(table, bump, rng):
+    # the constant is component 0 of the field's list, of degree (0, 0),
+    # and its normalized column is exactly kappa: the dense and grid
+    # evaluators, the Parseval form and the embedding read it as any other
     ens = RandomEnsemble(table, bump, 32, kappa=1, master_seed=5)
-    assert ens.dim == len(ens.alphas) + 1
+    assert ens.alphas[0] == (0, 0) and ens.dim == len(ens.alphas)
+    rule = SphereRule(8)
+    column = table.design_matrix(ens.alphas, rule.points, extra_scale=ens.component_weights)[:, 0]
+    assert np.array_equal(column, np.ones(rule.npoints))
     pts = random_sphere_points(3, rng=rng)
     a = np.zeros((1, ens.dim), dtype=complex)
     a[0, 0] = 2.5
-    vals = NodeEvaluator(ens, pts).values(a)
-    assert np.allclose(vals, 2.5)
+    grid = GridEvaluator(ens, rule)
+    for ev in (NodeEvaluator(ens, pts), grid):
+        assert np.array_equal(ev.values(a), np.full((1, len(ev.points)), 2.5))
+        assert all(np.array_equal(x, np.zeros((1, len(ev.points)))) for x in ev.slot1_sums(a))
+    assert abs(grid.mean_square(a)[0] - 6.25) <= 1e-15
+    assert np.array_equal(EmbeddingMap(table, bump, 32, kappa=1).components(pts)[:, 0], np.ones(3))
 
 
 def test_unit_draw_reproduces_component(ens32, rng):
@@ -231,11 +242,8 @@ def test_synthesis_matches_fft_reference(table, bump, kappa):
     rule = _grid_rule("sphere-12")
     ev = GridEvaluator(ens, rule)
     a = ens.draw_matrix(range(32))
-    rest = a[:, kappa:]
-    ref_vals = _fft_synthesis(ens, rule, rest)
-    if kappa:
-        ref_vals = ref_vals + a[:, 0][:, None]
-    ref_slots = _fft_synthesis(ens, rule, np.concatenate([rest * ev._deg1, rest * ev._deg2]))
+    ref_vals = _fft_synthesis(ens, rule, a)
+    ref_slots = _fft_synthesis(ens, rule, np.concatenate([a * ev._deg1, a * ev._deg2]))
     # each call returns a fresh array: a second call leaves the first intact
     for compute, refs in ((lambda: [ev.values(a)], [ref_vals]),
                           (lambda: ev.slot1_sums(a), [ref_slots[:32], ref_slots[32:]])):

@@ -628,6 +628,19 @@ def test_accepted_rows_fill_one_array_and_count_screened_rejects():
     assert rows.shape == (100, 3) and np.shares_memory(rows, ens.drawn[0])
 
 
+def test_accepted_rows_raise_above_five_percent_rejects():
+    # 5 rejects before the 100th accepted draw are a rate of 4.8%, 6 are
+    # 5.7% and raise: no run returns a rate that the experiments'
+    # filter-rate checks (rate <= 5%) can fail
+    config = types.SimpleNamespace(filter_threshold=0.5)
+    margins = np.ones(100 + _MICRO_BATCH)
+    margins[:5] = 0.0
+    assert _accepted_rows(_ListedMarginsEnsemble(margins), config, 100)[1] == 5 / 105
+    margins[5] = 0.0
+    with pytest.raises(ExperimentError, match=r"filter reject rate 5\.7% exceeds 5%"):
+        _accepted_rows(_ListedMarginsEnsemble(margins), config, 100)
+
+
 def test_catalog_pairings_match_reference_route():
     # the deterministic routes on a refined cell rule against the same
     # reference arithmetic, with df from the polynomial's gradient

@@ -166,6 +166,8 @@ def test_weight_kinds(table, bump):
         KernelField(table, bump, 32.0, weight="cubed")
     with pytest.raises(ValueError):
         KernelField(table, bump, 4000.0)  # band exceeds table
+    with pytest.raises(ValueError):
+        KernelField(table, bump, 32.0, kappa=2)
 
 
 def _per_node_ball_data(kf, points, c=1.0):
