@@ -26,30 +26,40 @@ as (1/2) log(|u|^2 + delta s^2).  Scaling delta by s^2 regularizes u
 as if it were u / s: the rational sums are those of u / s, and (1/2)
 log(|u|^2 + delta s^2) = (1/2) log(|u / s|^2 + delta) + log s.
 
-A pairing context binds a test form to the rules it is paired on:
-CRPairingContext holds psi on pairs of the sphere rule's Hopf frame, the
-frame itself (three real tangent vectors, each a tuple of two node
-columns) and the pairing weights; BoundaryPairingContext sets up the
-same sphere-side data and adds the ball rule and the dbar psi node
-values.  Both cases, and both routes, share one regularized pairing, a
-loop over blocks of nodes (_pairing_sums) given s^2, the mean square of
-f on the whole rule: each block hands over its terms, f and the slot
-sums x_j = z_j df/dz_j on its nodes (only those of the slots whose
-weights are not exactly zero: _SphereTerms), and the loop adds up the
-block's delta sums against |f|^2 + delta s^2; in the boundary case the
-d dbar psi term on the ball rule follows, over blocks of ball nodes.
-richardson_sqrt takes the limit along the delta axis.
+A pairing context binds a test form to the rules it is paired on, as
+symbolic 0-forms: for a holomorphic f with slot sums x_j = z_j df/dz_j,
+the density of df ^ psi against the contact volume (1/2) xi ^ dxi is
+
+    [d rho ^ df ^ psi]_top / [d rho ^ (1/2) xi ^ dxi]_top
+        = (x_1 g_1 + x_2 g_2) / [d rho ^ (1/2) xi ^ dxi]_top,
+
+rho = |z|^2, [.]_top the dz_1 ^ dconj(z_1) ^ dz_2 ^ dconj(z_2)
+coefficient and g_j = [d rho ^ dz_j ^ psi]_top / z_j (forms.slot_forms).
+CRPairingContext holds the g_j, scaled by 1 / (2 pi i);
+BoundaryPairingContext holds them scaled by 1/2, with the ball rule and
+[d rho ^ dbar psi]_top.  The sphere rules evaluate these forms from their
+axis factors (_HopfGrid.axis_values), node weights and denominator
+folded in: no Hopf frame, and nothing per node but one broadcast product
+per angle class.  Both cases, and both routes, share one regularized
+pairing, a loop over blocks of nodes (_pairing_sums) given s^2, the mean
+square of f on the whole rule: each block hands over its terms, f and
+the slot sums on its nodes (only those of the slots whose forms have
+terms: _SphereTerms), and the loop adds up the block's delta sums
+against |f|^2 + delta s^2; in the boundary case the d dbar psi term on
+the ball rule follows, over blocks of ball nodes.  richardson_sqrt takes
+the limit along the delta axis.
 
 The Monte Carlo samplers in experiments.py call RegularizedPairing with a
 micro-batch of draws: s^2 from the draw coefficients (discrete Parseval,
 GridEvaluator.mean_square), then f, its slot sums (and u on the ball) as
 the evaluators' walk over blocks of moduli yields them, against views of
-the contexts' node weights, so no array of the batch spans a rule.  The
-catalog pairings take s^2 from f on a refined cell rule (_mean_square),
+the pairing's node weights, so no array of the batch spans a rule.  The
+catalog pairings take s^2 from the refinement's final cell statistics,
 keep only f over the whole rule (and |du| during the boundary
 regularity check) and walk it in blocks of cells (_cell_blocks): each
-block binds its own context and evaluates the gradient of the
-polynomial on its nodes.  Blocks are sized by _accel.BLOCK_BYTES.
+block evaluates the weights and the polynomial's slot sums from its
+cells' axis factors, so it builds no node points, frame or context.
+Blocks are sized by _accel.BLOCK_BYTES.
 
 Quadrature near zero sets uses a refinable composite sphere rule: cells
 are subdivided when they approach the zero set (node minimum of |f|
@@ -73,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab import _accel
-from spherelab.forms import PolyForm, z_coord
+from spherelab.forms import PolyForm, normal_top, slot_forms, z_coord
 from spherelab.quadrature import (BallRule, CircleRule, DiscRule, SphereCellRule,
                                   _standard_frame_directions)
 
@@ -145,48 +155,26 @@ def richardson_sqrt(deltas, values):
     return full, np.abs(full - reduced)
 
 
-def holo_gradient_values(fpoly: PolyForm, points):
-    """(d/dz_1 f, d/dz_2 f) at points for a holomorphic 0-form."""
+def _partials(fpoly):
+    """(df/dz_1, df/dz_2) of a holomorphic polynomial, as 0-forms."""
     grad = fpoly.partial_z()
-    by_word = grad.coefficient_values(points)
-    npts = np.atleast_2d(points).shape[0]
-    g = np.zeros((npts, 2), dtype=complex)
-    for word, vals in by_word.items():
-        g[:, word[0] // 2] = vals
-    return g
+    return tuple(grad.coefficient_form((2 * j,)) for j in range(2))
 
 
 class CRPairingContext:
-    """psi-dependent node data for cf pairings on a fixed sphere rule: the
-    psi values on pairs of the rule's Hopf frame, the frame and the
-    oriented pairing weights."""
+    """A cf pairing's test 2-form psi bound to a sphere rule (a SphereRule,
+    or a SphereCellRule the catalog pairing walks in blocks): slot_forms
+    holds g_j / (2 pi i) (forms.slot_forms), whose pairing weights the
+    rule evaluates from its axis factors."""
+
+    _SLOT_SCALE = 1.0 / (2j * math.pi)
 
     def __init__(self, rule, psi: PolyForm):
         if psi.terms and psi.degree != 2:
             raise ValueError("cf pairing needs a 2-form")
-        # building the frame on a refined cell rule costs as much as a form
-        # evaluation: it is built once, and a subclass reuses it
-        dirs = rule.frame_directions()
         self.rule = rule
         self.psi = psi
-        self.points = rule.points
-        self.psi_12 = psi.evaluate(rule.points, [dirs[1], dirs[2]])
-        self.psi_02 = psi.evaluate(rule.points, [dirs[0], dirs[2]])
-        self.psi_01 = psi.evaluate(rule.points, [dirs[0], dirs[1]])
-        self.frame = dirs
-        self.pair_weights = rule.pairing_weights
-
-
-def _mean_square(fvals, weights):
-    """s^2, the mean square of f (nodes,) against the weights, as a (1, 1)
-    array: the scale of a catalog pairing's regularization and of its
-    refinement."""
-    fsq = np.abs(fvals[None])
-    np.square(fsq, out=fsq)
-    scale_sq = (fsq @ (weights / weights.sum()))[:, None]
-    if not np.all(scale_sq > 0.0):
-        raise RegularityError("function vanishes identically on the rule")
-    return scale_sq
+        self.slot_forms = tuple(g * self._SLOT_SCALE for g in slot_forms(psi))
 
 
 def _cell_stats(fvals, weights, m3):
@@ -204,6 +192,25 @@ def _cell_stats(fvals, weights, m3):
     return stats
 
 
+def _stats_mean_square(stats):
+    """s^2, the mean square of f on the rule, from per-cell statistics."""
+    scale_sq = stats[:, 2].sum() / stats[:, 3].sum()
+    if not scale_sq > 0.0:
+        raise RegularityError("function vanishes identically on the rule")
+    return scale_sq
+
+
+class _Refinement(tuple):
+    """(rule, f on its nodes, cells still flagged), with scale_sq: s^2 as a
+    (1, 1) array, the mean square of f on the rule from the final cell
+    statistics, the scale of a catalog pairing's regularization."""
+
+    def __new__(cls, rule, fvals, residual_cells, scale_sq):
+        refined = super().__new__(cls, (rule, fvals, residual_cells))
+        refined.scale_sq = np.full((1, 1), scale_sq)
+        return refined
+
+
 def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
                    max_cells=60_000, per_level=384):
     """Refine cells that straddle or approach the zero set of f.
@@ -218,11 +225,12 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
     cells with the largest estimated contribution weight * spread /
     (min^2 + floor * s^2) are subdivided, so the node budget stays
     bounded; leftover candidates at the end are reported, never silently
-    dropped.  An f that vanishes on every node raises RegularityError.
+    dropped.  An f that vanishes on every node raises RegularityError,
+    at any depth.
 
     Returns the rule, the values of f on its nodes and the number of
-    cells still flagged; each pass evaluates f, and its statistics, only
-    on the new cells.
+    cells still flagged, with s^2 of the final cells (_Refinement); each
+    pass evaluates f, and its statistics, only on the new cells.
     """
     rule = SphereCellRule(base_cells=base_cells, nodes_per_axis=nodes_per_axis)
     m3 = rule.nodes_per_axis ** 3
@@ -235,10 +243,8 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
     floor = 10.0 * min(deltas)
     residual_cells = 0
     for _ in range(refine_depth):
+        scale_sq = _stats_mean_square(stats)
         lo, hi, wsq, wsum = stats.T
-        scale_sq = wsq.sum() / wsum.sum()
-        if not scale_sq > 0.0:
-            raise RegularityError("function vanishes identically on the rule")
         spread = hi - lo
         lo_sq = lo ** 2
         flags = lo_sq <= np.maximum(floor * scale_sq, 0.25 * spread ** 2)
@@ -259,7 +265,7 @@ def _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth,
         fvals = np.concatenate([kept, new_vals])
         stats = np.concatenate([stats[~flags], new_stats])
         del kept, new_vals
-    return rule, fvals, residual_cells
+    return _Refinement(rule, fvals, residual_cells, _stats_mean_square(stats))
 
 
 def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
@@ -269,11 +275,10 @@ def cf_pairing(fpoly: PolyForm, psi: PolyForm, deltas=DEFAULT_DELTAS,
     A psi with no terms (d(d phi) of an exact form) pairs to exact zeros
     for every delta: no rule is built and no block is walked."""
     if psi.terms:
-        rule, fvals, residual_cells = _adaptive_rule(fpoly, deltas, base_cells,
-                                                     nodes_per_axis, refine_depth)
-        scale_sq = _mean_square(fvals, rule.weights)
-        blocks = _cell_blocks(fpoly, rule, fvals, lambda block: CRPairingContext(block, psi))
-        per = _pairing_sums(blocks, scale_sq, deltas)[0, 0]
+        refined = _adaptive_rule(fpoly, deltas, base_cells, nodes_per_axis, refine_depth)
+        rule, fvals, residual_cells = refined
+        blocks = _cell_blocks(fpoly, rule, fvals, (CRPairingContext(rule, psi),))
+        per = _pairing_sums(blocks, refined.scale_sq, deltas)[0, 0]
         extras = {"cells": rule.ncells, "unresolved_cells": residual_cells}
     else:
         per = np.zeros(len(deltas), dtype=complex)
@@ -290,40 +295,32 @@ def divisor_pairing_closed(fpoly: PolyForm, psi: PolyForm, **kw):
 
 
 class BoundaryPairingContext(CRPairingContext):
-    """psi-dependent node data for boundary divisor pairings.
-
-    Binds a fixed sphere rule (boundary terms, with the node data of
-    CRPairingContext and the dbar psi values), a ball rule (the interior
-    log term, whose d dbar psi values _DomainTerms evaluates; None when d
-    dbar psi has no terms) and the (1,1)-form psi; per-function values
-    then need only u and du on the sphere nodes and u on the ball nodes.
+    """A boundary divisor pairing's (1,1)-form psi bound to a sphere rule
+    and a ball rule (the interior log term, whose d dbar psi values
+    _DomainTerms evaluates; None when d dbar psi has no terms): slot_forms
+    holds g_j / 2, and dbar_form [d rho ^ dbar psi]_top, the numerator of
+    the dbar psi log term's density (no terms for vol-z2 and vol-z1);
+    per-function values then need only u and its slot sums on the sphere
+    nodes and u on the ball nodes.
     """
+
+    _SLOT_SCALE = 0.5
 
     def __init__(self, rule, ball_rule, psi: PolyForm):
         if psi.bidegree != (1, 1):
             raise ValueError("boundary pairing needs a (1,1)-form")
         super().__init__(rule, psi)
         self.ball_rule = ball_rule
-        # a form with no terms is a structural zero (None), never evaluated
-        dbar = psi.partial_zbar()
-        self.dbar_top = dbar.evaluate(rule.points, self.frame) if dbar.terms else None
+        self.dbar_form = normal_top(psi.partial_zbar())
 
 
-def _slot_weights(ctx):
-    """Per-node weights (g1, g2) with df ^ psi = x1 g1 + x2 g2 on a context's
-    sphere nodes.
-
-    For a polynomial f = sum a_alpha z^alpha with slot sums x_j = sum
-    alpha_j a_alpha z^alpha, df(u) = x1 u_1 / z_1 + x2 u_2 / z_2 at nodes
-    where z_1, z_2 do not vanish, so df ^ psi = df(e0) psi_12 - df(e1) psi_02
-    + df(e2) psi_01 on the frame e0, e1, e2 folds into two weights that do
-    not depend on f.  Frame components that vanish identically (None)
-    drop out of the sums.
-    """
-    pieces = (ctx.psi_12, -ctx.psi_02, ctx.psi_01)
-    g1, g2 = (sum(p * u[j] for p, u in zip(pieces, ctx.frame) if u[j] is not None)
-              for j in (0, 1))
-    return g1 / ctx.points[:, 0], g2 / ctx.points[:, 1]
+def _pairing_columns(rule, numerators):
+    """(nodes, forms) oriented pairing weights on the rule's nodes, one
+    column per numerator 0-form (axis_values with pairing)."""
+    out = np.empty((rule.npoints, len(numerators)), dtype=complex)
+    for i, form in enumerate(numerators):
+        out[:, i] = rule.axis_values(form, pairing=True)
+    return out
 
 
 def _top_weights(weights, tops):
@@ -337,28 +334,29 @@ def _top_weights(weights, tops):
 
 class _SphereTerms:
     """The sphere terms of a regularized pairing on the nodes of one rule or
-    one block of cells: the node weights of contexts on those nodes and the
-    delta sums against them.
+    one block of cells: the pairing weights of the contexts' forms on those
+    nodes and the delta sums against them.
 
-    A slot whose weights are exactly zero on every node, for every form
-    (slot 2 of vol-z2, bump-z2 and d(angular-z2), slot 1 of vol-z1 and
-    d(angular-z1)), is None, like w_dbar: its slot sum is neither
-    synthesized nor summed.  It would add only signed zeros, and y + (+-0)
-    = y for y != 0, so the sums keep their bits; a slot that cancels only
-    to rounding is kept.  When both slots are zero, both are kept.
+    A slot whose forms have no terms, for every context (slot 2 of vol-z2,
+    bump-z2 and d(angular-z2), slot 1 of vol-z1 and d(angular-z1)), is
+    None, like w_dbar: its slot sum is neither synthesized nor summed.  It
+    would add only signed zeros, and y + (+-0) = y for y != 0, so the sums
+    keep their bits.  When both slots are zero, both are kept.
     """
 
-    def __init__(self, contexts):
+    def __init__(self, contexts, rule=None):
+        """The terms on the nodes of rule, the contexts' own rule if None
+        (a block view of it for the catalog pairings)."""
         ctx = contexts[0]
+        rule = ctx.rule if rule is None else rule
         self.boundary = isinstance(ctx, BoundaryPairingContext)
-        scale = 0.5 * ctx.pair_weights if self.boundary else ctx.pair_weights / (2j * math.pi)
-        weights = [np.stack(g, axis=1) * scale[:, None]
-                   for g in zip(*(_slot_weights(c) for c in contexts))]
-        live = [w.any() for w in weights]
-        self.slot_weights = tuple(w if keep or not any(live) else None
-                                  for w, keep in zip(weights, live))
-        self.w_dbar = (_top_weights(ctx.pair_weights, [c.dbar_top for c in contexts])
-                       if self.boundary else None)
+        by_slot = list(zip(*(c.slot_forms for c in contexts)))
+        live = [any(g.terms for g in slot) for slot in by_slot]
+        self.slot_weights = tuple(_pairing_columns(rule, slot) if keep or not any(live) else None
+                                  for slot, keep in zip(by_slot, live))
+        dbars = [c.dbar_form for c in contexts] if self.boundary else []
+        self.w_dbar = (_pairing_columns(rule, dbars) if any(g.terms for g in dbars)
+                       else None)
 
     @property
     def slots(self):
@@ -464,7 +462,7 @@ class RegularizedPairing:
     Built once from pairing contexts on one rule: all CRPairingContext
     (closed case), or all BoundaryPairingContext on one sphere and ball
     rule (boundary case).  per_delta sums conj(f) df ^ psi / (|f|^2 +
-    delta s^2) with df ^ psi = x1 g1 + x2 g2 (_slot_weights of each
+    delta s^2) with df ^ psi = x1 g1 + x2 g2 (the slot forms of each
     context) and, in the boundary case, (1/2) log(|u|^2 + delta s^2)
     against the dbar psi node weights, block by block as the evaluator
     walks the rule, each block against views of the whole-rule weights
@@ -505,42 +503,21 @@ def _block_cells(rule):
     return max(1, _accel.BLOCK_BYTES // (16 * rule.nodes_per_axis ** 3))
 
 
-def _cell_blocks(fpoly, rule, fvals, bind):
+def _cell_blocks(fpoly, rule, fvals, contexts):
     """The blocks of cells of a catalog pairing, as _pairing_sums reads
-    them: the terms of the context bind(block) on a block view, a copy of
-    f (fvals, read only) and the slot sums of the polynomial fpoly on the
-    block's nodes, those of the slots the terms read (None for the other).
-    Each context and every array but f spans one block.
+    them: the terms of the contexts (on rule) on a block view, a copy of f
+    (fvals, read only) and the slot sums x_j = z_j df/dz_j of the
+    polynomial fpoly on the block's nodes, those of the slots the terms
+    read (None for the other), all from the block's axis factors.  Every
+    array but f spans one block.
     """
-    grad = fpoly.partial_z()
+    sums = tuple(z_coord(j) * d for j, d in enumerate(_partials(fpoly)))
     for nodes, block in rule.blocks(_block_cells(rule)):
-        terms = _SphereTerms((bind(block),))
-        points = block.points
-        # the context is gone once its weights are taken; the view, which
-        # caches the points, is dropped before the delta sums
-        del block
-        slots = tuple(_slot_sum(grad, points, j) if live else None
-                      for j, live in enumerate(terms.slots))
-        del points
+        terms = _SphereTerms(contexts, block)
+        slots = tuple(block.axis_values(x)[None] if live else None
+                      for x, live in zip(sums, terms.slots))
         # f is copied block by block, so the caller can read it afterwards
         yield terms, fvals[None, nodes].copy(), slots
-
-
-def _slot_sum(grad, points, j):
-    """x_j = z_j df/dz_j at points as a (1, nodes) row, from grad, the
-    (1,0) derivative of a polynomial f (zero when it has no dz_j term)."""
-    vals = grad._coefficient(points, (2 * j,))
-    return np.multiply(points[:, j], 0.0 if vals is None else vals)[None]
-
-
-def _gradient_norm(fpoly, rule):
-    """|du| at every node of the rule, for the polynomial fpoly, evaluated
-    in the pairing's blocks of cells."""
-    grad_norm = np.empty(rule.npoints)
-    for nodes, block in rule.blocks(_block_cells(rule)):
-        grad = holo_gradient_values(fpoly, block.points)
-        _accel.gradient_norm(grad[:, 0], grad[:, 1], grad_norm[nodes])
-    return grad_norm
 
 
 def _boundary_regularity_check(u_sphere, grad_norm, margin_floor=1e-3,
@@ -552,21 +529,25 @@ def _boundary_regularity_check(u_sphere, grad_norm, margin_floor=1e-3,
     slope of log |du| against log |u| over the deep near-zero nodes.  A
     transversal zero has slope about 0; a zero of order p has slope
     (p - 1) / p, so anything appreciably above zero signals degeneracy.
-    grad_norm holds |du| at the nodes of u_sphere.
+    grad_norm holds |du| at the nodes of u_sphere.  |u| is taken once and
+    dropped before the |du| terms, so the check holds at most two node
+    arrays besides its arguments.
     """
-    rms = math.sqrt(float(np.mean(np.abs(u_sphere) ** 2)))
+    abs_u = np.abs(u_sphere)
+    rms = math.sqrt(float(np.mean(abs_u ** 2)))
     if rms == 0.0:
         raise RegularityError("u vanishes identically")
-    near = np.abs(u_sphere) <= 0.3 * rms
+    near = abs_u <= 0.3 * rms
     if not near.any():
         return
+    deep = abs_u <= 0.05 * rms
+    x = np.log(abs_u[deep] / rms) if deep.sum() >= 32 else None
+    del abs_u
     grad_scale = math.sqrt(float(np.mean(grad_norm ** 2)))
     margin = float(np.min(grad_norm[near])) / max(grad_scale, 1e-300)
     if margin < margin_floor:
         raise RegularityError(f"boundary zero with vanishing gradient (margin {margin:.2e})")
-    deep = np.abs(u_sphere) <= 0.05 * rms
-    if deep.sum() >= 32:
-        x = np.log(np.abs(u_sphere[deep]) / rms)
+    if x is not None:
         y = np.log(np.maximum(grad_norm[deep] / grad_scale, 1e-300))
         slope = float(np.polyfit(x, y, 1)[0])
         if slope > slope_cap:
@@ -592,19 +573,24 @@ def divisor_pairings_boundary(upoly: PolyForm, psis, deltas=DEFAULT_DELTAS, base
     the forms; each form then takes its own pass over the rule's blocks,
     so its values are those of its pairing alone (one pass with a column
     per form sums in another order)."""
-    sphere_rule, u_sphere, residual = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis,
-                                                     refine_depth)
-    # a u that fails the check does not pay for the pairing; |du| is freed
+    refined = _adaptive_rule(upoly, deltas, base_cells, nodes_per_axis, refine_depth)
+    sphere_rule, u_sphere, residual = refined
+    # |du| from the axis factors, in the pairing's blocks of cells; a u that
+    # fails the check does not pay for the pairing, and |du| is freed
     # before it starts
-    _boundary_regularity_check(u_sphere, _gradient_norm(upoly, sphere_rule))
-    scale_sq = _mean_square(u_sphere, sphere_rule.weights)
+    partials = _partials(upoly)
+    grad_norm = np.empty(sphere_rule.npoints)
+    for nodes, block in sphere_rule.blocks(_block_cells(sphere_rule)):
+        _accel.gradient_norm(*(block.axis_values(d) for d in partials), grad_norm[nodes])
+    _boundary_regularity_check(u_sphere, grad_norm)
+    del grad_norm
     ball_rule = (BallRule(ball_level, radial=ball_radial)
                  if any(psi.partial_zbar().partial_z().terms for psi in psis) else None)
     results = []
     for psi in psis:
         blocks = _cell_blocks(upoly, sphere_rule, u_sphere,
-                              lambda block, psi=psi: BoundaryPairingContext(block, ball_rule, psi))
-        per = _pairing_sums(blocks, scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
+                              (BoundaryPairingContext(sphere_rule, ball_rule, psi),))
+        per = _pairing_sums(blocks, refined.scale_sq, deltas, _DomainTerms(ball_rule, (psi,)),
                             _ball_values(upoly, ball_rule))[0, 0]
         value, err = richardson_sqrt(deltas, per)
         results.append(PairingResult(complex(value), float(err), per,

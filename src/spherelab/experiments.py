@@ -313,20 +313,23 @@ def _beta_reference(field_eta, ctx):
     two routes.
 
     Route one uses the closed identity beta = scale * contact form; route
-    two assembles beta pointwise from the raw kernel ratio and the psi
-    values of the CRPairingContext.  They must agree to 1e-10; the shared
-    value is returned.
+    two assembles beta pointwise from the raw kernel ratio on the rule's
+    Hopf frame and psi on pairs of that frame.  They must agree to 1e-10;
+    the shared value is returned.
     """
-    rule = ctx.rule
-    xi_psi = contact_one_form().wedge(ctx.psi)
+    rule, psi = ctx.rule, ctx.psi
+    xi_psi = contact_one_form().wedge(psi)
     route1 = field_eta.beta_scale() * rule.pair_form(xi_psi)
+    frame = rule.frame_directions()
     betas = []
-    for u in ctx.frame:
+    for u in frame:
         # <u, x> summed over the frame components that do not vanish identically
         grad = sum(field_eta.grad_diag_pair(rule.points[:, j, None], c[:, None])
                    for j, c in enumerate(u) if c is not None)
         betas.append(grad / (2j * math.pi * field_eta.squared_length()))
-    top = betas[0] * ctx.psi_12 - betas[1] * ctx.psi_02 + betas[2] * ctx.psi_01
+    top = (betas[0] * psi.evaluate(rule.points, [frame[1], frame[2]])
+           - betas[1] * psi.evaluate(rule.points, [frame[0], frame[2]])
+           + betas[2] * psi.evaluate(rule.points, [frame[0], frame[1]]))
     route2 = rule.pair_values(top)
     if abs(route1 - route2) > 1e-10 * max(1.0, abs(route1)):
         raise ArithmeticError(

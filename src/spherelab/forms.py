@@ -18,7 +18,8 @@ packing, which evaluates covectors as dz_j -> u_j, dconj(z_j) ->
 conj(u_j).  It is an array of shape (2,) or (npoints, 2), or a tuple of
 the two per-coordinate columns in which None marks a component that
 vanishes identically; evaluation then skips every product that contains
-it.
+it.  A 3-form's density on the spheres |z| = r needs no direction at
+all: normal_top and slot_forms give it as polynomial 0-forms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord"]
+__all__ = ["PolyForm", "dz", "dzbar", "dx", "z_coord", "zbar_coord", "x_coord", "normal_top",
+           "slot_forms"]
 
 
 def _permutation_sign(seq):
@@ -261,6 +263,11 @@ class PolyForm:
             total = value if total is None else total + value
         return total
 
+    def coefficient_form(self, word):
+        """The coefficient polynomial of one covector word, as a 0-form."""
+        word = tuple(word)
+        return PolyForm({((), exps): c for (w, exps), c in self.terms.items() if w == word})
+
     def _words(self):
         """Covector words in order of first appearance."""
         return dict.fromkeys(word for word, _ in self.terms)
@@ -368,6 +375,40 @@ def dx(i):
     if odd:
         return (dz(j) - dzbar(j)) * (1.0 / 2j)
     return (dz(j) + dzbar(j)) * 0.5
+
+
+def normal_top(form):
+    """[d rho ^ form]_top for a 3-form, rho = |z_1|^2 + |z_2|^2: the
+    coefficient of dz_1 ^ dconj(z_1) ^ dz_2 ^ dconj(z_2) in d rho ^ form,
+    as a 0-form.
+
+    d rho is conormal to every sphere |z| = r, so for 3-forms omega and
+    eta the quotient normal_top(omega) / normal_top(eta) is omega / eta on
+    the sphere's tangent spaces wherever the denominator does not vanish:
+    the density of omega against eta, without a frame.
+    """
+    if form.terms and form.degree != 3:
+        raise ValueError("normal_top needs a 3-form")
+    return _d_rho().wedge(form).coefficient_form((0, 1, 2, 3))
+
+
+@functools.cache
+def _d_rho():
+    """d rho, rho = |z_1|^2 + |z_2|^2."""
+    return (z_coord(0) * zbar_coord(0) + z_coord(1) * zbar_coord(1)).d()
+
+
+def slot_forms(psi):
+    """(g_1, g_2) with normal_top(df ^ psi) = x_1 g_1 + x_2 g_2 for every
+    holomorphic f, x_j = z_j df/dz_j its slot sums: g_j = normal_top(dz_j ^
+    psi) / z_j, a Laurent polynomial (an exponent of z_j may be -1).  A
+    slot that psi does not read has no terms."""
+    out = []
+    for j in range(2):
+        inverse = [0, 0, 0, 0]
+        inverse[2 * j] = -1
+        out.append(normal_top(dz(j) * psi) * PolyForm.monomial(1.0, inverse))
+    return tuple(out)
 
 
 def _covector_columns(u):

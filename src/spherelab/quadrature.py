@@ -12,13 +12,18 @@ contact volume is positive) and preserves exactness: after averaging
 over the angle grids the quotient is again polynomial in t.
 
 Both sphere rules are tensor products in (t, theta1, theta2), the
-product rule globally and the refinable cell rule per cell, so they keep
-per-axis factors (cos(phi), sin(phi), e^{i theta1}, e^{i theta2} and the
-axis weights) and build node arrays and the Hopf frame by broadcasting
-them: no trigonometry runs per node.  The frame is three real tangent
-vectors, each a tuple of its two per-coordinate node columns in complex
-packing; d/dtheta1 and d/dtheta2, which have one vanishing component
-each, carry it as a structural zero (None) instead of an array of zeros.
+product rule globally (one cell) and the refinable cell rule per cell,
+so they keep per-axis factors (_HopfGrid) and build node arrays by
+broadcasting them: no trigonometry runs per node.  axis_values
+evaluates a polynomial 0-form from the same factors (sum
+factorization): z^a conj(z)^b is cos(phi)^(a1+b1) sin(phi)^(a2+b2)
+e^{i (a1-b1) theta1} e^{i (a2-b2) theta2}, one broadcast product per
+angle class (a1 - b1, a2 - b2).  With the node weights and the t-only
+denominator [d rho ^ (1/2) xi ^ d xi]_top folded in, these are the
+oriented pairing weights of a 3-form with that forms.normal_top, with
+no Hopf frame.  SphereRule still builds its frame (each direction a
+tuple of two node columns, None for a component that vanishes
+identically) for pair_form and its recorded contact density.
 """
 
 from __future__ import annotations
@@ -64,11 +69,89 @@ def contact_volume_form():
     return xi.wedge(xi.d()) * 0.5
 
 
-class SphereRule:
+@functools.cache
+def _contact_normal_top():
+    """[d rho ^ (1/2) xi ^ d xi]_top = -rho / 2, the denominator of every
+    density against the contact volume: of angle class (0, 0), so on the
+    Hopf grid a function of t alone."""
+    return forms.normal_top(contact_volume_form())
+
+
+def _angle_classes(form):
+    """Terms c z^a conj(z)^b of a 0-form grouped by angle class: {(a1 - b1,
+    a2 - b2): [(a1 + b1, a2 + b2, c)]}, the powers of cos(phi) and sin(phi)
+    with the complex coefficient, in order of first appearance."""
+    classes = {}
+    for (word, (a1, b1, a2, b2)), c in form.terms.items():
+        if word:
+            raise ValueError("axis values need a 0-form")
+        classes.setdefault((a1 - b1, a2 - b2), []).append((a1 + b1, a2 + b2, complex(c)))
+    return classes
+
+
+def _character(e, k):
+    """e^{i k theta} from the axis factor e = e^{i theta}."""
+    return e ** k if k >= 0 else np.conj(e) ** -k
+
+
+def _t_factor(terms, cos, sin):
+    """sum c cos(phi)^p1 sin(phi)^p2 over the (p1, p2, c) of one angle class."""
+    total = None
+    for p1, p2, c in terms:
+        value = c * cos ** p1 * sin ** p2
+        total = value if total is None else total + value
+    return total
+
+
+class _HopfGrid:
+    """Axis factors of a tensor grid in (t, theta1, theta2) on S^3, each a
+    (cells, m) array with one row per cell: t_weights, theta1_weights,
+    theta2_weights, cos_phi, sin_phi, exp_theta1 and exp_theta2.  Nodes run
+    in (cell, t, theta1, theta2) order; SphereRule is one cell."""
+
+    def _axes(self, first=0):
+        """cos(phi), sin(phi), e^{i theta1}, e^{i theta2} of the cells from
+        first on, shaped to broadcast over the (cell, t, theta1, theta2) grid."""
+        s = slice(first, None)
+        return (self.cos_phi[s, :, None, None], self.sin_phi[s, :, None, None],
+                self.exp_theta1[s, None, :, None], self.exp_theta2[s, None, None, :])
+
+    def axis_values(self, form, pairing=False):
+        """A polynomial 0-form at the nodes, from the axis factors: one
+        broadcast product per angle class.  Exponents may be negative (a
+        Laurent polynomial; the nodes avoid z_1 = 0 and z_2 = 0).
+
+        With pairing, the values are w form / [d rho ^ (1/2) xi ^ d xi]_top,
+        w the node weights: their sum is the oriented integral of any
+        3-form omega with forms.normal_top(omega) = form.  A form with no
+        terms gives zeros.
+        """
+        cos, sin = self.cos_phi, self.sin_phi
+        e1, e2 = self.exp_theta1, self.exp_theta2
+        if pairing:
+            (den,) = _angle_classes(_contact_normal_top()).values()
+            t_scale = 0.5 * self.t_weights / _t_factor(den, cos, sin).real
+        out = None
+        for (k1, k2), terms in _angle_classes(form).items():
+            t, a, b = _t_factor(terms, cos, sin), _character(e1, k1), _character(e2, k2)
+            if pairing:
+                t, a, b = t * t_scale, a * self.theta1_weights, b * self.theta2_weights
+            term = (t[:, :, None, None] * a[:, None, :, None]) * b[:, None, None, :]
+            if out is None:
+                out = term
+            else:
+                out += term
+        if out is None:
+            return np.zeros(self.npoints, dtype=complex)
+        return out.reshape(-1)
+
+
+class SphereRule(_HopfGrid):
     """Product rule on S^3 in Hopf coordinates, weighted by the round
     measure (total 2 pi^2).  density is the ratio of the contact volume
     (1/2) xi ^ dxi to the round measure at each node, evaluated from the
-    symbolic form; it is one on the round sphere up to rounding."""
+    symbolic form on the Hopf frame; it is one on the round sphere up to
+    rounding."""
 
     def __init__(self, level):
         if level < 4:
@@ -80,17 +163,19 @@ class SphereRule:
         wang = 2.0 * math.pi / nang
         phi = np.arccos(np.sqrt(t))
         self._moduli = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        # axis factors on the (t, theta1, theta2) node grid
-        cphi, sphi = (c[:, None, None] for c in self._moduli.T)
-        e = np.exp(1j * ang)
-        axes = (cphi, sphi, e[None, :, None], e[None, None, :])
-        shape = (self.level, nang, nang)
+        # the axis factors of the rule's one cell
+        self.cos_phi, self.sin_phi = (c[None] for c in self._moduli.T)
+        self.exp_theta1 = self.exp_theta2 = np.exp(1j * ang)[None]
+        self.t_weights = wt[None]
+        self.theta1_weights = self.theta2_weights = np.full((1, nang), wang)
+        axes = self._axes()
+        shape = (1, self.level, nang, nang)
         self.weights = _node_column((0.5 * wt)[:, None, None] * wang * wang, shape)
         self.points = _hopf_points(*axes)
         self._frame = _hopf_frame_directions(*axes)
         vol = contact_volume_form()
         self._volume_coeff = vol.evaluate(self.points, self._frame).real
-        sphi_cphi = _node_column(sphi * cphi, shape)
+        sphi_cphi = _node_column(axes[1] * axes[0], shape)
         self.density = np.abs(self._volume_coeff) / sphi_cphi
         # exact for z^a conj(z)^b with |a| + |b| up to this bound
         self.degree_bound = 2 * self.level - 1
@@ -277,30 +362,28 @@ class DiscRule:
         return np.dot(self.weights * self.rho, values)
 
 
-class SphereCellRule:
+class SphereCellRule(_HopfGrid):
     """Composite, refinable rule on S^3 for singular integrands.
 
     The parameter box (t, theta1, theta2) is split into cells carrying a
     small tensor Gauss-Legendre rule with m = nodes_per_axis nodes per
-    axis.  The rule holds only per-cell axis factors, each a (cells, m)
-    array: the t-, theta1- and theta2-weights, cos(phi), sin(phi),
-    e^{i theta1} and e^{i theta2}, next to the boxes.  Node arrays
-    (points, weights, pairing_weights) and the Hopf frame are built from
-    them by broadcasting, in (cell, t, theta1, theta2) order; points and
-    weights are kept until the next refine, and cell_points and
-    cell_weights build them for the cells from a given one on.
+    axis.  The rule holds only per-cell axis factors (_HopfGrid), each a
+    (cells, m) array, next to the boxes.  Node arrays (points, weights) are
+    built from them by broadcasting, in (cell, t, theta1, theta2) order,
+    and kept until the next refine; cell_points and cell_weights build
+    them for the cells from a given one on, and axis_values evaluates a
+    0-form, or the pairing weights of a 3-form, from the factors alone.
     refine(mask) subdivides flagged cells 2 x 2 x 2: kept cells keep
     their order, the children follow, and only the children's factors
     are computed, so a refined rule equals one built from scratch on its
-    final boxes.  Pairing uses the same contact-volume normalization as
-    SphereRule, so orientation and measure conventions agree between the
-    two rules.
+    final boxes.
 
     blocks(ncells) walks the rule in consecutive blocks of cells, each a
     view whose factors are slices of the rule's.  A view's node arrays and
-    frame are the matching rows of the rule's, bit for bit, since every
-    node value is a product of its own cell's factors; so a pairing can
-    build its node data one block at a time instead of on the whole rule.
+    axis values are the matching rows of the rule's, bit for bit, since
+    every node value is a product of its own cell's factors; so a pairing
+    can build its node data one block at a time instead of on the whole
+    rule.
     """
 
     _FACTORS = ("boxes", "t_weights", "theta1_weights", "theta2_weights",
@@ -352,13 +435,6 @@ class SphereCellRule:
             setattr(view, name, getattr(self, name)[cells])
         return view
 
-    def _axes(self, first=0):
-        """cos(phi), sin(phi), e^{i theta1}, e^{i theta2} of the cells from
-        first on, shaped to broadcast over the (cell, t, theta1, theta2) grid."""
-        s = slice(first, None)
-        return (self.cos_phi[s, :, None, None], self.sin_phi[s, :, None, None],
-                self.exp_theta1[s, None, :, None], self.exp_theta2[s, None, None, :])
-
     @property
     def npoints(self):
         return self.ncells * self.nodes_per_axis ** 3
@@ -387,23 +463,8 @@ class SphereCellRule:
     def weights(self):
         return self.cell_weights()
 
-    @property
-    def pairing_weights(self):
-        # the contact volume coefficient on the Hopf frame is analytic on
-        # the round sphere: -sin(phi) cos(phi), density ratio exactly one
-        # (cross-checked against the symbolic form in the test suite)
-        m = self.nodes_per_axis
-        coeff = -(self.sin_phi * self.cos_phi)
-        return (self.weights.reshape(-1, m, m * m) / coeff[:, :, None]).reshape(-1)
-
-    def frame_directions(self):
-        return _hopf_frame_directions(*self._axes())
-
     def integrate(self, values):
         return np.dot(self.weights, values)
-
-    def pair_values(self, top_values):
-        return np.dot(self.pairing_weights, top_values)
 
     def refine(self, mask):
         """Subdivide flagged cells 2x2x2; returns the number of new cells.

@@ -8,8 +8,8 @@ from spherelab.currents import (CATALOG, DEFAULT_DELTAS, BoundaryPairingContext,
                                 RegularityError, RegularizedPairing, _adaptive_rule,
                                 catalog_function, cf_pairing,
                                 divisor_pairing_boundary, divisor_pairing_closed,
-                                divisor_pairings_boundary, holo_gradient_values,
-                                richardson_sqrt, zero_set_direct)
+                                divisor_pairings_boundary, richardson_sqrt,
+                                zero_set_direct)
 from spherelab.quadrature import BallRule, CircleRule, DiscRule, SphereRule, contact_one_form
 
 ANGULAR_Z2 = forms.x_coord(2) * forms.dx(3) - forms.x_coord(3) * forms.dx(2)
@@ -19,6 +19,46 @@ VOL_Z1 = forms.dz(0) * forms.dzbar(0) * 0.5j
 BUMP_Z2 = (1.0 + forms.z_coord(0) * forms.zbar_coord(0)) * VOL_Z2
 
 FAST = dict(base_cells=6, nodes_per_axis=4, refine_depth=8)
+
+
+def holo_gradient_values(fpoly, points):
+    """(d/dz_1 f, d/dz_2 f) at points for a holomorphic 0-form, evaluated at
+    the node points: the oracle for the gradients the pairings take from
+    the axis factors."""
+    by_word = fpoly.partial_z().coefficient_values(points)
+    g = np.zeros((np.atleast_2d(points).shape[0], 2), dtype=complex)
+    for word, vals in by_word.items():
+        g[:, word[0] // 2] = vals
+    return g
+
+
+class _Checked(Exception):
+    """Stops a boundary pairing once its regularity check has run."""
+
+
+def _checked_arguments(monkeypatch, upoly, **options):
+    """(u, |du|) as divisor_pairing_boundary hands them to the regularity
+    check, and the check's outcome (None, or the RegularityError message);
+    the pairing stops there."""
+    seen = []
+    check = currents._boundary_regularity_check
+
+    def spy(u, grad_norm):
+        seen.append((u.copy(), grad_norm.copy()))
+        try:
+            check(u, grad_norm)
+        except RegularityError as exc:
+            seen.append(str(exc))
+        else:
+            seen.append(None)
+        raise _Checked
+
+    monkeypatch.setattr(currents, "_boundary_regularity_check", spy)
+    with pytest.raises(_Checked):
+        divisor_pairing_boundary(upoly, VOL_Z2, ball_level=6, **options)
+    monkeypatch.setattr(currents, "_boundary_regularity_check", check)
+    (u, grad_norm), outcome = seen
+    return u, grad_norm, outcome
 
 
 def test_richardson_recovers_sqrt_series():
@@ -183,29 +223,36 @@ def test_regularity_rejection(monkeypatch):
     assert calls == []
     with pytest.raises(RegularityError):
         divisor_pairing_boundary(forms.PolyForm(), VOL_Z2, ball_level=8, **FAST)
+    # s^2 comes from the final cell statistics, also without a refinement pass
+    for pairing in (divisor_pairing_boundary, divisor_pairing_closed):
+        with pytest.raises(RegularityError, match="vanishes identically"):
+            pairing(forms.PolyForm(), VOL_Z2 if pairing is divisor_pairing_boundary
+                    else ANGULAR_Z2, base_cells=4, nodes_per_axis=3, refine_depth=0)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG) + ["z1^2"])
-def test_gradient_norm_keeps_regularity_outcome(name):
-    # |du| gathered block by block in place, as the boundary pairing does,
-    # against np.linalg.norm of the gradient on the whole refined rule
-    # (default cell parameters; the z1^2 of test_regularity_rejection at
-    # its depth): within 4e-16 relative, and the regularity check reaches
-    # the same outcome, message included, on both
+def test_gradient_norm_keeps_regularity_outcome(monkeypatch, name):
+    # |du| from the axis factors, gathered block by block in place, as the
+    # boundary pairing hands it to the check, against np.linalg.norm of the
+    # gradient evaluated at the points of the whole refined rule (default
+    # cell parameters; the z1^2 of test_regularity_rejection at its depth):
+    # within 4e-16 relative, and the regularity check reaches the same
+    # outcome, message included, on both
     upoly = forms.z_coord(0) * forms.z_coord(0) if name == "z1^2" else catalog_function(name)
-    rule, u, _ = _adaptive_rule(upoly, DEFAULT_DELTAS, 6, 4, 12 if name == "z1^2" else 10)
-    grad_norm = currents._gradient_norm(upoly, rule)
+    depth = 12 if name == "z1^2" else 10
+    u, grad_norm, outcome = _checked_arguments(monkeypatch, upoly, base_cells=6,
+                                               nodes_per_axis=4, refine_depth=depth)
+    rule, uvals, _ = _adaptive_rule(upoly, DEFAULT_DELTAS, 6, 4, depth)
+    assert np.array_equal(u, uvals)
     ref = np.linalg.norm(holo_gradient_values(upoly, rule.points), axis=-1)
     assert np.all(np.abs(grad_norm - ref) <= 4e-16 * ref)
-    outcomes = []
-    for g in (grad_norm, ref):
-        try:
-            currents._boundary_regularity_check(u, g)
-            outcomes.append(None)
-        except RegularityError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
-    assert (outcomes[0] is None) == (name != "z1^2")
+    try:
+        currents._boundary_regularity_check(u, ref)
+        ref_outcome = None
+    except RegularityError as exc:
+        ref_outcome = str(exc)
+    assert outcome == ref_outcome
+    assert (outcome is None) == (name != "z1^2")
 
 
 def test_catalog_registry():
@@ -340,21 +387,22 @@ def test_streamed_pairing_does_not_depend_on_block_size(monkeypatch, case):
 
 def test_regularity_check_reads_whole_rule_values(monkeypatch):
     # |du| is gathered block by block and the check runs before the pairing
-    # consumes anything, so it sees the values a whole-rule evaluation
-    # gives, bit for bit
-    seen = []
-    check = currents._boundary_regularity_check
+    # consumes anything, so it sees the values a whole-rule evaluation from
+    # the axis factors gives, bit for bit, and the gradient at the node
+    # points within 4e-16 relative
     monkeypatch.setattr(_accel, "BLOCK_BYTES", 7 * 16 * 4 ** 3)  # 7 cells a block
-    monkeypatch.setattr(currents, "_boundary_regularity_check", lambda u, g: (
-        seen.append((u.copy(), g.copy())) or check(u, g)))
-    u = catalog_function("z1-half")
-    divisor_pairing_boundary(u, VOL_Z2, ball_level=6, base_cells=6, nodes_per_axis=4,
-                             refine_depth=4)
+    u = forms.z_coord(0) * forms.z_coord(1) - 0.25
+    u_seen, grad_norm, outcome = _checked_arguments(monkeypatch, u, base_cells=6,
+                                                    nodes_per_axis=4, refine_depth=4)
+    assert outcome is None
     rule, uvals, _ = _adaptive_rule(u, DEFAULT_DELTAS, 6, 4, 4)
-    [(u_seen, grad_norm)] = seen
+    assert rule.ncells > 7
     assert np.array_equal(u_seen, uvals)
-    assert np.array_equal(grad_norm,
-                          np.linalg.norm(holo_gradient_values(u, rule.points), axis=-1))
+    partials = currents._partials(u)
+    assert np.array_equal(grad_norm, _accel.gradient_norm(*(rule.axis_values(d)
+                                                            for d in partials)))
+    ref = np.linalg.norm(holo_gradient_values(u, rule.points), axis=-1)
+    assert np.all(np.abs(grad_norm - ref) <= 4e-16 * ref)
 
 
 def test_adaptive_rule_peak_memory(traced_peak):
@@ -376,17 +424,20 @@ def test_streamed_pairings_peak_memory(traced_peak):
     # no log pass (75.5 MB measured); lp-boundary's default pairing peaked
     # at 90.6 MB with |f / s|^2 on the whole rule, and at 78.1 MB with |f|^2
     # made in blocks of cells.  With the refinement reading per-cell
-    # statistics the three read 45.9, 55.0 and 69.2 MB; each bound is its
-    # peak + 15 %
+    # statistics the three read 43.4, 52.9 and 60.5 MB.  With the weights
+    # and slot sums taken from the axis factors, and s^2 from the cell
+    # statistics instead of whole-rule node weights, they read 37.1, 44.1
+    # and 60.5 MB (lp-boundary's peak is its regularity check's |u|^2);
+    # each bound is its peak + 15 %, rounded up to a whole MB
     depth10 = traced_peak(lambda: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, deltas=(1e-2, 1e-3, 1e-4), refine_depth=10,
         ball_level=6))
-    assert depth10 <= 53e6
+    assert depth10 <= 43e6
     lp_closed = traced_peak(lambda: divisor_pairing_closed(
         catalog_function("z1"), ANGULAR_Z2, deltas=DEFAULT_DELTAS, base_cells=6,
         nodes_per_axis=4, refine_depth=10))
-    assert lp_closed <= 64e6
+    assert lp_closed <= 51e6
     lp_boundary = traced_peak(lambda: divisor_pairing_boundary(
         catalog_function("z1-half"), VOL_Z2, deltas=DEFAULT_DELTAS, base_cells=6,
         nodes_per_axis=4, refine_depth=10, ball_level=12, ball_radial=28))
-    assert lp_boundary <= 80e6
+    assert lp_boundary <= 70e6

@@ -5,12 +5,12 @@ import types
 import numpy as np
 import pytest
 
-from spherelab import _accel, forms
+from spherelab import _accel, currents, forms
 from spherelab.cli import main
 from spherelab.currents import (BoundaryPairingContext, CRPairingContext,
-                                RegularizedPairing, _adaptive_rule, _slot_weights,
+                                RegularizedPairing, _adaptive_rule, _SphereTerms,
                                 catalog_function, cf_pairing, divisor_pairing_boundary,
-                                holo_gradient_values, richardson_sqrt)
+                                richardson_sqrt)
 from spherelab.cutoffs import Cutoff
 from spherelab.embedding import EmbeddingMap
 from spherelab.ensemble import GridEvaluator, NodeEvaluator, RandomEnsemble
@@ -24,9 +24,11 @@ from spherelab.experiments import (_EXPERIMENT_DEFAULTS, _MICRO_BATCH, EXPERIMEN
                                    run_lp_boundary, run_lp_closed, surface_form)
 from spherelab.geometry import random_sphere_points, tangent_frame
 from spherelab.kernels import KernelField
-from spherelab.quadrature import (BallRule, SphereRule, _standard_frame_directions,
-                                  contact_one_form)
+from spherelab.quadrature import (BallRule, SphereRule, _hopf_frame_directions,
+                                  _standard_frame_directions, contact_one_form,
+                                  contact_volume_form)
 from spherelab.reporting import resolve_config
+from test_currents import holo_gradient_values
 
 
 def test_config_defaults_and_overrides():
@@ -133,10 +135,43 @@ def test_cf_sampler_matches_catalog_machinery(table, bump):
     assert abs(vals[0, 0] - direct) <= 0.02 * abs(direct)
 
 
+class _FrameRoute:
+    """The Hopf-frame route to a context's pairing weights, the tests'
+    oracle for the symbolic slot forms: the rule's frame (built from its
+    axis factors), psi on pairs of it, the oriented pairing weights w
+    density / (contact volume on the frame) and, for a boundary context,
+    dbar psi on the frame (None when it has no terms)."""
+
+    def __init__(self, ctx):
+        rule, psi = self.rule, self.psi = ctx.rule, ctx.psi
+        self.ball_rule = getattr(ctx, "ball_rule", None)
+        axes = rule._axes()
+        points, frame = self.points, self.frame = rule.points, _hopf_frame_directions(*axes)
+        self.psi_12 = psi.evaluate(points, [frame[1], frame[2]])
+        self.psi_02 = psi.evaluate(points, [frame[0], frame[2]])
+        self.psi_01 = psi.evaluate(points, [frame[0], frame[1]])
+        vol = contact_volume_form().evaluate(points, frame).real
+        sin_cos = np.broadcast_to(axes[1] * axes[0], np.broadcast_shapes(*(
+            a.shape for a in axes))).reshape(-1)
+        self.pair_weights = rule.weights * (np.abs(vol) / sin_cos) / vol
+        dbar = psi.partial_zbar()
+        self.dbar_top = (dbar.evaluate(points, frame)
+                         if isinstance(ctx, BoundaryPairingContext) and dbar.terms else None)
+
+    def slot_weights(self):
+        """(g1, g2) with df ^ psi = x1 g1 + x2 g2 per node, from df(u) =
+        x1 u_1 / z_1 + x2 u_2 / z_2 and df ^ psi = df(e0) psi_12 - df(e1)
+        psi_02 + df(e2) psi_01 on the frame e0, e1, e2."""
+        pieces = (self.psi_12, -self.psi_02, self.psi_01)
+        g1, g2 = (sum(p * u[j] for p, u in zip(pieces, self.frame) if u[j] is not None)
+                  for j in (0, 1))
+        return g1 / self.points[:, 0], g2 / self.points[:, 1]
+
+
 # Reference arithmetic for the regularized pairings, kept apart from the
 # shared batched implementation: df along the three Hopf frame directions,
 # the psi_12 / psi_02 / psi_01 combination, one np.dot per delta and term,
-# and scalar Lagrange weights.
+# and scalar Lagrange weights.  The helpers take a _FrameRoute.
 def _lagrange_at_zero(x, vals):
     total = 0.0 + 0.0j
     for i in range(len(x)):
@@ -236,7 +271,7 @@ def test_cf_sampler_columns_match_context_route(table, bump):
         f = ev.values(row)
         one = richardson_sqrt(deltas, pairing.per_delta(ev.mean_square(row),
                                                         ev.walk(row, slots=True), deltas))
-        for j, ctx in enumerate(contexts):
+        for j, ctx in enumerate(map(_FrameRoute, contexts)):
             ref = _cf_reference(ctx, f[0], _sampler_frame_derivatives(ev, ctx, row), deltas)
             _assert_close(vals[r, j], errs[r, j], ref)
             _assert_close(one[0][0, j], one[1][0, j], ref)
@@ -263,7 +298,7 @@ def test_boundary_sampler_columns_match_context_route(table, bump):
         one = richardson_sqrt(deltas, pairing.per_delta(ev_s.mean_square(row),
                                                         ev_s.walk(row, slots=True), deltas,
                                                         ev_b.walk(row)))
-        for j, ctx in enumerate(contexts):
+        for j, ctx in enumerate(map(_FrameRoute, contexts)):
             ref = _boundary_reference(ctx, u[0], _sampler_frame_derivatives(ev_s, ctx, row),
                                       u_ball[0], deltas)
             _assert_close(vals[r, j], errs[r, j], ref)
@@ -324,13 +359,10 @@ def _log_regularized_sums_allocating(weights, fsq, scale_sq, deltas):
 
 def _both_slot_weights(contexts):
     """The node weights of both slots as the pairing assembles them, a slot
-    that is zero on every node included: a reference that sums it shows
-    that dropping it changes no bit."""
-    ctx = contexts[0]
-    boundary = isinstance(ctx, BoundaryPairingContext)
-    scale = 0.5 * ctx.pair_weights if boundary else ctx.pair_weights / (2j * math.pi)
-    return tuple(np.stack(g, axis=1) * scale[:, None]
-                 for g in zip(*(_slot_weights(c) for c in contexts)))
+    whose forms have no terms included (zeros): a reference that sums it
+    shows that dropping it changes no bit."""
+    return tuple(currents._pairing_columns(contexts[0].rule, slot)
+                 for slot in zip(*(ctx.slot_forms for ctx in contexts)))
 
 
 def _per_delta_allocating(pairing, slot_weights, scale_sq, blocks, deltas, ball_blocks=()):
@@ -487,10 +519,9 @@ PAIRED_CF_FORMS.update({f"d({name})": one_form(name).d()
 PAIRED_BOUNDARY_FORMS = ("vol-z2", "vol-z1", "bump-z2")
 
 
-@pytest.mark.parametrize("rule_name", ["sphere-12", "cells"])
-def test_dropped_slots_are_the_structural_zeros(rule_name):
-    # a slot is dropped when its weights are exactly zero on every node;
-    # for the lab's forms that is exactly where dz_j ^ psi has no terms
+def _paired_contexts(rule_name):
+    """(name, psi, context) of every form the experiments pair, on
+    SphereRule(12) or on a refined z1-half cell rule."""
     if rule_name == "sphere-12":
         rule = SphereRule(12)
     else:
@@ -501,9 +532,41 @@ def test_dropped_slots_are_the_structural_zeros(rule_name):
     cases += [(f"boundary {name}", surface_form(name),
                BoundaryPairingContext(rule, ball_rule, surface_form(name)))
               for name in PAIRED_BOUNDARY_FORMS]
-    for name, psi, ctx in cases:
+    return cases
+
+
+@pytest.mark.parametrize("rule_name", ["sphere-12", "cells"])
+def test_dropped_slots_are_the_structural_zeros(rule_name):
+    # a slot is dropped exactly when its symbolic form has no terms; for
+    # the lab's forms that is exactly where dz_j ^ psi has no terms
+    for name, psi, ctx in _paired_contexts(rule_name):
         expected = tuple(bool((forms.dz(j) * psi).terms) for j in range(2))
+        assert tuple(bool(g.terms) for g in ctx.slot_forms) == expected, name
         assert RegularizedPairing([ctx]).slots == expected, name
+
+
+@pytest.mark.parametrize("rule_name", ["sphere-12", "cells"])
+def test_symbolic_slot_weights_match_frame_route(rule_name):
+    # the pairing weights from the symbolic slot forms and [d rho ^ dbar
+    # psi]_top, evaluated from the axis factors, against psi on pairs of
+    # the Hopf frame divided by the contact volume on it: within 1e-13 of
+    # the largest weight, for both slots and the dbar psi log term
+    for name, psi, ctx in _paired_contexts(rule_name):
+        terms, ref = _SphereTerms([ctx]), _FrameRoute(ctx)
+        boundary = isinstance(ctx, BoundaryPairingContext)
+        scale = 0.5 if boundary else 1.0 / (2j * math.pi)
+        expected = [scale * ref.pair_weights * g for g in ref.slot_weights()]
+        weights = [w for w in terms.slot_weights]
+        if boundary:
+            expected.append(ref.pair_weights * (0.0 if ref.dbar_top is None else ref.dbar_top))
+            weights.append(terms.w_dbar)
+        for i, (w, w_ref) in enumerate(zip(weights, expected)):
+            bound = 1e-13 * np.max(np.abs(w_ref))
+            if w is None:
+                assert bound == 0.0, (name, i)
+            else:
+                assert np.max(np.abs(w[:, 0] - w_ref)) <= bound, (name, i)
+                assert bound > 0.0, (name, i)
 
 
 @pytest.mark.parametrize("case", ["closed-12", "closed-20", "boundary-10"])
@@ -650,7 +713,7 @@ def test_catalog_pairings_match_reference_route():
     psi = one_form("angular-z2").d()
     res = cf_pairing(f, psi, deltas=deltas, **cells)
     rule, fvals, _ = _adaptive_rule(f, deltas, 6, 4, 2)
-    ctx = CRPairingContext(rule, psi)
+    ctx = _FrameRoute(CRPairingContext(rule, psi))
     _assert_close(res.value, res.err_est,
                   _cf_reference(ctx, fvals, _polynomial_frame_derivatives(f, ctx), deltas))
 
@@ -659,7 +722,7 @@ def test_catalog_pairings_match_reference_route():
     res = divisor_pairing_boundary(u, psi, deltas=deltas, ball_level=6, **cells)
     rule, uvals, _ = _adaptive_rule(u, deltas, 6, 4, 2)
     ball_rule = BallRule(6)
-    ctx = BoundaryPairingContext(rule, ball_rule, psi)
+    ctx = _FrameRoute(BoundaryPairingContext(rule, ball_rule, psi))
     _assert_close(res.value, res.err_est,
                   _boundary_reference(ctx, uvals, _polynomial_frame_derivatives(u, ctx),
                                       u.evaluate(ball_rule.points, []), deltas))

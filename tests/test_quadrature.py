@@ -140,12 +140,49 @@ def test_line_rules_reject_bad_lines(a, c):
 
 
 def test_cell_rule_matches_product_rule(rule16):
+    # the cell rule pairs a 3-form through its symbolic density, the
+    # product rule on the Hopf frame
     cells = SphereCellRule(base_cells=6, nodes_per_axis=4)
     assert cells.integrate(np.ones(cells.npoints)) == pytest.approx(AREA_S3, abs=1e-9)
     psi = contact_one_form().wedge((forms.dz(1) * forms.dzbar(1) * 0.5j))
-    a = cells.pair_values(psi.evaluate(cells.points, cells.frame_directions()))
+    a = np.sum(cells.axis_values(forms.normal_top(psi), pairing=True))
     b = rule16.pair_form(psi)
     assert a == pytest.approx(b, abs=1e-9)
+    assert np.sum(rule16.axis_values(forms.normal_top(psi), pairing=True)) == pytest.approx(
+        b, abs=1e-12)
+
+
+def _random_laurent(rng, nterms=10, max_exp=4):
+    """A random complex polynomial 0-form times z_1^-1 z_2^-1."""
+    terms = {((), tuple(int(e) for e in rng.integers(0, max_exp, 4))):
+             complex(*rng.standard_normal(2)) for _ in range(nterms)}
+    return forms.PolyForm(terms) * forms.PolyForm.monomial(1.0, (-1, 0, -1, 0))
+
+
+def _refined_cells(rng):
+    cells = SphereCellRule(base_cells=4, nodes_per_axis=4)
+    cells.refine(rng.random(cells.ncells) < 0.2)
+    return cells
+
+
+@pytest.mark.parametrize("rule_name", ["sphere-12", "cells"])
+def test_axis_values_match_node_evaluation(rng, rule_name):
+    # sum factorization over the axis factors against the coefficient
+    # polynomial evaluated at the node points, Laurent shifts included
+    rule = SphereRule(12) if rule_name == "sphere-12" else _refined_cells(rng)
+    # the pairing weights divide by [d rho ^ (1/2) xi ^ d xi]_top = -rho / 2
+    rho = forms.z_coord(0) * forms.zbar_coord(0) + forms.z_coord(1) * forms.zbar_coord(1)
+    assert forms.normal_top(contact_volume_form()).terms == (rho * -0.5).terms
+    for _ in range(5):
+        form = _random_laurent(rng)
+        assert any(min(exps) < 0 for _, exps in form.terms)
+        ref = form._coefficient(rule.points, ())
+        assert np.max(np.abs(rule.axis_values(form) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        paired = rule.axis_values(form, pairing=True)
+        assert np.max(np.abs(paired + 2.0 * rule.weights * ref)) <= (
+            1e-14 * np.max(np.abs(rule.weights * ref)))
+    assert not rule.axis_values(forms.PolyForm()).any()
+    assert rule.axis_values(forms.PolyForm()).shape == (rule.npoints,)
 
 
 def test_cell_rule_refinement_preserves_mass():
@@ -189,13 +226,7 @@ def _cell_nodes(boxes, m):
     theta2 = np.broadcast_to(B[:, None, None, :], (C, m, m, m)).ravel()
     wts = (WT[:, :, None, None] * WA[:, None, :, None] * WB[:, None, None, :]).ravel()
     phi = np.arccos(np.sqrt(np.clip(t, 1e-15, 1.0 - 1e-15)))
-    weights = 0.5 * wts
-    return {
-        "points": hopf_embed(phi, theta1, theta2),
-        "weights": weights,
-        "pairing_weights": weights / -(np.sin(phi) * np.cos(phi)),
-        "frame": _hopf_frame(phi, theta1, theta2),
-    }
+    return {"points": hopf_embed(phi, theta1, theta2), "weights": 0.5 * wts}
 
 
 def hopf_embed(phi, theta1, theta2):
@@ -227,9 +258,14 @@ def _sphere_nodes(level):
 
 
 def _assert_nodes_equal(rule, ref):
-    for name in ("points", "weights", "pairing_weights"):
-        assert np.array_equal(getattr(rule, name), ref[name]), name
-    for u, f in zip(rule.frame_directions(), ref["frame"], strict=True):
+    """Node arrays bit for bit; the product rule's reference also holds its
+    pairing weights and Hopf frame, which the cell rule does not build."""
+    frame = ref.pop("frame", None)
+    for name, value in ref.items():
+        assert np.array_equal(getattr(rule, name), value), name
+    if frame is None:
+        return
+    for u, f in zip(rule.frame_directions(), frame, strict=True):
         for j in range(2):
             if u[j] is None:
                 assert not f[:, j].any()
@@ -270,7 +306,8 @@ def test_cell_rule_blocks_reproduce_node_arrays(rng, monkeypatch, ncells):
     cells = SphereCellRule(base_cells=8, nodes_per_axis=4)
     for frac in (0.2, 0.05):
         cells.refine(rng.random(cells.ncells) < frac)
-    frame = cells.frame_directions()
+    form = _random_laurent(rng)
+    axis = {pairing: cells.axis_values(form, pairing=pairing) for pairing in (False, True)}
     # a view is no rule build: the benchmark tracer counts builds in __init__
     monkeypatch.setattr(SphereCellRule, "__init__", None)
     blocks = list(cells.blocks(ncells))
@@ -278,15 +315,10 @@ def test_cell_rule_blocks_reproduce_node_arrays(rng, monkeypatch, ncells):
     assert [nodes.start for nodes, _ in blocks] == [
         block * ncells * 64 for block in range(len(blocks))]
     assert blocks[-1][0].stop == cells.npoints
-    for name in ("points", "weights", "pairing_weights"):
+    for name in ("points", "weights"):
         whole = getattr(cells, name)
         assert np.array_equal(np.concatenate([getattr(view, name) for _, view in blocks]),
                               whole), name
-    block_frames = [view.frame_directions() for _, view in blocks]
-    for i, direction in enumerate(frame):
-        for j, column in enumerate(direction):
-            parts = [f[i][j] for f in block_frames]
-            if column is None:
-                assert all(part is None for part in parts)
-            else:
-                assert np.array_equal(np.concatenate(parts), column)
+    for pairing, whole in axis.items():
+        assert np.array_equal(np.concatenate([view.axis_values(form, pairing=pairing)
+                                              for _, view in blocks]), whole), pairing
